@@ -7,8 +7,9 @@
 //! 1. **Kernel execution** — `run_range` on representative suite kernels
 //!    (uniform, compute-bound, divergent): the original scalar engine on
 //!    unoptimized bytecode vs today's lane engine on optimized bytecode,
-//!    plus A/B columns isolating each layer — divergence replay vs SIMT
-//!    reconvergence, and optimized vs `INSPIRE_OPT=0` bytecode.
+//!    plus A/B columns isolating each layer — optimized vs
+//!    `INSPIRE_OPT=0` bytecode, register allocation on vs off, and
+//!    bounds-check elision on vs off.
 //! 2. **Training oracle** — one full oracle pass over a batch of
 //!    training launches: the PR-1 shape (scalar probe profiles over
 //!    unoptimized bytecode + the exhaustive partition space) vs today's
@@ -23,32 +24,25 @@
 //! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x over the scalar engine), and
 //! the bytecode optimizer must pay for itself — lane execution on
 //! optimized code at least as fast as on `INSPIRE_OPT=0` code (geomean
-//! over the picks) with a ≥ 15% suite-wide static shrink. The backend
-//! tier (register allocation + pre-decoded direct-threaded dispatch)
-//! has its own A/B column against `INSPIRE_REGALLOC=0` and must hold a
-//! geomean lane speedup within noise of break-even, and branchless
-//! kernels (vec_add) must run under reconvergence within noise of
-//! replay. Set `VM_BENCH_QUICK=1` for the reduced sizes CI uses.
+//! over the picks) with a ≥ 15% suite-wide static shrink. Register
+//! allocation has its own A/B column against `INSPIRE_REGALLOC=0` and
+//! must hold a geomean lane speedup within noise of break-even. Set
+//! `VM_BENCH_QUICK=1` for the reduced sizes CI uses.
 //!
-//! A note on the backend-tier floor: the tier was built hoping for a
-//! ≥ 1.15x geomean win, and that is *not* what honest interleaved
-//! measurement shows. The enum-dispatch baseline runs the same
-//! vectorized 64-lane row kernels, so dispatch is a minor fraction of
-//! runtime at these batch widths: the tier wins where dispatch and
-//! masked per-lane work dominate (mandelbrot ~1.1x, sgemm ~1.05x via
-//! memory-pair fusion) and breaks even on the streaming kernels
-//! (vec_add, blackscholes ~1.0x). The recorded per-kernel columns keep
-//! the honest numbers; the CI floor only guards against the tier
-//! *regressing* (beyond the ~5% this host's timing noise can produce),
-//! and against losing the register-file shrink or vec_add's
-//! replay-parity, which were the fixable regressions this tier landed.
+//! A note on the register-allocation floor: both sides of that A/B walk
+//! the same pre-decoded, fused op array on the lane engine, so it
+//! isolates the register-file shrink alone (the lane engine's SoA rows
+//! scale as 64 × regs × 8 bytes). That shrink is a cache-footprint
+//! effect that is small at these batch widths, so the CI floor only
+//! guards against allocation *regressing* execution (beyond the ~5%
+//! timing noise of a shared CI host), not a speedup target.
 
 use std::collections::HashMap;
 use std::fs;
 use std::time::Instant;
 
 use hetpart_bench::banner;
-use hetpart_inspire::vm::{DivergenceMode, Vm};
+use hetpart_inspire::vm::Vm;
 use hetpart_runtime::exec::{scalar_values, transfer_bytes};
 use hetpart_runtime::sweep::SWEEP_PROFILE_SAMPLES;
 use hetpart_runtime::{
@@ -78,17 +72,14 @@ struct RunRangeRow {
     /// baseline (PR 1 had neither the lane engine nor the optimizer),
     /// so `speedup` records the cumulative system win.
     scalar_s: f64,
-    /// Lane engine, SIMT reconvergence (the default mode).
+    /// Lane engine on optimized, register-allocated bytecode.
     lanes_s: f64,
-    /// Lane engine, per-lane scalar-replay divergence fallback
-    /// (`INSPIRE_NO_RECONVERGE=1`) — the PR-2 engine, timed for A/B.
-    replay_s: f64,
     /// Lane engine on the **unoptimized** bytecode (`INSPIRE_OPT=0`) —
     /// the same engine minus the optimizer pipeline, timed for A/B.
     unopt_lanes_s: f64,
-    /// Lane engine on optimized bytecode but with the backend tier off
-    /// (`INSPIRE_REGALLOC=0`): enum-walking dispatch over wide register
-    /// files — isolates what regalloc + pre-decode buy.
+    /// Lane engine on optimized bytecode with register allocation off
+    /// (`INSPIRE_REGALLOC=0`): the same decoded walk over the wider
+    /// codegen-shaped register files — isolates what allocation buys.
     noregalloc_lanes_s: f64,
     /// Lane engine with bounds-check elision off
     /// (`INSPIRE_BOUNDS_ELIDE=0`): every buffer access re-checked at run
@@ -96,11 +87,9 @@ struct RunRangeRow {
     noelide_lanes_s: f64,
     /// scalar_s / lanes_s.
     speedup: f64,
-    /// replay_s / lanes_s: what reconvergence buys over replay.
-    speedup_vs_replay: f64,
     /// unopt_lanes_s / lanes_s: what the optimizer buys end-to-end.
     speedup_vs_unopt: f64,
-    /// noregalloc_lanes_s / lanes_s: what the backend tier buys.
+    /// noregalloc_lanes_s / lanes_s: what register allocation buys.
     speedup_vs_noregalloc: f64,
     /// noelide_lanes_s / lanes_s: what bounds-check elision buys.
     speedup_vs_noelide: f64,
@@ -140,16 +129,13 @@ struct Targets {
     opt_geomean_speedup: f64,
     /// … and must shrink the suite's static code size by this fraction.
     opt_static_reduction: f64,
-    /// The backend tier (regalloc + pre-decode) must not cost more than
-    /// measurement noise on geomean over the picks (see the module doc
-    /// for why this is a break-even floor, not a speedup target).
+    /// Register allocation must not cost more than measurement noise on
+    /// geomean over the picks (see the module doc for why this is a
+    /// break-even floor, not a speedup target).
     regalloc_geomean_speedup: f64,
     /// Bounds-check elision removes work and must therefore hold at
     /// least break-even within noise on geomean over the picks.
     elide_geomean_speedup: f64,
-    /// Branchless kernels must not pay for reconvergence: vec_add's
-    /// `speedup_vs_replay` must be at least this (parity within noise).
-    branchless_vs_replay: f64,
 }
 
 #[derive(Serialize)]
@@ -207,7 +193,7 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
     // (blackscholes: branchy tail after a uniform transcendental body;
     // mandelbrot: data-dependent loop exit — the reconvergence stress
     // tests). Sizes match the training-shaped oracle batch below: the
-    // backend tier exists to speed up the VM the training sweeps run on,
+    // lane engine exists to speed up the VM the training sweeps run on,
     // and sweeps launch at exactly this scale — a DRAM-bound size would
     // measure memory bandwidth instead of dispatch.
     let picks: &[(&str, usize)] = if quick {
@@ -231,8 +217,8 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
         let (kernel, inst) = bench_instance(name, n);
         let bench = hetpart_suite::by_name(name).expect("suite kernel exists");
         let unopt = bench.compile_with_opt(hetpart_inspire::OptLevel::None);
-        // Same optimizer pipeline, backend tier off: enum dispatch over
-        // the pre-allocation register files.
+        // Same optimizer pipeline, register allocation off: the same
+        // decoded walk over the pre-allocation register files.
         let noalloc = bench.compile_with_modes(
             hetpart_inspire::OptLevel::Full,
             hetpart_inspire::RegAlloc::Off,
@@ -249,7 +235,6 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
         // blocks: the gated columns are *ratios* between them, and
         // interleaving cancels the slow frequency/load drift that
         // otherwise dominates block-to-block comparisons.
-        vm.divergence_mode = DivergenceMode::Reconverge;
         // Pin elision on for every column except the dedicated
         // elision-off one, so a stray `INSPIRE_BOUNDS_ELIDE=0` can't
         // flatten the A/B.
@@ -258,12 +243,10 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
         let mut unopt_lanes_s = f64::INFINITY;
         let mut noregalloc_lanes_s = f64::INFINITY;
         let mut noelide_lanes_s = f64::INFINITY;
-        let mut replay_s = f64::INFINITY;
         let lane_reps = 5 * reps;
         for rep in 0..=lane_reps {
             // rep 0 is a warm-up round: run everything, record nothing.
             let keep = rep > 0;
-            vm.divergence_mode = DivergenceMode::Reconverge;
             let t = Instant::now();
             vm.run_range_lanes(&kernel.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
                 .unwrap();
@@ -296,25 +279,16 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             if keep {
                 noregalloc_lanes_s = noregalloc_lanes_s.min(t.elapsed().as_secs_f64());
             }
-            vm.divergence_mode = DivergenceMode::Replay;
-            let t = Instant::now();
-            vm.run_range_lanes(&kernel.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
-                .unwrap();
-            if keep {
-                replay_s = replay_s.min(t.elapsed().as_secs_f64());
-            }
         }
         rows.push(RunRangeRow {
             kernel: name.to_string(),
             items: inst.nd.total() as u64,
             scalar_s,
             lanes_s,
-            replay_s,
             unopt_lanes_s,
             noregalloc_lanes_s,
             noelide_lanes_s,
             speedup: scalar_s / lanes_s,
-            speedup_vs_replay: replay_s / lanes_s,
             speedup_vs_unopt: unopt_lanes_s / lanes_s,
             speedup_vs_noregalloc: noregalloc_lanes_s / lanes_s,
             speedup_vs_noelide: noelide_lanes_s / lanes_s,
@@ -525,17 +499,15 @@ fn main() {
 
     let run_range = run_range_rows(quick);
     println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>11}",
+        "{:<14} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9} {:>11} {:>11}",
         "kernel",
         "items",
         "scalar",
-        "replay",
         "opt-off",
         "ra-off",
         "elide-off",
-        "reconverge",
+        "lanes",
         "speedup",
-        "vs replay",
         "vs opt-off",
         "vs ra-off",
         "vs el-off",
@@ -544,17 +516,15 @@ fn main() {
     );
     for r in &run_range {
         println!(
-            "{:<14} {:>10} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x {:>5} -> {:>3} {:>4} -> {:>3}",
+            "{:<14} {:>10} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x {:>5} -> {:>3} {:>4} -> {:>3}",
             r.kernel,
             r.items,
             r.scalar_s * 1e3,
-            r.replay_s * 1e3,
             r.unopt_lanes_s * 1e3,
             r.noregalloc_lanes_s * 1e3,
             r.noelide_lanes_s * 1e3,
             r.lanes_s * 1e3,
             r.speedup,
-            r.speedup_vs_replay,
             r.speedup_vs_unopt,
             r.speedup_vs_noregalloc,
             r.speedup_vs_noelide,
@@ -598,8 +568,8 @@ fn main() {
         opt_static_reduction * 100.0
     );
     println!(
-        "backend tier A/B: geomean lane speedup {regalloc_geomean_speedup:.2}x \
-         (regalloc + pre-decoded dispatch vs INSPIRE_REGALLOC=0)"
+        "register allocation A/B: geomean lane speedup {regalloc_geomean_speedup:.2}x \
+         (allocated vs INSPIRE_REGALLOC=0 register files, same decoded walk)"
     );
     let elide_geomean_speedup = (run_range
         .iter()
@@ -620,7 +590,6 @@ fn main() {
         opt_static_reduction: 0.15,
         regalloc_geomean_speedup: 0.95,
         elide_geomean_speedup: 0.95,
-        branchless_vs_replay: 0.97,
     };
     let kernel_speedup = |name: &str| {
         run_range
@@ -628,20 +597,13 @@ fn main() {
             .find(|r| r.kernel == name)
             .map_or(0.0, |r| r.speedup)
     };
-    // vec_add is branchless, so reconvergence bookkeeping must cost it
-    // nothing over the replay fallback.
-    let vec_add_vs_replay = run_range
-        .iter()
-        .find(|r| r.kernel == "vec_add")
-        .map_or(0.0, |r| r.speedup_vs_replay);
     let target_met = oracle.speedup_pruned >= targets.oracle_speedup
         && kernel_speedup("mandelbrot") >= targets.mandelbrot_speedup
         && kernel_speedup("blackscholes") >= targets.blackscholes_speedup
         && opt_geomean_speedup >= targets.opt_geomean_speedup
         && opt_static_reduction >= targets.opt_static_reduction
         && regalloc_geomean_speedup >= targets.regalloc_geomean_speedup
-        && elide_geomean_speedup >= targets.elide_geomean_speedup
-        && vec_add_vs_replay >= targets.branchless_vs_replay;
+        && elide_geomean_speedup >= targets.elide_geomean_speedup;
     let report = Report {
         bench: "vm_batch".to_string(),
         lane_width: hetpart_inspire::vm::LANES,

@@ -28,8 +28,10 @@ pub struct HarnessConfig {
     /// the bytecode (and therefore simulated times and oracle labels), so
     /// it participates in [`HarnessConfig::oracle_fingerprint`].
     pub opt_level: OptLevel,
-    /// Backend register-allocation + pre-decode tier. Renaming registers
-    /// keeps the dynamic behaviour bit-identical, but it rewrites the
+    /// Linear-scan register allocation after the optimizer (pre-decoding
+    /// for the lane engine runs in every mode and is not toggled here).
+    /// Renaming registers keeps the dynamic behaviour bit-identical, but
+    /// it rewrites the
     /// bytecode (and the kernel fingerprints the prediction cache keys
     /// on), so it participates in [`HarnessConfig::oracle_fingerprint`].
     pub regalloc: RegAlloc,

@@ -1,7 +1,7 @@
 //! Typed IR verifier.
 //!
-//! Runs after every optimizer pass (and once more after register
-//! allocation + pre-decoding) when [`verify_enabled`] says so, and turns
+//! Runs after every optimizer pass (and once more on the finished,
+//! pre-decoded function) when [`verify_enabled`] says so, and turns
 //! a miscompile into a [`CompileError`] naming the offending pass, block,
 //! and instruction — instead of a wrong answer caught (or missed) later
 //! by the differential suite.
@@ -171,41 +171,27 @@ pub fn verify_blocks(
 /// cached pre-decoded program and a fresh re-decode of the enum blocks.
 pub fn verify_function(pass: &str, f: &Function) -> Result<(), CompileError> {
     verify_blocks(pass, &f.name, &f.blocks, &f.params, f.n_iregs, f.n_fregs)?;
-    if let Some(dec) = &f.decoded {
-        let fresh = crate::opt::decode::decode(&f.blocks);
-        if *dec != fresh {
-            // Name the first differing op so the diagnostic is actionable.
-            let detail = dec
-                .ops
-                .iter()
-                .zip(fresh.ops.iter())
-                .position(|(a, b)| a != b)
-                .map(|i| {
-                    format!(
-                        "first differing op at index {i}: cached {:?} vs re-decoded {:?}",
-                        dec.ops[i], fresh.ops[i]
-                    )
-                })
-                .unwrap_or_else(|| "op arrays differ in length or spans/terms/costs differ".into());
-            return Err(err(
-                pass,
-                &f.name,
-                format!("pre-decoded program disagrees with re-decode: {detail}"),
-            ));
-        }
-        // The decoded spans/terms must cover exactly the same block
-        // structure the engines will walk.
-        if dec.spans.len() != f.blocks.len() {
-            return Err(err(
-                pass,
-                &f.name,
+    let dec = &f.decoded;
+    let fresh = crate::opt::decode::decode(&f.blocks);
+    if *dec != fresh {
+        // Name the first differing op so the diagnostic is actionable.
+        let detail = dec
+            .ops
+            .iter()
+            .zip(fresh.ops.iter())
+            .position(|(a, b)| a != b)
+            .map(|i| {
                 format!(
-                    "decoded span count {} != block count {}",
-                    dec.spans.len(),
-                    f.blocks.len()
-                ),
-            ));
-        }
+                    "first differing op at index {i}: cached {:?} vs re-decoded {:?}",
+                    dec.ops[i], fresh.ops[i]
+                )
+            })
+            .unwrap_or_else(|| "op arrays differ in length or spans differ".into());
+        return Err(err(
+            pass,
+            &f.name,
+            format!("pre-decoded program disagrees with re-decode: {detail}"),
+        ));
     }
     Ok(())
 }
@@ -236,7 +222,7 @@ mod tests {
     #[test]
     fn rejects_decode_disagreement() {
         let mut f = compiled(K);
-        let dec = f.decoded.as_mut().expect("decoded tier present");
+        let dec = &mut f.decoded;
         // Corrupt one pre-decoded register operand; the enum blocks stay
         // intact, so a re-decode must disagree.
         dec.ops[0].dst ^= 1;

@@ -405,18 +405,17 @@ pub struct Function {
     pub n_iregs: u16,
     pub n_fregs: u16,
     /// CFG analyses computed once at compile time. The lane engine's SIMT
-    /// reconvergence consumes the immediate post-dominators and its scalar
-    /// replay fallback the per-block live-in registers; the
-    /// successor/predecessor graphs and reverse post-order are exposed for
-    /// further analyses.
+    /// reconvergence consumes the immediate post-dominators; the
+    /// successor/predecessor graphs, per-block live-in registers and
+    /// reverse post-order are exposed for further analyses.
     pub cfg: crate::cfg::CfgInfo,
     /// Pre-decoded direct-threaded form of `blocks` (flat op array with
-    /// pre-resolved registers, immediates, and span offsets). Present only
-    /// when the backend tier ran ([`RegAlloc::On`](crate::opt::RegAlloc)
-    /// at an enabled [`OptLevel`](crate::opt::OptLevel)); both VM engines
-    /// prefer it over the enum blocks when set. Always semantically
+    /// pre-resolved registers, immediates, fused superinstructions, and
+    /// per-block spans), built once at the end of compilation for every
+    /// opt level and register-allocation mode. The lane engine walks it;
+    /// the scalar engine walks the enum `blocks`. Always semantically
     /// identical to `blocks`.
-    pub(crate) decoded: Option<crate::opt::decode::DecodedProgram>,
+    pub(crate) decoded: crate::opt::decode::DecodedProgram,
 }
 
 impl Function {
@@ -427,9 +426,9 @@ impl Function {
 }
 
 /// Compile a type-checked kernel to bytecode at the optimization level
-/// and backend mode selected by the environment (`INSPIRE_OPT=0` disables
-/// the optimizer, `INSPIRE_REGALLOC=0` the register-allocation/decoded-
-/// dispatch tier).
+/// and register-allocation mode selected by the environment
+/// (`INSPIRE_OPT=0` disables the optimizer, `INSPIRE_REGALLOC=0` the
+/// linear-scan register allocator).
 pub fn compile(k: &Kernel) -> Result<Function, CompileError> {
     compile_with_modes(
         k,
@@ -441,17 +440,18 @@ pub fn compile(k: &Kernel) -> Result<Function, CompileError> {
 /// Compile a type-checked kernel to bytecode at an explicit optimization
 /// level. [`OptLevel::None`](crate::opt::OptLevel::None) yields the naive
 /// per-statement codegen output untouched — the reference the differential
-/// suite compares optimized execution against. The backend tier follows
-/// the environment (`INSPIRE_REGALLOC=0` disables it).
+/// suite compares optimized execution against. Register allocation
+/// follows the environment (`INSPIRE_REGALLOC=0` disables it).
 pub fn compile_with_opt(k: &Kernel, level: crate::opt::OptLevel) -> Result<Function, CompileError> {
     compile_with_modes(k, level, crate::opt::RegAlloc::from_env())
 }
 
 /// Compile a type-checked kernel to bytecode at an explicit optimization
-/// level and backend mode. The backend tier (liveness-driven register
-/// allocation + pre-decoded direct-threaded dispatch) runs only when the
-/// optimizer is enabled *and* `regalloc` is [`RegAlloc::On`]; at
-/// [`OptLevel::None`] the naive codegen output is always left untouched.
+/// level and register-allocation mode. Liveness-driven register
+/// allocation runs only when the optimizer is enabled *and* `regalloc` is
+/// [`RegAlloc::On`]; at [`OptLevel::None`] the naive codegen output is
+/// always left untouched. Every mode ends by pre-decoding the final
+/// blocks for the lane engine.
 ///
 /// [`RegAlloc::On`]: crate::opt::RegAlloc::On
 /// [`OptLevel::None`]: crate::opt::OptLevel::None
@@ -1232,7 +1232,6 @@ impl<'a> Compiler<'a> {
             .collect::<Vec<Block>>();
         let mut n_iregs = self.max_i.min(MAX_REGS) as u16;
         let mut n_fregs = self.max_f.min(MAX_REGS) as u16;
-        let mut decoded = None;
         if level.enabled() {
             blocks = crate::opt::optimize(&k.name, blocks, &params, n_params, level)?;
             // Trailing registers the optimized code no longer touches need
@@ -1250,22 +1249,19 @@ impl<'a> Compiler<'a> {
                 for b in &mut blocks {
                     b.recompute_histo(n_params);
                 }
-                let dec = crate::opt::decode::decode(&blocks);
-                if crate::opt::dump_enabled() {
-                    eprintln!(
-                        "[inspire-opt] {}: after regalloc (iregs={n_iregs}, fregs={n_fregs}, \
-                         decoded_ops={})\n{}",
-                        k.name,
-                        dec.ops.len(),
-                        crate::pretty::disasm_blocks_spanned(&blocks, Some(&dec.spans))
-                    );
-                }
-                decoded = Some(dec);
             }
         }
+        let decoded = crate::opt::decode::decode(&blocks);
+        if crate::opt::dump_enabled() {
+            eprintln!(
+                "[inspire-opt] {}: final (iregs={n_iregs}, fregs={n_fregs}, decoded_ops={})\n{}",
+                k.name,
+                decoded.ops.len(),
+                crate::pretty::disasm_blocks_spanned(&blocks, Some(&decoded.spans))
+            );
+        }
         // Re-run the CFG analyses on the final block list so SIMT
-        // reconvergence (post-dominators) and replay (live-ins) see the
-        // optimized CFG.
+        // reconvergence (post-dominators) sees the optimized CFG.
         let cfg = crate::cfg::CfgInfo::build(&blocks, n_iregs, n_fregs);
         let f = Function {
             name: k.name.clone(),

@@ -11,8 +11,8 @@
 //! - immediate post-dominators (over the CFG extended with a single
 //!   virtual exit node that every `Ret` block jumps to), and
 //! - per-block **live-in register sets** (registers read before written on
-//!   some path from the block), which let the scalar replay fallback copy
-//!   only the registers a diverged lane's continuation can observe.
+//!   some path from the block), which the optimizer's dead-code
+//!   elimination, copy propagation and register allocation consume.
 //!
 //! All analyses are straight textbook implementations: post-dominators via
 //! the Cooper–Harvey–Kennedy iterative dominator algorithm run on the

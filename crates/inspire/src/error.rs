@@ -121,6 +121,17 @@ pub enum VmError {
     ArgumentMismatch(String),
     /// A negative shift amount or shift wider than the operand.
     InvalidShift(i64),
+    /// Requested work-items lie outside the launch's NDRange: a split
+    /// range past the split extent, or an explicit work-item past the
+    /// global size.
+    OutsideNdRange {
+        /// Dimension in which the request overflows.
+        dim: usize,
+        /// Largest requested coordinate in that dimension.
+        index: usize,
+        /// Global size of that dimension.
+        size: usize,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -139,6 +150,10 @@ impl fmt::Display for VmError {
             }
             VmError::ArgumentMismatch(m) => write!(f, "argument mismatch: {m}"),
             VmError::InvalidShift(s) => write!(f, "invalid shift amount {s}"),
+            VmError::OutsideNdRange { dim, index, size } => write!(
+                f,
+                "work-item coordinate {index} in dimension {dim} is outside the NDRange size {size}"
+            ),
         }
     }
 }

@@ -117,13 +117,14 @@ pub fn compile(src: &str) -> Result<CompiledKernel, CompileError> {
     compile_with_opt(src, OptLevel::from_env())
 }
 
-/// [`compile`] at an explicit optimization level (the backend
-/// register-allocation tier follows the environment).
+/// [`compile`] at an explicit optimization level (register allocation
+/// follows the environment).
 pub fn compile_with_opt(src: &str, level: OptLevel) -> Result<CompiledKernel, CompileError> {
     compile_with_modes(src, level, RegAlloc::from_env())
 }
 
-/// [`compile`] at an explicit optimization level and backend mode.
+/// [`compile`] at an explicit optimization level and register-allocation
+/// mode.
 pub fn compile_with_modes(
     src: &str,
     level: OptLevel,
@@ -152,7 +153,8 @@ pub fn compile_all_with_opt(
     compile_all_with_modes(src, level, RegAlloc::from_env())
 }
 
-/// [`compile_all`] at an explicit optimization level and backend mode.
+/// [`compile_all`] at an explicit optimization level and register-allocation
+/// mode.
 pub fn compile_all_with_modes(
     src: &str,
     level: OptLevel,

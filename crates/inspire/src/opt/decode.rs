@@ -2,21 +2,22 @@
 //!
 //! The enum interpreter pays a two-level match per executed instruction
 //! (variant, then inner op) and chases the per-block `Vec<Instr>`
-//! layout. Decoding lowers the optimized blocks once at compile time
-//! into one contiguous [`DecOp`] array — a fixed struct-of-fields
-//! format with a flat [`OpCode`] and the register numbers, immediates,
-//! and signedness pre-extracted — plus per-block `(start, end)` spans
-//! into that array. The hot loops then step a program counter over a
-//! single slice with a single one-level dispatch per op.
+//! layout. Decoding lowers the final blocks of every compiled function
+//! once at compile time into one contiguous [`DecOp`] array — a fixed
+//! struct-of-fields format with a flat [`OpCode`] and the register
+//! numbers, immediates, and signedness pre-extracted — plus per-block
+//! `(start, end)` spans into that array. The lane engine then steps over
+//! one slice per block with a single one-level dispatch per op; the
+//! scalar reference engine keeps walking the enum blocks.
 //!
-//! Terminators keep their block-id targets (the engines need block ids
-//! for per-block counters and the SIMT rejoin stack); the spans *are*
-//! the decoded jump targets: taking an edge to block `b` continues at
-//! op offset `spans[b].0`.
+//! Terminators and step costs stay on the blocks (the lane engine needs
+//! block ids for per-block counters and the SIMT rejoin stack); the
+//! spans *are* the decoded jump targets: taking an edge to block `b`
+//! continues at op offset `spans[b].0`.
 //!
-//! Decoding is semantics-preserving — per-block step costs, fault
-//! order, and every observable value are exactly those of the enum
-//! blocks, which is what the four-way differential suite pins down.
+//! Decoding is semantics-preserving — fault order and every observable
+//! value are exactly those of the enum blocks, which is what the
+//! scalar-vs-lanes differential suite pins down.
 //!
 //! On top of the 1:1 re-encoding, a peephole pass fuses adjacent op
 //! pairs into superinstructions ([`OpCode::FOp2`], [`OpCode::IOp2`],
@@ -29,7 +30,7 @@
 //! only fuse with the fault check kept in its original position, and
 //! the faulting Div/Rem integer ops never fuse.
 
-use crate::bytecode::{Block, CmpOp, FBinOp, IBinOp, Instr, MathFn1, MathFn2, Terminator};
+use crate::bytecode::{Block, CmpOp, FBinOp, IBinOp, Instr, MathFn1, MathFn2};
 
 /// Flat opcode of a decoded op. Signedness lives in [`DecOp::unsigned`],
 /// not in the opcode, so the table stays at one variant per `Instr`
@@ -187,16 +188,22 @@ impl DecOp {
 }
 
 /// The decoded form of a whole function: one flat op array plus
-/// per-block spans, terminators, and step costs (all indexed by block
-/// id, mirroring `Function::blocks`).
+/// per-block spans (indexed by block id, mirroring `Function::blocks`;
+/// terminators and step costs are read from the blocks themselves).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DecodedProgram {
     pub(crate) ops: Vec<DecOp>,
     /// Per block: `[start, end)` into [`DecodedProgram::ops`].
     pub(crate) spans: Vec<(u32, u32)>,
-    pub(crate) terms: Vec<Terminator>,
-    /// Per block: `Block::step_cost()`.
-    pub(crate) costs: Vec<u64>,
+}
+
+impl DecodedProgram {
+    /// The decoded ops of block `b`.
+    #[inline]
+    pub(crate) fn block_ops(&self, b: usize) -> &[DecOp] {
+        let (s, e) = self.spans[b];
+        &self.ops[s as usize..e as usize]
+    }
 }
 
 fn ibin_code(op: IBinOp) -> OpCode {
@@ -486,44 +493,6 @@ fn decode_instr(ins: &Instr) -> DecOp {
     }
 }
 
-/// Evaluate an F-file compute micro-op — semantics identical to the
-/// corresponding unfused interpreter arms (unaries read `x`; the
-/// constant reads neither operand).
-#[inline]
-pub(crate) fn f_eval(sub: u8, x: f64, y: f64, fimm: f64) -> f64 {
-    match sub {
-        F_ADD => x + y,
-        F_SUB => x - y,
-        F_MUL => x * y,
-        F_DIV => x / y,
-        F_MOV => x,
-        5 => x.sqrt(),
-        6 => 1.0 / x.sqrt(),
-        7 => x.exp(),
-        8 => x.ln(),
-        9 => x.sin(),
-        10 => x.cos(),
-        11 => x.tan(),
-        12 => x.abs(),
-        13 => x.floor(),
-        14 => x.ceil(),
-        F_NEG => -x,
-        _ => fimm,
-    }
-}
-
-/// Evaluate a fused I-file micro-op with the interpreter's
-/// wrap-to-32-bit semantics.
-#[inline]
-pub(crate) fn i_eval(sub: u8, x: i64, y: i64) -> i64 {
-    let v = match sub & !I_UNSIGNED {
-        0 => x.wrapping_add(y),
-        1 => x.wrapping_sub(y),
-        _ => x.wrapping_mul(y),
-    };
-    crate::vm::wrap32(v, sub & I_UNSIGNED != 0)
-}
-
 /// Classify a decoded op as an F-file compute micro-op: returns
 /// `(sub, x, y)` where `x`/`y` are the operand registers (unused ones
 /// are 0 and never read for that micro-op).
@@ -643,19 +612,8 @@ fn try_fuse(x: &DecOp, y: &DecOp) -> Option<DecOp> {
     None
 }
 
-/// Whether superinstruction fusion is enabled (`INSPIRE_FUSE=0` turns
-/// it off, leaving plain pre-decoded dispatch — a debugging lever to
-/// attribute a perf or parity delta to fusion vs decode).
-fn fuse_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("INSPIRE_FUSE").is_none_or(|v| v != "0"))
-}
-
 /// Single greedy left-to-right peephole pass over one block's ops.
 fn fuse_block(ops: Vec<DecOp>) -> Vec<DecOp> {
-    if !fuse_enabled() {
-        return ops;
-    }
     let mut out = Vec::with_capacity(ops.len());
     let mut i = 0;
     while i < ops.len() {
@@ -677,21 +635,12 @@ pub(crate) fn decode(blocks: &[Block]) -> DecodedProgram {
     let total = blocks.iter().map(|b| b.instrs.len()).sum();
     let mut ops = Vec::with_capacity(total);
     let mut spans = Vec::with_capacity(blocks.len());
-    let mut terms = Vec::with_capacity(blocks.len());
-    let mut costs = Vec::with_capacity(blocks.len());
     for b in blocks {
         let start = ops.len() as u32;
         ops.extend(fuse_block(b.instrs.iter().map(decode_instr).collect()));
         spans.push((start, ops.len() as u32));
-        terms.push(b.term.clone());
-        costs.push(b.step_cost());
     }
-    DecodedProgram {
-        ops,
-        spans,
-        terms,
-        costs,
-    }
+    DecodedProgram { ops, spans }
 }
 
 #[cfg(test)]
@@ -715,14 +664,11 @@ mod tests {
         .unwrap();
         let dec = decode(&f.blocks);
         assert_eq!(dec.spans.len(), f.blocks.len());
-        assert_eq!(dec.terms.len(), f.blocks.len());
         let mut next = 0u32;
         for (bi, &(s, e)) in dec.spans.iter().enumerate() {
             assert_eq!(s, next, "bb{bi} span must be contiguous");
             // Fusion may shrink a block, never grow or reorder it.
             assert!((e - s) as usize <= f.blocks[bi].instrs.len());
-            assert_eq!(dec.costs[bi], f.blocks[bi].step_cost());
-            assert_eq!(dec.terms[bi], f.blocks[bi].term);
             next = e;
         }
         assert_eq!(next as usize, dec.ops.len());

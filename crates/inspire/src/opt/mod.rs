@@ -34,13 +34,13 @@
 //! Set `INSPIRE_DUMP_IR=1` to dump the disassembly after every pass, and
 //! `INSPIRE_OPT=0` to disable the pipeline entirely.
 //!
-//! After the pass pipeline a separate **backend tier** runs (see
-//! [`regalloc`] and [`decode`]): liveness-driven linear-scan register
-//! allocation shrinks both register files to their true maximum live
-//! width, and the allocated blocks are pre-decoded into a flat
-//! direct-threaded op array that the VM hot loops execute instead of
-//! matching on the nested instruction enum. `INSPIRE_REGALLOC=0`
-//! disables that tier independently of the pass pipeline.
+//! After the pass pipeline, liveness-driven linear-scan register
+//! allocation ([`regalloc`]) shrinks both register files to their true
+//! maximum live width; `INSPIRE_REGALLOC=0` disables it independently of
+//! the pass pipeline. Whatever the opt level and allocation mode, the
+//! final blocks are then pre-decoded ([`decode`]) into the flat
+//! direct-threaded op array the lane engine executes; the scalar
+//! reference engine keeps matching on the instruction enum.
 
 use crate::bytecode::{Block, FnParam, Instr, Terminator};
 use crate::cfg::{reg_def, reg_uses, term_uses};

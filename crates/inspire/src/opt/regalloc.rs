@@ -40,22 +40,23 @@ use crate::bytecode::{Block, FnParam};
 use crate::cfg::{reg_def, reg_uses, term_uses, CfgInfo};
 use crate::ir::{ParamKind, ScalarType};
 
-/// Whether the post-optimizer backend tier (register allocation +
-/// pre-decoded dispatch) runs. Like [`OptLevel`](super::OptLevel) this
-/// is an explicit compile mode with an environment escape hatch; both
-/// stages are semantics-preserving, so the knob exists for A/B
-/// measurement and debugging, not correctness.
+/// Whether linear-scan register allocation runs after the optimizer.
+/// Like [`OptLevel`](super::OptLevel) this is an explicit compile mode
+/// with an environment escape hatch; allocation is semantics-preserving
+/// (it only renames registers), so the knob exists for A/B measurement of
+/// register-file size and debugging, not correctness. It does not select
+/// an execution walk: every mode is pre-decoded for the lane engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegAlloc {
-    /// Keep codegen-shaped register files and enum dispatch.
+    /// Keep codegen-shaped register files.
     Off,
-    /// Allocate registers and pre-decode blocks for threaded dispatch.
+    /// Allocate registers to shrink both register files.
     On,
 }
 
 impl RegAlloc {
     /// Mode selected by the environment: `INSPIRE_REGALLOC=0` disables
-    /// the backend tier, anything else (including unset) enables it.
+    /// register allocation, anything else (including unset) enables it.
     pub fn from_env() -> Self {
         match std::env::var_os("INSPIRE_REGALLOC") {
             Some(v) if v == "0" => RegAlloc::Off,
@@ -63,7 +64,7 @@ impl RegAlloc {
         }
     }
 
-    /// Whether the backend tier runs at all.
+    /// Whether register allocation runs at all.
     pub fn enabled(self) -> bool {
         matches!(self, RegAlloc::On)
     }

@@ -240,21 +240,19 @@ impl<'a> Printer<'a> {
 /// Disassemble compiled bytecode: a header line with the register-file
 /// sizes, then every block with one instruction per line.
 ///
-/// Register numbers are the final (allocated) ones: after the backend
-/// tier runs, the blocks hold the renamed registers, so the listing shows
-/// the allocation. When the function carries a pre-decoded program, each
-/// block label is annotated with its span — the op offsets of the flat
-/// direct-threaded array the hot loops actually execute (and the decoded
-/// jump target of every edge into that block).
+/// Register numbers are the final (allocated) ones: after register
+/// allocation runs, the blocks hold the renamed registers, so the listing
+/// shows the allocation. Each block label is annotated with its span —
+/// the op offsets of the flat pre-decoded array the lane engine executes
+/// (and the decoded jump target of every edge into that block).
 pub fn disasm(f: &Function) -> String {
-    let spans = f.decoded.as_ref().map(|d| d.spans.as_slice());
     format!(
         "fn {}(params={}, iregs={}, fregs={})\n{}",
         f.name,
         f.params.len(),
         f.n_iregs,
         f.n_fregs,
-        disasm_blocks_spanned(&f.blocks, spans)
+        disasm_blocks_spanned(&f.blocks, Some(&f.decoded.spans))
     )
 }
 
@@ -265,7 +263,7 @@ pub(crate) fn disasm_blocks(blocks: &[Block]) -> String {
 }
 
 /// [`disasm_blocks`] with optional per-block decoded-op spans to annotate
-/// the labels with (the `INSPIRE_DUMP_IR=1` after-regalloc dump uses it).
+/// the labels with (the `INSPIRE_DUMP_IR=1` final dump uses it).
 pub(crate) fn disasm_blocks_spanned(blocks: &[Block], spans: Option<&[(u32, u32)]>) -> String {
     let mut out = String::new();
     for (i, b) in blocks.iter().enumerate() {
@@ -501,14 +499,17 @@ mod tests {
             int i = get_global_id(0);
             if (i < n) { o[i] = a[i] + 1.0; }
         }";
-        // With the backend tier on, every block label carries its span
-        // into the decoded op array; block 0 always starts at op 0.
-        let on = compile_with_modes(src, OptLevel::Full, RegAlloc::On).unwrap();
-        let text = disasm(&on.bytecode);
-        assert!(text.contains("bb0:  ; ops[0.."), "{text}");
-        // Without the tier there is no decoded program and no annotation.
-        let off = compile_with_modes(src, OptLevel::Full, RegAlloc::Off).unwrap();
-        let text = disasm(&off.bytecode);
-        assert!(!text.contains("; ops["), "{text}");
+        // Every function is pre-decoded, so in every compile mode each
+        // block label carries its span into the decoded op array; block 0
+        // always starts at op 0.
+        for (level, ra) in [
+            (OptLevel::Full, RegAlloc::On),
+            (OptLevel::Full, RegAlloc::Off),
+            (OptLevel::None, RegAlloc::On),
+        ] {
+            let k = compile_with_modes(src, level, ra).unwrap();
+            let text = disasm(&k.bytecode);
+            assert!(text.contains("bb0:  ; ops[0.."), "{level:?}/{ra:?}: {text}");
+        }
     }
 }

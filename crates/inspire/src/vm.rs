@@ -6,20 +6,23 @@
 //! counters with the per-block static histograms yields exact dynamic
 //! operation counts at a cost of one increment per block.
 //!
-//! Two engines share the bytecode semantics:
+//! Two engines share the bytecode semantics, each with exactly one
+//! instruction walk:
 //! - the **scalar engine** ([`Vm::run_range_scalar`]) interprets one
-//!   work-item at a time — the reference implementation;
+//!   work-item at a time by matching on the [`Instr`] enum of each block
+//!   — the reference implementation;
 //! - the **lane engine** ([`Vm::run_range_lanes`], [`crate::vm_batch`])
 //!   executes batches of up to [`LANES`] work-items in lockstep over
-//!   structure-of-arrays register files, handling divergent branches with
-//!   masked SIMT execution and a post-dominator reconvergence stack (or,
-//!   with [`DivergenceMode::Replay`], by finishing each diverged lane on
-//!   the scalar engine).
+//!   structure-of-arrays register files, walking the function's
+//!   pre-decoded op array and handling divergent branches with masked
+//!   SIMT execution and a post-dominator reconvergence stack.
 //!
 //! The public entry points ([`Vm::run_range`], [`Vm::run_sampled`],
 //! [`Vm::run_items`]) dispatch to the lane engine for anything beyond a
 //! handful of items; the differential test suite keeps the two engines
-//! bit-identical on buffers, counters, and sample statistics.
+//! bit-identical on buffers, counters, and sample statistics. Every entry
+//! rejects work-items outside the launch's NDRange with
+//! [`VmError::OutsideNdRange`] before executing anything.
 
 use std::ops::Range;
 
@@ -28,10 +31,9 @@ use crate::bytecode::{
 };
 use crate::error::VmError;
 use crate::ir::{NdRange, ParamKind, ScalarType};
-use crate::opt::decode::{f_eval, i_eval, DecOp, DecodedProgram, OpCode};
 use crate::vm_batch::{CountSink, LaneEngine};
 
-pub use crate::vm_batch::{DivergenceMode, LANES};
+pub use crate::vm_batch::LANES;
 
 /// A typed host buffer, the VM's model of an OpenCL `cl_mem` object.
 #[derive(Debug, Clone, PartialEq)]
@@ -289,10 +291,6 @@ pub struct Vm {
     pub(crate) fregs: Vec<f64>,
     /// Maximum instructions one work-item may execute (runaway-loop guard).
     pub step_limit: u64,
-    /// How the lane engine handles divergent branches. Defaults from the
-    /// environment (`INSPIRE_NO_RECONVERGE=1` selects the scalar-replay
-    /// fallback); both modes are bit-identical to the scalar engine.
-    pub divergence_mode: DivergenceMode,
     /// Per-parameter bounds-check elision mask for the current launch:
     /// bit `p` set means the interval analysis proved **every** access to
     /// buffer parameter `p` in bounds, so loads/stores on it skip the
@@ -324,14 +322,12 @@ fn bounds_elide_env() -> bool {
 }
 
 impl Vm {
-    /// Create a VM with the default step limit and the divergence mode
-    /// selected by the environment.
+    /// Create a VM with the default step limit.
     pub fn new() -> Self {
         Self {
             iregs: Vec::new(),
             fregs: Vec::new(),
             step_limit: DEFAULT_STEP_LIMIT,
-            divergence_mode: DivergenceMode::from_env(),
             bounds_elide: 0,
             bounds_elide_override: None,
         }
@@ -441,6 +437,49 @@ impl Vm {
             .collect()
     }
 
+    /// Validate a launch and set up the scalar register state and the
+    /// bounds-elision mask; returns the buffer map. Every run entry
+    /// starts here, after checking its work-items lie inside `nd` (the
+    /// elision proof assumes they do).
+    fn start_launch(
+        &mut self,
+        f: &Function,
+        nd: &NdRange,
+        args: &[ArgValue],
+        bufs: &[BufferData],
+    ) -> Result<Vec<usize>, VmError> {
+        Self::check_args(f, args, bufs)?;
+        self.bind_scalars(f, args);
+        self.prepare_bounds(f, nd, args, bufs);
+        Ok(Self::buffer_map(f, args))
+    }
+
+    /// Reject a split range reaching past the NDRange's split extent.
+    fn check_split_range(nd: &NdRange, split_range: &Range<usize>) -> Result<(), VmError> {
+        if split_range.end > nd.split_extent() {
+            return Err(VmError::OutsideNdRange {
+                dim: nd.split_dim(),
+                index: split_range.end - 1,
+                size: nd.split_extent(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Reject any explicit work-item outside the global size.
+    fn check_items(gids: &[[usize; 3]], gsize: [usize; 3]) -> Result<(), VmError> {
+        for g in gids {
+            if let Some(dim) = (0..3).find(|&d| g[d] >= gsize[d]) {
+                return Err(VmError::OutsideNdRange {
+                    dim,
+                    index: g[dim],
+                    size: gsize[dim],
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Execute every work-item whose split-dimension coordinate lies in
     /// `split_range`, in row-major order. Returns the block counters.
     ///
@@ -471,16 +510,9 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut [BufferData],
     ) -> Result<Counters, VmError> {
-        Self::check_args(f, args, bufs)?;
-        assert!(
-            split_range.end <= nd.split_extent(),
-            "split range {split_range:?} exceeds NDRange extent {}",
-            nd.split_extent()
-        );
+        Self::check_split_range(nd, &split_range)?;
+        let bmap = self.start_launch(f, nd, args, bufs)?;
         let mut counters = Counters::new(f);
-        let bmap = Self::buffer_map(f, args);
-        self.bind_scalars(f, args);
-        self.prepare_bounds(f, nd, args, bufs);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner: usize = nd.items_per_slice();
         let split_dim = nd.split_dim();
@@ -503,16 +535,9 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut [BufferData],
     ) -> Result<Counters, VmError> {
-        Self::check_args(f, args, bufs)?;
-        assert!(
-            split_range.end <= nd.split_extent(),
-            "split range {split_range:?} exceeds NDRange extent {}",
-            nd.split_extent()
-        );
+        Self::check_split_range(nd, &split_range)?;
+        let bmap = self.start_launch(f, nd, args, bufs)?;
         let mut counters = Counters::new(f);
-        let bmap = Self::buffer_map(f, args);
-        self.bind_scalars(f, args);
-        self.prepare_bounds(f, nd, args, bufs);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner: usize = nd.items_per_slice();
         let split_dim = nd.split_dim();
@@ -527,7 +552,6 @@ impl Vm {
             }
             counters.items += n as u64;
             engine.exec_batch(
-                self,
                 f,
                 &gids[..n],
                 gsize,
@@ -574,11 +598,9 @@ impl Vm {
         bufs: &mut [BufferData],
         max_items: usize,
     ) -> Result<SampleResult, VmError> {
-        Self::check_args(f, args, bufs)?;
+        Self::check_split_range(nd, &split_range)?;
+        let bmap = self.start_launch(f, nd, args, bufs)?;
         let mut counters = Counters::new(f);
-        let bmap = Self::buffer_map(f, args);
-        self.bind_scalars(f, args);
-        self.prepare_bounds(f, nd, args, bufs);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner = nd.items_per_slice();
         let split_dim = nd.split_dim();
@@ -611,11 +633,9 @@ impl Vm {
         bufs: &mut [BufferData],
         max_items: usize,
     ) -> Result<SampleResult, VmError> {
-        Self::check_args(f, args, bufs)?;
+        Self::check_split_range(nd, &split_range)?;
+        let bmap = self.start_launch(f, nd, args, bufs)?;
         let mut counters = Counters::new(f);
-        let bmap = Self::buffer_map(f, args);
-        self.bind_scalars(f, args);
-        self.prepare_bounds(f, nd, args, bufs);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner = nd.items_per_slice();
         let split_dim = nd.split_dim();
@@ -633,7 +653,6 @@ impl Vm {
             }
             counters.items += bn as u64;
             engine.exec_batch(
-                self,
                 f,
                 &gids[..bn],
                 gsize,
@@ -671,32 +690,16 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut [BufferData],
     ) -> Result<Vec<Counters>, VmError> {
-        Self::check_args(f, args, bufs)?;
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
-        for g in gids {
-            assert!(
-                g.iter().zip(gsize).all(|(&c, s)| c < s),
-                "work-item {g:?} outside NDRange {gsize:?}"
-            );
-        }
-        let bmap = Self::buffer_map(f, args);
-        self.bind_scalars(f, args);
-        self.prepare_bounds(f, nd, args, bufs);
+        Self::check_items(gids, gsize)?;
+        let bmap = self.start_launch(f, nd, args, bufs)?;
         let mut engine = LaneEngine::new(f, self);
         let mut per_item: Vec<Counters> = gids.iter().map(|_| Counters::new(f)).collect();
         for (batch, counters) in gids.chunks(LANES).zip(per_item.chunks_mut(LANES)) {
             for c in counters.iter_mut() {
                 c.items = 1;
             }
-            engine.exec_batch(
-                self,
-                f,
-                batch,
-                gsize,
-                &bmap,
-                bufs,
-                CountSink::PerLane(counters),
-            )?;
+            engine.exec_batch(f, batch, gsize, &bmap, bufs, CountSink::PerLane(counters))?;
         }
         Ok(per_item)
     }
@@ -710,11 +713,9 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut [BufferData],
     ) -> Result<Vec<Counters>, VmError> {
-        Self::check_args(f, args, bufs)?;
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
-        let bmap = Self::buffer_map(f, args);
-        self.bind_scalars(f, args);
-        self.prepare_bounds(f, nd, args, bufs);
+        Self::check_items(gids, gsize)?;
+        let bmap = self.start_launch(f, nd, args, bufs)?;
         gids.iter()
             .map(|&gid| {
                 let mut c = Counters::new(f);
@@ -724,7 +725,9 @@ impl Vm {
             .collect()
     }
 
-    /// Execute one work-item from block 0, returning its step count.
+    /// Execute one work-item from block 0 to `Ret` with the current
+    /// register state, returning its step count (checked against the
+    /// step limit after every block).
     fn exec_item(
         &mut self,
         f: &Function,
@@ -736,33 +739,12 @@ impl Vm {
     ) -> Result<u64, VmError> {
         counters.items += 1;
         let mut steps: u64 = 0;
-        self.exec_from(f, 0, gid, gsize, bmap, bufs, counters, &mut steps)?;
-        Ok(steps)
-    }
-
-    /// Run the scalar engine from `block` until `Ret` with the current
-    /// register state, accumulating into `steps` against the step limit.
-    /// The lane engine's divergent-branch replay continues items here.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_from(
-        &mut self,
-        f: &Function,
-        mut block: usize,
-        gid: [usize; 3],
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut [BufferData],
-        counters: &mut Counters,
-        steps: &mut u64,
-    ) -> Result<(), VmError> {
-        if let Some(dec) = &f.decoded {
-            return self.exec_from_decoded(dec, block, gid, gsize, bmap, bufs, counters, steps);
-        }
+        let mut block = 0usize;
         loop {
             counters.block_counts[block] += 1;
             let b = &f.blocks[block];
-            *steps += b.step_cost();
-            if *steps > self.step_limit {
+            steps += b.step_cost();
+            if steps > self.step_limit {
                 return Err(VmError::StepLimitExceeded {
                     limit: self.step_limit,
                 });
@@ -794,393 +776,12 @@ impl Vm {
                     };
                     block = if taken { then as usize } else { els as usize };
                 }
-                Terminator::Ret => return Ok(()),
+                Terminator::Ret => return Ok(steps),
             }
         }
     }
 
-    /// [`Vm::exec_from`] over the pre-decoded op array: same block loop,
-    /// counters, step accounting, and terminator evaluation, but the
-    /// instruction walk steps a PC over one contiguous slice with a flat
-    /// one-level dispatch per op.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_from_decoded(
-        &mut self,
-        dec: &DecodedProgram,
-        mut block: usize,
-        gid: [usize; 3],
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut [BufferData],
-        counters: &mut Counters,
-        steps: &mut u64,
-    ) -> Result<(), VmError> {
-        loop {
-            counters.block_counts[block] += 1;
-            *steps += dec.costs[block];
-            if *steps > self.step_limit {
-                return Err(VmError::StepLimitExceeded {
-                    limit: self.step_limit,
-                });
-            }
-            let (s, e) = dec.spans[block];
-            for op in &dec.ops[s as usize..e as usize] {
-                self.exec_dec_op(op, gid, gsize, bmap, bufs)?;
-            }
-            match dec.terms[block] {
-                Terminator::Jump(t) => block = t as usize,
-                Terminator::Branch { cond, then, els } => {
-                    block = if self.iregs[cond as usize] != 0 {
-                        then as usize
-                    } else {
-                        els as usize
-                    };
-                }
-                Terminator::BranchCmp {
-                    op,
-                    float,
-                    a,
-                    b,
-                    then,
-                    els,
-                } => {
-                    let taken = if float {
-                        cmp(op, &self.fregs[a as usize], &self.fregs[b as usize])
-                    } else {
-                        cmp(op, &self.iregs[a as usize], &self.iregs[b as usize])
-                    };
-                    block = if taken { then as usize } else { els as usize };
-                }
-                Terminator::Ret => return Ok(()),
-            }
-        }
-    }
-
-    /// Execute one decoded op, bit-identically to [`Vm::exec_instr`] on
-    /// the corresponding [`Instr`] (integer arms mirror [`int_bin`]).
-    #[inline]
-    fn exec_dec_op(
-        &mut self,
-        op: &DecOp,
-        gid: [usize; 3],
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut [BufferData],
-    ) -> Result<(), VmError> {
-        let d = op.dst as usize;
-        let a = op.a as usize;
-        let b = op.b as usize;
-        match op.code {
-            OpCode::ConstI => self.iregs[d] = op.imm,
-            OpCode::ConstF => self.fregs[d] = op.fimm,
-            OpCode::MovI => self.iregs[d] = self.iregs[a],
-            OpCode::MovF => self.fregs[d] = self.fregs[a],
-            OpCode::IAdd => {
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_add(self.iregs[b]), op.unsigned);
-            }
-            OpCode::ISub => {
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_sub(self.iregs[b]), op.unsigned);
-            }
-            OpCode::IMul => {
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_mul(self.iregs[b]), op.unsigned);
-            }
-            OpCode::IDiv => {
-                self.iregs[d] = int_bin(IBinOp::Div, self.iregs[a], self.iregs[b], op.unsigned)?;
-            }
-            OpCode::IRem => {
-                self.iregs[d] = int_bin(IBinOp::Rem, self.iregs[a], self.iregs[b], op.unsigned)?;
-            }
-            OpCode::IAnd => self.iregs[d] = wrap32(self.iregs[a] & self.iregs[b], op.unsigned),
-            OpCode::IOr => self.iregs[d] = wrap32(self.iregs[a] | self.iregs[b], op.unsigned),
-            OpCode::IXor => self.iregs[d] = wrap32(self.iregs[a] ^ self.iregs[b], op.unsigned),
-            OpCode::IShl => {
-                let s = (self.iregs[b] & 31) as u32;
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_shl(s), op.unsigned);
-            }
-            OpCode::IShr => {
-                let s = (self.iregs[b] & 31) as u32;
-                let x = self.iregs[a];
-                let r = if op.unsigned {
-                    ((x as u64) >> s) as i64
-                } else {
-                    (x as i32 >> s) as i64
-                };
-                self.iregs[d] = wrap32(r, op.unsigned);
-            }
-            OpCode::ImmAdd => {
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_add(op.imm), op.unsigned);
-            }
-            OpCode::ImmSub => {
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_sub(op.imm), op.unsigned);
-            }
-            OpCode::ImmMul => {
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_mul(op.imm), op.unsigned);
-            }
-            OpCode::ImmDiv => {
-                self.iregs[d] = int_bin(IBinOp::Div, self.iregs[a], op.imm, op.unsigned)?;
-            }
-            OpCode::ImmRem => {
-                self.iregs[d] = int_bin(IBinOp::Rem, self.iregs[a], op.imm, op.unsigned)?;
-            }
-            OpCode::ImmAnd => self.iregs[d] = wrap32(self.iregs[a] & op.imm, op.unsigned),
-            OpCode::ImmOr => self.iregs[d] = wrap32(self.iregs[a] | op.imm, op.unsigned),
-            OpCode::ImmXor => self.iregs[d] = wrap32(self.iregs[a] ^ op.imm, op.unsigned),
-            OpCode::ImmShl => {
-                let s = (op.imm & 31) as u32;
-                self.iregs[d] = wrap32(self.iregs[a].wrapping_shl(s), op.unsigned);
-            }
-            OpCode::ImmShr => {
-                let s = (op.imm & 31) as u32;
-                let x = self.iregs[a];
-                let r = if op.unsigned {
-                    ((x as u64) >> s) as i64
-                } else {
-                    (x as i32 >> s) as i64
-                };
-                self.iregs[d] = wrap32(r, op.unsigned);
-            }
-            OpCode::FAdd => self.fregs[d] = self.fregs[a] + self.fregs[b],
-            OpCode::FSub => self.fregs[d] = self.fregs[a] - self.fregs[b],
-            OpCode::FMul => self.fregs[d] = self.fregs[a] * self.fregs[b],
-            OpCode::FDiv => self.fregs[d] = self.fregs[a] / self.fregs[b],
-            OpCode::ICmpLt => self.iregs[d] = i64::from(self.iregs[a] < self.iregs[b]),
-            OpCode::ICmpLe => self.iregs[d] = i64::from(self.iregs[a] <= self.iregs[b]),
-            OpCode::ICmpGt => self.iregs[d] = i64::from(self.iregs[a] > self.iregs[b]),
-            OpCode::ICmpGe => self.iregs[d] = i64::from(self.iregs[a] >= self.iregs[b]),
-            OpCode::ICmpEq => self.iregs[d] = i64::from(self.iregs[a] == self.iregs[b]),
-            OpCode::ICmpNe => self.iregs[d] = i64::from(self.iregs[a] != self.iregs[b]),
-            OpCode::FCmpLt => self.iregs[d] = i64::from(self.fregs[a] < self.fregs[b]),
-            OpCode::FCmpLe => self.iregs[d] = i64::from(self.fregs[a] <= self.fregs[b]),
-            OpCode::FCmpGt => self.iregs[d] = i64::from(self.fregs[a] > self.fregs[b]),
-            OpCode::FCmpGe => self.iregs[d] = i64::from(self.fregs[a] >= self.fregs[b]),
-            OpCode::FCmpEq => self.iregs[d] = i64::from(self.fregs[a] == self.fregs[b]),
-            OpCode::FCmpNe => self.iregs[d] = i64::from(self.fregs[a] != self.fregs[b]),
-            OpCode::NegI => {
-                self.iregs[d] = wrap32(0i64.wrapping_sub(self.iregs[a]), op.unsigned);
-            }
-            OpCode::NegF => self.fregs[d] = -self.fregs[a],
-            OpCode::NotI => self.iregs[d] = i64::from(self.iregs[a] == 0),
-            OpCode::BitNotI => self.iregs[d] = wrap32(!self.iregs[a], op.unsigned),
-            OpCode::CastIF => self.fregs[d] = self.iregs[a] as f64,
-            OpCode::CastFI => {
-                let v = self.fregs[a];
-                self.iregs[d] = if op.unsigned {
-                    i64::from(v as u32)
-                } else {
-                    i64::from(v as i32)
-                };
-            }
-            OpCode::CastII => self.iregs[d] = wrap32(self.iregs[a], op.unsigned),
-            OpCode::Sqrt => self.fregs[d] = self.fregs[a].sqrt(),
-            OpCode::Rsqrt => self.fregs[d] = 1.0 / self.fregs[a].sqrt(),
-            OpCode::Exp => self.fregs[d] = self.fregs[a].exp(),
-            OpCode::Log => self.fregs[d] = self.fregs[a].ln(),
-            OpCode::Sin => self.fregs[d] = self.fregs[a].sin(),
-            OpCode::Cos => self.fregs[d] = self.fregs[a].cos(),
-            OpCode::Tan => self.fregs[d] = self.fregs[a].tan(),
-            OpCode::Fabs => self.fregs[d] = self.fregs[a].abs(),
-            OpCode::Floor => self.fregs[d] = self.fregs[a].floor(),
-            OpCode::Ceil => self.fregs[d] = self.fregs[a].ceil(),
-            OpCode::Pow => self.fregs[d] = self.fregs[a].powf(self.fregs[b]),
-            OpCode::Fmin => self.fregs[d] = self.fregs[a].min(self.fregs[b]),
-            OpCode::Fmax => self.fregs[d] = self.fregs[a].max(self.fregs[b]),
-            OpCode::Fmod => self.fregs[d] = self.fregs[a] % self.fregs[b],
-            OpCode::IMin => self.iregs[d] = self.iregs[a].min(self.iregs[b]),
-            OpCode::IMax => self.iregs[d] = self.iregs[a].max(self.iregs[b]),
-            OpCode::IAbs => self.iregs[d] = wrap32(self.iregs[a].wrapping_abs(), false),
-            OpCode::LoadF => self.dec_load_f(op.dst, op.a, op.b, bmap, bufs)?,
-            OpCode::LoadI => {
-                let i = self.iregs[a];
-                let bd = &bufs[bmap[b]];
-                if self.elided(op.b) {
-                    debug_assert!((0..bd.len() as i64).contains(&i), "elision proof violated");
-                    // SAFETY: see `dec_load_f`.
-                    self.iregs[d] = unsafe {
-                        match bd {
-                            BufferData::I32(v) => i64::from(*v.get_unchecked(i as usize)),
-                            BufferData::U32(v) => i64::from(*v.get_unchecked(i as usize)),
-                            BufferData::F32(_) => unreachable!("type-checked load"),
-                        }
-                    };
-                } else {
-                    let val = match bd {
-                        BufferData::I32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::U32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::F32(_) => unreachable!("type-checked load"),
-                    };
-                    let Some(val) = val else {
-                        return Err(VmError::OutOfBounds {
-                            buffer: b,
-                            index: i,
-                            len: bd.len(),
-                        });
-                    };
-                    self.iregs[d] = val;
-                }
-            }
-            OpCode::StoreF => self.dec_store_f(op.dst, op.a, op.b, bmap, bufs)?,
-            OpCode::StoreI => {
-                let i = self.iregs[a];
-                let val = self.iregs[d];
-                let bd = &mut bufs[bmap[b]];
-                let len = bd.len();
-                if self.elided(op.b) {
-                    debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                    // SAFETY: see `dec_load_f`.
-                    unsafe {
-                        match bd {
-                            BufferData::I32(v) => *v.get_unchecked_mut(i as usize) = val as i32,
-                            BufferData::U32(v) => *v.get_unchecked_mut(i as usize) = val as u32,
-                            BufferData::F32(_) => unreachable!("type-checked store"),
-                        }
-                    }
-                } else {
-                    match bd {
-                        BufferData::I32(v) => {
-                            let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i))
-                            else {
-                                return Err(VmError::OutOfBounds {
-                                    buffer: b,
-                                    index: i,
-                                    len,
-                                });
-                            };
-                            *slot = val as i32;
-                        }
-                        BufferData::U32(v) => {
-                            let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i))
-                            else {
-                                return Err(VmError::OutOfBounds {
-                                    buffer: b,
-                                    index: i,
-                                    len,
-                                });
-                            };
-                            *slot = val as u32;
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked store"),
-                    }
-                }
-            }
-            OpCode::GlobalId => self.iregs[d] = gid[a] as i64,
-            OpCode::GlobalSize => self.iregs[d] = gsize[a] as i64,
-            // Fused superinstructions: on the scalar engine the two
-            // halves simply execute in sequence, so aliasing and fault
-            // order are trivially those of the unfused pair.
-            OpCode::FOp2 => {
-                self.fregs[op.c as usize] = f_eval(op.sub1, self.fregs[a], self.fregs[b], op.fimm);
-                self.fregs[d] = f_eval(
-                    op.sub2,
-                    self.fregs[op.d as usize],
-                    self.fregs[op.e as usize],
-                    op.fimm,
-                );
-            }
-            OpCode::IOp2 => {
-                self.iregs[op.c as usize] = i_eval(op.sub1, self.iregs[a], self.iregs[b]);
-                self.iregs[d] = i_eval(
-                    op.sub2,
-                    self.iregs[op.d as usize],
-                    self.iregs[op.e as usize],
-                );
-            }
-            OpCode::Load2F => {
-                self.dec_load_f(op.c, op.a, op.b, bmap, bufs)?;
-                self.dec_load_f(op.dst, op.d, op.e, bmap, bufs)?;
-            }
-            OpCode::LoadFOp => {
-                self.dec_load_f(op.c, op.a, op.b, bmap, bufs)?;
-                self.fregs[d] = f_eval(
-                    op.sub2,
-                    self.fregs[op.d as usize],
-                    self.fregs[op.e as usize],
-                    op.fimm,
-                );
-            }
-            OpCode::FOpStore => {
-                self.fregs[d] = f_eval(op.sub1, self.fregs[a], self.fregs[b], op.fimm);
-                self.dec_store_f(op.dst, op.c, op.d, bmap, bufs)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The `LoadF` semantics shared by the plain and fused decoded arms:
-    /// load `buf[iregs[idx]]` into `fregs[dst]` with the interpreter's
-    /// exact bounds fault.
-    #[inline]
-    fn dec_load_f(
-        &mut self,
-        dst: u16,
-        idx: u16,
-        buf: u16,
-        bmap: &[usize],
-        bufs: &[BufferData],
-    ) -> Result<(), VmError> {
-        let i = self.iregs[idx as usize];
-        let bd = &bufs[bmap[buf as usize]];
-        let BufferData::F32(v) = bd else {
-            unreachable!("type-checked load");
-        };
-        if self.elided(buf) {
-            debug_assert!((0..v.len() as i64).contains(&i), "elision proof violated");
-            // SAFETY: the elision bit is set only when the launch-seeded
-            // interval analysis proved every access on this parameter
-            // lies in `[0, len)`.
-            self.fregs[dst as usize] = f64::from(unsafe { *v.get_unchecked(i as usize) });
-            return Ok(());
-        }
-        let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
-            return Err(VmError::OutOfBounds {
-                buffer: buf as usize,
-                index: i,
-                len: v.len(),
-            });
-        };
-        self.fregs[dst as usize] = f64::from(*val);
-        Ok(())
-    }
-
-    /// The `StoreF` semantics shared by the plain and fused decoded arms.
-    #[inline]
-    fn dec_store_f(
-        &mut self,
-        src: u16,
-        idx: u16,
-        buf: u16,
-        bmap: &[usize],
-        bufs: &mut [BufferData],
-    ) -> Result<(), VmError> {
-        let i = self.iregs[idx as usize];
-        let val = self.fregs[src as usize] as f32;
-        let bd = &mut bufs[bmap[buf as usize]];
-        let len = bd.len();
-        let BufferData::F32(v) = bd else {
-            unreachable!("type-checked store");
-        };
-        if self.elided(buf) {
-            debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-            // SAFETY: see `dec_load_f`.
-            unsafe { *v.get_unchecked_mut(i as usize) = val };
-            return Ok(());
-        }
-        let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
-            return Err(VmError::OutOfBounds {
-                buffer: buf as usize,
-                index: i,
-                len,
-            });
-        };
-        *slot = val;
-        Ok(())
-    }
-
+    /// Execute one instruction for the current work-item.
     #[inline]
     fn exec_instr(
         &mut self,
@@ -1993,7 +1594,7 @@ mod tests {
 
     #[test]
     fn lane_engine_matches_scalar_on_divergent_kernel() {
-        // Variable trip counts force divergent replay; an odd size forces
+        // Variable trip counts force divergence; an odd size forces
         // a partial tail batch. Buffers and counters must agree exactly.
         let src = "kernel void k(global const float* a, global float* o, int n) {
             int i = get_global_id(0);

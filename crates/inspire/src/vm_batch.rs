@@ -10,6 +10,14 @@
 //! `Vec<[f64; LANES]>`), so each instruction is decoded once and then
 //! applied across all active lanes in a tight loop.
 //!
+//! The engine walks the function's pre-decoded op array
+//! ([`crate::opt::decode`]): a flat one-level dispatch per op, with
+//! adjacent op pairs fused into superinstructions that make one pass
+//! over the lane rows where the unfused pair made two. The scalar engine
+//! walks the enum blocks instead, so every scalar-vs-lanes comparison
+//! checks two independent implementations of the bytecode semantics —
+//! decoding and fusion included.
+//!
 //! Control flow follows the SIMT execution model of real GPU hardware
 //! (which is also the model the paper's cost features assume):
 //!
@@ -27,12 +35,6 @@
 //!   exactly like a hardware SIMT stack. Instructions executed under a
 //!   partial mask use masked variants that only read, write, and fault on
 //!   active lanes.
-//! - The pre-reconvergence behaviour — finish each lane's work-item on
-//!   the scalar engine from its branch target — is kept as
-//!   [`DivergenceMode::Replay`] (enable with `INSPIRE_NO_RECONVERGE=1`)
-//!   for A/B comparison and bug isolation. Replay copies only the
-//!   registers that are **live-in** at the branch target (also cached on
-//!   the function) instead of the whole register file.
 //! - The **active-lane mask** of a full batch is a prefix: the final
 //!   batch of a range may cover fewer than [`LANES`] items, and all lane
 //!   loops iterate only over the live prefix.
@@ -51,7 +53,7 @@
 //! order, and buffers may hold partial writes from other items of the
 //! faulting batch.
 
-use crate::bytecode::{CmpOp, FBinOp, Function, IBinOp, Instr, MathFn1, MathFn2, Terminator};
+use crate::bytecode::{Function, IBinOp, Terminator};
 use crate::cfg::NO_POST_DOM;
 use crate::error::VmError;
 use crate::opt::decode::{
@@ -61,30 +63,6 @@ use crate::vm::{cmp, int_bin, wrap32, BufferData, Counters, Vm};
 
 /// Work-items executed in lockstep per batch.
 pub const LANES: usize = 64;
-
-/// How the lane engine handles divergent branches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DivergenceMode {
-    /// Masked SIMT execution: split the active mask, run both sides under
-    /// sub-masks, re-join at the branch's immediate post-dominator. The
-    /// default.
-    Reconverge,
-    /// Bail out to per-lane scalar replay on the first divergent branch —
-    /// the pre-reconvergence engine, kept for A/B timing and for
-    /// isolating suspected reconvergence bugs.
-    Replay,
-}
-
-impl DivergenceMode {
-    /// Mode selected by the environment: `INSPIRE_NO_RECONVERGE=1` (any
-    /// value but `0`) forces [`DivergenceMode::Replay`].
-    pub fn from_env() -> Self {
-        match std::env::var_os("INSPIRE_NO_RECONVERGE") {
-            Some(v) if v != "0" && !v.is_empty() => DivergenceMode::Replay,
-            _ => DivergenceMode::Reconverge,
-        }
-    }
-}
 
 /// Active-lane bitmask: bit `l` set means lane `l` executes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -177,14 +155,6 @@ impl CountSink<'_> {
             }
         }
     }
-
-    #[inline]
-    fn lane(&mut self, lane: usize) -> &mut Counters {
-        match self {
-            CountSink::Aggregate(c) => c,
-            CountSink::PerLane(per) => &mut per[lane],
-        }
-    }
 }
 
 /// The structure-of-arrays lane engine. One instance is reused across all
@@ -203,6 +173,9 @@ pub(crate) struct LaneEngine {
     /// the gather/scatter loops skip both the per-batch range scan and
     /// the per-lane checks.
     elide: u64,
+    /// Maximum instructions one work-item may execute, copied from
+    /// [`Vm::step_limit`].
+    step_limit: u64,
 }
 
 /// Apply `f` lane-wise: `dst[l] = f(a[l], b[l])` for the first `n` lanes.
@@ -507,6 +480,7 @@ impl LaneEngine {
             gid: [[0; LANES]; 3],
             steps: [0; LANES],
             elide: vm.bounds_elide,
+            step_limit: vm.step_limit,
         }
     }
 
@@ -523,13 +497,9 @@ impl LaneEngine {
     }
 
     /// Execute one batch of `gids.len()` (≤ [`LANES`]) work-items from
-    /// block 0 to completion. `vm` provides the step limit and the
-    /// divergence mode, and serves as the scratch scalar engine for
-    /// replay-mode divergence.
-    #[allow(clippy::too_many_arguments)]
+    /// block 0 to completion.
     pub(crate) fn exec_batch(
         &mut self,
-        vm: &mut Vm,
         f: &Function,
         gids: &[[usize; 3]],
         gsize: [usize; 3],
@@ -558,10 +528,7 @@ impl LaneEngine {
         // the per-lane counters the moment the batch diverges.
         let mut batch_steps: u64 = 0;
         let mut diverged = false;
-        // Pre-decoded form, when the backend tier produced one: the
-        // instruction walks below step over the flat op array instead of
-        // the per-block `Vec<Instr>`.
-        let dec = f.decoded.as_ref();
+        let dec = &f.decoded;
         loop {
             if pc == rpc {
                 // The current lane subset reached its reconvergence point;
@@ -583,23 +550,13 @@ impl LaneEngine {
             if !diverged {
                 sink.count_block(block, n);
                 batch_steps += b.step_cost();
-                if batch_steps > vm.step_limit {
+                if batch_steps > self.step_limit {
                     return Err(VmError::StepLimitExceeded {
-                        limit: vm.step_limit,
+                        limit: self.step_limit,
                     });
                 }
-                match dec {
-                    Some(p) => {
-                        let (s, e) = p.spans[block];
-                        for op in &p.ops[s as usize..e as usize] {
-                            self.exec_dec(op, n, gsize, bmap, bufs)?;
-                        }
-                    }
-                    None => {
-                        for ins in &b.instrs {
-                            self.exec_instr(ins, n, gsize, bmap, bufs)?;
-                        }
-                    }
+                for op in dec.block_ops(block) {
+                    self.exec_dec(op, n, gsize, bmap, bufs)?;
                 }
             } else if mask == full {
                 // Fully reconverged: full-width execution, per-lane steps.
@@ -608,25 +565,15 @@ impl LaneEngine {
                 let mut over = false;
                 for s in self.steps[..n].iter_mut() {
                     *s += cost;
-                    over |= *s > vm.step_limit;
+                    over |= *s > self.step_limit;
                 }
                 if over {
                     return Err(VmError::StepLimitExceeded {
-                        limit: vm.step_limit,
+                        limit: self.step_limit,
                     });
                 }
-                match dec {
-                    Some(p) => {
-                        let (s, e) = p.spans[block];
-                        for op in &p.ops[s as usize..e as usize] {
-                            self.exec_dec(op, n, gsize, bmap, bufs)?;
-                        }
-                    }
-                    None => {
-                        for ins in &b.instrs {
-                            self.exec_instr(ins, n, gsize, bmap, bufs)?;
-                        }
-                    }
+                for op in dec.block_ops(block) {
+                    self.exec_dec(op, n, gsize, bmap, bufs)?;
                 }
             } else {
                 sink.count_block_masked(block, mask);
@@ -634,25 +581,15 @@ impl LaneEngine {
                 let mut over = false;
                 for l in mask.lanes() {
                     self.steps[l] += cost;
-                    over |= self.steps[l] > vm.step_limit;
+                    over |= self.steps[l] > self.step_limit;
                 }
                 if over {
                     return Err(VmError::StepLimitExceeded {
-                        limit: vm.step_limit,
+                        limit: self.step_limit,
                     });
                 }
-                match dec {
-                    Some(p) => {
-                        let (s, e) = p.spans[block];
-                        for op in &p.ops[s as usize..e as usize] {
-                            self.exec_dec_masked(op, mask, gsize, bmap, bufs)?;
-                        }
-                    }
-                    None => {
-                        for ins in &b.instrs {
-                            self.exec_instr_masked(ins, mask, gsize, bmap, bufs)?;
-                        }
-                    }
+                for op in dec.block_ops(block) {
+                    self.exec_dec_masked(op, mask, gsize, bmap, bufs)?;
                 }
             }
             // Compute the per-lane taken bits for branch-like terminators;
@@ -738,21 +675,6 @@ impl LaneEngine {
                 continue;
             }
             if !diverged {
-                if vm.divergence_mode == DivergenceMode::Replay {
-                    return self.replay(
-                        vm,
-                        f,
-                        n,
-                        taken,
-                        [then, els],
-                        gids,
-                        gsize,
-                        bmap,
-                        bufs,
-                        &mut sink,
-                        batch_steps,
-                    );
-                }
                 self.steps[..n].fill(batch_steps);
                 diverged = true;
             }
@@ -799,835 +721,11 @@ impl LaneEngine {
         Ok(())
     }
 
-    /// Replay-mode divergence fallback: finish each lane's work-item on
-    /// the scalar engine, in ascending lane (= item) order, starting from
-    /// its branch target with its lane register state. Only the registers
-    /// **live-in at the target** are copied — dead registers cannot be
-    /// read by the continuation, so their stale scalar values are never
-    /// observed.
-    #[allow(clippy::too_many_arguments)]
-    fn replay(
-        &mut self,
-        vm: &mut Vm,
-        f: &Function,
-        n: usize,
-        taken: u64,
-        targets: [u32; 2],
-        gids: &[[usize; 3]],
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut [BufferData],
-        sink: &mut CountSink<'_>,
-        batch_steps: u64,
-    ) -> Result<(), VmError> {
-        for (l, &gid) in gids.iter().enumerate().take(n) {
-            let target = if (taken >> l) & 1 != 0 {
-                targets[0]
-            } else {
-                targets[1]
-            };
-            for &r in &f.cfg.live_in_i[target as usize] {
-                vm.iregs[r as usize] = self.iregs[r as usize][l];
-            }
-            for &r in &f.cfg.live_in_f[target as usize] {
-                vm.fregs[r as usize] = self.fregs[r as usize][l];
-            }
-            let mut steps = batch_steps;
-            vm.exec_from(
-                f,
-                target as usize,
-                gid,
-                gsize,
-                bmap,
-                bufs,
-                sink.lane(l),
-                &mut steps,
-            )?;
-            self.steps[l] = steps;
-        }
-        Ok(())
-    }
-
-    /// Execute one instruction across the first `n` lanes.
-    #[inline]
-    fn exec_instr(
-        &mut self,
-        ins: &Instr,
-        n: usize,
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut [BufferData],
-    ) -> Result<(), VmError> {
-        use Instr::*;
-        match *ins {
-            ConstI { dst, v } => self.iregs[dst as usize][..n].fill(v),
-            ConstF { dst, v } => self.fregs[dst as usize][..n].fill(v),
-            MovI { dst, src } => {
-                let s = self.iregs[src as usize];
-                self.iregs[dst as usize][..n].copy_from_slice(&s[..n]);
-            }
-            MovF { dst, src } => {
-                let s = self.fregs[src as usize];
-                self.fregs[dst as usize][..n].copy_from_slice(&s[..n]);
-            }
-            IBin {
-                op,
-                dst,
-                a,
-                b,
-                unsigned,
-            } => {
-                // Dispatch on the op *outside* the lane loop so each arm
-                // monomorphizes into a tight, vectorizable kernel.
-                let r = &mut self.iregs;
-                match op {
-                    IBinOp::Add => {
-                        apply2(r, n, dst, a, b, |x, y| wrap32(x.wrapping_add(y), unsigned))
-                    }
-                    IBinOp::Sub => {
-                        apply2(r, n, dst, a, b, |x, y| wrap32(x.wrapping_sub(y), unsigned))
-                    }
-                    IBinOp::Mul => {
-                        apply2(r, n, dst, a, b, |x, y| wrap32(x.wrapping_mul(y), unsigned))
-                    }
-                    IBinOp::And => apply2(r, n, dst, a, b, |x, y| wrap32(x & y, unsigned)),
-                    IBinOp::Or => apply2(r, n, dst, a, b, |x, y| wrap32(x | y, unsigned)),
-                    IBinOp::Xor => apply2(r, n, dst, a, b, |x, y| wrap32(x ^ y, unsigned)),
-                    IBinOp::Shl => apply2(r, n, dst, a, b, |x, y| {
-                        wrap32(x.wrapping_shl((y & 31) as u32), unsigned)
-                    }),
-                    IBinOp::Shr => apply2(r, n, dst, a, b, |x, y| {
-                        let s = (y & 31) as u32;
-                        let v = if unsigned {
-                            ((x as u64) >> s) as i64
-                        } else {
-                            (x as i32 >> s) as i64
-                        };
-                        wrap32(v, unsigned)
-                    }),
-                    IBinOp::Div | IBinOp::Rem => {
-                        let x = r[a as usize];
-                        let y = r[b as usize];
-                        let d = &mut r[dst as usize];
-                        for ((d, &x), &y) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]) {
-                            *d = int_bin(op, x, y, unsigned)?;
-                        }
-                    }
-                }
-            }
-            IBinImm {
-                op,
-                dst,
-                a,
-                imm,
-                unsigned,
-            } => {
-                let r = &mut self.iregs;
-                match op {
-                    IBinOp::Add => apply1(r, n, dst, a, |x| wrap32(x.wrapping_add(imm), unsigned)),
-                    IBinOp::Sub => apply1(r, n, dst, a, |x| wrap32(x.wrapping_sub(imm), unsigned)),
-                    IBinOp::Mul => apply1(r, n, dst, a, |x| wrap32(x.wrapping_mul(imm), unsigned)),
-                    IBinOp::And => apply1(r, n, dst, a, |x| wrap32(x & imm, unsigned)),
-                    IBinOp::Or => apply1(r, n, dst, a, |x| wrap32(x | imm, unsigned)),
-                    IBinOp::Xor => apply1(r, n, dst, a, |x| wrap32(x ^ imm, unsigned)),
-                    IBinOp::Shl => {
-                        let s = (imm & 31) as u32;
-                        apply1(r, n, dst, a, |x| wrap32(x.wrapping_shl(s), unsigned));
-                    }
-                    IBinOp::Shr => {
-                        let s = (imm & 31) as u32;
-                        apply1(r, n, dst, a, |x| {
-                            let v = if unsigned {
-                                ((x as u64) >> s) as i64
-                            } else {
-                                (x as i32 >> s) as i64
-                            };
-                            wrap32(v, unsigned)
-                        });
-                    }
-                    IBinOp::Div | IBinOp::Rem => {
-                        let x = r[a as usize];
-                        let d = &mut r[dst as usize];
-                        for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                            *d = int_bin(op, x, imm, unsigned)?;
-                        }
-                    }
-                }
-            }
-            FBin { op, dst, a, b } => {
-                let r = &mut self.fregs;
-                match op {
-                    FBinOp::Add => apply2(r, n, dst, a, b, |x, y| x + y),
-                    FBinOp::Sub => apply2(r, n, dst, a, b, |x, y| x - y),
-                    FBinOp::Mul => apply2(r, n, dst, a, b, |x, y| x * y),
-                    FBinOp::Div => apply2(r, n, dst, a, b, |x, y| x / y),
-                }
-            }
-            CmpI { op, dst, a, b } => {
-                let r = &mut self.iregs;
-                match op {
-                    CmpOp::Lt => apply2(r, n, dst, a, b, |x, y| i64::from(x < y)),
-                    CmpOp::Le => apply2(r, n, dst, a, b, |x, y| i64::from(x <= y)),
-                    CmpOp::Gt => apply2(r, n, dst, a, b, |x, y| i64::from(x > y)),
-                    CmpOp::Ge => apply2(r, n, dst, a, b, |x, y| i64::from(x >= y)),
-                    CmpOp::Eq => apply2(r, n, dst, a, b, |x, y| i64::from(x == y)),
-                    CmpOp::Ne => apply2(r, n, dst, a, b, |x, y| i64::from(x != y)),
-                }
-            }
-            CmpF { op, dst, a, b } => {
-                // Cross-file: operands in F registers, result in an I
-                // register — no aliasing possible.
-                let x = &self.fregs[a as usize];
-                let y = &self.fregs[b as usize];
-                let d = &mut self.iregs[dst as usize];
-                match op {
-                    CmpOp::Lt => apply_cmp(d, x, y, n, |x, y| x < y),
-                    CmpOp::Le => apply_cmp(d, x, y, n, |x, y| x <= y),
-                    CmpOp::Gt => apply_cmp(d, x, y, n, |x, y| x > y),
-                    CmpOp::Ge => apply_cmp(d, x, y, n, |x, y| x >= y),
-                    CmpOp::Eq => apply_cmp(d, x, y, n, |x, y| x == y),
-                    CmpOp::Ne => apply_cmp(d, x, y, n, |x, y| x != y),
-                }
-            }
-            NegI { dst, a, unsigned } => {
-                apply1(&mut self.iregs, n, dst, a, |x| {
-                    wrap32(0i64.wrapping_sub(x), unsigned)
-                });
-            }
-            NegF { dst, a } => apply1(&mut self.fregs, n, dst, a, |x| -x),
-            NotI { dst, a } => apply1(&mut self.iregs, n, dst, a, |x| i64::from(x == 0)),
-            BitNotI { dst, a, unsigned } => {
-                apply1(&mut self.iregs, n, dst, a, |x| wrap32(!x, unsigned));
-            }
-            CastIF { dst, a } => {
-                let x = &self.iregs[a as usize];
-                let d = &mut self.fregs[dst as usize];
-                for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                    *d = x as f64;
-                }
-            }
-            CastFI { dst, a, unsigned } => {
-                let x = &self.fregs[a as usize];
-                let d = &mut self.iregs[dst as usize];
-                if unsigned {
-                    for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                        *d = i64::from(x as u32);
-                    }
-                } else {
-                    for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                        *d = i64::from(x as i32);
-                    }
-                }
-            }
-            CastII {
-                dst,
-                a,
-                to_unsigned,
-            } => apply1(&mut self.iregs, n, dst, a, |x| wrap32(x, to_unsigned)),
-            Math1 { f, dst, a } => {
-                let r = &mut self.fregs;
-                match f {
-                    MathFn1::Sqrt => apply1(r, n, dst, a, f64::sqrt),
-                    MathFn1::Rsqrt => apply1(r, n, dst, a, |x| 1.0 / x.sqrt()),
-                    MathFn1::Exp => apply1(r, n, dst, a, f64::exp),
-                    MathFn1::Log => apply1(r, n, dst, a, f64::ln),
-                    MathFn1::Sin => apply1(r, n, dst, a, f64::sin),
-                    MathFn1::Cos => apply1(r, n, dst, a, f64::cos),
-                    MathFn1::Tan => apply1(r, n, dst, a, f64::tan),
-                    MathFn1::Fabs => apply1(r, n, dst, a, f64::abs),
-                    MathFn1::Floor => apply1(r, n, dst, a, f64::floor),
-                    MathFn1::Ceil => apply1(r, n, dst, a, f64::ceil),
-                }
-            }
-            Math2 { f, dst, a, b } => {
-                let r = &mut self.fregs;
-                match f {
-                    MathFn2::Pow => apply2(r, n, dst, a, b, f64::powf),
-                    MathFn2::Fmin => apply2(r, n, dst, a, b, f64::min),
-                    MathFn2::Fmax => apply2(r, n, dst, a, b, f64::max),
-                    MathFn2::Fmod => apply2(r, n, dst, a, b, |x, y| x % y),
-                }
-            }
-            IMin { dst, a, b } => apply2(&mut self.iregs, n, dst, a, b, i64::min),
-            IMax { dst, a, b } => apply2(&mut self.iregs, n, dst, a, b, i64::max),
-            IAbs { dst, a } => {
-                apply1(&mut self.iregs, n, dst, a, |x| {
-                    wrap32(x.wrapping_abs(), false)
-                });
-            }
-            LoadF { dst, buf, idx } => {
-                let el = self.elided(buf);
-                let idxv = &self.iregs[idx as usize];
-                let b = &bufs[bmap[buf as usize]];
-                let BufferData::F32(v) = b else {
-                    unreachable!("type-checked load");
-                };
-                let d = &mut self.fregs[dst as usize];
-                if el {
-                    debug_assert!(all_in_bounds(idxv, n, v.len()), "elision proof violated");
-                    for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                        // SAFETY: the elision bit is set only when the
-                        // interval analysis proved every access on this
-                        // parameter lies in `[0, len)`.
-                        *d = f64::from(unsafe { *v.get_unchecked(i as usize) });
-                    }
-                } else if all_in_bounds(idxv, n, v.len()) {
-                    for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                        *d = f64::from(v[i as usize]);
-                    }
-                } else {
-                    for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                        let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
-                            return Err(VmError::OutOfBounds {
-                                buffer: buf as usize,
-                                index: i,
-                                len: v.len(),
-                            });
-                        };
-                        *d = f64::from(*val);
-                    }
-                }
-            }
-            LoadI { dst, buf, idx } => {
-                // Index and destination share the I register file; copy
-                // the index lanes so the destination can borrow mutably.
-                let el = self.elided(buf);
-                let idxv = self.iregs[idx as usize];
-                let idxv = &idxv;
-                let b = &bufs[bmap[buf as usize]];
-                let d = &mut self.iregs[dst as usize];
-                if el {
-                    debug_assert!(all_in_bounds(idxv, n, b.len()), "elision proof violated");
-                    // SAFETY: see `LoadF` — statically proven in bounds.
-                    unsafe {
-                        match b {
-                            BufferData::I32(v) => {
-                                for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                    *d = i64::from(*v.get_unchecked(i as usize));
-                                }
-                            }
-                            BufferData::U32(v) => {
-                                for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                    *d = i64::from(*v.get_unchecked(i as usize));
-                                }
-                            }
-                            BufferData::F32(_) => unreachable!("type-checked load"),
-                        }
-                    }
-                } else if all_in_bounds(idxv, n, b.len()) {
-                    match b {
-                        BufferData::I32(v) => {
-                            for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                *d = i64::from(v[i as usize]);
-                            }
-                        }
-                        BufferData::U32(v) => {
-                            for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                *d = i64::from(v[i as usize]);
-                            }
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked load"),
-                    }
-                } else {
-                    for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                        let val = match b {
-                            BufferData::I32(v) => usize::try_from(i)
-                                .ok()
-                                .and_then(|i| v.get(i))
-                                .map(|&x| i64::from(x)),
-                            BufferData::U32(v) => usize::try_from(i)
-                                .ok()
-                                .and_then(|i| v.get(i))
-                                .map(|&x| i64::from(x)),
-                            BufferData::F32(_) => unreachable!("type-checked load"),
-                        };
-                        let Some(val) = val else {
-                            return Err(VmError::OutOfBounds {
-                                buffer: buf as usize,
-                                index: i,
-                                len: b.len(),
-                            });
-                        };
-                        *d = val;
-                    }
-                }
-            }
-            StoreF { buf, idx, src } => {
-                let el = self.elided(buf);
-                let idxv = &self.iregs[idx as usize];
-                let srcv = &self.fregs[src as usize];
-                let b = &mut bufs[bmap[buf as usize]];
-                let len = b.len();
-                let BufferData::F32(v) = b else {
-                    unreachable!("type-checked store");
-                };
-                // Ascending lane order = ascending item order, so
-                // same-instruction write collisions resolve exactly like
-                // the scalar engine's item order.
-                if el {
-                    debug_assert!(all_in_bounds(idxv, n, len), "elision proof violated");
-                    for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                        // SAFETY: see `LoadF` — statically proven in bounds.
-                        unsafe { *v.get_unchecked_mut(i as usize) = x as f32 };
-                    }
-                } else if all_in_bounds(idxv, n, len) {
-                    for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                        v[i as usize] = x as f32;
-                    }
-                } else {
-                    for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                        let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
-                            return Err(VmError::OutOfBounds {
-                                buffer: buf as usize,
-                                index: i,
-                                len,
-                            });
-                        };
-                        *slot = x as f32;
-                    }
-                }
-            }
-            StoreI { buf, idx, src } => {
-                let el = self.elided(buf);
-                let idxv = &self.iregs[idx as usize];
-                let srcv = &self.iregs[src as usize];
-                let b = &mut bufs[bmap[buf as usize]];
-                let len = b.len();
-                if el {
-                    debug_assert!(all_in_bounds(idxv, n, len), "elision proof violated");
-                    // SAFETY: see `LoadF` — statically proven in bounds.
-                    unsafe {
-                        match b {
-                            BufferData::I32(v) => {
-                                for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                    *v.get_unchecked_mut(i as usize) = x as i32;
-                                }
-                            }
-                            BufferData::U32(v) => {
-                                for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                    *v.get_unchecked_mut(i as usize) = x as u32;
-                                }
-                            }
-                            BufferData::F32(_) => unreachable!("type-checked store"),
-                        }
-                    }
-                } else if all_in_bounds(idxv, n, len) {
-                    match b {
-                        BufferData::I32(v) => {
-                            for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                v[i as usize] = x as i32;
-                            }
-                        }
-                        BufferData::U32(v) => {
-                            for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                v[i as usize] = x as u32;
-                            }
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked store"),
-                    }
-                } else {
-                    for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                        let slot = match b {
-                            BufferData::I32(v) => {
-                                usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                    *s = x as i32;
-                                })
-                            }
-                            BufferData::U32(v) => {
-                                usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                    *s = x as u32;
-                                })
-                            }
-                            BufferData::F32(_) => unreachable!("type-checked store"),
-                        };
-                        if slot.is_none() {
-                            return Err(VmError::OutOfBounds {
-                                buffer: buf as usize,
-                                index: i,
-                                len,
-                            });
-                        }
-                    }
-                }
-            }
-            GlobalId { dst, dim } => {
-                let g = self.gid[dim as usize];
-                self.iregs[dst as usize][..n].copy_from_slice(&g[..n]);
-            }
-            GlobalSize { dst, dim } => {
-                self.iregs[dst as usize][..n].fill(gsize[dim as usize] as i64);
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute one instruction on the active lanes of `m` only: inactive
-    /// lanes hold live register state of diverged lane subsets (parked at
-    /// a rejoin point or scheduled on the other branch side), so their
-    /// registers must not be written, their buffer accesses must not
-    /// happen, and only active lanes may fault.
-    fn exec_instr_masked(
-        &mut self,
-        ins: &Instr,
-        m: ExecMask,
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut [BufferData],
-    ) -> Result<(), VmError> {
-        use Instr::*;
-        match *ins {
-            ConstI { dst, v } => {
-                for l in m.lanes() {
-                    self.iregs[dst as usize][l] = v;
-                }
-            }
-            ConstF { dst, v } => {
-                for l in m.lanes() {
-                    self.fregs[dst as usize][l] = v;
-                }
-            }
-            MovI { dst, src } => masked1(&mut self.iregs, m, dst, src, |x| x),
-            MovF { dst, src } => masked1(&mut self.fregs, m, dst, src, |x| x),
-            IBin {
-                op,
-                dst,
-                a,
-                b,
-                unsigned,
-            } => {
-                let r = &mut self.iregs;
-                match op {
-                    IBinOp::Add => {
-                        masked2(r, m, dst, a, b, |x, y| wrap32(x.wrapping_add(y), unsigned))
-                    }
-                    IBinOp::Sub => {
-                        masked2(r, m, dst, a, b, |x, y| wrap32(x.wrapping_sub(y), unsigned))
-                    }
-                    IBinOp::Mul => {
-                        masked2(r, m, dst, a, b, |x, y| wrap32(x.wrapping_mul(y), unsigned))
-                    }
-                    IBinOp::And => masked2(r, m, dst, a, b, |x, y| wrap32(x & y, unsigned)),
-                    IBinOp::Or => masked2(r, m, dst, a, b, |x, y| wrap32(x | y, unsigned)),
-                    IBinOp::Xor => masked2(r, m, dst, a, b, |x, y| wrap32(x ^ y, unsigned)),
-                    IBinOp::Shl => masked2(r, m, dst, a, b, |x, y| {
-                        wrap32(x.wrapping_shl((y & 31) as u32), unsigned)
-                    }),
-                    IBinOp::Shr => masked2(r, m, dst, a, b, |x, y| {
-                        let s = (y & 31) as u32;
-                        let v = if unsigned {
-                            ((x as u64) >> s) as i64
-                        } else {
-                            (x as i32 >> s) as i64
-                        };
-                        wrap32(v, unsigned)
-                    }),
-                    IBinOp::Div | IBinOp::Rem => {
-                        for l in m.lanes() {
-                            let x = r[a as usize][l];
-                            let y = r[b as usize][l];
-                            r[dst as usize][l] = int_bin(op, x, y, unsigned)?;
-                        }
-                    }
-                }
-            }
-            IBinImm {
-                op,
-                dst,
-                a,
-                imm,
-                unsigned,
-            } => {
-                let r = &mut self.iregs;
-                match op {
-                    IBinOp::Add => masked1(r, m, dst, a, |x| wrap32(x.wrapping_add(imm), unsigned)),
-                    IBinOp::Sub => masked1(r, m, dst, a, |x| wrap32(x.wrapping_sub(imm), unsigned)),
-                    IBinOp::Mul => masked1(r, m, dst, a, |x| wrap32(x.wrapping_mul(imm), unsigned)),
-                    IBinOp::And => masked1(r, m, dst, a, |x| wrap32(x & imm, unsigned)),
-                    IBinOp::Or => masked1(r, m, dst, a, |x| wrap32(x | imm, unsigned)),
-                    IBinOp::Xor => masked1(r, m, dst, a, |x| wrap32(x ^ imm, unsigned)),
-                    IBinOp::Shl => {
-                        let s = (imm & 31) as u32;
-                        masked1(r, m, dst, a, |x| wrap32(x.wrapping_shl(s), unsigned));
-                    }
-                    IBinOp::Shr => {
-                        let s = (imm & 31) as u32;
-                        masked1(r, m, dst, a, |x| {
-                            let v = if unsigned {
-                                ((x as u64) >> s) as i64
-                            } else {
-                                (x as i32 >> s) as i64
-                            };
-                            wrap32(v, unsigned)
-                        });
-                    }
-                    IBinOp::Div | IBinOp::Rem => {
-                        for l in m.lanes() {
-                            let x = r[a as usize][l];
-                            r[dst as usize][l] = int_bin(op, x, imm, unsigned)?;
-                        }
-                    }
-                }
-            }
-            FBin { op, dst, a, b } => {
-                let r = &mut self.fregs;
-                match op {
-                    FBinOp::Add => masked2(r, m, dst, a, b, |x, y| x + y),
-                    FBinOp::Sub => masked2(r, m, dst, a, b, |x, y| x - y),
-                    FBinOp::Mul => masked2(r, m, dst, a, b, |x, y| x * y),
-                    FBinOp::Div => masked2(r, m, dst, a, b, |x, y| x / y),
-                }
-            }
-            CmpI { op, dst, a, b } => {
-                let r = &mut self.iregs;
-                match op {
-                    CmpOp::Lt => masked2(r, m, dst, a, b, |x, y| i64::from(x < y)),
-                    CmpOp::Le => masked2(r, m, dst, a, b, |x, y| i64::from(x <= y)),
-                    CmpOp::Gt => masked2(r, m, dst, a, b, |x, y| i64::from(x > y)),
-                    CmpOp::Ge => masked2(r, m, dst, a, b, |x, y| i64::from(x >= y)),
-                    CmpOp::Eq => masked2(r, m, dst, a, b, |x, y| i64::from(x == y)),
-                    CmpOp::Ne => masked2(r, m, dst, a, b, |x, y| i64::from(x != y)),
-                }
-            }
-            CmpF { op, dst, a, b } => {
-                for l in m.lanes() {
-                    let x = self.fregs[a as usize][l];
-                    let y = self.fregs[b as usize][l];
-                    let r = match op {
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                    };
-                    self.iregs[dst as usize][l] = i64::from(r);
-                }
-            }
-            NegI { dst, a, unsigned } => {
-                masked1(&mut self.iregs, m, dst, a, |x| {
-                    wrap32(0i64.wrapping_sub(x), unsigned)
-                });
-            }
-            NegF { dst, a } => masked1(&mut self.fregs, m, dst, a, |x| -x),
-            NotI { dst, a } => masked1(&mut self.iregs, m, dst, a, |x| i64::from(x == 0)),
-            BitNotI { dst, a, unsigned } => {
-                masked1(&mut self.iregs, m, dst, a, |x| wrap32(!x, unsigned));
-            }
-            CastIF { dst, a } => {
-                for l in m.lanes() {
-                    self.fregs[dst as usize][l] = self.iregs[a as usize][l] as f64;
-                }
-            }
-            CastFI { dst, a, unsigned } => {
-                for l in m.lanes() {
-                    let x = self.fregs[a as usize][l];
-                    self.iregs[dst as usize][l] = if unsigned {
-                        i64::from(x as u32)
-                    } else {
-                        i64::from(x as i32)
-                    };
-                }
-            }
-            CastII {
-                dst,
-                a,
-                to_unsigned,
-            } => masked1(&mut self.iregs, m, dst, a, |x| wrap32(x, to_unsigned)),
-            Math1 { f, dst, a } => {
-                let r = &mut self.fregs;
-                match f {
-                    MathFn1::Sqrt => masked1(r, m, dst, a, f64::sqrt),
-                    MathFn1::Rsqrt => masked1(r, m, dst, a, |x| 1.0 / x.sqrt()),
-                    MathFn1::Exp => masked1(r, m, dst, a, f64::exp),
-                    MathFn1::Log => masked1(r, m, dst, a, f64::ln),
-                    MathFn1::Sin => masked1(r, m, dst, a, f64::sin),
-                    MathFn1::Cos => masked1(r, m, dst, a, f64::cos),
-                    MathFn1::Tan => masked1(r, m, dst, a, f64::tan),
-                    MathFn1::Fabs => masked1(r, m, dst, a, f64::abs),
-                    MathFn1::Floor => masked1(r, m, dst, a, f64::floor),
-                    MathFn1::Ceil => masked1(r, m, dst, a, f64::ceil),
-                }
-            }
-            Math2 { f, dst, a, b } => {
-                let r = &mut self.fregs;
-                match f {
-                    MathFn2::Pow => masked2(r, m, dst, a, b, f64::powf),
-                    MathFn2::Fmin => masked2(r, m, dst, a, b, f64::min),
-                    MathFn2::Fmax => masked2(r, m, dst, a, b, f64::max),
-                    MathFn2::Fmod => masked2(r, m, dst, a, b, |x, y| x % y),
-                }
-            }
-            IMin { dst, a, b } => masked2(&mut self.iregs, m, dst, a, b, i64::min),
-            IMax { dst, a, b } => masked2(&mut self.iregs, m, dst, a, b, i64::max),
-            IAbs { dst, a } => {
-                masked1(&mut self.iregs, m, dst, a, |x| {
-                    wrap32(x.wrapping_abs(), false)
-                });
-            }
-            LoadF { dst, buf, idx } => {
-                let el = self.elided(buf);
-                let b = &bufs[bmap[buf as usize]];
-                let BufferData::F32(v) = b else {
-                    unreachable!("type-checked load");
-                };
-                if el {
-                    for l in m.lanes() {
-                        let i = self.iregs[idx as usize][l];
-                        debug_assert!((0..v.len() as i64).contains(&i), "elision proof violated");
-                        // SAFETY: the elision bit is set only when the
-                        // interval analysis proved every access on this
-                        // parameter in `[0, len)`.
-                        self.fregs[dst as usize][l] =
-                            f64::from(unsafe { *v.get_unchecked(i as usize) });
-                    }
-                } else {
-                    for l in m.lanes() {
-                        let i = self.iregs[idx as usize][l];
-                        let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
-                            return Err(VmError::OutOfBounds {
-                                buffer: buf as usize,
-                                index: i,
-                                len: v.len(),
-                            });
-                        };
-                        self.fregs[dst as usize][l] = f64::from(*val);
-                    }
-                }
-            }
-            LoadI { dst, buf, idx } => {
-                let el = self.elided(buf);
-                let b = &bufs[bmap[buf as usize]];
-                if el {
-                    for l in m.lanes() {
-                        let i = self.iregs[idx as usize][l];
-                        debug_assert!((0..b.len() as i64).contains(&i), "elision proof violated");
-                        // SAFETY: see `LoadF` — statically proven in bounds.
-                        let val = unsafe {
-                            match b {
-                                BufferData::I32(v) => i64::from(*v.get_unchecked(i as usize)),
-                                BufferData::U32(v) => i64::from(*v.get_unchecked(i as usize)),
-                                BufferData::F32(_) => unreachable!("type-checked load"),
-                            }
-                        };
-                        self.iregs[dst as usize][l] = val;
-                    }
-                    return Ok(());
-                }
-                for l in m.lanes() {
-                    let i = self.iregs[idx as usize][l];
-                    let val = match b {
-                        BufferData::I32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::U32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::F32(_) => unreachable!("type-checked load"),
-                    };
-                    let Some(val) = val else {
-                        return Err(VmError::OutOfBounds {
-                            buffer: buf as usize,
-                            index: i,
-                            len: b.len(),
-                        });
-                    };
-                    self.iregs[dst as usize][l] = val;
-                }
-            }
-            StoreF { buf, idx, src } => {
-                let el = self.elided(buf);
-                let b = &mut bufs[bmap[buf as usize]];
-                let len = b.len();
-                let BufferData::F32(v) = b else {
-                    unreachable!("type-checked store");
-                };
-                if el {
-                    for l in m.lanes() {
-                        let i = self.iregs[idx as usize][l];
-                        let x = self.fregs[src as usize][l];
-                        debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                        // SAFETY: see `LoadF` — statically proven in bounds.
-                        unsafe { *v.get_unchecked_mut(i as usize) = x as f32 };
-                    }
-                } else {
-                    for l in m.lanes() {
-                        let i = self.iregs[idx as usize][l];
-                        let x = self.fregs[src as usize][l];
-                        let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
-                            return Err(VmError::OutOfBounds {
-                                buffer: buf as usize,
-                                index: i,
-                                len,
-                            });
-                        };
-                        *slot = x as f32;
-                    }
-                }
-            }
-            StoreI { buf, idx, src } => {
-                let el = self.elided(buf);
-                let b = &mut bufs[bmap[buf as usize]];
-                let len = b.len();
-                if el {
-                    for l in m.lanes() {
-                        let i = self.iregs[idx as usize][l];
-                        let x = self.iregs[src as usize][l];
-                        debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                        // SAFETY: see `LoadF` — statically proven in bounds.
-                        unsafe {
-                            match b {
-                                BufferData::I32(v) => *v.get_unchecked_mut(i as usize) = x as i32,
-                                BufferData::U32(v) => *v.get_unchecked_mut(i as usize) = x as u32,
-                                BufferData::F32(_) => unreachable!("type-checked store"),
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-                for l in m.lanes() {
-                    let i = self.iregs[idx as usize][l];
-                    let x = self.iregs[src as usize][l];
-                    let stored = match b {
-                        BufferData::I32(v) => {
-                            usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                *s = x as i32;
-                            })
-                        }
-                        BufferData::U32(v) => {
-                            usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                *s = x as u32;
-                            })
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked store"),
-                    };
-                    if stored.is_none() {
-                        return Err(VmError::OutOfBounds {
-                            buffer: buf as usize,
-                            index: i,
-                            len,
-                        });
-                    }
-                }
-            }
-            GlobalId { dst, dim } => {
-                for l in m.lanes() {
-                    self.iregs[dst as usize][l] = self.gid[dim as usize][l];
-                }
-            }
-            GlobalSize { dst, dim } => {
-                for l in m.lanes() {
-                    self.iregs[dst as usize][l] = gsize[dim as usize] as i64;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`LaneEngine::exec_instr`] over a pre-decoded op: the same
-    /// lane-wise kernels, reached by one flat dispatch on the [`OpCode`]
-    /// with operands and immediates already extracted.
+    /// Execute one decoded op across the first `n` lanes: lane-wise row
+    /// kernels reached by one flat dispatch on the [`OpCode`], with
+    /// operands and immediates already extracted. Results are
+    /// bit-identical to the scalar engine running the corresponding
+    /// [`Instr`](crate::bytecode::Instr)s once per item.
     #[inline]
     fn exec_dec(
         &mut self,
@@ -2367,8 +1465,11 @@ impl LaneEngine {
         Ok(())
     }
 
-    /// [`LaneEngine::exec_instr_masked`] over a pre-decoded op: only
-    /// active lanes read, write, and fault.
+    /// Execute one decoded op on the active lanes of `m` only: inactive
+    /// lanes hold live register state of diverged lane subsets (parked at
+    /// a rejoin point or scheduled on the other branch side), so their
+    /// registers must not be written, their buffer accesses must not
+    /// happen, and only active lanes may fault.
     fn exec_dec_masked(
         &mut self,
         op: &DecOp,

@@ -302,7 +302,7 @@ fn elision_is_bit_identical_across_the_suite() {
         for (level, ra) in MODES {
             let k = bench.compile_with_modes(level, ra);
             let inst = bench.instance(bench.smallest_size());
-            for lanes in [false, true] {
+            let outcomes = [false, true].map(|lanes| {
                 let (r_on, on, r_off, off) = run_ab(&k, &inst.nd, &inst.args, &inst.bufs, lanes);
                 assert_eq!(
                     r_on.is_ok(),
@@ -313,6 +313,23 @@ fn elision_is_bit_identical_across_the_suite() {
                 assert_eq!(
                     on, off,
                     "{} {level:?}/{ra:?} lanes={lanes}: buffers differ with elision",
+                    bench.name
+                );
+                (r_on, on)
+            });
+            // The scalar engine walks the enum blocks and the lane engine
+            // the decoded ops, so this also holds decoding and fusion to
+            // the reference at every compile mode.
+            let [(s_out, s_bufs), (l_out, l_bufs)] = &outcomes;
+            assert_eq!(
+                s_out, l_out,
+                "{} {level:?}/{ra:?}: lane outcome differs from scalar",
+                bench.name
+            );
+            if s_out.is_ok() {
+                assert_eq!(
+                    s_bufs, l_bufs,
+                    "{} {level:?}/{ra:?}: lane buffers differ from scalar",
                     bench.name
                 );
             }

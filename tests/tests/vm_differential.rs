@@ -3,21 +3,24 @@
 //!
 //! The lane engine must be a pure performance change: for every suite
 //! kernel and every NDRange shape, buffers, block counters, and sample
-//! statistics must be **bit-identical** to the scalar engine — in both
-//! divergence modes (masked SIMT reconvergence and the per-lane
-//! scalar-replay fallback), including divergent kernels with nested and
-//! looping branches, randomly generated control-flow graphs, and sizes
-//! that are not multiples of the lane width (which exercise the partial
-//! tail batch).
+//! statistics must be **bit-identical** to the scalar engine — including
+//! divergent kernels with nested and looping branches (masked SIMT
+//! reconvergence), randomly generated control-flow graphs, and sizes that
+//! are not multiples of the lane width (which exercise the partial tail
+//! batch). The scalar engine walks the enum blocks and the lane engine the
+//! pre-decoded, fused op array, so every comparison here also checks
+//! decoding and fusion against an independent implementation.
 
-use hetpart_inspire::vm::{ArgValue, BufferData, Counters, DivergenceMode, Vm, LANES};
-use hetpart_inspire::{compile, compile_with_modes, compile_with_opt, NdRange, OptLevel, RegAlloc};
+use hetpart_inspire::vm::{ArgValue, BufferData, Counters, Vm, LANES};
+use hetpart_inspire::VmError;
+use hetpart_inspire::{
+    compile, compile_with_modes, compile_with_opt, CompiledKernel, NdRange, OptLevel, RegAlloc,
+};
 use proptest::prelude::*;
 
-/// Run the scalar engine and the lane engine — in **both** divergence
-/// modes (SIMT reconvergence and per-lane scalar replay) — over the same
-/// range and assert bitwise equality of buffers and counters. Returns the
-/// buffers for further checks.
+/// Run the scalar engine and the lane engine over the same range and
+/// assert bitwise equality of buffers and counters. Returns the buffers
+/// for further checks.
 fn assert_range_parity(
     src: &str,
     nd: &NdRange,
@@ -25,33 +28,34 @@ fn assert_range_parity(
     args: &[ArgValue],
     bufs: &[BufferData],
 ) -> (Vec<BufferData>, Counters) {
-    let k = compile(src).unwrap();
+    assert_kernel_parity(&compile(src).unwrap(), nd, range, args, bufs)
+}
+
+/// [`assert_range_parity`] for an already compiled kernel.
+fn assert_kernel_parity(
+    k: &CompiledKernel,
+    nd: &NdRange,
+    range: std::ops::Range<usize>,
+    args: &[ArgValue],
+    bufs: &[BufferData],
+) -> (Vec<BufferData>, Counters) {
     let mut vm = Vm::new();
     let mut scalar_bufs = bufs.to_vec();
     let scalar = vm
         .run_range_scalar(&k.bytecode, nd, range.clone(), args, &mut scalar_bufs)
         .unwrap();
-    let mut out = None;
-    for mode in [DivergenceMode::Reconverge, DivergenceMode::Replay] {
-        vm.divergence_mode = mode;
-        let mut lane_bufs = bufs.to_vec();
-        let lanes = vm
-            .run_range_lanes(&k.bytecode, nd, range.clone(), args, &mut lane_bufs)
-            .unwrap();
-        assert_eq!(
-            scalar_bufs, lane_bufs,
-            "{mode:?}: buffers must be bit-identical"
-        );
-        assert_eq!(scalar, lanes, "{mode:?}: counters must be identical");
-        out = Some((lane_bufs, lanes));
-    }
-    vm.divergence_mode = DivergenceMode::Reconverge;
-    out.expect("both modes ran")
+    let mut lane_bufs = bufs.to_vec();
+    let lanes = vm
+        .run_range_lanes(&k.bytecode, nd, range, args, &mut lane_bufs)
+        .unwrap();
+    assert_eq!(scalar_bufs, lane_bufs, "buffers must be bit-identical");
+    assert_eq!(scalar, lanes, "counters must be identical");
+    (lane_bufs, lanes)
 }
 
 /// Assert that sampled execution — which additionally exposes per-lane
 /// step counts through the mean/CV statistics — is bit-identical across
-/// the scalar engine and both lane-engine divergence modes.
+/// the scalar engine and the lane engine.
 fn assert_sampled_parity(
     src: &str,
     nd: &NdRange,
@@ -73,40 +77,29 @@ fn assert_sampled_parity(
             max_items,
         )
         .unwrap();
-    for mode in [DivergenceMode::Reconverge, DivergenceMode::Replay] {
-        vm.divergence_mode = mode;
-        let mut b_lanes = bufs.to_vec();
-        let l = vm
-            .run_sampled_lanes(
-                &k.bytecode,
-                nd,
-                range.clone(),
-                args,
-                &mut b_lanes,
-                max_items,
-            )
-            .unwrap();
-        assert_eq!(b_scalar, b_lanes, "{mode:?}: sampled buffers");
-        assert_eq!(s.counters, l.counters, "{mode:?}: sampled counters");
-        assert_eq!(
-            s.mean_ops_per_item.to_bits(),
-            l.mean_ops_per_item.to_bits(),
-            "{mode:?}: per-lane step counts feed the mean"
-        );
-        assert_eq!(s.ops_cv.to_bits(), l.ops_cv.to_bits(), "{mode:?}: cv");
-    }
+    let mut b_lanes = bufs.to_vec();
+    let l = vm
+        .run_sampled_lanes(&k.bytecode, nd, range, args, &mut b_lanes, max_items)
+        .unwrap();
+    assert_eq!(b_scalar, b_lanes, "sampled buffers");
+    assert_eq!(s.counters, l.counters, "sampled counters");
+    assert_eq!(
+        s.mean_ops_per_item.to_bits(),
+        l.mean_ops_per_item.to_bits(),
+        "per-lane step counts feed the mean"
+    );
+    assert_eq!(s.ops_cv.to_bits(), l.ops_cv.to_bits(), "cv");
 }
 
 /// Four-way differential: the **unoptimized** scalar execution is the
-/// semantic reference; the optimized bytecode — with and without the
-/// backend register-allocation + pre-decode tier, on the scalar engine
-/// and on the lane engine in both divergence modes — must produce
-/// identical buffers and identical fault behavior. Step counts shrink
-/// under optimization, so counters are not compared against the
-/// reference; but between the two backend variants they must be
-/// **bit-identical** (register allocation only renames registers and
-/// decoding only re-encodes the instructions — neither may change which
-/// blocks execute, how often, or what they cost).
+/// semantic reference; the optimized bytecode — with and without register
+/// allocation, on the scalar engine (enum walk) and on the lane engine
+/// (decoded walk) — must produce identical buffers and identical fault
+/// behavior. Step counts shrink under optimization, so counters are not
+/// compared against the reference; but between the two allocation
+/// variants they must be **bit-identical** (register allocation only
+/// renames registers — it may not change which blocks execute, how often,
+/// or what they cost).
 fn assert_opt_parity(
     src: &str,
     nd: &NdRange,
@@ -146,9 +139,9 @@ fn assert_opt_parity(
     let mut ref_bufs = bufs.to_vec();
     let ref_out = vm.run_range_scalar(&reference.bytecode, nd, range.clone(), args, &mut ref_bufs);
 
-    // Scalar engine, both backend variants; counters must agree between
-    // the variants (same blocks, same costs — only register names and the
-    // instruction encoding differ).
+    // Scalar engine, both allocation variants; counters must agree
+    // between the variants (same blocks, same costs — only register
+    // names differ).
     let mut variant_counters = Vec::new();
     for (what, k) in [("noalloc", &noalloc), ("regalloc", &optimized)] {
         let mut opt_bufs = bufs.to_vec();
@@ -171,38 +164,34 @@ fn assert_opt_parity(
     }
     assert_eq!(
         variant_counters[0], variant_counters[1],
-        "regalloc+decode changed block counters on the scalar engine"
+        "regalloc changed block counters on the scalar engine"
     );
 
-    // Lane engine, both divergence modes, both backend variants.
-    for mode in [DivergenceMode::Reconverge, DivergenceMode::Replay] {
-        vm.divergence_mode = mode;
-        let mut variant_counters = Vec::new();
-        for (what, k) in [("noalloc", &noalloc), ("regalloc", &optimized)] {
-            let mut lane_bufs = bufs.to_vec();
-            let lane_out = vm.run_range_lanes(&k.bytecode, nd, range.clone(), args, &mut lane_bufs);
-            assert_eq!(
-                ref_out.is_ok(),
-                lane_out.is_ok(),
-                "{mode:?}/{what}: optimized lane fault behavior drifted"
-            );
-            if let (Err(a), Err(b)) = (&ref_out, &lane_out) {
-                assert_eq!(a, b, "{mode:?}/{what}: optimized lane fault kind drifted");
-            }
-            if ref_out.is_ok() {
-                assert_eq!(
-                    ref_bufs, lane_bufs,
-                    "{mode:?}/{what}: optimized lane buffers drifted"
-                );
-            }
-            variant_counters.push(lane_out.ok());
-        }
+    // Lane engine, both allocation variants.
+    let mut variant_counters = Vec::new();
+    for (what, k) in [("noalloc", &noalloc), ("regalloc", &optimized)] {
+        let mut lane_bufs = bufs.to_vec();
+        let lane_out = vm.run_range_lanes(&k.bytecode, nd, range.clone(), args, &mut lane_bufs);
         assert_eq!(
-            variant_counters[0], variant_counters[1],
-            "{mode:?}: regalloc+decode changed block counters on the lane engine"
+            ref_out.is_ok(),
+            lane_out.is_ok(),
+            "{what}: optimized lane fault behavior drifted"
         );
+        if let (Err(a), Err(b)) = (&ref_out, &lane_out) {
+            assert_eq!(a, b, "{what}: optimized lane fault kind drifted");
+        }
+        if ref_out.is_ok() {
+            assert_eq!(
+                ref_bufs, lane_bufs,
+                "{what}: optimized lane buffers drifted"
+            );
+        }
+        variant_counters.push(lane_out.ok());
     }
-    vm.divergence_mode = DivergenceMode::Reconverge;
+    assert_eq!(
+        variant_counters[0], variant_counters[1],
+        "regalloc changed block counters on the lane engine"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -577,7 +566,7 @@ fn divergent_loop_trip_counts_keep_per_lane_steps_exact() {
 }
 
 #[test]
-fn run_items_per_item_counters_match_in_both_divergence_modes() {
+fn run_items_per_item_counters_match_scalar() {
     let src = "kernel void k(global const float* a, global float* o, int n) {
         int i = get_global_id(0);
         float s = 0.0;
@@ -600,21 +589,93 @@ fn run_items_per_item_counters_match_in_both_divergence_modes() {
     let per_scalar = vm
         .run_items_scalar(&k.bytecode, &NdRange::d1(n), &gids, &args, &mut b_ref)
         .unwrap();
-    for mode in [DivergenceMode::Reconverge, DivergenceMode::Replay] {
-        vm.divergence_mode = mode;
-        let mut b = mk();
-        let per_lanes = vm
-            .run_items(&k.bytecode, &NdRange::d1(n), &gids, &args, &mut b)
-            .unwrap();
-        assert_eq!(b_ref, b, "{mode:?}: buffers");
-        assert_eq!(per_scalar, per_lanes, "{mode:?}: per-item counters");
+    let mut b = mk();
+    let per_lanes = vm
+        .run_items(&k.bytecode, &NdRange::d1(n), &gids, &args, &mut b)
+        .unwrap();
+    assert_eq!(b_ref, b, "buffers");
+    assert_eq!(per_scalar, per_lanes, "per-item counters");
+}
+
+#[test]
+fn every_entry_rejects_work_items_outside_the_ndrange() {
+    // An unguarded kernel: the bounds analysis proves `a[i]`/`c[i]` in
+    // bounds from `i < 64` alone, so both accesses run unchecked. A
+    // request past the NDRange must therefore be refused before any
+    // item executes, with a typed error and the buffers untouched.
+    let src = "kernel void k(global const float* a, global float* c) {
+        int i = get_global_id(0);
+        c[i] = a[i] + 1.0f;
+    }";
+    let k = compile(src).unwrap();
+    let f = &k.bytecode;
+    let n = 64usize;
+    let nd = NdRange::d1(n);
+    let args = vec![ArgValue::Buffer(0), ArgValue::Buffer(1)];
+    let bufs = vec![BufferData::F32(vec![1.0; n]), BufferData::F32(vec![0.0; n])];
+    let past_range = Err(VmError::OutsideNdRange {
+        dim: 0,
+        index: 4 * n - 1,
+        size: n,
+    });
+    let past_item = Err(VmError::OutsideNdRange {
+        dim: 0,
+        index: n,
+        size: n,
+    });
+    let gids = [[0, 0, 0], [n, 0, 0]];
+    let mut vm = Vm::new();
+    vm.set_bounds_elide(Some(true));
+    let mut b = bufs.clone();
+    let outcomes = [
+        (
+            "run_range_scalar",
+            vm.run_range_scalar(f, &nd, 0..4 * n, &args, &mut b)
+                .map(drop),
+            &past_range,
+        ),
+        (
+            "run_range_lanes",
+            vm.run_range_lanes(f, &nd, 0..4 * n, &args, &mut b)
+                .map(drop),
+            &past_range,
+        ),
+        (
+            "run_sampled_scalar",
+            vm.run_sampled_scalar(f, &nd, 0..4 * n, &args, &mut b, 4 * n)
+                .map(drop),
+            &past_range,
+        ),
+        (
+            "run_sampled_lanes",
+            vm.run_sampled_lanes(f, &nd, 0..4 * n, &args, &mut b, 4 * n)
+                .map(drop),
+            &past_range,
+        ),
+        (
+            "run_items",
+            vm.run_items(f, &nd, &gids, &args, &mut b).map(drop),
+            &past_item,
+        ),
+        (
+            "run_items_scalar",
+            vm.run_items_scalar(f, &nd, &gids, &args, &mut b).map(drop),
+            &past_item,
+        ),
+    ];
+    for (name, got, want) in &outcomes {
+        assert_eq!(got, *want, "{name}");
     }
+    assert_eq!(b, bufs, "no work-item may run");
+    // In-range requests through the same entries still succeed.
+    vm.run_sampled(f, &nd, 0..n, &args, &mut b, n).unwrap();
+    assert_eq!(b[1], BufferData::F32(vec![2.0; n]));
 }
 
 #[test]
 fn divergent_step_limit_errors_match_scalar() {
     // Half the lanes enter an unbounded loop; the step limit must fire
-    // with the same error as the scalar engine in both divergence modes.
+    // with the same error as the scalar engine.
     let src = "kernel void k(global int* o, int n) {
         int i = get_global_id(0);
         int v = 0;
@@ -630,14 +691,11 @@ fn divergent_step_limit_errors_match_scalar() {
     let e_scalar = vm
         .run_range_scalar(&k.bytecode, &NdRange::d1(n), 0..n, &args, &mut b)
         .unwrap_err();
-    for mode in [DivergenceMode::Reconverge, DivergenceMode::Replay] {
-        vm.divergence_mode = mode;
-        let mut b = vec![BufferData::I32(vec![0; n])];
-        let e_lanes = vm
-            .run_range_lanes(&k.bytecode, &NdRange::d1(n), 0..n, &args, &mut b)
-            .unwrap_err();
-        assert_eq!(e_scalar, e_lanes, "{mode:?}");
-    }
+    let mut b = vec![BufferData::I32(vec![0; n])];
+    let e_lanes = vm
+        .run_range_lanes(&k.bytecode, &NdRange::d1(n), 0..n, &args, &mut b)
+        .unwrap_err();
+    assert_eq!(e_scalar, e_lanes);
 }
 
 // ---------------------------------------------------------------------
@@ -760,8 +818,8 @@ proptest! {
 
     /// Random small CFGs with nested and looping divergent branches:
     /// buffers, block counters, and per-lane step statistics must be
-    /// bit-identical across the scalar engine, the reconvergence engine,
-    /// and the replay engine — and the optimized bytecode must match the
+    /// bit-identical across the scalar engine and the lane engine at every
+    /// compile mode — and the optimized bytecode must match the
     /// unoptimized scalar reference output for output.
     #[test]
     fn random_divergent_cfgs_are_bit_identical(
@@ -781,12 +839,14 @@ proptest! {
         let nd = NdRange::d1(n);
         // Every compilation mode of the random CFG must pass the IR
         // verifier — the same corpus that exercises the engines also
-        // exercises the static checks.
+        // exercises the static checks — and run bit-identically on the
+        // enum-walking scalar engine and the decoded-walking lane engine.
         for level in [OptLevel::None, OptLevel::Full] {
             for ra in [RegAlloc::Off, RegAlloc::On] {
                 let k = compile_with_modes(&src, level, ra).unwrap();
                 hetpart_inspire::analysis::verify::verify_function("proptest", &k.bytecode)
                     .unwrap();
+                assert_kernel_parity(&k, &nd, 0..n, &args, &bufs);
             }
         }
         assert_range_parity(&src, &nd, 0..n, &args, &bufs);
