@@ -106,12 +106,7 @@ impl RandomForest {
 
     /// Majority-vote prediction.
     pub fn predict(&self, x: &[f64]) -> usize {
-        self.predict_proba(x)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("at least one class")
+        crate::argmax_by(&self.predict_proba(x), f64::total_cmp)
     }
 
     /// Number of trees actually trained.

@@ -26,6 +26,8 @@
 //! assert_eq!(pipe.predict(&[39_000.0, 2.0]), 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cv;
 pub mod dataset;
 pub mod forest;
@@ -49,3 +51,34 @@ pub use model::{Model, ModelConfig, Pipeline};
 pub use scale::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};
 pub use tree::{DecisionTree, TreeConfig};
+
+/// Index of the largest element under `cmp`; the last of equal maxima
+/// wins, as with `Iterator::max_by`. An empty slice gives 0.
+pub(crate) fn argmax_by<T>(v: &[T], mut cmp: impl FnMut(&T, &T) -> std::cmp::Ordering) -> usize {
+    let mut best = 0;
+    for (i, x) in v.iter().enumerate().skip(1) {
+        if cmp(x, &v[best]).is_ge() {
+            best = i;
+        }
+    }
+    best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::argmax_by;
+
+    #[test]
+    fn argmax_keeps_the_last_of_equal_maxima() {
+        let v = [1.0f64, 3.0, 2.0, 3.0, 0.5];
+        let want = v
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i);
+        assert_eq!(Some(argmax_by(&v, f64::total_cmp)), want);
+        assert_eq!(argmax_by(&[2usize, 2, 2], Ord::cmp), 2);
+        assert_eq!(argmax_by(&[7usize], Ord::cmp), 0);
+        assert_eq!(argmax_by::<f64>(&[], f64::total_cmp), 0);
+    }
+}

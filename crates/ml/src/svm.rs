@@ -130,12 +130,7 @@ impl LinearSvm {
 
     /// Class with the largest decision value.
     pub fn predict(&self, x: &[f64]) -> usize {
-        self.decision(x)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("at least one class")
+        crate::argmax_by(&self.decision(x), f64::total_cmp)
     }
 }
 

@@ -182,13 +182,7 @@ impl DecisionTree {
 
     /// Majority class at the leaf.
     pub fn predict(&self, x: &[f64]) -> usize {
-        let counts = self.leaf_counts(x);
-        counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .expect("non-empty counts")
+        crate::argmax_by(self.leaf_counts(x), Ord::cmp)
     }
 
     /// Number of classes.

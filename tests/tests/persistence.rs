@@ -119,3 +119,30 @@ fn machines_roundtrip_through_json() {
         assert_eq!(m, back);
     }
 }
+
+#[test]
+fn quick_mlp_predictor_matches_the_golden_hash() {
+    // Locks the fitted ANN bit for bit: the serializer prints every f64 in
+    // its shortest round-trip form, so the pipeline JSON (scaler + weights)
+    // determines and is determined by the parameters' bit patterns.
+    let benches: Vec<_> = hetpart_suite::all()
+        .into_iter()
+        .filter(|b| ["vec_add", "nbody", "sgemm", "kmeans"].contains(&b.name))
+        .collect();
+    let cfg = HarnessConfig {
+        sizes_per_benchmark: 2,
+        sample_items: 16,
+        step_tenths: 5,
+        ..HarnessConfig::quick()
+    };
+    let db = collect_training_db(&machines::mc2(), &benches, &cfg).unwrap();
+    let p = PartitionPredictor::train(&db, &cfg.model, FeatureSet::Both);
+    let js = serde_json::to_string(&p.pipeline).unwrap();
+    let hash = js.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        hash, 0x4634_c999_89dd_794d,
+        "fitted pipeline drifted: {hash:#018x}"
+    );
+}
