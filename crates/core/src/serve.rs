@@ -982,6 +982,33 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Copies of the buffers `kernel` can store to, keyed by buffer index:
+/// everything a partially executed attempt can corrupt. The write set is
+/// the static access summary's, mapped through `args`; a buffer bound to
+/// several parameters is copied once.
+fn writable_copies(
+    kernel: &CompiledKernel,
+    args: &[ArgValue],
+    bufs: &[BufferData],
+) -> Vec<(usize, BufferData)> {
+    let mut written: Vec<usize> = kernel
+        .access
+        .buffers
+        .iter()
+        .zip(args)
+        .filter_map(|(access, arg)| match arg {
+            ArgValue::Buffer(b) if access.is_written => Some(*b),
+            _ => None,
+        })
+        .collect();
+    written.sort_unstable();
+    written.dedup();
+    written
+        .into_iter()
+        .filter_map(|b| Some((b, bufs.get(b)?.clone())))
+        .collect()
+}
+
 fn process(
     shared: &Shared,
     kernel: Arc<CompiledKernel>,
@@ -1054,11 +1081,14 @@ fn process(
     }
 
     // Execute with retry (transients), backoff, and degraded re-planning
-    // (dead or persistently faulting devices). A pristine copy of the
-    // buffers — kept only when fault injection is armed — restores
-    // read-modify-write inputs before each retry, so a partially
-    // executed attempt can never corrupt the final outputs.
-    let pristine = shared.faults.as_ref().map(|_| bufs.clone());
+    // (dead or persistently faulting devices). Pristine copies of the
+    // buffers the kernel can store to — kept only when fault injection is
+    // armed — restore read-modify-write inputs before each retry, so a
+    // partially executed attempt can never corrupt the final outputs.
+    let pristine = shared
+        .faults
+        .as_ref()
+        .map(|_| writable_copies(&kernel, &args, &bufs));
     let mut transient_tries = 0u32;
     let report = loop {
         let t = Instant::now();
@@ -1080,8 +1110,8 @@ fn process(
                 permanent,
             }) => {
                 shared.health.record_failure(device, permanent);
-                if let Some(p) = &pristine {
-                    bufs.clone_from(p);
+                for (b, copy) in pristine.iter().flatten() {
+                    bufs[*b].clone_from(copy);
                 }
                 if permanent || transient_tries >= shared.max_retries {
                     // Exclude the device (for exhausted transients it is
@@ -1178,6 +1208,34 @@ mod tests {
             executor: Executor::new(machines::mc2()),
             predictor,
         }
+    }
+
+    #[test]
+    fn retry_restore_copies_only_writable_buffers() {
+        let k = hetpart_inspire::compile(
+            "kernel void k(global const float* a, global float* o, global float* p) {
+                int i = get_global_id(0);
+                o[i] = a[i];
+                p[i] = p[i] + 1.0;
+            }",
+        )
+        .unwrap();
+        let bufs = vec![
+            BufferData::F32(vec![1.0; 4]),
+            BufferData::F32(vec![2.0; 4]),
+            BufferData::F32(vec![3.0; 4]),
+        ];
+        // `o` and `p` share buffer 1; buffer 0 is only read and buffer 2
+        // is not bound at all.
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Buffer(1),
+        ];
+        assert_eq!(
+            writable_copies(&k, &args, &bufs),
+            vec![(1, bufs[1].clone())]
+        );
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub mod sema;
 pub mod token;
 pub mod vm;
 mod vm_batch;
+mod vm_mem;
 
 pub use access::{AccessSummary, BufferAccess};
 pub use bytecode::Function;

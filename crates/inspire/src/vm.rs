@@ -23,6 +23,10 @@
 //! bit-identical on buffers, counters, and sample statistics. Every entry
 //! rejects work-items outside the launch's NDRange with
 //! [`VmError::OutsideNdRange`] before executing anything.
+//!
+//! Every entry runs against [`LaunchBuffers`]: the caller's own buffers,
+//! or a copy-on-write [`Scratch`] view for probes whose stores must not be
+//! observed. Both engines reach either through one accessor, [`Mem`].
 
 use std::ops::Range;
 
@@ -32,6 +36,8 @@ use crate::bytecode::{
 use crate::error::VmError;
 use crate::ir::{NdRange, ParamKind, ScalarType};
 use crate::vm_batch::{CountSink, LaneEngine};
+
+pub use crate::vm_mem::{LaunchBuffers, Mem, Scratch};
 
 pub use crate::vm_batch::LANES;
 
@@ -491,7 +497,7 @@ impl Vm {
         nd: &NdRange,
         split_range: Range<usize>,
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Counters, VmError> {
         if split_range.len() * nd.items_per_slice() <= SCALAR_CUTOFF_ITEMS {
             self.run_range_scalar(f, nd, split_range, args, bufs)
@@ -508,10 +514,11 @@ impl Vm {
         nd: &NdRange,
         split_range: Range<usize>,
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Counters, VmError> {
         Self::check_split_range(nd, &split_range)?;
-        let bmap = self.start_launch(f, nd, args, bufs)?;
+        let mut mem = bufs.mem();
+        let bmap = self.start_launch(f, nd, args, mem.layout())?;
         let mut counters = Counters::new(f);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner: usize = nd.items_per_slice();
@@ -519,7 +526,7 @@ impl Vm {
         let total = split_range.len() * inner;
         for li in 0..total {
             let gid = gid_at(li, split_range.start, inner, split_dim, gsize);
-            self.exec_item(f, gid, gsize, &bmap, bufs, &mut counters)?;
+            self.exec_item(f, gid, gsize, &bmap, &mut mem, &mut counters)?;
         }
         Ok(counters)
     }
@@ -533,10 +540,11 @@ impl Vm {
         nd: &NdRange,
         split_range: Range<usize>,
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Counters, VmError> {
         Self::check_split_range(nd, &split_range)?;
-        let bmap = self.start_launch(f, nd, args, bufs)?;
+        let mut mem = bufs.mem();
+        let bmap = self.start_launch(f, nd, args, mem.layout())?;
         let mut counters = Counters::new(f);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner: usize = nd.items_per_slice();
@@ -556,7 +564,7 @@ impl Vm {
                 &gids[..n],
                 gsize,
                 &bmap,
-                bufs,
+                &mut mem,
                 CountSink::Aggregate(&mut counters),
             )?;
             done += n;
@@ -569,15 +577,16 @@ impl Vm {
     /// extrapolation) and the per-item total-op statistics used to estimate
     /// control-flow divergence.
     ///
-    /// The sampled items *do* write to `bufs`; pass scratch copies when the
-    /// results must not be observed.
+    /// The sampled items *do* store to `bufs`. When their results must not
+    /// be observed, run them on a [`Scratch`] view of the buffers: it
+    /// copies only the buffers the items store to.
     pub fn run_sampled(
         &mut self,
         f: &Function,
         nd: &NdRange,
         split_range: Range<usize>,
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
         max_items: usize,
     ) -> Result<SampleResult, VmError> {
         let chunk_items = split_range.len() * nd.items_per_slice();
@@ -595,11 +604,12 @@ impl Vm {
         nd: &NdRange,
         split_range: Range<usize>,
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
         max_items: usize,
     ) -> Result<SampleResult, VmError> {
         Self::check_split_range(nd, &split_range)?;
-        let bmap = self.start_launch(f, nd, args, bufs)?;
+        let mut mem = bufs.mem();
+        let bmap = self.start_launch(f, nd, args, mem.layout())?;
         let mut counters = Counters::new(f);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner = nd.items_per_slice();
@@ -611,7 +621,7 @@ impl Vm {
         for j in 0..n {
             let li = sample_index(j, n, chunk_items);
             let gid = gid_at(li, split_range.start, inner, split_dim, gsize);
-            let steps = self.exec_item(f, gid, gsize, &bmap, bufs, &mut counters)?;
+            let steps = self.exec_item(f, gid, gsize, &bmap, &mut mem, &mut counters)?;
             stats.push(steps as f64);
         }
         Ok(SampleResult {
@@ -630,11 +640,12 @@ impl Vm {
         nd: &NdRange,
         split_range: Range<usize>,
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
         max_items: usize,
     ) -> Result<SampleResult, VmError> {
         Self::check_split_range(nd, &split_range)?;
-        let bmap = self.start_launch(f, nd, args, bufs)?;
+        let mut mem = bufs.mem();
+        let bmap = self.start_launch(f, nd, args, mem.layout())?;
         let mut counters = Counters::new(f);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let inner = nd.items_per_slice();
@@ -657,7 +668,7 @@ impl Vm {
                 &gids[..bn],
                 gsize,
                 &bmap,
-                bufs,
+                &mut mem,
                 CountSink::Aggregate(&mut counters),
             )?;
             for &steps in &engine.lane_steps()[..bn] {
@@ -688,18 +699,26 @@ impl Vm {
         nd: &NdRange,
         gids: &[[usize; 3]],
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Vec<Counters>, VmError> {
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         Self::check_items(gids, gsize)?;
-        let bmap = self.start_launch(f, nd, args, bufs)?;
+        let mut mem = bufs.mem();
+        let bmap = self.start_launch(f, nd, args, mem.layout())?;
         let mut engine = LaneEngine::new(f, self);
         let mut per_item: Vec<Counters> = gids.iter().map(|_| Counters::new(f)).collect();
         for (batch, counters) in gids.chunks(LANES).zip(per_item.chunks_mut(LANES)) {
             for c in counters.iter_mut() {
                 c.items = 1;
             }
-            engine.exec_batch(f, batch, gsize, &bmap, bufs, CountSink::PerLane(counters))?;
+            engine.exec_batch(
+                f,
+                batch,
+                gsize,
+                &bmap,
+                &mut mem,
+                CountSink::PerLane(counters),
+            )?;
         }
         Ok(per_item)
     }
@@ -711,15 +730,16 @@ impl Vm {
         nd: &NdRange,
         gids: &[[usize; 3]],
         args: &[ArgValue],
-        bufs: &mut [BufferData],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Vec<Counters>, VmError> {
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         Self::check_items(gids, gsize)?;
-        let bmap = self.start_launch(f, nd, args, bufs)?;
+        let mut mem = bufs.mem();
+        let bmap = self.start_launch(f, nd, args, mem.layout())?;
         gids.iter()
             .map(|&gid| {
                 let mut c = Counters::new(f);
-                self.exec_item(f, gid, gsize, &bmap, bufs, &mut c)?;
+                self.exec_item(f, gid, gsize, &bmap, &mut mem, &mut c)?;
                 Ok(c)
             })
             .collect()
@@ -734,7 +754,7 @@ impl Vm {
         gid: [usize; 3],
         gsize: [usize; 3],
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        mem: &mut Mem<'_>,
         counters: &mut Counters,
     ) -> Result<u64, VmError> {
         counters.items += 1;
@@ -750,7 +770,7 @@ impl Vm {
                 });
             }
             for ins in &b.instrs {
-                self.exec_instr(ins, gid, gsize, bmap, bufs)?;
+                self.exec_instr(ins, gid, gsize, bmap, mem)?;
             }
             match b.term {
                 Terminator::Jump(t) => block = t as usize,
@@ -789,7 +809,7 @@ impl Vm {
         gid: [usize; 3],
         gsize: [usize; 3],
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        mem: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         use Instr::*;
         match *ins {
@@ -907,7 +927,7 @@ impl Vm {
             }
             LoadF { dst, buf, idx } => {
                 let i = self.iregs[idx as usize];
-                let b = &bufs[bmap[buf as usize]];
+                let b = mem.load(bmap[buf as usize]);
                 let BufferData::F32(v) = b else {
                     unreachable!("type-checked load");
                 };
@@ -930,7 +950,7 @@ impl Vm {
             }
             LoadI { dst, buf, idx } => {
                 let i = self.iregs[idx as usize];
-                let b = &bufs[bmap[buf as usize]];
+                let b = mem.load(bmap[buf as usize]);
                 if self.elided(buf) {
                     debug_assert!((0..b.len() as i64).contains(&i), "elision proof violated");
                     // SAFETY: see `LoadF` — the elision bit is a proof
@@ -967,7 +987,7 @@ impl Vm {
             StoreF { buf, idx, src } => {
                 let i = self.iregs[idx as usize];
                 let val = self.fregs[src as usize] as f32;
-                let b = &mut bufs[bmap[buf as usize]];
+                let b = mem.store(bmap[buf as usize]);
                 let len = b.len();
                 let BufferData::F32(v) = b else {
                     unreachable!("type-checked store");
@@ -990,7 +1010,7 @@ impl Vm {
             StoreI { buf, idx, src } => {
                 let i = self.iregs[idx as usize];
                 let val = self.iregs[src as usize];
-                let b = &mut bufs[bmap[buf as usize]];
+                let b = mem.store(bmap[buf as usize]);
                 let len = b.len();
                 if self.elided(buf) {
                     debug_assert!((0..len as i64).contains(&i), "elision proof violated");

@@ -59,7 +59,7 @@ use crate::error::VmError;
 use crate::opt::decode::{
     DecOp, OpCode, F_ADD, F_CONST, F_DIV, F_MOV, F_MUL, F_NEG, F_SUB, I_UNSIGNED,
 };
-use crate::vm::{cmp, int_bin, wrap32, BufferData, Counters, Vm};
+use crate::vm::{cmp, int_bin, wrap32, BufferData, Counters, Mem, Vm};
 
 /// Work-items executed in lockstep per batch.
 pub const LANES: usize = 64;
@@ -504,7 +504,7 @@ impl LaneEngine {
         gids: &[[usize; 3]],
         gsize: [usize; 3],
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
         mut sink: CountSink<'_>,
     ) -> Result<(), VmError> {
         let n = gids.len();
@@ -733,7 +733,7 @@ impl LaneEngine {
         n: usize,
         gsize: [usize; 3],
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let u = op.unsigned;
         let (dst, a, b) = (op.dst, op.a, op.b);
@@ -923,7 +923,7 @@ impl LaneEngine {
                 let el = self.elided(b);
                 let idxv = self.iregs[a as usize];
                 let idxv = &idxv;
-                let bd = &bufs[bmap[b as usize]];
+                let bd = bufs.load(bmap[b as usize]);
                 let d = &mut self.iregs[dst as usize];
                 if el {
                     debug_assert!(all_in_bounds(idxv, n, bd.len()), "elision proof violated");
@@ -988,7 +988,7 @@ impl LaneEngine {
                 let el = self.elided(b);
                 let idxv = &self.iregs[a as usize];
                 let srcv = &self.iregs[dst as usize];
-                let bd = &mut bufs[bmap[b as usize]];
+                let bd = bufs.store(bmap[b as usize]);
                 let len = bd.len();
                 if el {
                     debug_assert!(all_in_bounds(idxv, n, len), "elision proof violated");
@@ -1193,16 +1193,16 @@ impl LaneEngine {
         op: &DecOp,
         n: usize,
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         {
             let el = self.elided(op.b) && self.elided(op.e);
             let idx1 = &self.iregs[op.a as usize];
             let idx2 = &self.iregs[op.d as usize];
-            let BufferData::F32(v1) = &bufs[bmap[op.b as usize]] else {
+            let BufferData::F32(v1) = bufs.load(bmap[op.b as usize]) else {
                 unreachable!("type-checked load");
             };
-            let BufferData::F32(v2) = &bufs[bmap[op.e as usize]] else {
+            let BufferData::F32(v2) = bufs.load(bmap[op.e as usize]) else {
                 unreachable!("type-checked load");
             };
             if el {
@@ -1254,13 +1254,13 @@ impl LaneEngine {
         op: &DecOp,
         n: usize,
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let (s2, fimm) = (op.sub2, op.fimm);
         let el = self.elided(op.b);
         let fused = {
             let idxv = &self.iregs[op.a as usize];
-            let BufferData::F32(v) = &bufs[bmap[op.b as usize]] else {
+            let BufferData::F32(v) = bufs.load(bmap[op.b as usize]) else {
                 unreachable!("type-checked load");
             };
             if el || all_in_bounds(idxv, n, v.len()) {
@@ -1305,13 +1305,13 @@ impl LaneEngine {
         op: &DecOp,
         n: usize,
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let (s1, fimm) = (op.sub1, op.fimm);
         let el = self.elided(op.d);
         let fused = {
             let idxv = &self.iregs[op.c as usize];
-            let bd = &mut bufs[bmap[op.d as usize]];
+            let bd = bufs.store(bmap[op.d as usize]);
             let len = bd.len();
             let BufferData::F32(v) = bd else {
                 unreachable!("type-checked store");
@@ -1383,11 +1383,11 @@ impl LaneEngine {
         buf: u16,
         n: usize,
         bmap: &[usize],
-        bufs: &[BufferData],
+        bufs: &Mem<'_>,
     ) -> Result<(), VmError> {
         let el = self.elided(buf);
         let idxv = &self.iregs[idx as usize];
-        let bd = &bufs[bmap[buf as usize]];
+        let bd = bufs.load(bmap[buf as usize]);
         let BufferData::F32(v) = bd else {
             unreachable!("type-checked load");
         };
@@ -1430,12 +1430,12 @@ impl LaneEngine {
         buf: u16,
         n: usize,
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let el = self.elided(buf);
         let idxv = &self.iregs[idx as usize];
         let srcv = &self.fregs[src as usize];
-        let bd = &mut bufs[bmap[buf as usize]];
+        let bd = bufs.store(bmap[buf as usize]);
         let len = bd.len();
         let BufferData::F32(v) = bd else {
             unreachable!("type-checked store");
@@ -1476,7 +1476,7 @@ impl LaneEngine {
         m: ExecMask,
         gsize: [usize; 3],
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let u = op.unsigned;
         let (dst, a, b) = (op.dst, op.a, op.b);
@@ -1659,7 +1659,7 @@ impl LaneEngine {
             OpCode::LoadF => self.masked_load_f(dst, a, b, m, bmap, bufs)?,
             OpCode::LoadI => {
                 let el = self.elided(b);
-                let bd = &bufs[bmap[b as usize]];
+                let bd = bufs.load(bmap[b as usize]);
                 if el {
                     for l in m.lanes() {
                         let i = self.iregs[a as usize][l];
@@ -1704,7 +1704,7 @@ impl LaneEngine {
             OpCode::StoreF => self.masked_store_f(dst, a, b, m, bmap, bufs)?,
             OpCode::StoreI => {
                 let el = self.elided(b);
-                let bd = &mut bufs[bmap[b as usize]];
+                let bd = bufs.store(bmap[b as usize]);
                 let len = bd.len();
                 if el {
                     for l in m.lanes() {
@@ -1792,10 +1792,10 @@ impl LaneEngine {
         buf: u16,
         m: ExecMask,
         bmap: &[usize],
-        bufs: &[BufferData],
+        bufs: &Mem<'_>,
     ) -> Result<(), VmError> {
         let el = self.elided(buf);
-        let bd = &bufs[bmap[buf as usize]];
+        let bd = bufs.load(bmap[buf as usize]);
         let BufferData::F32(v) = bd else {
             unreachable!("type-checked load");
         };
@@ -1833,10 +1833,10 @@ impl LaneEngine {
         buf: u16,
         m: ExecMask,
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let el = self.elided(buf);
-        let bd = &mut bufs[bmap[buf as usize]];
+        let bd = bufs.store(bmap[buf as usize]);
         let len = bd.len();
         let BufferData::F32(v) = bd else {
             unreachable!("type-checked store");
@@ -1959,7 +1959,7 @@ impl LaneEngine {
         op: &DecOp,
         m: ExecMask,
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let (s2, fimm) = (op.sub2, op.fimm);
         macro_rules! go {
@@ -1967,7 +1967,7 @@ impl LaneEngine {
                 let el = self.elided(op.b);
                 let (x, z) = (op.c as usize, op.dst as usize);
                 let (p, q) = (op.d as usize, op.e as usize);
-                let BufferData::F32(v) = &bufs[bmap[op.b as usize]] else {
+                let BufferData::F32(v) = bufs.load(bmap[op.b as usize]) else {
                     unreachable!("type-checked load");
                 };
                 for l in m.lanes() {
@@ -2020,14 +2020,14 @@ impl LaneEngine {
         op: &DecOp,
         m: ExecMask,
         bmap: &[usize],
-        bufs: &mut [BufferData],
+        bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let (s1, fimm) = (op.sub1, op.fimm);
         macro_rules! go {
             ($f1:expr) => {{
                 let el = self.elided(op.d);
                 let (a, b, z) = (op.a as usize, op.b as usize, op.dst as usize);
-                let bd = &mut bufs[bmap[op.d as usize]];
+                let bd = bufs.store(bmap[op.d as usize]);
                 let len = bd.len();
                 let BufferData::F32(v) = bd else {
                     unreachable!("type-checked store");

@@ -104,15 +104,17 @@ pub fn dynamic_schedule_with_profile(
         let shape = workload_shape(&counts, bytes_in, bytes_out, divergence, coalesced);
 
         // Earliest finish time over all devices.
-        let (best_dev, best_finish, best_cost) = executor
+        let best = executor
             .machine
             .device_ids()
             .map(|d| {
                 let t = estimate_time(executor.machine.device(d), &shape).total;
                 (d.0, ready[d.0] + t, t)
             })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("machine has devices");
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((best_dev, best_finish, best_cost)) = best else {
+            unreachable!("`Machine::new` and the registry reject machines without devices");
+        };
         ready[best_dev] = best_finish;
         busy[best_dev] += best_cost;
         chunks_per_device[best_dev] += 1;

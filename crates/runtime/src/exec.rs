@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use hetpart_inspire::access::{access_ranges, BufferRange, LaunchBounds};
 use hetpart_inspire::ir::{NdRange, ParamKind, ScalarType};
-use hetpart_inspire::vm::{dynamic_counts, ArgValue, BufferData, DynamicCounts, Vm};
+use hetpart_inspire::vm::{
+    dynamic_counts, ArgValue, BufferData, DynamicCounts, SampleResult, Scratch, Vm,
+};
 use hetpart_inspire::{CompiledKernel, VmError};
 use hetpart_oclsim::fault::{FaultState, FaultVerdict};
 use hetpart_oclsim::model::{estimate_time, TimeBreakdown, WorkloadShape};
@@ -191,20 +193,31 @@ impl Executor {
         bufs: &mut [BufferData],
         partition: &Partition,
     ) -> Result<ExecutionReport, VmError> {
-        self.execute(launch, bufs, partition, true)
+        let probes = self.probe_chunks(launch, bufs, partition)?;
+        let f = &launch.kernel.bytecode;
+        let mut vm = Vm::new();
+        self.execute(launch, partition, probes, |chunk, _| {
+            let c = vm.run_range(f, &launch.nd, chunk, &launch.args, bufs)?;
+            Ok(dynamic_counts(f, &c))
+        })
     }
 
     /// Estimate a launch without observable effects: each chunk is sampled
-    /// on scratch copies of the buffers and extrapolated. Orders of
-    /// magnitude faster for large NDRanges; used by the training sweep.
+    /// and extrapolated. The samples run on a copy-on-write [`Scratch`]
+    /// view, so `bufs` is never modified and only the buffers the samples
+    /// store to are copied. Orders of magnitude faster than
+    /// [`Executor::run`] for large NDRanges.
     pub fn simulate(
         &self,
         launch: &Launch,
         bufs: &[BufferData],
         partition: &Partition,
     ) -> Result<ExecutionReport, VmError> {
-        let mut scratch = bufs.to_vec();
-        self.execute(launch, &mut scratch, partition, false)
+        let probes = self.probe_chunks(launch, bufs, partition)?;
+        let f = &launch.kernel.bytecode;
+        self.execute(launch, partition, probes, |_, sample| {
+            Ok(sample.extrapolated(f))
+        })
     }
 
     /// Estimate a launch from a pre-collected [`LaunchProfile`]: no kernel
@@ -349,10 +362,10 @@ impl Executor {
 
     /// Execute a pre-planned launch: only the kernel work itself runs.
     ///
-    /// Compared to [`Executor::run`], this skips the scratch buffer clone,
-    /// the per-chunk divergence probe, and the per-chunk access analysis —
-    /// transfer sizes and the divergence estimate come from the plan, and
-    /// exact dynamic counts fall out of the functional execution for free.
+    /// Compared to [`Executor::run`], this skips the per-chunk divergence
+    /// probe and the per-chunk access analysis — transfer sizes and the
+    /// divergence estimate come from the plan, and exact dynamic counts
+    /// fall out of the functional execution for free.
     /// Output buffers receive results bit-identical to [`Executor::run`]
     /// with the same partition (both paths run `run_range` on the same
     /// chunks); only the simulated-time breakdown may differ, because the
@@ -434,67 +447,99 @@ impl Executor {
         Ok(self.finish_report(partition, device_runs))
     }
 
-    fn execute(
+    /// Validate a launch and probe each non-empty chunk of `partition`:
+    /// transfer sizes from the access analysis and a divergence sample.
+    /// The samples run in device order on one copy-on-write [`Scratch`]
+    /// view of `bufs`, so each sees the stores of those before it and no
+    /// sample perturbs the real outputs. Sampling stops at the first
+    /// failed sample, which ends the list; [`Executor::execute`] reports it
+    /// once it reaches that chunk, after the chunks before it have run.
+    fn probe_chunks(
         &self,
         launch: &Launch,
-        bufs: &mut [BufferData],
+        bufs: &[BufferData],
         partition: &Partition,
-        full: bool,
-    ) -> Result<ExecutionReport, VmError> {
+    ) -> Result<Vec<ChunkProbe>, VmError> {
         self.check_arity(partition);
         let kernel = launch.kernel;
         let nd = &launch.nd;
         Vm::check_args(&kernel.bytecode, &launch.args, bufs)?;
-
-        let chunks = partition.chunks(nd.split_extent());
-        let coalesced = coalesced_fraction(kernel);
         let scalars = scalar_values(kernel, &launch.args);
 
-        // Divergence estimation (and, in simulate mode, op counting) runs
-        // sampled items against scratch buffers so it never perturbs the
-        // real outputs.
-        let mut scratch: Option<Vec<BufferData>> = None;
-
-        let mut device_runs = Vec::new();
+        let mut scratch = Scratch::new(bufs);
         let mut vm = Vm::new();
-        for (dev, chunk) in self.machine.device_ids().zip(&chunks) {
+        let mut probes = Vec::new();
+        for (dev, chunk) in self
+            .machine
+            .device_ids()
+            .zip(partition.chunks(nd.split_extent()))
+        {
             if chunk.is_empty() {
                 continue;
             }
-            let (bytes_in, bytes_out) =
-                transfer_bytes(kernel, nd, chunk.clone(), &scalars, &launch.args, bufs);
-
-            let scratch_bufs = scratch.get_or_insert_with(|| bufs.to_vec());
+            let transfer = transfer_bytes(kernel, nd, chunk.clone(), &scalars, &launch.args, bufs);
             let sample = vm.run_sampled(
                 &kernel.bytecode,
                 nd,
                 chunk.clone(),
                 &launch.args,
-                scratch_bufs,
+                &mut scratch,
                 self.sample_items,
-            )?;
-            let divergence = sample.ops_cv.clamp(0.0, 1.0);
-
-            let counts: DynamicCounts = if full {
-                let c = vm.run_range(&kernel.bytecode, nd, chunk.clone(), &launch.args, bufs)?;
-                dynamic_counts(&kernel.bytecode, &c)
-            } else {
-                sample.extrapolated(&kernel.bytecode)
-            };
-
-            let shape = workload_shape(&counts, bytes_in, bytes_out, divergence, coalesced);
-            let time = estimate_time(self.machine.device(dev), &shape);
-            device_runs.push(DeviceRun {
+            );
+            let failed = sample.is_err();
+            probes.push(ChunkProbe {
                 device: dev,
-                chunk_start: chunk.start,
-                chunk_end: chunk.end,
+                chunk,
+                transfer,
+                sample,
+            });
+            if failed {
+                break;
+            }
+        }
+        Ok(probes)
+    }
+
+    /// Price probed chunks in device order. `counts` supplies each chunk's
+    /// dynamic counts: its full execution, or its sample extrapolated.
+    fn execute(
+        &self,
+        launch: &Launch,
+        partition: &Partition,
+        probes: Vec<ChunkProbe>,
+        mut counts: impl FnMut(Range<usize>, &SampleResult) -> Result<DynamicCounts, VmError>,
+    ) -> Result<ExecutionReport, VmError> {
+        let coalesced = coalesced_fraction(launch.kernel);
+        let mut device_runs = Vec::new();
+        for p in probes {
+            let sample = p.sample?;
+            let divergence = sample.ops_cv.clamp(0.0, 1.0);
+            let counts = counts(p.chunk.clone(), &sample)?;
+            let (bytes_in, bytes_out) = p.transfer;
+            let shape = workload_shape(&counts, bytes_in, bytes_out, divergence, coalesced);
+            let time = estimate_time(self.machine.device(p.device), &shape);
+            device_runs.push(DeviceRun {
+                device: p.device,
+                chunk_start: p.chunk.start,
+                chunk_end: p.chunk.end,
                 shape,
                 time,
             });
         }
-
         Ok(self.finish_report(partition, device_runs))
     }
+}
+
+/// One device's non-empty chunk of a launch, probed before any chunk
+/// runs for real (see [`Executor::probe_chunks`]).
+struct ChunkProbe {
+    device: DeviceId,
+    chunk: Range<usize>,
+    /// `(bytes_in, bytes_out)` from the access analysis.
+    transfer: (u64, u64),
+    /// The chunk's sampled execution: divergence, and in simulate mode
+    /// the counts to extrapolate.
+    sample: Result<SampleResult, VmError>,
 }
 
 /// Static coalescing estimate: the fraction of buffer accesses whose index

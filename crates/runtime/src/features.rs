@@ -7,7 +7,7 @@
 //! prediction model *input sensitive*.
 
 use hetpart_inspire::ir::NdRange;
-use hetpart_inspire::vm::{ArgValue, BufferData, Vm};
+use hetpart_inspire::vm::{ArgValue, BufferData, Scratch, Vm};
 use hetpart_inspire::{CompiledKernel, VmError};
 use serde::{Deserialize, Serialize};
 
@@ -78,7 +78,9 @@ impl RuntimeFeatures {
 }
 
 /// Collect the runtime features of a launch by sampling `sample_items`
-/// work-items on scratch buffer copies.
+/// work-items. The sample runs on a copy-on-write [`Scratch`] view:
+/// `bufs` is never modified, and only the buffers the sampled items store
+/// to are copied.
 pub fn runtime_features(
     kernel: &CompiledKernel,
     nd: &NdRange,
@@ -89,14 +91,12 @@ pub fn runtime_features(
     let scalars = scalar_values(kernel, args);
     let (bytes_in, bytes_out) =
         transfer_bytes(kernel, nd, 0..nd.split_extent(), &scalars, args, bufs);
-    let mut scratch = bufs.to_vec();
-    let mut vm = Vm::new();
-    let sample = vm.run_sampled(
+    let sample = Vm::new().run_sampled(
         &kernel.bytecode,
         nd,
         0..nd.split_extent(),
         args,
-        &mut scratch,
+        &mut Scratch::new(bufs),
         sample_items,
     )?;
     let counts = sample.extrapolated(&kernel.bytecode);

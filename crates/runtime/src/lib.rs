@@ -36,6 +36,10 @@
 //! assert_eq!(report.device_runs.len(), 3);
 //! ```
 
+// Outside of tests, library code fails with typed errors (or an
+// explicitly justified `unreachable!`) instead of unwrapping.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dynsched;
 pub mod exec;
 pub mod features;

@@ -9,10 +9,10 @@
 //! spatially varying kernels (mandelbrot!) it captures the per-chunk
 //! differences the per-chunk sampler would see, at a fraction of the cost.
 
-use hetpart_inspire::bytecode::{Function, N_OP_CLASSES};
+use hetpart_inspire::bytecode::N_OP_CLASSES;
 use hetpart_inspire::ir::NdRange;
 use hetpart_inspire::vm::{
-    dynamic_counts, ArgValue, BufferData, Counters, DynamicCounts, OnlineStats, Vm,
+    dynamic_counts, ArgValue, BufferData, Counters, DynamicCounts, OnlineStats, Scratch, Vm,
 };
 use hetpart_inspire::{CompiledKernel, VmError};
 use std::ops::Range;
@@ -28,17 +28,6 @@ struct SamplePoint {
     ops: f64,
 }
 
-/// A VM entry point executing an explicit work-item list — either
-/// [`Vm::run_items`] (lane engine) or [`Vm::run_items_scalar`].
-type RunItemsFn = fn(
-    &mut Vm,
-    &Function,
-    &NdRange,
-    &[[usize; 3]],
-    &[ArgValue],
-    &mut [BufferData],
-) -> Result<Vec<Counters>, VmError>;
-
 /// A sampled execution profile of one launch.
 #[derive(Debug, Clone)]
 pub struct LaunchProfile {
@@ -49,7 +38,9 @@ pub struct LaunchProfile {
 
 impl LaunchProfile {
     /// Execute a stratified sample of `max_samples` work-items across the
-    /// whole NDRange (on scratch copies of `bufs`) and build the profile.
+    /// whole NDRange and build the profile. The probe runs on a
+    /// copy-on-write [`Scratch`] view: `bufs` is never modified, and only
+    /// the buffers the sampled items store to are copied.
     ///
     /// All probe items run in one lane-batched [`Vm::run_items`] call —
     /// hundreds of single-item kernel entries collapse into a handful of
@@ -62,7 +53,9 @@ impl LaunchProfile {
         bufs: &[BufferData],
         max_samples: usize,
     ) -> Result<Self, VmError> {
-        Self::collect_with(kernel, nd, args, bufs, max_samples, Vm::run_items)
+        Self::collect_with(kernel, nd, bufs, max_samples, |gids, scratch| {
+            Vm::new().run_items(&kernel.bytecode, nd, gids, args, scratch)
+        })
     }
 
     /// [`LaunchProfile::collect`] on the scalar engine — the reference
@@ -75,23 +68,22 @@ impl LaunchProfile {
         bufs: &[BufferData],
         max_samples: usize,
     ) -> Result<Self, VmError> {
-        Self::collect_with(kernel, nd, args, bufs, max_samples, Vm::run_items_scalar)
+        Self::collect_with(kernel, nd, bufs, max_samples, |gids, scratch| {
+            Vm::new().run_items_scalar(&kernel.bytecode, nd, gids, args, scratch)
+        })
     }
 
     /// The shared probe-sampling policy: one representative work-item per
     /// stratified slice (the first item of the inner dimensions; see the
-    /// uniformity note above), executed by `run_items` — either VM engine.
+    /// uniformity note above), executed by `run_items` — either VM engine's
+    /// explicit-item entry — on a scratch view of `bufs`.
     fn collect_with(
         kernel: &CompiledKernel,
         nd: &NdRange,
-        args: &[ArgValue],
         bufs: &[BufferData],
         max_samples: usize,
-        run_items: RunItemsFn,
+        run_items: impl FnOnce(&[[usize; 3]], &mut Scratch<'_>) -> Result<Vec<Counters>, VmError>,
     ) -> Result<Self, VmError> {
-        let mut scratch = bufs.to_vec();
-        let mut vm = Vm::new();
-        Vm::check_args(&kernel.bytecode, args, &scratch)?;
         let extent = nd.split_extent();
         let inner = nd.items_per_slice();
         let total = nd.total();
@@ -111,7 +103,7 @@ impl LaunchProfile {
             slices.push(slice);
             gids.push(gid);
         }
-        let per_item = run_items(&mut vm, &kernel.bytecode, nd, &gids, args, &mut scratch)?;
+        let per_item = run_items(&gids, &mut Scratch::new(bufs))?;
         Self::from_probes(kernel, extent, inner, slices, per_item)
     }
 
@@ -166,11 +158,9 @@ impl LaunchProfile {
         // Fallback: no sample landed inside — take the nearest sample.
         let points: Vec<&SamplePoint> = if inside.is_empty() {
             let mid = slices.start + slices.len() / 2;
-            let nearest = self
-                .samples
-                .iter()
-                .min_by_key(|s| s.slice.abs_diff(mid))
-                .expect("profile has at least one sample");
+            let Some(nearest) = self.samples.iter().min_by_key(|s| s.slice.abs_diff(mid)) else {
+                unreachable!("`collect` samples at least one item: NdRange dims are non-zero");
+            };
             vec![nearest]
         } else {
             inside

@@ -80,16 +80,19 @@ impl PartitionSweep {
     /// and a merge or prune changed which came first.
     ///
     /// # Panics
-    /// Panics if the sweep is empty.
+    /// Panics if the sweep is empty. Every sweep [`sweep_many_mode`]
+    /// builds holds at least the CPU-only and GPU-only baselines; a
+    /// hand-built one must too.
     pub fn best(&self) -> &SweepEntry {
-        self.entries
-            .iter()
-            .min_by(|a, b| {
-                a.time
-                    .total_cmp(&b.time)
-                    .then_with(|| a.partition.cmp(&b.partition))
-            })
-            .expect("sweep must not be empty")
+        let best = self.entries.iter().min_by(|a, b| {
+            a.time
+                .total_cmp(&b.time)
+                .then_with(|| a.partition.cmp(&b.partition))
+        });
+        let Some(best) = best else {
+            unreachable!("a sweep always prices the CPU-only and GPU-only baselines");
+        };
+        best
     }
 
     /// Time of a specific partitioning, if it was measured.
@@ -101,17 +104,29 @@ impl PartitionSweep {
     }
 
     /// Time of the CPU-only default strategy.
+    ///
+    /// # Panics
+    /// Panics if the sweep lacks the CPU-only baseline (see
+    /// [`PartitionSweep::best`]).
     pub fn cpu_only_time(&self) -> f64 {
         let n = self.entries[0].partition.num_devices();
-        self.time_of(&Partition::cpu_only(n))
-            .expect("cpu-only is always in the space")
+        let Some(t) = self.time_of(&Partition::cpu_only(n)) else {
+            unreachable!("a sweep always prices the CPU-only baseline");
+        };
+        t
     }
 
     /// Time of the GPU-only default strategy (first accelerator).
+    ///
+    /// # Panics
+    /// Panics if the sweep lacks the GPU-only baseline (see
+    /// [`PartitionSweep::best`]).
     pub fn gpu_only_time(&self) -> f64 {
         let n = self.entries[0].partition.num_devices();
-        self.time_of(&Partition::gpu_only(n))
-            .expect("gpu-only is always in the space")
+        let Some(t) = self.time_of(&Partition::gpu_only(n)) else {
+            unreachable!("a sweep always prices the GPU-only baseline");
+        };
+        t
     }
 
     /// Rank of a partitioning within the sweep (0 = best).
@@ -518,7 +533,10 @@ pub fn sweep_partitions_mode(
         }],
         mode,
     )?;
-    Ok(sweeps.pop().expect("one job in, one sweep out"))
+    let Some(sweep) = sweeps.pop() else {
+        unreachable!("`sweep_many_mode` returns one sweep per job");
+    };
+    Ok(sweep)
 }
 
 #[cfg(test)]

@@ -518,18 +518,16 @@ pub fn mandelbrot() -> Benchmark {
             let mut out = vec![0i32; n * n];
             for py in 0..n {
                 for px in 0..n {
+                    // Mirror the VM: float temporaries stay in f64 (only
+                    // buffer stores round to f32, and the output is int).
                     let cx = x0 + px as f64 * dx;
                     let cy = y0 + py as f64 * dy;
-                    // Mirror the kernel's f32-rounded temporaries exactly:
-                    // every float expression rounds to f32 on store.
-                    let cx = f64::from(cx as f32);
-                    let cy = f64::from(cy as f32);
                     let mut zx = 0.0f64;
                     let mut zy = 0.0f64;
                     let mut it = 0i32;
                     while zx * zx + zy * zy <= 4.0 && it < MANDEL_MAX_ITER {
-                        let t = f64::from((zx * zx - zy * zy + cx) as f32);
-                        zy = f64::from((2.0 * zx * zy + cy) as f32);
+                        let t = zx * zx - zy * zy + cx;
+                        zy = 2.0 * zx * zy + cy;
                         zx = t;
                         it += 1;
                     }
@@ -646,7 +644,10 @@ mod tests {
 
     #[test]
     fn mandelbrot_verifies() {
-        mandelbrot().run_and_verify(16).unwrap();
+        let b = mandelbrot();
+        for &n in b.sizes {
+            b.run_and_verify(n).unwrap();
+        }
     }
 
     #[test]
