@@ -21,13 +21,13 @@
 //!
 //! `target_met` in the JSON gates CI: the pruned oracle must hold its
 //! ≥ 3x speedup, the divergent kernels must stay batched end-to-end
-//! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x over the scalar engine), and
-//! the bytecode optimizer must pay for itself — lane execution on
-//! optimized code at least as fast as on `INSPIRE_OPT=0` code (geomean
-//! over the picks) with a ≥ 15% suite-wide static shrink. Register
-//! allocation has its own A/B column against `INSPIRE_REGALLOC=0` and
-//! must hold a geomean lane speedup within noise of break-even. Set
-//! `VM_BENCH_QUICK=1` for the reduced sizes CI uses.
+//! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x, monte_carlo_pi ≥ 9x over the
+//! scalar engine), and the bytecode optimizer must pay for itself — lane
+//! execution on optimized code at least as fast as on `INSPIRE_OPT=0`
+//! code (geomean over the picks) with a ≥ 15% suite-wide static shrink.
+//! Register allocation has its own A/B column against
+//! `INSPIRE_REGALLOC=0` and must hold a geomean lane speedup within noise
+//! of break-even. Set `VM_BENCH_QUICK=1` for the reduced sizes CI uses.
 //!
 //! A note on the register-allocation floor: both sides of that A/B walk
 //! the same pre-decoded, fused op array on the lane engine, so it
@@ -125,6 +125,7 @@ struct Targets {
     oracle_speedup: f64,
     mandelbrot_speedup: f64,
     blackscholes_speedup: f64,
+    monte_carlo_pi_speedup: f64,
     /// The optimizer must not make lane execution slower on geomean.
     opt_geomean_speedup: f64,
     /// … and must shrink the suite's static code size by this fraction.
@@ -189,19 +190,22 @@ fn static_reduction() -> f64 {
 }
 
 fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
-    // Uniform streaming, compute-bound uniform, and two divergent kernels
-    // (blackscholes: branchy tail after a uniform transcendental body;
-    // mandelbrot: data-dependent loop exit — the reconvergence stress
-    // tests). Sizes match the training-shaped oracle batch below: the
-    // lane engine exists to speed up the VM the training sweeps run on,
-    // and sweeps launch at exactly this scale — a DRAM-bound size would
-    // measure memory bandwidth instead of dispatch.
+    // Uniform streaming, compute-bound uniform, and three divergent
+    // kernels (blackscholes: branchy tail after a uniform transcendental
+    // body; mandelbrot: data-dependent loop exit — the reconvergence
+    // stress tests; monte_carlo_pi: a divergent branch on every trip of a
+    // uniform loop, the serve workloads' p99 key). Sizes match the
+    // training-shaped oracle batch below: the lane engine exists to speed
+    // up the VM the training sweeps run on, and sweeps launch at exactly
+    // this scale — a DRAM-bound size would measure memory bandwidth
+    // instead of dispatch.
     let picks: &[(&str, usize)] = if quick {
         &[
             ("vec_add", 1 << 14),
             ("blackscholes", 1 << 12),
             ("sgemm", 48),
             ("mandelbrot", 48),
+            ("monte_carlo_pi", 1 << 10),
         ]
     } else {
         &[
@@ -209,6 +213,7 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("blackscholes", 1 << 14),
             ("sgemm", 64),
             ("mandelbrot", 64),
+            ("monte_carlo_pi", 1 << 12),
         ]
     };
     let reps = if quick { 3 } else { 5 };
@@ -586,6 +591,7 @@ fn main() {
         oracle_speedup: 3.0,
         mandelbrot_speedup: 3.0,
         blackscholes_speedup: 2.5,
+        monte_carlo_pi_speedup: 9.0,
         opt_geomean_speedup: 1.0,
         opt_static_reduction: 0.15,
         regalloc_geomean_speedup: 0.95,
@@ -600,6 +606,7 @@ fn main() {
     let target_met = oracle.speedup_pruned >= targets.oracle_speedup
         && kernel_speedup("mandelbrot") >= targets.mandelbrot_speedup
         && kernel_speedup("blackscholes") >= targets.blackscholes_speedup
+        && kernel_speedup("monte_carlo_pi") >= targets.monte_carlo_pi_speedup
         && opt_geomean_speedup >= targets.opt_geomean_speedup
         && opt_static_reduction >= targets.opt_static_reduction
         && regalloc_geomean_speedup >= targets.regalloc_geomean_speedup
@@ -622,10 +629,12 @@ fn main() {
     let path = format!("{dir}/BENCH_vm.json");
     fs::write(&path, serde_json::to_string_pretty(&report).unwrap()).expect("write report");
     println!(
-        "\nwrote {path} (targets oracle {:.1}x, mandelbrot {:.1}x, blackscholes {:.1}x: {})",
+        "\nwrote {path} (targets oracle {:.1}x, mandelbrot {:.1}x, blackscholes {:.1}x, \
+         monte_carlo_pi {:.1}x: {})",
         report.targets.oracle_speedup,
         report.targets.mandelbrot_speedup,
         report.targets.blackscholes_speedup,
+        report.targets.monte_carlo_pi_speedup,
         if report.target_met { "met" } else { "MISSED" }
     );
 }

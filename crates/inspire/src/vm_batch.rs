@@ -23,7 +23,9 @@
 //!
 //! - **Uniform branches** (every active lane takes the same side) keep
 //!   the whole batch in lockstep — the fast path, and the common case for
-//!   guard-style `if (i < n)` conditions and fixed-trip-count loops.
+//!   guard-style `if (i < n)` conditions and fixed-trip-count loops. A
+//!   branch condition is evaluated over all lane rows into one packed
+//!   bitmask, so deciding uniform vs divergent costs the same either way.
 //! - **Divergent branches** split the active mask. The engine pushes the
 //!   not-taken subset onto a **reconvergence stack** together with the
 //!   branch's **immediate post-dominator** (the first block every path
@@ -53,13 +55,13 @@
 //! order, and buffers may hold partial writes from other items of the
 //! faulting batch.
 
-use crate::bytecode::{Function, IBinOp, Terminator};
+use crate::bytecode::{CmpOp, Function, IBinOp, Terminator};
 use crate::cfg::NO_POST_DOM;
 use crate::error::VmError;
 use crate::opt::decode::{
     DecOp, OpCode, F_ADD, F_CONST, F_DIV, F_MOV, F_MUL, F_NEG, F_SUB, I_UNSIGNED,
 };
-use crate::vm::{cmp, int_bin, wrap32, BufferData, Counters, Mem, Vm};
+use crate::vm::{int_bin, wrap32, BufferData, Counters, Mem, Vm};
 
 /// Work-items executed in lockstep per batch.
 pub const LANES: usize = 64;
@@ -164,7 +166,9 @@ pub(crate) struct LaneEngine {
     iregs: Vec<[i64; LANES]>,
     fregs: Vec<[f64; LANES]>,
     gid: [[i64; LANES]; 3],
-    /// Per-lane instruction-budget counters of the current batch.
+    /// Per-lane step counts. While a batch runs, lane `l`'s steps beyond
+    /// the batch's shared full-mask count (see [`Self::exec_batch`]); once
+    /// it returns `Ok`, lane `l`'s total.
     steps: [u64; LANES],
     /// Per-parameter bounds-check elision mask, copied from
     /// [`Vm::bounds_elide`] at construction (the run entry computes it
@@ -465,6 +469,33 @@ fn apply_cmp<T: Copy, F: Fn(T, T) -> bool>(
     }
 }
 
+/// Branch-condition bitmask over all [`LANES`] rows: bit `l` is
+/// `f(a[l], b[l])`. Built 8 lanes per byte so the loop vectorises; the
+/// caller ANDs the result with its active mask.
+#[inline(always)]
+fn pack_rows<T: Copy, F: Fn(T, T) -> bool>(a: &[T; LANES], b: &[T; LANES], f: F) -> u64 {
+    let mut bytes = [0u8; LANES / 8];
+    for (k, byte) in bytes.iter_mut().enumerate() {
+        for j in 0..8 {
+            *byte |= u8::from(f(a[8 * k + j], b[8 * k + j])) << j;
+        }
+    }
+    u64::from_le_bytes(bytes)
+}
+
+/// [`pack_rows`] for a fused cmp+branch, with the comparison matched once
+/// rather than per lane.
+fn cmp_rows<T: Copy + PartialOrd>(op: CmpOp, a: &[T; LANES], b: &[T; LANES]) -> u64 {
+    match op {
+        CmpOp::Lt => pack_rows(a, b, |x, y| x < y),
+        CmpOp::Le => pack_rows(a, b, |x, y| x <= y),
+        CmpOp::Gt => pack_rows(a, b, |x, y| x > y),
+        CmpOp::Ge => pack_rows(a, b, |x, y| x >= y),
+        CmpOp::Eq => pack_rows(a, b, |x, y| x == y),
+        CmpOp::Ne => pack_rows(a, b, |x, y| x != y),
+    }
+}
+
 impl LaneEngine {
     /// Allocate lane register files for `f` and broadcast the scalar
     /// engine's bound registers (kernel arguments; everything else zero)
@@ -490,8 +521,9 @@ impl LaneEngine {
         p < 64 && self.elide & (1u64 << p) != 0
     }
 
-    /// Per-lane step counts of the most recently executed batch (valid for
-    /// the first `n` lanes of that batch).
+    /// Per-lane step totals of the most recent batch that returned `Ok`
+    /// (valid for its first `n` lanes), equal to the scalar engine's
+    /// per-item step counts.
     pub(crate) fn lane_steps(&self) -> &[u64; LANES] {
         &self.steps
     }
@@ -523,11 +555,17 @@ impl LaneEngine {
         let mut rpc: u32 = exit;
         let mut mask = full;
         let mut stack: Vec<Frame> = Vec::new();
-        // Lanes run in lockstep until the first divergence, so one shared
-        // step counter suffices for the batched prefix; it is flushed to
-        // the per-lane counters the moment the batch diverges.
+        // Step accounting: `batch_steps` is charged once per block run
+        // under the full mask, and `self.steps[l]` holds lane `l`'s
+        // offset from it, charged only by blocks run under a partial mask
+        // (so a full-mask block costs O(1) even after divergence). Lane
+        // `l`'s total is `batch_steps + steps[l]`, and every lane's total
+        // stayed within the limit at the previous check, so testing the
+        // largest offset fires at exactly the block where the scalar
+        // engine would.
         let mut batch_steps: u64 = 0;
-        let mut diverged = false;
+        let mut max_off: u64 = 0;
+        self.steps[..n].fill(0);
         let dec = &f.decoded;
         loop {
             if pc == rpc {
@@ -547,53 +585,35 @@ impl LaneEngine {
             }
             let block = pc as usize;
             let b = &f.blocks[block];
-            if !diverged {
+            if mask == full {
                 sink.count_block(block, n);
                 batch_steps += b.step_cost();
-                if batch_steps > self.step_limit {
-                    return Err(VmError::StepLimitExceeded {
-                        limit: self.step_limit,
-                    });
-                }
-                for op in dec.block_ops(block) {
-                    self.exec_dec(op, n, gsize, bmap, bufs)?;
-                }
-            } else if mask == full {
-                // Fully reconverged: full-width execution, per-lane steps.
-                sink.count_block(block, n);
+            } else {
+                sink.count_block_masked(block, mask);
                 let cost = b.step_cost();
-                let mut over = false;
-                for s in self.steps[..n].iter_mut() {
-                    *s += cost;
-                    over |= *s > self.step_limit;
+                for l in mask.lanes() {
+                    self.steps[l] += cost;
+                    max_off = max_off.max(self.steps[l]);
                 }
-                if over {
-                    return Err(VmError::StepLimitExceeded {
-                        limit: self.step_limit,
-                    });
-                }
+            }
+            if batch_steps + max_off > self.step_limit {
+                return Err(VmError::StepLimitExceeded {
+                    limit: self.step_limit,
+                });
+            }
+            if mask == full {
                 for op in dec.block_ops(block) {
                     self.exec_dec(op, n, gsize, bmap, bufs)?;
                 }
             } else {
-                sink.count_block_masked(block, mask);
-                let cost = b.step_cost();
-                let mut over = false;
-                for l in mask.lanes() {
-                    self.steps[l] += cost;
-                    over |= self.steps[l] > self.step_limit;
-                }
-                if over {
-                    return Err(VmError::StepLimitExceeded {
-                        limit: self.step_limit,
-                    });
-                }
                 for op in dec.block_ops(block) {
                     self.exec_dec_masked(op, mask, gsize, bmap, bufs)?;
                 }
             }
-            // Compute the per-lane taken bits for branch-like terminators;
-            // direct jumps and returns short-circuit the loop.
+            // Branch-like terminators evaluate their condition over all
+            // `LANES` rows at once and keep the active lanes' bits (rows
+            // past the live prefix hold stale values, which the AND
+            // drops); direct jumps and returns short-circuit the loop.
             let (then, els, taken) = match b.term {
                 Terminator::Jump(t) => {
                     pc = t;
@@ -610,20 +630,7 @@ impl LaneEngine {
                 }
                 Terminator::Branch { cond, then, els } => {
                     let c = &self.iregs[cond as usize];
-                    if mask == full {
-                        // Quick uniform check without building masks — the
-                        // hot case for guard conditions and uniform loops.
-                        let first = c[0] != 0;
-                        if c[1..n].iter().all(|&v| (v != 0) == first) {
-                            pc = if first { then } else { els };
-                            continue;
-                        }
-                    }
-                    let mut taken = 0u64;
-                    for l in mask.lanes() {
-                        taken |= u64::from(c[l] != 0) << l;
-                    }
-                    (then, els, taken)
+                    (then, els, pack_rows(c, c, |v, _| v != 0))
                 }
                 Terminator::BranchCmp {
                     op,
@@ -633,38 +640,18 @@ impl LaneEngine {
                     then,
                     els,
                 } => {
-                    // Fused cmp+branch: evaluate the comparison per lane
-                    // without materializing the boolean register.
-                    let mut taken = 0u64;
-                    if float {
-                        let x = &self.fregs[a as usize];
-                        let y = &self.fregs[rb as usize];
-                        if mask == full {
-                            for (l, (xv, yv)) in x[..n].iter().zip(&y[..n]).enumerate() {
-                                taken |= u64::from(cmp(op, xv, yv)) << l;
-                            }
-                        } else {
-                            for l in mask.lanes() {
-                                taken |= u64::from(cmp(op, &x[l], &y[l])) << l;
-                            }
-                        }
+                    // Fused cmp+branch: no boolean register is written.
+                    let taken = if float {
+                        cmp_rows(op, &self.fregs[a as usize], &self.fregs[rb as usize])
                     } else {
-                        let x = &self.iregs[a as usize];
-                        let y = &self.iregs[rb as usize];
-                        if mask == full {
-                            for (l, (xv, yv)) in x[..n].iter().zip(&y[..n]).enumerate() {
-                                taken |= u64::from(cmp(op, xv, yv)) << l;
-                            }
-                        } else {
-                            for l in mask.lanes() {
-                                taken |= u64::from(cmp(op, &x[l], &y[l])) << l;
-                            }
-                        }
-                    }
+                        cmp_rows(op, &self.iregs[a as usize], &self.iregs[rb as usize])
+                    };
                     (then, els, taken)
                 }
             };
-            let t = ExecMask(taken);
+            // A uniform branch (the hot case for guards and loop
+            // back-edges) leaves one side empty and keeps the frame.
+            let t = ExecMask(mask.0 & taken);
             let e = ExecMask(mask.0 & !taken);
             if e.is_empty() {
                 pc = then;
@@ -673,10 +660,6 @@ impl LaneEngine {
             if t.is_empty() {
                 pc = els;
                 continue;
-            }
-            if !diverged {
-                self.steps[..n].fill(batch_steps);
-                diverged = true;
             }
             // A branch with no post-dominator (an infinite loop)
             // rejoins "at the exit": such lanes can only stop via
@@ -715,8 +698,8 @@ impl LaneEngine {
                 mask = fr.mask;
             }
         }
-        if !diverged {
-            self.steps[..n].fill(batch_steps);
+        for s in self.steps[..n].iter_mut() {
+            *s += batch_steps;
         }
         Ok(())
     }

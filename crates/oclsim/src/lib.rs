@@ -54,6 +54,10 @@
 //! assert!(gpu.total < cpu.total);
 //! ```
 
+// Outside of tests, library code fails with typed errors (or an
+// explicitly justified `unreachable!`) instead of unwrapping.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod calibrate;
 pub mod device;
 pub mod fault;

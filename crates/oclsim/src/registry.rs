@@ -277,7 +277,12 @@ pub fn machine_to_profile_json(machine: &Machine) -> String {
         Value::Map(entries) => fields.extend(entries),
         other => fields.push(("machine".to_string(), other)),
     }
-    serde_json::to_string_pretty(&Value::Map(fields)).expect("profile serialization cannot fail")
+    // Serializing a `Value` fails only on non-string map keys, and every
+    // key of this tree is a `String`.
+    let Ok(json) = serde_json::to_string_pretty(&Value::Map(fields)) else {
+        unreachable!("a Value tree with string keys always serializes");
+    };
+    json
 }
 
 /// A named collection of validated machines.

@@ -698,6 +698,151 @@ fn divergent_step_limit_errors_match_scalar() {
     assert_eq!(e_scalar, e_lanes);
 }
 
+/// The largest per-item step count of a full launch on the scalar engine:
+/// Σ `block_counts` × `step_cost` for each work-item.
+fn max_item_steps(k: &CompiledKernel, nd: &NdRange, args: &[ArgValue], bufs: &[BufferData]) -> u64 {
+    let f = &k.bytecode;
+    let mut gids = Vec::new();
+    for z in 0..nd.dim(2) {
+        for y in 0..nd.dim(1) {
+            for x in 0..nd.dim(0) {
+                gids.push([x, y, z]);
+            }
+        }
+    }
+    let per_item = Vm::new()
+        .run_items_scalar(f, nd, &gids, args, &mut bufs.to_vec())
+        .unwrap();
+    per_item
+        .iter()
+        .map(|c| {
+            c.block_counts
+                .iter()
+                .zip(&f.blocks)
+                .map(|(&k, b)| k * b.step_cost())
+                .sum::<u64>()
+        })
+        .max()
+        .unwrap()
+}
+
+/// Run a full launch on both engines with `step_limit` set to exactly the
+/// largest per-item step count, then to one less: the first must succeed
+/// bit-identically on both, the second must fail on both.
+fn assert_step_limit_boundary(
+    name: &str,
+    k: &CompiledKernel,
+    nd: &NdRange,
+    args: &[ArgValue],
+    bufs: &[BufferData],
+) {
+    let max = max_item_steps(k, nd, args, bufs);
+    let extent = nd.split_extent();
+    let mut vm = Vm::new();
+    vm.step_limit = max;
+    let mut scalar_bufs = bufs.to_vec();
+    let scalar = vm.run_range_scalar(&k.bytecode, nd, 0..extent, args, &mut scalar_bufs);
+    let mut lane_bufs = bufs.to_vec();
+    let lanes = vm.run_range_lanes(&k.bytecode, nd, 0..extent, args, &mut lane_bufs);
+    assert!(scalar.is_ok(), "{name}: scalar at limit {max}: {scalar:?}");
+    assert_eq!(scalar, lanes, "{name}: counters at limit {max}");
+    assert_eq!(scalar_bufs, lane_bufs, "{name}: buffers at limit {max}");
+
+    vm.step_limit = max - 1;
+    let over = Err(VmError::StepLimitExceeded { limit: max - 1 });
+    let scalar = vm.run_range_scalar(&k.bytecode, nd, 0..extent, args, &mut bufs.to_vec());
+    let lanes = vm.run_range_lanes(&k.bytecode, nd, 0..extent, args, &mut bufs.to_vec());
+    assert_eq!(
+        scalar.map(drop),
+        over,
+        "{name}: scalar at limit {}",
+        max - 1
+    );
+    assert_eq!(lanes.map(drop), over, "{name}: lanes at limit {}", max - 1);
+}
+
+#[test]
+fn divergent_suite_kernels_hit_the_step_limit_at_the_same_count() {
+    for name in ["monte_carlo_pi", "mandelbrot", "spmv_csr", "kmeans"] {
+        let bench = hetpart_suite::by_name(name).unwrap();
+        let inst = bench.instance(bench.smallest_size());
+        let k = bench.compile();
+        assert_step_limit_boundary(name, &k, &inst.nd, &inst.args, &inst.bufs);
+    }
+}
+
+#[test]
+fn step_limit_crossed_in_full_mask_and_masked_blocks() {
+    let cases = [
+        // Even lanes take the longer side, so after the rejoin they carry
+        // a larger step offset than odd lanes; the batch then runs the
+        // uniform loop and the store at full width. One below the
+        // maximum is first crossed by the even lanes in the final
+        // full-mask block.
+        (
+            "full-mask",
+            96,
+            "kernel void k(global int* o, int n) {
+                int i = get_global_id(0);
+                int v = 0;
+                if (i % 2 == 0) { v = v * 3 + i; v = v ^ 5; v = v + 7; } else { v = v - 1; }
+                for (int j = 0; j < 20; j++) { v = v + j; }
+                o[i] = v;
+            }",
+        ),
+        // Only lanes with `i % 3 == 0` run the loop, and they return from
+        // inside the divergent region: their last step is charged by a
+        // masked block, and no full-mask block follows for them.
+        (
+            "masked",
+            100,
+            "kernel void k(global int* o, int n) {
+                int i = get_global_id(0);
+                int v = i;
+                if (i % 3 == 0) {
+                    for (int j = 0; j < i % 11 + 4; j++) { v = v + j; }
+                    o[i] = v;
+                    return;
+                }
+                o[i] = -v;
+            }",
+        ),
+    ];
+    for (what, n, src) in cases {
+        let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
+        let bufs = vec![BufferData::I32(vec![0; n])];
+        for opt in [OptLevel::None, OptLevel::Full] {
+            let k = compile_with_opt(src, opt).unwrap();
+            assert_step_limit_boundary(what, &k, &NdRange::d1(n), &args, &bufs);
+        }
+    }
+}
+
+#[test]
+fn stale_rows_of_a_partial_batch_never_join_a_branch() {
+    // The first batch (items 0..64) takes the `then` side everywhere.
+    // The partial final batch (items 64..69) takes `else`, while its
+    // dead rows 5..64 still hold batch one's registers, which would take
+    // `then`. Unoptimized code branches on a boolean register, optimized
+    // code on a fused compare; both must keep the branch uniform.
+    let src = "kernel void k(global int* o, int n) {
+        int i = get_global_id(0);
+        if (i < 64) { o[i] = i * 2; } else { o[i] = i + 1000; }
+    }";
+    let n = LANES + 5;
+    let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
+    let bufs = vec![BufferData::I32(vec![0; n])];
+    for opt in [OptLevel::None, OptLevel::Full] {
+        let k = compile_with_opt(src, opt).unwrap();
+        let (out, _) = assert_kernel_parity(&k, &NdRange::d1(n), 0..n, &args, &bufs);
+        let want: Vec<i32> = (0..n as i32)
+            .map(|i| if i < 64 { i * 2 } else { i + 1000 })
+            .collect();
+        assert_eq!(out[0], BufferData::I32(want));
+        assert_step_limit_boundary("stale rows", &k, &NdRange::d1(n), &args, &bufs);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Random structured CFGs
 // ---------------------------------------------------------------------
