@@ -34,11 +34,10 @@
 //! (result tier) must be ≥ 5x faster than cold `run_auto` on this
 //! repeat traffic, and the plan tier alone must hold ≥ 1.5x.
 
-use std::fs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hetpart_bench::banner;
+use hetpart_bench::{check_floors, time_best, write_report};
 use hetpart_core::{
     collect_training_db, DeployError, FeatureSet, Framework, HarnessConfig, LaunchPlan,
     PartitionPredictor, PlanKey, Service, ServiceConfig, StripedCache,
@@ -61,18 +60,6 @@ fn bench_config() -> ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
     }
-}
-
-/// Minimum wall-clock of `reps` timed runs (one untimed warm-up).
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
 }
 
 #[derive(Serialize)]
@@ -380,7 +367,6 @@ fn striped_comparison(
 fn overload_comparison(
     fw: &Framework,
     compiled: &[(Arc<CompiledKernel>, Instance, &str, usize)],
-    quick: bool,
 ) -> OverloadRow {
     // Use the heaviest traffic kernel: per-launch execution must dominate
     // the cost of generating the offered load (payload clones + submit
@@ -391,9 +377,9 @@ fn overload_comparison(
         .iter()
         .find(|(_, _, name, _)| *name == "nbody")
         .unwrap_or(&compiled[0]);
-    // Not reduced under `quick`: the whole section costs ~1s, and shorter
-    // runs leave the ratio at the mercy of sleep-wake jitter.
-    let _ = quick;
+    // The same size under `SERVE_BENCH_QUICK`: the whole section costs
+    // ~1s, and shorter runs leave the ratio at the mercy of sleep-wake
+    // jitter.
     let launches = 300;
     let reps = 5;
     let make_payloads = |n: usize| -> Vec<_> {
@@ -531,7 +517,7 @@ fn overload_comparison(
 
 fn main() {
     let quick = std::env::var_os("SERVE_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty());
-    banner("serve — concurrent deployment service vs synchronous run_auto");
+    println!("serve — concurrent deployment service vs synchronous run_auto\n");
     if quick {
         println!("(SERVE_BENCH_QUICK=1: reduced sizes for the CI gate)\n");
     }
@@ -549,9 +535,18 @@ fn main() {
         })
         .collect();
 
-    // --- Correctness gate: served results must match the serial loop. ---
-    {
-        let service = Service::new(fw.clone(), bench_config()).expect("valid framework");
+    // --- Correctness gate: served results must match the serial loop,
+    // from the plan cache and from the result memo alike. ---
+    for result_cache_capacity in [0, 256] {
+        let memo = result_cache_capacity > 0;
+        let service = Service::new(
+            fw.clone(),
+            ServiceConfig {
+                result_cache_capacity,
+                ..bench_config()
+            },
+        )
+        .expect("valid framework");
         for (kernel, inst, name, _) in &compiled {
             let mut serial_bufs = inst.bufs.clone();
             let (serial_partition, _) = fw
@@ -570,50 +565,14 @@ fn main() {
                     .expect("served launch");
                 assert_eq!(
                     served.partition, serial_partition,
-                    "{name}: served partition drifted from run_auto"
+                    "{name} (memo {memo}): served partition drifted from run_auto"
                 );
                 assert_eq!(
                     served.bufs, serial_bufs,
-                    "{name}: served outputs drifted from run_auto"
+                    "{name} (memo {memo}): served outputs drifted from run_auto"
                 );
                 assert_eq!(served.cache_hit, pass > 0, "{name}: cache state");
-            }
-        }
-        service.shutdown();
-    }
-
-    // The result memo must also replay bit-identically.
-    {
-        let memo_cfg = ServiceConfig {
-            result_cache_capacity: 256,
-            ..bench_config()
-        };
-        let service = Service::new(fw.clone(), memo_cfg).expect("valid framework");
-        for (kernel, inst, name, _) in &compiled {
-            let mut serial_bufs = inst.bufs.clone();
-            let (serial_partition, _) = fw
-                .run_auto(kernel, &inst.nd, &inst.args, &mut serial_bufs)
-                .expect("serial launch");
-            for pass in 0..2 {
-                let served = service
-                    .submit(
-                        Arc::clone(kernel),
-                        inst.nd.clone(),
-                        inst.args.clone(),
-                        inst.bufs.clone(),
-                    )
-                    .expect("admitted")
-                    .wait()
-                    .expect("served launch");
-                assert_eq!(served.result_hit, pass > 0, "{name}: memo state");
-                assert_eq!(
-                    served.partition, serial_partition,
-                    "{name}: memoized partition drifted from run_auto"
-                );
-                assert_eq!(
-                    served.bufs, serial_bufs,
-                    "{name}: memoized outputs drifted from run_auto"
-                );
+                assert_eq!(served.result_hit, memo && pass > 0, "{name}: memo state");
             }
         }
         service.shutdown();
@@ -658,28 +617,8 @@ fn main() {
             }
         });
 
-        // Serve cold: the shared no-cache service — every launch a
-        // genuine miss, with thread spawn/join outside the timed region.
-        let serve_cold_s = time_best(reps, || {
-            let tickets: Vec<_> = (0..launches_per_pick)
-                .map(|_| {
-                    cold_service
-                        .submit(
-                            Arc::clone(kernel),
-                            inst.nd.clone(),
-                            inst.args.clone(),
-                            inst.bufs.clone(),
-                        )
-                        .expect("admitted")
-                })
-                .collect();
-            for t in tickets {
-                t.wait().expect("served launch");
-            }
-        });
-
-        // Warm passes: caches primed by the untimed warm-up rep.
-        let warm_pass = |service: &Service| {
+        // One timed pass of served traffic.
+        let served_pass = |service: &Service| {
             time_best(reps, || {
                 let tickets: Vec<_> = (0..launches_per_pick)
                     .map(|_| {
@@ -698,8 +637,12 @@ fn main() {
                 }
             })
         };
-        let warm_plan_s = warm_pass(&plan_service);
-        let warm_result_s = warm_pass(&memo_service);
+        // Serve cold: the shared no-cache service — every launch a
+        // genuine miss, with thread spawn/join outside the timed region.
+        let serve_cold_s = served_pass(&cold_service);
+        // Warm passes: caches primed by the untimed warm-up rep.
+        let warm_plan_s = served_pass(&plan_service);
+        let warm_result_s = served_pass(&memo_service);
 
         let per = launches_per_pick as f64;
         rows.push(TrafficRow {
@@ -806,7 +749,7 @@ fn main() {
         striped.serve_speedup,
     );
 
-    let overload = overload_comparison(&fw, &compiled, quick);
+    let overload = overload_comparison(&fw, &compiled);
     println!(
         "\noverload (queue {} deep, {} offered at 2x capacity): {} served / {} shed \
          ({:.0}% shed rate); throughput {:.0} -> {:.0} launches/s ({:.2}x of ceiling); \
@@ -840,12 +783,28 @@ fn main() {
         serve_striped_speedup: if striped.threads >= 8 { 0.9 } else { 0.85 },
         overload_throughput_ratio: 0.9,
     };
-    let target_met = totals.warm_speedup >= targets.warm_speedup
-        && totals.plan_speedup >= targets.plan_speedup
-        && striped.cache_speedup >= targets.cache_speedup
-        && striped.serve_speedup >= targets.serve_striped_speedup
-        && overload.throughput_ratio >= targets.overload_throughput_ratio
-        && overload.shed_rate > 0.0;
+    let target_met = check_floors(&[
+        ("warm_speedup", totals.warm_speedup, targets.warm_speedup),
+        ("plan_speedup", totals.plan_speedup, targets.plan_speedup),
+        (
+            "cache_speedup",
+            striped.cache_speedup,
+            targets.cache_speedup,
+        ),
+        (
+            "serve_striped_speedup",
+            striped.serve_speedup,
+            targets.serve_striped_speedup,
+        ),
+        (
+            "overload_throughput_ratio",
+            overload.throughput_ratio,
+            targets.overload_throughput_ratio,
+        ),
+        // The burst must actually shed (`shed_rate > 0`).
+        ("overload.shed", overload.shed as f64, 1.0),
+    ]);
+    println!("\ntarget_met: {target_met}");
     let report = Report {
         bench: "serve".to_string(),
         quick,
@@ -857,14 +816,5 @@ fn main() {
         targets,
         target_met,
     };
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports");
-    fs::create_dir_all(dir).expect("create reports dir");
-    let path = format!("{dir}/BENCH_serve.json");
-    fs::write(&path, serde_json::to_string_pretty(&report).unwrap()).expect("write report");
-    println!(
-        "\nwrote {path} (targets warm {:.1}x, plan {:.1}x: {})",
-        report.targets.warm_speedup,
-        report.targets.plan_speedup,
-        if report.target_met { "met" } else { "MISSED" }
-    );
+    write_report("BENCH_serve.json", &report);
 }

@@ -38,10 +38,8 @@
 //! timing noise of a shared CI host), not a speedup target.
 
 use std::collections::HashMap;
-use std::fs;
-use std::time::Instant;
 
-use hetpart_bench::banner;
+use hetpart_bench::{check_floors, geomean, interleaved_best, time_best, write_report};
 use hetpart_inspire::vm::Vm;
 use hetpart_runtime::exec::{scalar_values, transfer_bytes};
 use hetpart_runtime::sweep::SWEEP_PROFILE_SAMPLES;
@@ -51,18 +49,6 @@ use hetpart_runtime::{
 };
 use hetpart_suite::Instance;
 use serde::Serialize;
-
-/// Minimum wall-clock of `reps` timed runs (one untimed warm-up).
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 #[derive(Serialize)]
 struct RunRangeRow {
@@ -177,16 +163,11 @@ fn bench_instance(name: &str, n: usize) -> (hetpart_inspire::CompiledKernel, Ins
 /// every kernel's static instruction count.
 fn static_reduction() -> f64 {
     use hetpart_inspire::{compile_with_opt, OptLevel};
-    let benches = hetpart_suite::all();
-    let log_sum: f64 = benches
-        .iter()
-        .map(|b| {
-            let unopt = compile_with_opt(b.source, OptLevel::None).unwrap();
-            let opt = compile_with_opt(b.source, OptLevel::Full).unwrap();
-            (opt.bytecode.num_instrs() as f64 / unopt.bytecode.num_instrs() as f64).ln()
-        })
-        .sum();
-    1.0 - (log_sum / benches.len() as f64).exp()
+    1.0 - geomean(hetpart_suite::all().iter().map(|b| {
+        let unopt = compile_with_opt(b.source, OptLevel::None).unwrap();
+        let opt = compile_with_opt(b.source, OptLevel::Full).unwrap();
+        opt.bytecode.num_instrs() as f64 / unopt.bytecode.num_instrs() as f64
+    }))
 }
 
 fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
@@ -241,50 +222,21 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
         // interleaving cancels the slow frequency/load drift that
         // otherwise dominates block-to-block comparisons.
         // Pin elision on for every column except the dedicated
-        // elision-off one, so a stray `INSPIRE_BOUNDS_ELIDE=0` can't
-        // flatten the A/B.
-        vm.set_bounds_elide(Some(true));
-        let mut lanes_s = f64::INFINITY;
-        let mut unopt_lanes_s = f64::INFINITY;
-        let mut noregalloc_lanes_s = f64::INFINITY;
-        let mut noelide_lanes_s = f64::INFINITY;
-        let lane_reps = 5 * reps;
-        for rep in 0..=lane_reps {
-            // rep 0 is a warm-up round: run everything, record nothing.
-            let keep = rep > 0;
-            let t = Instant::now();
-            vm.run_range_lanes(&kernel.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
+        // elision-off one (config 1), so a stray `INSPIRE_BOUNDS_ELIDE=0`
+        // can't flatten the A/B.
+        let configs = [&kernel, &kernel, &unopt, &noalloc];
+        let [lanes_s, noelide_lanes_s, unopt_lanes_s, noregalloc_lanes_s] =
+            interleaved_best(5 * reps, |config| {
+                vm.set_bounds_elide(Some(config != 1));
+                vm.run_range_lanes(
+                    &configs[config].bytecode,
+                    &inst.nd,
+                    0..extent,
+                    &inst.args,
+                    &mut bufs,
+                )
                 .unwrap();
-            if keep {
-                lanes_s = lanes_s.min(t.elapsed().as_secs_f64());
-            }
-            vm.set_bounds_elide(Some(false));
-            let t = Instant::now();
-            vm.run_range_lanes(&kernel.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
-                .unwrap();
-            if keep {
-                noelide_lanes_s = noelide_lanes_s.min(t.elapsed().as_secs_f64());
-            }
-            vm.set_bounds_elide(Some(true));
-            let t = Instant::now();
-            vm.run_range_lanes(&unopt.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
-                .unwrap();
-            if keep {
-                unopt_lanes_s = unopt_lanes_s.min(t.elapsed().as_secs_f64());
-            }
-            let t = Instant::now();
-            vm.run_range_lanes(
-                &noalloc.bytecode,
-                &inst.nd,
-                0..extent,
-                &inst.args,
-                &mut bufs,
-            )
-            .unwrap();
-            if keep {
-                noregalloc_lanes_s = noregalloc_lanes_s.min(t.elapsed().as_secs_f64());
-            }
-        }
+            });
         rows.push(RunRangeRow {
             kernel: name.to_string(),
             items: inst.nd.total() as u64,
@@ -497,7 +449,7 @@ fn oracle_row(quick: bool) -> OracleRow {
 
 fn main() {
     let quick = std::env::var_os("VM_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty());
-    banner("vm_batch — lane-batched VM + pruned sweep vs scalar baselines");
+    println!("vm_batch — lane-batched VM + pruned sweep vs scalar baselines\n");
     if quick {
         println!("(VM_BENCH_QUICK=1: reduced sizes for the CI gate)\n");
     }
@@ -554,19 +506,9 @@ fn main() {
         oracle.speedup_pruned,
     );
 
-    let opt_geomean_speedup = (run_range
-        .iter()
-        .map(|r| r.speedup_vs_unopt.ln())
-        .sum::<f64>()
-        / run_range.len() as f64)
-        .exp();
+    let opt_geomean_speedup = geomean(run_range.iter().map(|r| r.speedup_vs_unopt));
     let opt_static_reduction = static_reduction();
-    let regalloc_geomean_speedup = (run_range
-        .iter()
-        .map(|r| r.speedup_vs_noregalloc.ln())
-        .sum::<f64>()
-        / run_range.len() as f64)
-        .exp();
+    let regalloc_geomean_speedup = geomean(run_range.iter().map(|r| r.speedup_vs_noregalloc));
     println!(
         "\noptimizer A/B: geomean lane speedup {opt_geomean_speedup:.2}x, \
          suite static shrink {:.1}%",
@@ -576,12 +518,7 @@ fn main() {
         "register allocation A/B: geomean lane speedup {regalloc_geomean_speedup:.2}x \
          (allocated vs INSPIRE_REGALLOC=0 register files, same decoded walk)"
     );
-    let elide_geomean_speedup = (run_range
-        .iter()
-        .map(|r| r.speedup_vs_noelide.ln())
-        .sum::<f64>()
-        / run_range.len() as f64)
-        .exp();
+    let elide_geomean_speedup = geomean(run_range.iter().map(|r| r.speedup_vs_noelide));
     println!(
         "bounds elision A/B: geomean lane speedup {elide_geomean_speedup:.2}x \
          (interval-proved unchecked accesses vs INSPIRE_BOUNDS_ELIDE=0)"
@@ -603,14 +540,49 @@ fn main() {
             .find(|r| r.kernel == name)
             .map_or(0.0, |r| r.speedup)
     };
-    let target_met = oracle.speedup_pruned >= targets.oracle_speedup
-        && kernel_speedup("mandelbrot") >= targets.mandelbrot_speedup
-        && kernel_speedup("blackscholes") >= targets.blackscholes_speedup
-        && kernel_speedup("monte_carlo_pi") >= targets.monte_carlo_pi_speedup
-        && opt_geomean_speedup >= targets.opt_geomean_speedup
-        && opt_static_reduction >= targets.opt_static_reduction
-        && regalloc_geomean_speedup >= targets.regalloc_geomean_speedup
-        && elide_geomean_speedup >= targets.elide_geomean_speedup;
+    let target_met = check_floors(&[
+        (
+            "oracle_speedup",
+            oracle.speedup_pruned,
+            targets.oracle_speedup,
+        ),
+        (
+            "mandelbrot_speedup",
+            kernel_speedup("mandelbrot"),
+            targets.mandelbrot_speedup,
+        ),
+        (
+            "blackscholes_speedup",
+            kernel_speedup("blackscholes"),
+            targets.blackscholes_speedup,
+        ),
+        (
+            "monte_carlo_pi_speedup",
+            kernel_speedup("monte_carlo_pi"),
+            targets.monte_carlo_pi_speedup,
+        ),
+        (
+            "opt_geomean_speedup",
+            opt_geomean_speedup,
+            targets.opt_geomean_speedup,
+        ),
+        (
+            "opt_static_reduction",
+            opt_static_reduction,
+            targets.opt_static_reduction,
+        ),
+        (
+            "regalloc_geomean_speedup",
+            regalloc_geomean_speedup,
+            targets.regalloc_geomean_speedup,
+        ),
+        (
+            "elide_geomean_speedup",
+            elide_geomean_speedup,
+            targets.elide_geomean_speedup,
+        ),
+    ]);
+    println!("\ntarget_met: {target_met}");
     let report = Report {
         bench: "vm_batch".to_string(),
         lane_width: hetpart_inspire::vm::LANES,
@@ -624,17 +596,5 @@ fn main() {
         targets,
         target_met,
     };
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports");
-    fs::create_dir_all(dir).expect("create reports dir");
-    let path = format!("{dir}/BENCH_vm.json");
-    fs::write(&path, serde_json::to_string_pretty(&report).unwrap()).expect("write report");
-    println!(
-        "\nwrote {path} (targets oracle {:.1}x, mandelbrot {:.1}x, blackscholes {:.1}x, \
-         monte_carlo_pi {:.1}x: {})",
-        report.targets.oracle_speedup,
-        report.targets.mandelbrot_speedup,
-        report.targets.blackscholes_speedup,
-        report.targets.monte_carlo_pi_speedup,
-        if report.target_met { "met" } else { "MISSED" }
-    );
+    write_report("BENCH_vm.json", &report);
 }

@@ -382,6 +382,8 @@ impl TrainingDb {
         let mut data = Dataset::new(names);
         for i in self.canonical_order() {
             let r = &self.records[i];
+            // `label_space` is the set of every record's best partition.
+            #[allow(clippy::expect_used)]
             let label = *class_of
                 .get(&r.best().partition)
                 .expect("label space covers every best partition");
@@ -625,15 +627,14 @@ impl ShardedDb {
         } else {
             &data[..data.rfind('\n').map_or(0, |i| i + 1)]
         };
-        if body.is_empty() {
+        let mut lines = body.lines().enumerate();
+        let Some((_, header_line)) = lines.next() else {
             // Empty file, or only a torn first line: a crash inside the
             // shard's first append. Reads as an empty shard (the next
             // append repairs the file) so a resumed run can get past its
             // own crash.
             return Ok(Vec::new());
-        }
-        let mut lines = body.lines().enumerate();
-        let (_, header_line) = lines.next().expect("non-empty body has a first line");
+        };
         let header_value: serde::Value =
             serde_json::from_str(header_line).map_err(|e| DbError::Parse {
                 path: path.clone(),

@@ -30,6 +30,8 @@
 //! println!("{}", fig1.render());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod config;
 pub mod cross_machine;
 pub mod db;

@@ -263,6 +263,9 @@ impl PartitionPredictor {
     ///
     /// # Panics
     /// Panics on an empty database.
+    // The pipeline is fitted on `db`'s own dataset, so its label space and
+    // feature width agree with what `Self::new` checks.
+    #[allow(clippy::expect_used)]
     pub fn train(db: &TrainingDb, model: &ModelConfig, feature_set: FeatureSet) -> Self {
         let (data, label_space) = db.to_dataset(feature_set);
         assert!(

@@ -80,8 +80,6 @@
 //!   remainder; [`Service::shutdown_now`] sheds everything still queued.
 //!   Shed jobs resolve their tickets with [`DeployError::Shed`].
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
