@@ -8,7 +8,7 @@
 //!    (uniform, compute-bound, divergent): the original scalar engine on
 //!    unoptimized bytecode vs today's lane engine on optimized bytecode,
 //!    plus A/B columns isolating each layer — optimized vs
-//!    `INSPIRE_OPT=0` bytecode, register allocation on vs off, and
+//!    unoptimized bytecode, register allocation on vs off, and
 //!    bounds-check elision on vs off.
 //! 2. **Training oracle** — one full oracle pass over a batch of
 //!    training launches: the PR-1 shape (scalar probe profiles over
@@ -23,11 +23,11 @@
 //! ≥ 3x speedup, the divergent kernels must stay batched end-to-end
 //! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x, monte_carlo_pi ≥ 9x over the
 //! scalar engine), and the bytecode optimizer must pay for itself — lane
-//! execution on optimized code at least as fast as on `INSPIRE_OPT=0`
-//! code (geomean over the picks) with a ≥ 15% suite-wide static shrink.
-//! Register allocation has its own A/B column against
-//! `INSPIRE_REGALLOC=0` and must hold a geomean lane speedup within noise
-//! of break-even. Set `VM_BENCH_QUICK=1` for the reduced sizes CI uses.
+//! execution on optimized code at least as fast as on unoptimized code
+//! (geomean over the picks) with a ≥ 15% suite-wide static shrink.
+//! Register allocation has its own A/B column against `RegAlloc::Off`
+//! and must hold a geomean lane speedup within noise of break-even. Set
+//! `VM_BENCH_QUICK=1` for the reduced sizes CI uses.
 //!
 //! A note on the register-allocation floor: both sides of that A/B walk
 //! the same pre-decoded, fused op array on the lane engine, so it
@@ -60,15 +60,15 @@ struct RunRangeRow {
     scalar_s: f64,
     /// Lane engine on optimized, register-allocated bytecode.
     lanes_s: f64,
-    /// Lane engine on the **unoptimized** bytecode (`INSPIRE_OPT=0`) —
+    /// Lane engine on the **unoptimized** bytecode (`OptLevel::None`) —
     /// the same engine minus the optimizer pipeline, timed for A/B.
     unopt_lanes_s: f64,
     /// Lane engine on optimized bytecode with register allocation off
-    /// (`INSPIRE_REGALLOC=0`): the same decoded walk over the wider
+    /// (`RegAlloc::Off`): the same decoded walk over the wider
     /// codegen-shaped register files — isolates what allocation buys.
     noregalloc_lanes_s: f64,
     /// Lane engine with bounds-check elision off
-    /// (`INSPIRE_BOUNDS_ELIDE=0`): every buffer access re-checked at run
+    /// (`Vm::set_bounds_elide(false)`): every buffer access re-checked at run
     /// time — isolates what the interval bounds proofs buy.
     noelide_lanes_s: f64,
     /// scalar_s / lanes_s.
@@ -147,25 +147,16 @@ struct Report {
 
 fn bench_instance(name: &str, n: usize) -> (hetpart_inspire::CompiledKernel, Instance) {
     let bench = hetpart_suite::by_name(name).expect("suite kernel exists");
-    // Compile at explicit modes so a stray `INSPIRE_OPT=0` or
-    // `INSPIRE_REGALLOC=0` in the environment can't silently turn the
-    // A/B comparisons into off vs off.
-    (
-        bench.compile_with_modes(
-            hetpart_inspire::OptLevel::Full,
-            hetpart_inspire::RegAlloc::On,
-        ),
-        bench.instance(n),
-    )
+    (bench.compile(), bench.instance(n))
 }
 
 /// Suite-wide static shrink: `1 - geomean(optimized/unoptimized)` over
 /// every kernel's static instruction count.
 fn static_reduction() -> f64 {
-    use hetpart_inspire::{compile_with_opt, OptLevel};
+    use hetpart_inspire::{OptLevel, RegAlloc};
     1.0 - geomean(hetpart_suite::all().iter().map(|b| {
-        let unopt = compile_with_opt(b.source, OptLevel::None).unwrap();
-        let opt = compile_with_opt(b.source, OptLevel::Full).unwrap();
+        let unopt = b.compile_with_modes(OptLevel::None, RegAlloc::On);
+        let opt = b.compile();
         opt.bytecode.num_instrs() as f64 / unopt.bytecode.num_instrs() as f64
     }))
 }
@@ -202,7 +193,10 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
     for &(name, n) in picks {
         let (kernel, inst) = bench_instance(name, n);
         let bench = hetpart_suite::by_name(name).expect("suite kernel exists");
-        let unopt = bench.compile_with_opt(hetpart_inspire::OptLevel::None);
+        let unopt = bench.compile_with_modes(
+            hetpart_inspire::OptLevel::None,
+            hetpart_inspire::RegAlloc::On,
+        );
         // Same optimizer pipeline, register allocation off: the same
         // decoded walk over the pre-allocation register files.
         let noalloc = bench.compile_with_modes(
@@ -221,13 +215,12 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
         // blocks: the gated columns are *ratios* between them, and
         // interleaving cancels the slow frequency/load drift that
         // otherwise dominates block-to-block comparisons.
-        // Pin elision on for every column except the dedicated
-        // elision-off one (config 1), so a stray `INSPIRE_BOUNDS_ELIDE=0`
-        // can't flatten the A/B.
+        // Elision is on for every column except the dedicated
+        // elision-off one (config 1).
         let configs = [&kernel, &kernel, &unopt, &noalloc];
         let [lanes_s, noelide_lanes_s, unopt_lanes_s, noregalloc_lanes_s] =
             interleaved_best(5 * reps, |config| {
-                vm.set_bounds_elide(Some(config != 1));
+                vm.set_bounds_elide(config != 1);
                 vm.run_range_lanes(
                     &configs[config].bytecode,
                     &inst.nd,
@@ -392,7 +385,10 @@ fn oracle_row(quick: bool) -> OracleRow {
         .map(|&(name, n)| {
             let bench = hetpart_suite::by_name(name).expect("suite kernel exists");
             (
-                bench.compile_with_opt(hetpart_inspire::OptLevel::None),
+                bench.compile_with_modes(
+                    hetpart_inspire::OptLevel::None,
+                    hetpart_inspire::RegAlloc::On,
+                ),
                 bench.instance(n),
             )
         })
@@ -516,12 +512,12 @@ fn main() {
     );
     println!(
         "register allocation A/B: geomean lane speedup {regalloc_geomean_speedup:.2}x \
-         (allocated vs INSPIRE_REGALLOC=0 register files, same decoded walk)"
+         (allocated vs unallocated register files, same decoded walk)"
     );
     let elide_geomean_speedup = geomean(run_range.iter().map(|r| r.speedup_vs_noelide));
     println!(
         "bounds elision A/B: geomean lane speedup {elide_geomean_speedup:.2}x \
-         (interval-proved unchecked accesses vs INSPIRE_BOUNDS_ELIDE=0)"
+         (interval-proved unchecked accesses vs checked accesses)"
     );
 
     let targets = Targets {

@@ -51,8 +51,8 @@ impl HarnessConfig {
             sweep_mode: SweepMode::Full,
             sample_items: 128,
             sizes_per_benchmark: usize::MAX,
-            opt_level: OptLevel::from_env(),
-            regalloc: RegAlloc::from_env(),
+            opt_level: OptLevel::Full,
+            regalloc: RegAlloc::On,
             model: ModelConfig::Mlp(MlpConfig::default()),
             seed: 0xC0FFEE,
         }
@@ -67,8 +67,8 @@ impl HarnessConfig {
             sweep_mode: SweepMode::Full,
             sample_items: 48,
             sizes_per_benchmark: 3,
-            opt_level: OptLevel::from_env(),
-            regalloc: RegAlloc::from_env(),
+            opt_level: OptLevel::Full,
+            regalloc: RegAlloc::On,
             model: ModelConfig::Mlp(MlpConfig {
                 hidden: vec![16],
                 epochs: 120,

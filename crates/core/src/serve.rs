@@ -60,8 +60,7 @@
 //! * **Fault injection** — an optional [`FaultPlan`]
 //!   ([`ServiceConfig::fault_plan`]) arms deterministic, seeded device
 //!   faults in the executor: transient execution failures, permanent
-//!   device death, slowdowns. Setting the environment variable
-//!   `SERVE_FAULTS=0` disarms any configured plan.
+//!   device death, slowdowns. `fault_plan: None` leaves faults disarmed.
 //! * **Retry, re-plan, circuit breakers** — transient faults retry with
 //!   capped exponential backoff; a permanently dead (or persistently
 //!   faulting) device is excluded and the launch re-planned on the
@@ -120,14 +119,6 @@ fn wait_timeout_recover<'a, T>(
         Ok((g, _)) => g,
         Err(p) => p.into_inner().0,
     }
-}
-
-/// Whether configured fault plans are armed: the `SERVE_FAULTS=0`
-/// environment escape hatch disables injection without touching code.
-fn faults_enabled() -> bool {
-    std::env::var_os("SERVE_FAULTS")
-        .map(|v| v != "0")
-        .unwrap_or(true)
 }
 
 /// The shape-identity of one kernel argument inside a [`PlanKey`].
@@ -366,8 +357,7 @@ pub struct ServiceConfig {
     /// admitting a half-open probe.
     pub breaker_cooldown: Duration,
     /// Optional deterministic fault plan, injected into the executor's
-    /// planned-execution path (see [`FaultPlan`]). Ignored when the
-    /// `SERVE_FAULTS=0` environment variable is set.
+    /// planned-execution path (see [`FaultPlan`]).
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -682,7 +672,7 @@ impl Service {
         framework.validate()?;
         let devices = framework.executor.machine.num_devices();
         let faults = match &config.fault_plan {
-            Some(plan) if faults_enabled() && !plan.is_noop() => {
+            Some(plan) if !plan.is_noop() => {
                 let state = framework
                     .executor
                     .machine
@@ -826,8 +816,8 @@ impl Service {
         &self.shared.framework
     }
 
-    /// The armed fault-injection state, if a fault plan was configured
-    /// (and not disabled via `SERVE_FAULTS=0`).
+    /// The armed fault-injection state, if a fault plan that can fire was
+    /// configured.
     pub fn fault_state(&self) -> Option<&FaultState> {
         self.shared.faults.as_deref()
     }
@@ -1782,10 +1772,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_faults_env_escape_hatch_is_honored_when_unset() {
-        // `SERVE_FAULTS` is process-global, so only the default (armed)
-        // path is exercised here; the disarm path is covered by the chaos
-        // integration suite, which controls the variable at spawn time.
+    fn noop_fault_plan_stays_disarmed_and_live_plan_arms() {
         let service = gpu1_only_faulty(DeviceFaults::none(1), ServiceConfig::default());
         // A no-op plan never arms fault state at all.
         assert!(service.fault_state().is_none());

@@ -5,13 +5,13 @@
 //! with three clients:
 //!
 //! - [`verify`] — a typed IR checker that runs after every optimizer pass
-//!   (under `debug_assertions`, or when `INSPIRE_VERIFY=1`) and turns
-//!   miscompiles into compile-time diagnostics naming the offending pass
-//!   and instruction.
+//!   in builds with `debug_assertions` and turns miscompiles into
+//!   compile-time diagnostics naming the offending pass and instruction.
 //! - [`bounds`] — launch-seeded interval abstract interpretation (with
 //!   widening at loop headers and branch-condition narrowing) that proves
 //!   buffer accesses in bounds, letting both VM engines elide per-access
-//!   bounds checks (`INSPIRE_BOUNDS_ELIDE=0` restores the checked paths).
+//!   bounds checks (`Vm::set_bounds_elide(false)` restores the checked
+//!   paths).
 //! - [`uniform`] — gid/load taint plus control-dependence propagation
 //!   that classifies every branch as work-item-uniform or divergent,
 //!   feeding the partition predictor's static feature vector.

@@ -1,7 +1,9 @@
 //! Typed IR verifier.
 //!
 //! Runs after every optimizer pass (and once more on the finished,
-//! pre-decoded function) when [`verify_enabled`] says so, and turns
+//! pre-decoded function) in builds with `debug_assertions` — to verify an
+//! optimised build, compile it with
+//! `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true` — and turns
 //! a miscompile into a [`CompileError`] naming the offending pass, block,
 //! and instruction — instead of a wrong answer caught (or missed) later
 //! by the differential suite.
@@ -24,15 +26,6 @@ use crate::bytecode::{Block, FnParam, Function, Instr};
 use crate::cfg::{reg_def, reg_uses, term_uses};
 use crate::error::CompileError;
 use crate::ir::{ParamKind, ScalarType};
-
-/// Whether IR verification is on: `INSPIRE_VERIFY` (any value but `0`)
-/// forces it; otherwise it follows `debug_assertions`.
-pub fn verify_enabled() -> bool {
-    match std::env::var("INSPIRE_VERIFY") {
-        Ok(v) => v != "0",
-        Err(_) => cfg!(debug_assertions),
-    }
-}
 
 fn err(pass: &str, func: &str, detail: String) -> CompileError {
     CompileError::verify(format!("[{pass}] {func}: {detail}"))

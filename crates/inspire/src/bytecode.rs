@@ -425,32 +425,12 @@ impl Function {
     }
 }
 
-/// Compile a type-checked kernel to bytecode at the optimization level
-/// and register-allocation mode selected by the environment
-/// (`INSPIRE_OPT=0` disables the optimizer, `INSPIRE_REGALLOC=0` the
-/// linear-scan register allocator).
-pub fn compile(k: &Kernel) -> Result<Function, CompileError> {
-    compile_with_modes(
-        k,
-        crate::opt::OptLevel::from_env(),
-        crate::opt::RegAlloc::from_env(),
-    )
-}
-
-/// Compile a type-checked kernel to bytecode at an explicit optimization
-/// level. [`OptLevel::None`](crate::opt::OptLevel::None) yields the naive
-/// per-statement codegen output untouched — the reference the differential
-/// suite compares optimized execution against. Register allocation
-/// follows the environment (`INSPIRE_REGALLOC=0` disables it).
-pub fn compile_with_opt(k: &Kernel, level: crate::opt::OptLevel) -> Result<Function, CompileError> {
-    compile_with_modes(k, level, crate::opt::RegAlloc::from_env())
-}
-
 /// Compile a type-checked kernel to bytecode at an explicit optimization
 /// level and register-allocation mode. Liveness-driven register
 /// allocation runs only when the optimizer is enabled *and* `regalloc` is
 /// [`RegAlloc::On`]; at [`OptLevel::None`] the naive codegen output is
-/// always left untouched. Every mode ends by pre-decoding the final
+/// left untouched — the reference the differential suite compares
+/// optimized execution against. Every mode ends by pre-decoding the final
 /// blocks for the lane engine.
 ///
 /// [`RegAlloc::On`]: crate::opt::RegAlloc::On
@@ -1233,7 +1213,7 @@ impl<'a> Compiler<'a> {
         let mut n_iregs = self.max_i.min(MAX_REGS) as u16;
         let mut n_fregs = self.max_f.min(MAX_REGS) as u16;
         if level.enabled() {
-            blocks = crate::opt::optimize(&k.name, blocks, &params, n_params, level)?;
+            blocks = crate::opt::optimize(&k.name, blocks, &params, n_params)?;
             // Trailing registers the optimized code no longer touches need
             // no register-file slots — but parameter registers must stay
             // allocated even when unused: argument binding writes them
@@ -1252,14 +1232,6 @@ impl<'a> Compiler<'a> {
             }
         }
         let decoded = crate::opt::decode::decode(&blocks);
-        if crate::opt::dump_enabled() {
-            eprintln!(
-                "[inspire-opt] {}: final (iregs={n_iregs}, fregs={n_fregs}, decoded_ops={})\n{}",
-                k.name,
-                decoded.ops.len(),
-                crate::pretty::disasm_blocks_spanned(&blocks, Some(&decoded.spans))
-            );
-        }
         // Re-run the CFG analyses on the final block list so SIMT
         // reconvergence (post-dominators) sees the optimized CFG.
         let cfg = crate::cfg::CfgInfo::build(&blocks, n_iregs, n_fregs);
@@ -1274,7 +1246,7 @@ impl<'a> Compiler<'a> {
         };
         // Final gate over the whole backend: codegen output, allocated
         // register files, and decode-table agreement.
-        if crate::analysis::verify::verify_enabled() {
+        if cfg!(debug_assertions) {
             crate::analysis::verify::verify_function("backend", &f)?;
         }
         Ok(f)
@@ -1293,9 +1265,10 @@ mod tests {
     /// tests in [`crate::opt`]).
     fn compile_src(src: &str) -> Function {
         let prog = parse(&lex(src).unwrap()).unwrap();
-        compile_with_opt(
+        compile_with_modes(
             &analyze(&prog.kernels[0]).unwrap(),
             crate::opt::OptLevel::None,
+            crate::opt::RegAlloc::On,
         )
         .unwrap()
     }

@@ -428,13 +428,13 @@ fn liveness(
 mod tests {
     use super::*;
     use crate::bytecode::Function;
-    use crate::opt::OptLevel;
+    use crate::opt::{OptLevel, RegAlloc};
 
     /// These tests assert analyses over the naive codegen CFG shapes
     /// (diamond arms, join blocks), which the optimizer collapses — so
     /// compile with the pipeline off.
     fn compile_fn(src: &str) -> Function {
-        crate::compile_with_opt(src, OptLevel::None)
+        crate::compile_with_modes(src, OptLevel::None, RegAlloc::On)
             .unwrap()
             .bytecode
     }

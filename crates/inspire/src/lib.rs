@@ -113,15 +113,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Compile kernel source text containing exactly one `kernel` function.
 ///
 /// Returns a [`CompileError`] describing the first problem found, with a
-/// byte offset into `src`.
+/// byte offset into `src`. Compiles at the default modes,
+/// [`OptLevel::Full`] and [`RegAlloc::On`].
 pub fn compile(src: &str) -> Result<CompiledKernel, CompileError> {
-    compile_with_opt(src, OptLevel::from_env())
-}
-
-/// [`compile`] at an explicit optimization level (register allocation
-/// follows the environment).
-pub fn compile_with_opt(src: &str, level: OptLevel) -> Result<CompiledKernel, CompileError> {
-    compile_with_modes(src, level, RegAlloc::from_env())
+    compile_with_modes(src, OptLevel::Full, RegAlloc::On)
 }
 
 /// [`compile`] at an explicit optimization level and register-allocation
@@ -143,15 +138,7 @@ pub fn compile_with_modes(
 
 /// Compile kernel source text containing one or more `kernel` functions.
 pub fn compile_all(src: &str) -> Result<Vec<CompiledKernel>, CompileError> {
-    compile_all_with_opt(src, OptLevel::from_env())
-}
-
-/// [`compile_all`] at an explicit optimization level.
-pub fn compile_all_with_opt(
-    src: &str,
-    level: OptLevel,
-) -> Result<Vec<CompiledKernel>, CompileError> {
-    compile_all_with_modes(src, level, RegAlloc::from_env())
+    compile_all_with_modes(src, OptLevel::Full, RegAlloc::On)
 }
 
 /// [`compile_all`] at an explicit optimization level and register-allocation
@@ -252,14 +239,14 @@ mod tests {
             if (i >= n) { return; o[i] = 3.0; o[i] = 4.0; }
             o[i] = 1.0;
         }";
-        let a = compile_with_opt(clean, OptLevel::Full).unwrap();
-        let b = compile_with_opt(with_dead, OptLevel::Full).unwrap();
+        let a = compile_with_modes(clean, OptLevel::Full, RegAlloc::On).unwrap();
+        let b = compile_with_modes(with_dead, OptLevel::Full, RegAlloc::On).unwrap();
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.bytecode.blocks, b.bytecode.blocks);
         // Unoptimized, the dead statements inflate the code and split the
         // fingerprints — the regression this guards against.
-        let an = compile_with_opt(clean, OptLevel::None).unwrap();
-        let bn = compile_with_opt(with_dead, OptLevel::None).unwrap();
+        let an = compile_with_modes(clean, OptLevel::None, RegAlloc::On).unwrap();
+        let bn = compile_with_modes(with_dead, OptLevel::None, RegAlloc::On).unwrap();
         assert_ne!(an.fingerprint, bn.fingerprint);
     }
 
@@ -289,8 +276,8 @@ mod tests {
             int i = get_global_id(0);
             if (i < n) { o[i] = 2.0 * 3.0; }
         }";
-        let full = compile_with_opt(src, OptLevel::Full).unwrap();
-        let none = compile_with_opt(src, OptLevel::None).unwrap();
+        let full = compile_with_modes(src, OptLevel::Full, RegAlloc::On).unwrap();
+        let none = compile_with_modes(src, OptLevel::None, RegAlloc::On).unwrap();
         assert_ne!(full.fingerprint, none.fingerprint);
         assert!(full.bytecode.num_instrs() < none.bytecode.num_instrs());
     }

@@ -31,12 +31,11 @@
 //! rebuilds the per-block [`OpHistogram`](crate::bytecode::OpHistogram)
 //! through the one shared [`Block::recompute_histo`] so the histograms the
 //! cost features consume can never drift from the instructions executed.
-//! Set `INSPIRE_DUMP_IR=1` to dump the disassembly after every pass, and
-//! `INSPIRE_OPT=0` to disable the pipeline entirely.
+//! Compiling at [`OptLevel::None`] skips the pipeline entirely.
 //!
 //! After the pass pipeline, liveness-driven linear-scan register
 //! allocation ([`regalloc`]) shrinks both register files to their true
-//! maximum live width; `INSPIRE_REGALLOC=0` disables it independently of
+//! maximum live width; [`RegAlloc::Off`] disables it independently of
 //! the pass pipeline. Whatever the opt level and allocation mode, the
 //! final blocks are then pre-decoded ([`decode`]) into the flat
 //! direct-threaded op array the lane engine executes; the scalar
@@ -71,15 +70,6 @@ pub enum OptLevel {
 }
 
 impl OptLevel {
-    /// Level selected by the environment: `INSPIRE_OPT=0` disables the
-    /// optimizer, anything else (including unset) enables it.
-    pub fn from_env() -> Self {
-        match std::env::var_os("INSPIRE_OPT") {
-            Some(v) if v == "0" => OptLevel::None,
-            _ => OptLevel::Full,
-        }
-    }
-
     /// Whether the pipeline runs at all.
     pub fn enabled(self) -> bool {
         matches!(self, OptLevel::Full)
@@ -105,8 +95,8 @@ type Pass = for<'a, 'b> fn(Vec<Block>, &'b Ctx<'a>) -> Vec<Block>;
 /// [`CfgInfo::build`](crate::cfg::CfgInfo::build) on the result so SIMT
 /// reconvergence sees the final CFG.
 ///
-/// When verification is on (`debug_assertions` or `INSPIRE_VERIFY=1`),
-/// the IR verifier runs after every pass and a broken pass surfaces as a
+/// When verification is on (builds with `debug_assertions`), the IR
+/// verifier runs after every pass and a broken pass surfaces as a
 /// [`CompileError`](crate::error::CompileError) naming it, instead of a
 /// wrong answer at execution time.
 pub(crate) fn optimize(
@@ -114,17 +104,8 @@ pub(crate) fn optimize(
     mut blocks: Vec<Block>,
     params: &[FnParam],
     n_params: usize,
-    _level: OptLevel,
 ) -> Result<Vec<Block>, crate::error::CompileError> {
     let ctx = Ctx { params };
-    let dump = dump_enabled();
-    let verify = crate::analysis::verify::verify_enabled();
-    if dump {
-        eprintln!(
-            "[inspire-opt] {name}: input\n{}",
-            crate::pretty::disasm_blocks(&blocks)
-        );
-    }
     // Two cleanup rounds (simplify-cfg unlocks cross-block folding by
     // merging straight lines), then fusion over the settled code, then a
     // final sweep for constants and copies the fusion made dead.
@@ -146,13 +127,7 @@ pub(crate) fn optimize(
         for b in &mut blocks {
             b.recompute_histo(n_params);
         }
-        if dump {
-            eprintln!(
-                "[inspire-opt] {name}: after {pname}\n{}",
-                crate::pretty::disasm_blocks(&blocks)
-            );
-        }
-        if verify {
+        if cfg!(debug_assertions) {
             // Register files are not allocated yet, so only structural
             // checks apply (u16::MAX bounds).
             crate::analysis::verify::verify_blocks(
@@ -166,10 +141,6 @@ pub(crate) fn optimize(
         }
     }
     Ok(blocks)
-}
-
-pub(crate) fn dump_enabled() -> bool {
-    matches!(std::env::var_os("INSPIRE_DUMP_IR"), Some(v) if v != "0" && !v.is_empty())
 }
 
 /// Tight register-file spans `(n_iregs, n_fregs)` of the optimized code:
@@ -297,14 +268,18 @@ pub(super) fn set_def(ins: &mut Instr, new_dst: u16) {
 mod tests {
     use super::*;
     use crate::bytecode::{Function, IBinOp};
-    use crate::compile_with_opt;
+    use crate::compile_with_modes;
 
     fn opt(src: &str) -> Function {
-        compile_with_opt(src, OptLevel::Full).unwrap().bytecode
+        compile_with_modes(src, OptLevel::Full, RegAlloc::On)
+            .unwrap()
+            .bytecode
     }
 
     fn noopt(src: &str) -> Function {
-        compile_with_opt(src, OptLevel::None).unwrap().bytecode
+        compile_with_modes(src, OptLevel::None, RegAlloc::On)
+            .unwrap()
+            .bytecode
     }
 
     #[test]

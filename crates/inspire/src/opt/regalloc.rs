@@ -41,10 +41,10 @@ use crate::cfg::{reg_def, reg_uses, term_uses, CfgInfo};
 use crate::ir::{ParamKind, ScalarType};
 
 /// Whether linear-scan register allocation runs after the optimizer.
-/// Like [`OptLevel`](super::OptLevel) this is an explicit compile mode
-/// with an environment escape hatch; allocation is semantics-preserving
-/// (it only renames registers), so the knob exists for A/B measurement of
-/// register-file size and debugging, not correctness. It does not select
+/// Like [`OptLevel`](super::OptLevel) this is an explicit compile mode;
+/// allocation is semantics-preserving (it only renames registers), so the
+/// mode exists for A/B measurement of register-file size and debugging,
+/// not correctness. It does not select
 /// an execution walk: every mode is pre-decoded for the lane engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegAlloc {
@@ -55,15 +55,6 @@ pub enum RegAlloc {
 }
 
 impl RegAlloc {
-    /// Mode selected by the environment: `INSPIRE_REGALLOC=0` disables
-    /// register allocation, anything else (including unset) enables it.
-    pub fn from_env() -> Self {
-        match std::env::var_os("INSPIRE_REGALLOC") {
-            Some(v) if v == "0" => RegAlloc::Off,
-            _ => RegAlloc::On,
-        }
-    }
-
     /// Whether register allocation runs at all.
     pub fn enabled(self) -> bool {
         matches!(self, RegAlloc::On)

@@ -7,8 +7,7 @@
 //! pretty-printing then re-compiling yields a semantically identical
 //! program.
 //!
-//! [`disasm`] renders compiled bytecode as one instruction per line. The
-//! optimizer's `INSPIRE_DUMP_IR=1` per-pass dump uses the same renderer.
+//! [`disasm`] renders compiled bytecode as one instruction per line.
 
 use std::fmt::Write;
 
@@ -252,22 +251,16 @@ pub fn disasm(f: &Function) -> String {
         f.params.len(),
         f.n_iregs,
         f.n_fregs,
-        disasm_blocks_spanned(&f.blocks, Some(&f.decoded.spans))
+        disasm_blocks_spanned(&f.blocks, &f.decoded.spans)
     )
 }
 
-/// Disassemble a bare block list (used by the optimizer's per-pass dump,
-/// where no [`Function`] exists yet).
-pub(crate) fn disasm_blocks(blocks: &[Block]) -> String {
-    disasm_blocks_spanned(blocks, None)
-}
-
-/// [`disasm_blocks`] with optional per-block decoded-op spans to annotate
-/// the labels with (the `INSPIRE_DUMP_IR=1` final dump uses it).
-pub(crate) fn disasm_blocks_spanned(blocks: &[Block], spans: Option<&[(u32, u32)]>) -> String {
+/// Disassemble a block list, annotating each label with its decoded-op
+/// span.
+fn disasm_blocks_spanned(blocks: &[Block], spans: &[(u32, u32)]) -> String {
     let mut out = String::new();
     for (i, b) in blocks.iter().enumerate() {
-        match spans.and_then(|s| s.get(i)) {
+        match spans.get(i) {
             Some(&(s, e)) => {
                 let _ = writeln!(out, "bb{i}:  ; ops[{s}..{e})");
             }

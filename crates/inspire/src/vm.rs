@@ -303,27 +303,14 @@ pub struct Vm {
     /// per-access check. Recomputed at every run entry by
     /// [`crate::analysis::bounds`]; 0 disables elision entirely.
     pub(crate) bounds_elide: u64,
-    /// Explicit override of the `INSPIRE_BOUNDS_ELIDE` environment knob
-    /// (`Some(false)` forces the checked paths, `Some(true)` forces the
-    /// analysis on). Tests and benches use this to A/B without races on
-    /// the process environment.
-    bounds_elide_override: Option<bool>,
+    /// Whether run entries run the bounds analysis at all (default on);
+    /// see [`Vm::set_bounds_elide`].
+    elide_bounds: bool,
 }
 
 impl Default for Vm {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Environment default for bounds-check elision: on unless
-/// `INSPIRE_BOUNDS_ELIDE=0`. Read per run entry (not cached) so tests
-/// can toggle it; the [`Vm::set_bounds_elide`] override avoids the env
-/// entirely.
-fn bounds_elide_env() -> bool {
-    match std::env::var_os("INSPIRE_BOUNDS_ELIDE") {
-        Some(v) => v != "0",
-        None => true,
     }
 }
 
@@ -335,17 +322,15 @@ impl Vm {
             fregs: Vec::new(),
             step_limit: DEFAULT_STEP_LIMIT,
             bounds_elide: 0,
-            bounds_elide_override: None,
+            elide_bounds: true,
         }
     }
 
-    /// Force bounds-check elision on or off for this VM regardless of the
-    /// `INSPIRE_BOUNDS_ELIDE` environment variable (`None` restores the
-    /// environment default). `INSPIRE_BOUNDS_ELIDE=0` — or
-    /// `Some(false)` here — makes every access take the checked path,
-    /// bit-identical to a build without the analysis.
-    pub fn set_bounds_elide(&mut self, v: Option<bool>) {
-        self.bounds_elide_override = v;
+    /// Turn bounds-check elision on (the default) or off for this VM.
+    /// `false` makes every access take the checked path, bit-identical to
+    /// a build without the analysis.
+    pub fn set_bounds_elide(&mut self, on: bool) {
+        self.elide_bounds = on;
     }
 
     /// Recompute the per-parameter elision mask for one launch. Called by
@@ -357,8 +342,7 @@ impl Vm {
         args: &[ArgValue],
         bufs: &[BufferData],
     ) {
-        let on = self.bounds_elide_override.unwrap_or_else(bounds_elide_env);
-        self.bounds_elide = if on {
+        self.bounds_elide = if self.elide_bounds {
             crate::analysis::bounds::elide_mask(f, nd, args, bufs)
         } else {
             0
@@ -1214,6 +1198,37 @@ mod tests {
             &mut bufs,
         );
         assert_eq!(bufs[2].as_f32().unwrap(), &[1.5, 2.25, 3.125]);
+    }
+
+    #[test]
+    fn bounds_elision_is_on_by_default() {
+        let k = compile(
+            "kernel void k(global const float* a, global const float* b,
+                           global float* c, int n) {
+                int i = get_global_id(0);
+                if (i < n) { c[i] = a[i] + b[i]; }
+            }",
+        )
+        .unwrap();
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Buffer(2),
+            ArgValue::Int(4),
+        ];
+        let mask = |vm: &mut Vm| {
+            let mut bufs = vec![BufferData::F32(vec![1.0; 4]); 3];
+            vm.run_range(&k.bytecode, &NdRange::d1(4), 0..4, &args, &mut bufs)
+                .unwrap();
+            vm.bounds_elide
+        };
+        let default = mask(&mut Vm::new());
+        assert_ne!(default, 0);
+        let mut forced = Vm::new();
+        forced.set_bounds_elide(true);
+        assert_eq!(default, mask(&mut forced));
+        forced.set_bounds_elide(false);
+        assert_eq!(mask(&mut forced), 0);
     }
 
     #[test]

@@ -57,18 +57,6 @@ impl Benchmark {
             .unwrap_or_else(|e| panic!("benchmark `{}` failed to compile: {e}", self.name))
     }
 
-    /// Compile the kernel source at an explicit optimization level (the
-    /// harness threads its configured level through here so training,
-    /// eval and serving all run the same bytecode).
-    ///
-    /// # Panics
-    /// Panics if the bundled source does not compile — that is a bug in
-    /// the suite, covered by tests.
-    pub fn compile_with_opt(&self, level: hetpart_inspire::OptLevel) -> CompiledKernel {
-        hetpart_inspire::compile_with_opt(self.source, level)
-            .unwrap_or_else(|e| panic!("benchmark `{}` failed to compile: {e}", self.name))
-    }
-
     /// Compile the kernel source at an explicit optimization level and
     /// backend (register-allocation + pre-decode) mode.
     ///

@@ -281,13 +281,13 @@ fn run_ab(
     let mut on = bufs.to_vec();
     let mut off = bufs.to_vec();
     let mut vm = Vm::new();
-    vm.set_bounds_elide(Some(true));
+    vm.set_bounds_elide(true);
     let r_on = if lanes {
         vm.run_range_lanes(&k.bytecode, nd, 0..nd.split_extent(), args, &mut on)
     } else {
         vm.run_range_scalar(&k.bytecode, nd, 0..nd.split_extent(), args, &mut on)
     };
-    vm.set_bounds_elide(Some(false));
+    vm.set_bounds_elide(false);
     let r_off = if lanes {
         vm.run_range_lanes(&k.bytecode, nd, 0..nd.split_extent(), args, &mut off)
     } else {

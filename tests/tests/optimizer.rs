@@ -3,7 +3,7 @@
 //! stored `OpHistogram`, so a stale histogram silently corrupts every
 //! simulated time) and the static-shrink target across the whole suite.
 
-use hetpart_inspire::{compile_with_opt, OptLevel};
+use hetpart_inspire::{compile_with_modes, OptLevel, RegAlloc};
 
 #[test]
 fn stored_histograms_equal_recomputation_for_every_suite_kernel() {
@@ -12,7 +12,7 @@ fn stored_histograms_equal_recomputation_for_every_suite_kernel() {
     // every block of every suite kernel.
     for bench in hetpart_suite::all() {
         for level in [OptLevel::None, OptLevel::Full] {
-            let k = compile_with_opt(bench.source, level).unwrap();
+            let k = compile_with_modes(bench.source, level, RegAlloc::On).unwrap();
             let n_params = k.bytecode.params.len();
             for (bi, block) in k.bytecode.blocks.iter().enumerate() {
                 let mut fresh = block.clone();
@@ -33,8 +33,8 @@ fn optimizer_shrinks_the_suite_by_at_least_15_percent_geomean() {
     let mut report = Vec::new();
     let benches = hetpart_suite::all();
     for bench in &benches {
-        let none = compile_with_opt(bench.source, OptLevel::None).unwrap();
-        let full = compile_with_opt(bench.source, OptLevel::Full).unwrap();
+        let none = compile_with_modes(bench.source, OptLevel::None, RegAlloc::On).unwrap();
+        let full = compile_with_modes(bench.source, OptLevel::Full, RegAlloc::On).unwrap();
         let before = none.bytecode.num_instrs();
         let after = full.bytecode.num_instrs();
         assert!(

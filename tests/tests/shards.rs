@@ -225,7 +225,7 @@ fn resuming_with_a_drifted_opt_level_is_refused() {
     // The bytecode optimization level shapes the compiled code and with it
     // every simulated time and oracle label, so it is part of the oracle
     // fingerprint: a store recorded with optimized kernels must refuse to
-    // resume under `INSPIRE_OPT=0` semantics (and vice versa) instead of
+    // resume unoptimized (and vice versa) instead of
     // silently mixing records priced from different bytecode.
     let machine = machines::mc1();
     let all = benches();

@@ -13,9 +13,7 @@
 
 use hetpart_inspire::vm::{ArgValue, BufferData, Counters, Vm, LANES};
 use hetpart_inspire::VmError;
-use hetpart_inspire::{
-    compile, compile_with_modes, compile_with_opt, CompiledKernel, NdRange, OptLevel, RegAlloc,
-};
+use hetpart_inspire::{compile, compile_with_modes, CompiledKernel, NdRange, OptLevel, RegAlloc};
 use proptest::prelude::*;
 
 /// Run the scalar engine and the lane engine over the same range and
@@ -107,7 +105,7 @@ fn assert_opt_parity(
     args: &[ArgValue],
     bufs: &[BufferData],
 ) {
-    let reference = compile_with_opt(src, OptLevel::None).unwrap();
+    let reference = compile_with_modes(src, OptLevel::None, RegAlloc::On).unwrap();
     let noalloc = compile_with_modes(src, OptLevel::Full, RegAlloc::Off).unwrap();
     let optimized = compile_with_modes(src, OptLevel::Full, RegAlloc::On).unwrap();
     assert!(
@@ -254,7 +252,7 @@ fn every_suite_kernel_matches_the_unoptimized_reference() {
         let extent = inst.nd.split_extent();
         assert_opt_parity(bench.source, &inst.nd, 0..extent, &inst.args, &inst.bufs);
 
-        let optimized = bench.compile_with_opt(OptLevel::Full);
+        let optimized = bench.compile_with_modes(OptLevel::Full, RegAlloc::On);
         let mut bufs = inst.bufs.clone();
         let mut vm = Vm::new();
         vm.run_range(
@@ -625,7 +623,7 @@ fn every_entry_rejects_work_items_outside_the_ndrange() {
     });
     let gids = [[0, 0, 0], [n, 0, 0]];
     let mut vm = Vm::new();
-    vm.set_bounds_elide(Some(true));
+    vm.set_bounds_elide(true);
     let mut b = bufs.clone();
     let outcomes = [
         (
@@ -812,7 +810,7 @@ fn step_limit_crossed_in_full_mask_and_masked_blocks() {
         let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
         let bufs = vec![BufferData::I32(vec![0; n])];
         for opt in [OptLevel::None, OptLevel::Full] {
-            let k = compile_with_opt(src, opt).unwrap();
+            let k = compile_with_modes(src, opt, RegAlloc::On).unwrap();
             assert_step_limit_boundary(what, &k, &NdRange::d1(n), &args, &bufs);
         }
     }
@@ -833,7 +831,7 @@ fn stale_rows_of_a_partial_batch_never_join_a_branch() {
     let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
     let bufs = vec![BufferData::I32(vec![0; n])];
     for opt in [OptLevel::None, OptLevel::Full] {
-        let k = compile_with_opt(src, opt).unwrap();
+        let k = compile_with_modes(src, opt, RegAlloc::On).unwrap();
         let (out, _) = assert_kernel_parity(&k, &NdRange::d1(n), 0..n, &args, &bufs);
         let want: Vec<i32> = (0..n as i32)
             .map(|i| if i < 64 { i * 2 } else { i + 1000 })
