@@ -129,6 +129,9 @@ struct Targets {
 struct Report {
     bench: String,
     lane_width: usize,
+    /// The lane engine's codegen tier on the recording CPU (`"avx2"` or
+    /// `"portable"`); every lane time and ratio was measured on it.
+    lane_tier: &'static str,
     quick: bool,
     run_range: Vec<RunRangeRow>,
     oracle: OracleRow,
@@ -449,6 +452,8 @@ fn main() {
     if quick {
         println!("(VM_BENCH_QUICK=1: reduced sizes for the CI gate)\n");
     }
+    let lane_tier = hetpart_inspire::vm::lane_tier();
+    println!("lane tier: {lane_tier}\n");
 
     let run_range = run_range_rows(quick);
     println!(
@@ -582,6 +587,7 @@ fn main() {
     let report = Report {
         bench: "vm_batch".to_string(),
         lane_width: hetpart_inspire::vm::LANES,
+        lane_tier,
         quick,
         run_range,
         oracle,

@@ -48,6 +48,8 @@
 // tests, every fallible step must surface a typed `CompileError` (or an
 // explicitly justified `unreachable!`) instead of unwrapping.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every `unsafe` block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod access;
 pub mod analysis;

@@ -39,7 +39,7 @@ use crate::vm_batch::{CountSink, LaneEngine};
 
 pub use crate::vm_mem::{LaunchBuffers, Mem, Scratch};
 
-pub use crate::vm_batch::LANES;
+pub use crate::vm_batch::{lane_tier, LANES};
 
 /// A typed host buffer, the VM's model of an OpenCL `cl_mem` object.
 #[derive(Debug, Clone, PartialEq)]
@@ -431,7 +431,7 @@ impl Vm {
     /// bounds-elision mask; returns the buffer map. Every run entry
     /// starts here, after checking its work-items lie inside `nd` (the
     /// elision proof assumes they do).
-    fn start_launch(
+    pub(crate) fn start_launch(
         &mut self,
         f: &Function,
         nd: &NdRange,

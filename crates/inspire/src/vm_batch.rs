@@ -6,9 +6,30 @@
 //! data-parallel kernels execute the exact same instruction sequence for
 //! long runs of adjacent work-items, this engine instead executes blocks
 //! of up to [`LANES`] consecutive work-items in lockstep: the register
-//! files are stored structure-of-arrays (`Vec<[i64; LANES]>` /
-//! `Vec<[f64; LANES]>`), so each instruction is decoded once and then
-//! applied across all active lanes in a tight loop.
+//! files are stored structure-of-arrays, one [`Row`] of `LANES` values
+//! per register, so each instruction is decoded once and then applied
+//! across all active lanes in a tight loop. Every row (and the per-lane
+//! global ids and step counts) starts on a 64-byte cache line, so a
+//! row's vector loads never straddle lines and its timing does not
+//! depend on where the allocator happened to place it.
+//!
+//! The batch loop has two codegen tiers built from one body
+//! (`exec_batch_body`), and each engine picks one when it is created,
+//! from what the CPU reports:
+//!
+//! - **AVX2** (x86-64 CPUs with AVX2): the body is instantiated inside a
+//!   `#[target_feature(enable = "avx2")]` entry with the whole full-width
+//!   path (op dispatch, fused superinstructions, row and gather kernels)
+//!   inlined into it, so the row kernels run four 64-bit lanes per
+//!   vector. The masked path stays out of line: it walks active lanes
+//!   one at a time, which AVX2 cannot widen. `fma` is not enabled and
+//!   Rust never contracts `a * b + c`, so float results are bit-identical
+//!   to the portable tier.
+//! - **Portable** (every other CPU): the same body built for the crate's
+//!   compile target (SSE2 on baseline x86-64), with the fused
+//!   superinstructions and gather/scatter kernels out of line.
+//!
+//! Nothing but the CPU picks the tier; [`lane_tier`] reports it.
 //!
 //! The engine walks the function's pre-decoded op array
 //! ([`crate::opt::decode`]): a flat one-level dispatch per op, with
@@ -55,6 +76,8 @@
 //! order, and buffers may hold partial writes from other items of the
 //! faulting batch.
 
+use std::ops::{Deref, DerefMut};
+
 use crate::bytecode::{CmpOp, Function, IBinOp, Terminator};
 use crate::cfg::NO_POST_DOM;
 use crate::error::VmError;
@@ -65,6 +88,161 @@ use crate::vm::{int_bin, wrap32, BufferData, Counters, Mem, Vm};
 
 /// Work-items executed in lockstep per batch.
 pub const LANES: usize = 64;
+
+/// One register row: lane `l`'s value at index `l`, aligned to a 64-byte
+/// cache line. It derefs to `[T; LANES]`, so row kernels index it like
+/// the array it wraps.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+pub(crate) struct Row<T>([T; LANES]);
+
+impl<T> Deref for Row<T> {
+    type Target = [T; LANES];
+    #[inline(always)]
+    fn deref(&self) -> &[T; LANES] {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for Row<T> {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut [T; LANES] {
+        &mut self.0
+    }
+}
+
+/// The codegen tier of the batch loop (see the module docs).
+#[derive(Clone, Copy)]
+enum Tier {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Tier {
+    /// The widest tier this CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Self::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => "avx2",
+        }
+    }
+}
+
+/// The lane engine's codegen tier on this CPU, `"avx2"` or `"portable"`
+/// (for reports; the CPU alone picks it).
+pub fn lane_tier() -> &'static str {
+    Tier::detect().name()
+}
+
+/// One codegen tier of the batch body, as the type parameter the body and
+/// its full-width path are instantiated with. The two tiers want opposite
+/// layouts, so the type carries the inlining policy:
+///
+/// - the AVX2 body inlines the whole full-width path, since any helper
+///   left out of line compiles without AVX2, and keeps the masked path
+///   out of line;
+/// - the portable body keeps the fused superinstructions and the
+///   gather/scatter kernels out of line and leaves the row kernels to
+///   LLVM's heuristics; forcing them inline measured slower there.
+trait Codegen {
+    /// Inline the full-width path and outline the masked one (see
+    /// `inline_if!`).
+    const AVX2: bool;
+
+    /// [`apply2`] under this tier's inlining policy.
+    fn apply2<T: Copy, F: Fn(T, T) -> T>(
+        regs: &mut [Row<T>],
+        n: usize,
+        dst: u16,
+        a: u16,
+        b: u16,
+        f: F,
+    );
+
+    /// [`apply1`] under this tier's inlining policy.
+    fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F);
+}
+
+/// The portable tier's body.
+struct PortableBody;
+
+impl Codegen for PortableBody {
+    const AVX2: bool = false;
+
+    #[inline]
+    fn apply2<T: Copy, F: Fn(T, T) -> T>(
+        regs: &mut [Row<T>],
+        n: usize,
+        dst: u16,
+        a: u16,
+        b: u16,
+        f: F,
+    ) {
+        apply2(regs, n, dst, a, b, f);
+    }
+
+    #[inline]
+    fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F) {
+        apply1(regs, n, dst, a, f);
+    }
+}
+
+/// The AVX2 tier's body.
+#[cfg(target_arch = "x86_64")]
+struct Avx2Body;
+
+#[cfg(target_arch = "x86_64")]
+impl Codegen for Avx2Body {
+    const AVX2: bool = true;
+
+    #[inline(always)]
+    fn apply2<T: Copy, F: Fn(T, T) -> T>(
+        regs: &mut [Row<T>],
+        n: usize,
+        dst: u16,
+        a: u16,
+        b: u16,
+        f: F,
+    ) {
+        apply2(regs, n, dst, a, b, f);
+    }
+
+    #[inline(always)]
+    fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F) {
+        apply1(regs, n, dst, a, f);
+    }
+}
+
+/// `inline_if!(INLINE, call)`: evaluate `call` in place when `INLINE`,
+/// otherwise through an out-of-line call; how the batch body gives each
+/// tier its layout (see [`Codegen`]). A macro rather than a function
+/// taking a closure: the closure body would be a function of its own,
+/// and LLVM may leave it out of line (and compiled without AVX2) even on
+/// the inline side.
+macro_rules! inline_if {
+    ($inline:expr, $call:expr) => {
+        if $inline {
+            $call
+        } else {
+            out_of_line(|| $call)
+        }
+    };
+}
+
+#[inline(never)]
+fn out_of_line<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
 
 /// Active-lane bitmask: bit `l` set means lane `l` executes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -163,13 +341,17 @@ impl CountSink<'_> {
 /// batches of a run; lane register state persists between batches exactly
 /// like the scalar engine's register file persists between items.
 pub(crate) struct LaneEngine {
-    iregs: Vec<[i64; LANES]>,
-    fregs: Vec<[f64; LANES]>,
-    gid: [[i64; LANES]; 3],
+    iregs: Vec<Row<i64>>,
+    fregs: Vec<Row<f64>>,
+    gid: [Row<i64>; 3],
     /// Per-lane step counts. While a batch runs, lane `l`'s steps beyond
-    /// the batch's shared full-mask count (see [`Self::exec_batch`]); once
+    /// the batch's shared full-mask count (see `exec_batch_body`); once
     /// it returns `Ok`, lane `l`'s total.
-    steps: [u64; LANES],
+    steps: Row<u64>,
+    /// The suspended reconvergence frames of the running batch; kept
+    /// across batches so a divergent batch does not allocate.
+    stack: Vec<Frame>,
+    tier: Tier,
     /// Per-parameter bounds-check elision mask, copied from
     /// [`Vm::bounds_elide`] at construction (the run entry computes it
     /// before creating the engine). Bit `p` set = every access to buffer
@@ -188,9 +370,9 @@ pub(crate) struct LaneEngine {
 /// all three registers disjointly and runs a bounds-check-free loop the
 /// optimizer can vectorize; aliased operands fall back to copying, which
 /// is always correct because each lane only reads its own elements.
-#[inline]
+#[inline(always)]
 fn apply2<T: Copy, F: Fn(T, T) -> T>(
-    regs: &mut [[T; LANES]],
+    regs: &mut [Row<T>],
     n: usize,
     dst: u16,
     a: u16,
@@ -236,8 +418,8 @@ fn apply2<T: Copy, F: Fn(T, T) -> T>(
 }
 
 /// Apply `f` lane-wise: `dst[l] = f(a[l])` for the first `n` lanes.
-#[inline]
-fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [[T; LANES]], n: usize, dst: u16, a: u16, f: F) {
+#[inline(always)]
+fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F) {
     let (dst, a) = (dst as usize, a as usize);
     if dst != a {
         let Ok([d, x]) = regs.get_disjoint_mut([dst, a]) else {
@@ -257,7 +439,7 @@ fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [[T; LANES]], n: usize, dst: u16, a
 /// Per-lane read-then-write makes any operand aliasing trivially correct.
 #[inline]
 fn masked2<T: Copy, F: Fn(T, T) -> T>(
-    regs: &mut [[T; LANES]],
+    regs: &mut [Row<T>],
     m: ExecMask,
     dst: u16,
     a: u16,
@@ -274,7 +456,7 @@ fn masked2<T: Copy, F: Fn(T, T) -> T>(
 
 /// Masked [`apply1`]: `dst[l] = f(a[l])` for each active lane.
 #[inline]
-fn masked1<T: Copy, F: Fn(T) -> T>(regs: &mut [[T; LANES]], m: ExecMask, dst: u16, a: u16, f: F) {
+fn masked1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], m: ExecMask, dst: u16, a: u16, f: F) {
     let (dst, a) = (dst as usize, a as usize);
     for l in m.lanes() {
         let x = regs[a][l];
@@ -284,7 +466,7 @@ fn masked1<T: Copy, F: Fn(T) -> T>(regs: &mut [[T; LANES]], m: ExecMask, dst: u1
 
 /// Whether every lane index is a valid element index for a buffer of
 /// `len` elements — the gate for the bounds-check-free memory fast paths.
-#[inline]
+#[inline(always)]
 fn all_in_bounds(idx: &[i64; LANES], n: usize, len: usize) -> bool {
     let mut lo = i64::MAX;
     let mut hi = i64::MIN;
@@ -298,41 +480,51 @@ fn all_in_bounds(idx: &[i64; LANES], n: usize, len: usize) -> bool {
 /// Full-width F-file micro-op: the same vectorized kernels as the
 /// unfused interpreter arms, selected by one match per op (never per
 /// lane — a per-lane sub dispatch would defeat vectorization).
-fn apply_f(fregs: &mut [[f64; LANES]], n: usize, dst: u16, a: u16, b: u16, sub: u8, fimm: f64) {
+#[inline(always)]
+fn apply_f<K: Codegen>(
+    fregs: &mut [Row<f64>],
+    n: usize,
+    dst: u16,
+    a: u16,
+    b: u16,
+    sub: u8,
+    fimm: f64,
+) {
     match sub {
-        F_ADD => apply2(fregs, n, dst, a, b, |x, y| x + y),
-        F_SUB => apply2(fregs, n, dst, a, b, |x, y| x - y),
-        F_MUL => apply2(fregs, n, dst, a, b, |x, y| x * y),
-        F_DIV => apply2(fregs, n, dst, a, b, |x, y| x / y),
-        F_MOV => apply1(fregs, n, dst, a, |x| x),
-        5 => apply1(fregs, n, dst, a, f64::sqrt),
-        6 => apply1(fregs, n, dst, a, |x| 1.0 / x.sqrt()),
-        7 => apply1(fregs, n, dst, a, f64::exp),
-        8 => apply1(fregs, n, dst, a, f64::ln),
-        9 => apply1(fregs, n, dst, a, f64::sin),
-        10 => apply1(fregs, n, dst, a, f64::cos),
-        11 => apply1(fregs, n, dst, a, f64::tan),
-        12 => apply1(fregs, n, dst, a, f64::abs),
-        13 => apply1(fregs, n, dst, a, f64::floor),
-        14 => apply1(fregs, n, dst, a, f64::ceil),
-        F_NEG => apply1(fregs, n, dst, a, |x| -x),
+        F_ADD => K::apply2(fregs, n, dst, a, b, |x, y| x + y),
+        F_SUB => K::apply2(fregs, n, dst, a, b, |x, y| x - y),
+        F_MUL => K::apply2(fregs, n, dst, a, b, |x, y| x * y),
+        F_DIV => K::apply2(fregs, n, dst, a, b, |x, y| x / y),
+        F_MOV => K::apply1(fregs, n, dst, a, |x| x),
+        5 => K::apply1(fregs, n, dst, a, f64::sqrt),
+        6 => K::apply1(fregs, n, dst, a, |x| 1.0 / x.sqrt()),
+        7 => K::apply1(fregs, n, dst, a, f64::exp),
+        8 => K::apply1(fregs, n, dst, a, f64::ln),
+        9 => K::apply1(fregs, n, dst, a, f64::sin),
+        10 => K::apply1(fregs, n, dst, a, f64::cos),
+        11 => K::apply1(fregs, n, dst, a, f64::tan),
+        12 => K::apply1(fregs, n, dst, a, f64::abs),
+        13 => K::apply1(fregs, n, dst, a, f64::floor),
+        14 => K::apply1(fregs, n, dst, a, f64::ceil),
+        F_NEG => K::apply1(fregs, n, dst, a, |x| -x),
         _ => fregs[dst as usize][..n].fill(fimm),
     }
 }
 
 /// Full-width I-file micro-op (the non-faulting binops), mono-dispatched
 /// like [`apply_f`].
-fn apply_i(iregs: &mut [[i64; LANES]], n: usize, dst: u16, a: u16, b: u16, sub: u8) {
+#[inline(always)]
+fn apply_i<K: Codegen>(iregs: &mut [Row<i64>], n: usize, dst: u16, a: u16, b: u16, sub: u8) {
     let u = sub & I_UNSIGNED != 0;
     match sub & !I_UNSIGNED {
-        0 => apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_add(y), u)),
-        1 => apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_sub(y), u)),
-        _ => apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_mul(y), u)),
+        0 => K::apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_add(y), u)),
+        1 => K::apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_sub(y), u)),
+        _ => K::apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_mul(y), u)),
     }
 }
 
 /// Masked [`apply_f`].
-fn masked_f(fregs: &mut [[f64; LANES]], m: ExecMask, dst: u16, a: u16, b: u16, sub: u8, fimm: f64) {
+fn masked_f(fregs: &mut [Row<f64>], m: ExecMask, dst: u16, a: u16, b: u16, sub: u8, fimm: f64) {
     match sub {
         F_ADD => masked2(fregs, m, dst, a, b, |x, y| x + y),
         F_SUB => masked2(fregs, m, dst, a, b, |x, y| x - y),
@@ -365,7 +557,7 @@ fn masked_f(fregs: &mut [[f64; LANES]], m: ExecMask, dst: u16, a: u16, b: u16, s
 /// value in both orders).
 #[inline]
 fn masked_chain<T: Copy, F1: Fn(T, T) -> T, F2: Fn(T, T) -> T>(
-    regs: &mut [[T; LANES]],
+    regs: &mut [Row<T>],
     m: ExecMask,
     op: &DecOp,
     f1: F1,
@@ -389,9 +581,9 @@ fn masked_chain<T: Copy, F1: Fn(T, T) -> T, F2: Fn(T, T) -> T>(
 /// operand equal to `x` reads the freshly loaded value (as it would
 /// after a full load pass), an operand equal to `z` reads the old value
 /// for its own lane. `x != z` is guaranteed at fusion time.
-#[inline]
+#[inline(always)]
 fn load_fop_fast<F: Fn(f64, f64) -> f64>(
-    fregs: &mut [[f64; LANES]],
+    fregs: &mut [Row<f64>],
     idxv: &[i64; LANES],
     v: &[f32],
     n: usize,
@@ -427,9 +619,9 @@ fn load_fop_fast<F: Fn(f64, f64) -> f64>(
 /// bounds): `z[l] = f1(a[l], b[l])` and `buf[idx[l]] = z[l]` in one
 /// pass. Per-lane read-before-write keeps `z == a`/`z == b` aliasing
 /// identical to the unfused compute pass.
-#[inline]
+#[inline(always)]
 fn fop_store_fast<F: Fn(f64, f64) -> f64>(
-    fregs: &mut [[f64; LANES]],
+    fregs: &mut [Row<f64>],
     idxv: &[i64; LANES],
     v: &mut [f32],
     n: usize,
@@ -456,7 +648,7 @@ fn fop_store_fast<F: Fn(f64, f64) -> f64>(
 
 /// Lane-wise comparison producing an I-register boolean:
 /// `dst[l] = f(a[l], b[l]) as i64`.
-#[inline]
+#[inline(always)]
 fn apply_cmp<T: Copy, F: Fn(T, T) -> bool>(
     out: &mut [i64; LANES],
     a: &[T; LANES],
@@ -485,6 +677,7 @@ fn pack_rows<T: Copy, F: Fn(T, T) -> bool>(a: &[T; LANES], b: &[T; LANES], f: F)
 
 /// [`pack_rows`] for a fused cmp+branch, with the comparison matched once
 /// rather than per lane.
+#[inline(always)]
 fn cmp_rows<T: Copy + PartialOrd>(op: CmpOp, a: &[T; LANES], b: &[T; LANES]) -> u64 {
     match op {
         CmpOp::Lt => pack_rows(a, b, |x, y| x < y),
@@ -501,15 +694,17 @@ impl LaneEngine {
     /// engine's bound registers (kernel arguments; everything else zero)
     /// across all lanes.
     pub(crate) fn new(f: &Function, vm: &Vm) -> Self {
-        let iregs = vm.iregs.iter().map(|&v| [v; LANES]).collect();
-        let fregs = vm.fregs.iter().map(|&v| [v; LANES]).collect();
+        let iregs = vm.iregs.iter().map(|&v| Row([v; LANES])).collect();
+        let fregs = vm.fregs.iter().map(|&v| Row([v; LANES])).collect();
         debug_assert_eq!(vm.iregs.len(), f.n_iregs as usize);
         debug_assert_eq!(vm.fregs.len(), f.n_fregs as usize);
         Self {
             iregs,
             fregs,
-            gid: [[0; LANES]; 3],
-            steps: [0; LANES],
+            gid: [Row([0; LANES]); 3],
+            steps: Row([0; LANES]),
+            stack: Vec::new(),
+            tier: Tier::detect(),
             elide: vm.bounds_elide,
             step_limit: vm.step_limit,
         }
@@ -529,8 +724,52 @@ impl LaneEngine {
     }
 
     /// Execute one batch of `gids.len()` (≤ [`LANES`]) work-items from
-    /// block 0 to completion.
+    /// block 0 to completion, on the engine's codegen tier.
     pub(crate) fn exec_batch(
+        &mut self,
+        f: &Function,
+        gids: &[[usize; 3]],
+        gsize: [usize; 3],
+        bmap: &[usize],
+        bufs: &mut Mem<'_>,
+        sink: CountSink<'_>,
+    ) -> Result<(), VmError> {
+        match self.tier {
+            Tier::Portable => {
+                self.exec_batch_body::<PortableBody>(f, gids, gsize, bmap, bufs, sink)
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => {
+                // SAFETY: `Tier::detect` picks `Avx2` only on a CPU that
+                // reports AVX2.
+                unsafe { self.exec_batch_avx2(f, gids, gsize, bmap, bufs, sink) }
+            }
+        }
+    }
+
+    /// `exec_batch_body` compiled with AVX2 enabled: the full-width path
+    /// inlines into it, so its row kernels use 256-bit vectors.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exec_batch_avx2(
+        &mut self,
+        f: &Function,
+        gids: &[[usize; 3]],
+        gsize: [usize; 3],
+        bmap: &[usize],
+        bufs: &mut Mem<'_>,
+        sink: CountSink<'_>,
+    ) -> Result<(), VmError> {
+        self.exec_batch_body::<Avx2Body>(f, gids, gsize, bmap, bufs, sink)
+    }
+
+    /// The one batch loop both tiers instantiate; `K` picks the layout.
+    #[inline(always)]
+    fn exec_batch_body<K: Codegen>(
         &mut self,
         f: &Function,
         gids: &[[usize; 3]],
@@ -549,12 +788,12 @@ impl LaneEngine {
         let full = ExecMask::full(n);
         let exit = f.cfg.exit();
         // The current reconvergence frame lives in locals so the uniform
-        // fast path never touches the stack; `stack` holds only suspended
-        // frames (the other branch sides and the parked parents).
+        // fast path never touches the stack; `self.stack` holds only
+        // suspended frames (the other branch sides and the parked parents).
         let mut pc: u32 = 0;
         let mut rpc: u32 = exit;
         let mut mask = full;
-        let mut stack: Vec<Frame> = Vec::new();
+        self.stack.clear();
         // Step accounting: `batch_steps` is charged once per block run
         // under the full mask, and `self.steps[l]` holds lane `l`'s
         // offset from it, charged only by blocks run under a partial mask
@@ -573,7 +812,7 @@ impl LaneEngine {
                 // resume the most recently suspended frame. (Its lanes are
                 // re-merged implicitly: the parked parent's mask already
                 // contains them.) An empty stack means every lane returned.
-                match stack.pop() {
+                match self.stack.pop() {
                     Some(fr) => {
                         pc = fr.pc;
                         rpc = fr.rpc;
@@ -603,12 +842,16 @@ impl LaneEngine {
             }
             if mask == full {
                 for op in dec.block_ops(block) {
-                    self.exec_dec(op, n, gsize, bmap, bufs)?;
+                    self.exec_dec::<K>(op, n, gsize, bmap, bufs)?;
                 }
             } else {
-                for op in dec.block_ops(block) {
-                    self.exec_dec_masked(op, mask, gsize, bmap, bufs)?;
-                }
+                // Per-lane scalar work that AVX2 cannot widen stays out
+                // of the AVX2 body.
+                let ops = dec.block_ops(block);
+                inline_if!(
+                    !K::AVX2,
+                    self.exec_block_masked(ops, mask, gsize, bmap, bufs)
+                )?;
             }
             // Branch-like terminators evaluate their condition over all
             // `LANES` rows at once and keep the active lanes' bits (rows
@@ -673,9 +916,9 @@ impl LaneEngine {
             // side becomes current. A side that jumps straight to
             // the rejoin needs no frame — its lanes simply wait in
             // the parked parent.
-            stack.push(Frame { pc: r, rpc, mask });
+            self.stack.push(Frame { pc: r, rpc, mask });
             if els != r {
-                stack.push(Frame {
+                self.stack.push(Frame {
                     pc: els,
                     rpc: r,
                     mask: e,
@@ -690,7 +933,7 @@ impl LaneEngine {
                 // recently pushed frame instead (the not-taken
                 // side, or the parked parent if that side also
                 // jumps straight to the rejoin).
-                let Some(fr) = stack.pop() else {
+                let Some(fr) = self.stack.pop() else {
                     unreachable!("parent frame just pushed");
                 };
                 pc = fr.pc;
@@ -709,8 +952,12 @@ impl LaneEngine {
     /// operands and immediates already extracted. Results are
     /// bit-identical to the scalar engine running the corresponding
     /// [`Instr`](crate::bytecode::Instr)s once per item.
-    #[inline]
-    fn exec_dec(
+    ///
+    /// The fused superinstructions and the `LoadF`/`StoreF` kernels go
+    /// through `inline_if!` and the row kernels through `K`, so each tier
+    /// gets its layout (see [`Codegen`]).
+    #[inline(always)]
+    fn exec_dec<K: Codegen>(
         &mut self,
         op: &DecOp,
         n: usize,
@@ -731,13 +978,13 @@ impl LaneEngine {
                 let s = self.fregs[a as usize];
                 self.fregs[dst as usize][..n].copy_from_slice(&s[..n]);
             }
-            OpCode::IAdd => apply2(&mut self.iregs, n, dst, a, b, |x, y| {
+            OpCode::IAdd => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
                 wrap32(x.wrapping_add(y), u)
             }),
-            OpCode::ISub => apply2(&mut self.iregs, n, dst, a, b, |x, y| {
+            OpCode::ISub => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
                 wrap32(x.wrapping_sub(y), u)
             }),
-            OpCode::IMul => apply2(&mut self.iregs, n, dst, a, b, |x, y| {
+            OpCode::IMul => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
                 wrap32(x.wrapping_mul(y), u)
             }),
             OpCode::IDiv | OpCode::IRem => {
@@ -753,13 +1000,13 @@ impl LaneEngine {
                     *d = int_bin(o, x, y, u)?;
                 }
             }
-            OpCode::IAnd => apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x & y, u)),
-            OpCode::IOr => apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x | y, u)),
-            OpCode::IXor => apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x ^ y, u)),
-            OpCode::IShl => apply2(&mut self.iregs, n, dst, a, b, |x, y| {
+            OpCode::IAnd => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x & y, u)),
+            OpCode::IOr => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x | y, u)),
+            OpCode::IXor => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x ^ y, u)),
+            OpCode::IShl => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
                 wrap32(x.wrapping_shl((y & 31) as u32), u)
             }),
-            OpCode::IShr => apply2(&mut self.iregs, n, dst, a, b, |x, y| {
+            OpCode::IShr => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
                 let s = (y & 31) as u32;
                 let v = if u {
                     ((x as u64) >> s) as i64
@@ -770,19 +1017,19 @@ impl LaneEngine {
             }),
             OpCode::ImmAdd => {
                 let imm = op.imm;
-                apply1(&mut self.iregs, n, dst, a, |x| {
+                K::apply1(&mut self.iregs, n, dst, a, |x| {
                     wrap32(x.wrapping_add(imm), u)
                 });
             }
             OpCode::ImmSub => {
                 let imm = op.imm;
-                apply1(&mut self.iregs, n, dst, a, |x| {
+                K::apply1(&mut self.iregs, n, dst, a, |x| {
                     wrap32(x.wrapping_sub(imm), u)
                 });
             }
             OpCode::ImmMul => {
                 let imm = op.imm;
-                apply1(&mut self.iregs, n, dst, a, |x| {
+                K::apply1(&mut self.iregs, n, dst, a, |x| {
                     wrap32(x.wrapping_mul(imm), u)
                 });
             }
@@ -800,23 +1047,23 @@ impl LaneEngine {
             }
             OpCode::ImmAnd => {
                 let imm = op.imm;
-                apply1(&mut self.iregs, n, dst, a, |x| wrap32(x & imm, u));
+                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x & imm, u));
             }
             OpCode::ImmOr => {
                 let imm = op.imm;
-                apply1(&mut self.iregs, n, dst, a, |x| wrap32(x | imm, u));
+                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x | imm, u));
             }
             OpCode::ImmXor => {
                 let imm = op.imm;
-                apply1(&mut self.iregs, n, dst, a, |x| wrap32(x ^ imm, u));
+                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x ^ imm, u));
             }
             OpCode::ImmShl => {
                 let s = (op.imm & 31) as u32;
-                apply1(&mut self.iregs, n, dst, a, |x| wrap32(x.wrapping_shl(s), u));
+                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x.wrapping_shl(s), u));
             }
             OpCode::ImmShr => {
                 let s = (op.imm & 31) as u32;
-                apply1(&mut self.iregs, n, dst, a, |x| {
+                K::apply1(&mut self.iregs, n, dst, a, |x| {
                     let v = if u {
                         ((x as u64) >> s) as i64
                     } else {
@@ -825,16 +1072,16 @@ impl LaneEngine {
                     wrap32(v, u)
                 });
             }
-            OpCode::FAdd => apply2(&mut self.fregs, n, dst, a, b, |x, y| x + y),
-            OpCode::FSub => apply2(&mut self.fregs, n, dst, a, b, |x, y| x - y),
-            OpCode::FMul => apply2(&mut self.fregs, n, dst, a, b, |x, y| x * y),
-            OpCode::FDiv => apply2(&mut self.fregs, n, dst, a, b, |x, y| x / y),
-            OpCode::ICmpLt => apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x < y)),
-            OpCode::ICmpLe => apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x <= y)),
-            OpCode::ICmpGt => apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x > y)),
-            OpCode::ICmpGe => apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x >= y)),
-            OpCode::ICmpEq => apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x == y)),
-            OpCode::ICmpNe => apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x != y)),
+            OpCode::FAdd => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x + y),
+            OpCode::FSub => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x - y),
+            OpCode::FMul => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x * y),
+            OpCode::FDiv => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x / y),
+            OpCode::ICmpLt => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x < y)),
+            OpCode::ICmpLe => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x <= y)),
+            OpCode::ICmpGt => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x > y)),
+            OpCode::ICmpGe => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x >= y)),
+            OpCode::ICmpEq => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x == y)),
+            OpCode::ICmpNe => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x != y)),
             OpCode::FCmpLt
             | OpCode::FCmpLe
             | OpCode::FCmpGt
@@ -853,12 +1100,12 @@ impl LaneEngine {
                     _ => apply_cmp(d, x, y, n, |x, y| x != y),
                 }
             }
-            OpCode::NegI => apply1(&mut self.iregs, n, dst, a, |x| {
+            OpCode::NegI => K::apply1(&mut self.iregs, n, dst, a, |x| {
                 wrap32(0i64.wrapping_sub(x), u)
             }),
-            OpCode::NegF => apply1(&mut self.fregs, n, dst, a, |x| -x),
-            OpCode::NotI => apply1(&mut self.iregs, n, dst, a, |x| i64::from(x == 0)),
-            OpCode::BitNotI => apply1(&mut self.iregs, n, dst, a, |x| wrap32(!x, u)),
+            OpCode::NegF => K::apply1(&mut self.fregs, n, dst, a, |x| -x),
+            OpCode::NotI => K::apply1(&mut self.iregs, n, dst, a, |x| i64::from(x == 0)),
+            OpCode::BitNotI => K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(!x, u)),
             OpCode::CastIF => {
                 let x = &self.iregs[a as usize];
                 let d = &mut self.fregs[dst as usize];
@@ -879,27 +1126,27 @@ impl LaneEngine {
                     }
                 }
             }
-            OpCode::CastII => apply1(&mut self.iregs, n, dst, a, |x| wrap32(x, u)),
-            OpCode::Sqrt => apply1(&mut self.fregs, n, dst, a, f64::sqrt),
-            OpCode::Rsqrt => apply1(&mut self.fregs, n, dst, a, |x| 1.0 / x.sqrt()),
-            OpCode::Exp => apply1(&mut self.fregs, n, dst, a, f64::exp),
-            OpCode::Log => apply1(&mut self.fregs, n, dst, a, f64::ln),
-            OpCode::Sin => apply1(&mut self.fregs, n, dst, a, f64::sin),
-            OpCode::Cos => apply1(&mut self.fregs, n, dst, a, f64::cos),
-            OpCode::Tan => apply1(&mut self.fregs, n, dst, a, f64::tan),
-            OpCode::Fabs => apply1(&mut self.fregs, n, dst, a, f64::abs),
-            OpCode::Floor => apply1(&mut self.fregs, n, dst, a, f64::floor),
-            OpCode::Ceil => apply1(&mut self.fregs, n, dst, a, f64::ceil),
-            OpCode::Pow => apply2(&mut self.fregs, n, dst, a, b, f64::powf),
-            OpCode::Fmin => apply2(&mut self.fregs, n, dst, a, b, f64::min),
-            OpCode::Fmax => apply2(&mut self.fregs, n, dst, a, b, f64::max),
-            OpCode::Fmod => apply2(&mut self.fregs, n, dst, a, b, |x, y| x % y),
-            OpCode::IMin => apply2(&mut self.iregs, n, dst, a, b, i64::min),
-            OpCode::IMax => apply2(&mut self.iregs, n, dst, a, b, i64::max),
-            OpCode::IAbs => apply1(&mut self.iregs, n, dst, a, |x| {
+            OpCode::CastII => K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x, u)),
+            OpCode::Sqrt => K::apply1(&mut self.fregs, n, dst, a, f64::sqrt),
+            OpCode::Rsqrt => K::apply1(&mut self.fregs, n, dst, a, |x| 1.0 / x.sqrt()),
+            OpCode::Exp => K::apply1(&mut self.fregs, n, dst, a, f64::exp),
+            OpCode::Log => K::apply1(&mut self.fregs, n, dst, a, f64::ln),
+            OpCode::Sin => K::apply1(&mut self.fregs, n, dst, a, f64::sin),
+            OpCode::Cos => K::apply1(&mut self.fregs, n, dst, a, f64::cos),
+            OpCode::Tan => K::apply1(&mut self.fregs, n, dst, a, f64::tan),
+            OpCode::Fabs => K::apply1(&mut self.fregs, n, dst, a, f64::abs),
+            OpCode::Floor => K::apply1(&mut self.fregs, n, dst, a, f64::floor),
+            OpCode::Ceil => K::apply1(&mut self.fregs, n, dst, a, f64::ceil),
+            OpCode::Pow => K::apply2(&mut self.fregs, n, dst, a, b, f64::powf),
+            OpCode::Fmin => K::apply2(&mut self.fregs, n, dst, a, b, f64::min),
+            OpCode::Fmax => K::apply2(&mut self.fregs, n, dst, a, b, f64::max),
+            OpCode::Fmod => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x % y),
+            OpCode::IMin => K::apply2(&mut self.iregs, n, dst, a, b, i64::min),
+            OpCode::IMax => K::apply2(&mut self.iregs, n, dst, a, b, i64::max),
+            OpCode::IAbs => K::apply1(&mut self.iregs, n, dst, a, |x| {
                 wrap32(x.wrapping_abs(), false)
             }),
-            OpCode::LoadF => self.lane_load_f(dst, a, b, n, bmap, bufs)?,
+            OpCode::LoadF => inline_if!(K::AVX2, self.lane_load_f(dst, a, b, n, bmap, bufs))?,
             OpCode::LoadI => {
                 // Index and destination share the I register file; copy
                 // the index lanes so the destination can borrow mutably.
@@ -966,7 +1213,7 @@ impl LaneEngine {
                     }
                 }
             }
-            OpCode::StoreF => self.lane_store_f(dst, a, b, n, bmap, bufs)?,
+            OpCode::StoreF => inline_if!(K::AVX2, self.lane_store_f(dst, a, b, n, bmap, bufs))?,
             OpCode::StoreI => {
                 let el = self.elided(b);
                 let idxv = &self.iregs[a as usize];
@@ -1043,11 +1290,11 @@ impl LaneEngine {
             // accesses are known in bounds, and fall back to the unfused
             // sequence otherwise so each lane faults exactly where the
             // original pair would.
-            OpCode::FOp2 => self.fused_fop2(op, n),
-            OpCode::IOp2 => self.fused_iop2(op, n),
-            OpCode::Load2F => self.fused_load2f(op, n, bmap, bufs)?,
-            OpCode::LoadFOp => self.fused_load_fop(op, n, bmap, bufs)?,
-            OpCode::FOpStore => self.fused_fop_store(op, n, bmap, bufs)?,
+            OpCode::FOp2 => inline_if!(K::AVX2, self.fused_fop2::<K>(op, n)),
+            OpCode::IOp2 => inline_if!(K::AVX2, self.fused_iop2::<K>(op, n)),
+            OpCode::Load2F => inline_if!(K::AVX2, self.fused_load2f(op, n, bmap, bufs))?,
+            OpCode::LoadFOp => inline_if!(K::AVX2, self.fused_load_fop::<K>(op, n, bmap, bufs))?,
+            OpCode::FOpStore => inline_if!(K::AVX2, self.fused_fop_store::<K>(op, n, bmap, bufs))?,
         }
         Ok(())
     }
@@ -1057,17 +1304,17 @@ impl LaneEngine {
     /// operand; two mono passes (the unfused execution, one dispatch)
     /// otherwise. A constant-producing half folds its immediate into
     /// the partner's loop instead of round-tripping through its row.
-    #[inline(never)]
-    fn fused_fop2(&mut self, op: &DecOp, n: usize) {
+    #[inline(always)]
+    fn fused_fop2<K: Codegen>(&mut self, op: &DecOp, n: usize) {
         let (s1, s2) = (op.sub1, op.sub2);
         if s2 == F_CONST {
             // The second half reads nothing, so there is no chain.
-            apply_f(&mut self.fregs, n, op.c, op.a, op.b, s1, op.fimm);
+            apply_f::<K>(&mut self.fregs, n, op.c, op.a, op.b, s1, op.fimm);
             self.fregs[op.dst as usize][..n].fill(op.fimm);
             return;
         }
         if s1 == F_CONST {
-            return self.fused_const_fop(op, n);
+            return self.fused_const_fop::<K>(op, n);
         }
         // Two mono passes — the unfused execution minus one dispatch.
         // A single loop carrying the intermediate in a register was
@@ -1076,16 +1323,16 @@ impl LaneEngine {
         // vectorizer); the masked path keeps its chain loop, where
         // per-lane interleaving wins over a second pass across the
         // scattered active set.
-        apply_f(&mut self.fregs, n, op.c, op.a, op.b, s1, op.fimm);
-        apply_f(&mut self.fregs, n, op.dst, op.d, op.e, s2, op.fimm);
+        apply_f::<K>(&mut self.fregs, n, op.c, op.a, op.b, s1, op.fimm);
+        apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, s2, op.fimm);
     }
 
     /// Full-width `FOp2` whose first half is `ConstF`: when the second
     /// op reads the constant, the immediate is folded straight into its
     /// loop (or the whole pair collapses to two row fills); two mono
     /// passes otherwise.
-    #[inline(never)]
-    fn fused_const_fop(&mut self, op: &DecOp, n: usize) {
+    #[inline(always)]
+    fn fused_const_fop<K: Codegen>(&mut self, op: &DecOp, n: usize) {
         let (t, z) = (op.c as usize, op.dst as usize);
         let (p, q) = (op.d, op.e);
         let fi = op.fimm;
@@ -1154,23 +1401,23 @@ impl LaneEngine {
             }
         }
         self.fregs[t][..n].fill(fi);
-        apply_f(&mut self.fregs, n, op.dst, op.d, op.e, op.sub2, fi);
+        apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, op.sub2, fi);
     }
 
     /// Full-width `IOp2`.
-    #[inline(never)]
-    fn fused_iop2(&mut self, op: &DecOp, n: usize) {
+    #[inline(always)]
+    fn fused_iop2<K: Codegen>(&mut self, op: &DecOp, n: usize) {
         // Two mono passes; see `fused_fop2` for why there is no
         // full-width chain loop.
-        apply_i(&mut self.iregs, n, op.c, op.a, op.b, op.sub1);
-        apply_i(&mut self.iregs, n, op.dst, op.d, op.e, op.sub2);
+        apply_i::<K>(&mut self.iregs, n, op.c, op.a, op.b, op.sub1);
+        apply_i::<K>(&mut self.iregs, n, op.dst, op.d, op.e, op.sub2);
     }
 
     /// Full-width `Load2F`: when both gathers are fully in bounds, one
     /// pass performs both (the destinations are distinct by fusion
     /// rule); otherwise the halves run unfused so each lane faults
     /// exactly where the original pair would.
-    #[inline(never)]
+    #[inline(always)]
     fn fused_load2f(
         &mut self,
         op: &DecOp,
@@ -1231,8 +1478,8 @@ impl LaneEngine {
     /// Full-width `LoadFOp`: gather + float compute in one pass when the
     /// gather is fully in bounds and the compute is a hot binop; the
     /// unfused sequence otherwise.
-    #[inline(never)]
-    fn fused_load_fop(
+    #[inline(always)]
+    fn fused_load_fop<K: Codegen>(
         &mut self,
         op: &DecOp,
         n: usize,
@@ -1264,7 +1511,7 @@ impl LaneEngine {
                                 dx[l] = f64::from(v[idxv[l] as usize]);
                             }
                         }
-                        apply_f(&mut self.fregs, n, op.dst, op.d, op.e, s2, fimm);
+                        apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, s2, fimm);
                     }
                 }
                 true
@@ -1274,7 +1521,7 @@ impl LaneEngine {
         };
         if !fused {
             self.lane_load_f(op.c, op.a, op.b, n, bmap, bufs)?;
-            apply_f(&mut self.fregs, n, op.dst, op.d, op.e, s2, fimm);
+            apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, s2, fimm);
         }
         Ok(())
     }
@@ -1282,8 +1529,8 @@ impl LaneEngine {
     /// Full-width `FOpStore`: compute + scatter in one pass when the
     /// scatter is fully in bounds and the compute is a hot binop;
     /// compute-then-checked-store otherwise.
-    #[inline(never)]
-    fn fused_fop_store(
+    #[inline(always)]
+    fn fused_fop_store<K: Codegen>(
         &mut self,
         op: &DecOp,
         n: usize,
@@ -1350,7 +1597,7 @@ impl LaneEngine {
             }
         };
         if !fused {
-            apply_f(&mut self.fregs, n, op.dst, op.a, op.b, s1, fimm);
+            apply_f::<K>(&mut self.fregs, n, op.dst, op.a, op.b, s1, fimm);
             self.lane_store_f(op.dst, op.c, op.d, n, bmap, bufs)?;
         }
         Ok(())
@@ -1358,7 +1605,7 @@ impl LaneEngine {
 
     /// The full-width `LoadF` kernel (`dst`, `idx` = index register,
     /// `buf` = buffer param), shared with the fused slow paths.
-    #[inline]
+    #[inline(always)]
     fn lane_load_f(
         &mut self,
         dst: u16,
@@ -1405,7 +1652,7 @@ impl LaneEngine {
     /// The full-width `StoreF` kernel (`src` = source register, `idx` =
     /// index register, `buf` = buffer param), shared with the fused slow
     /// paths.
-    #[inline]
+    #[inline(always)]
     fn lane_store_f(
         &mut self,
         src: u16,
@@ -1448,11 +1695,28 @@ impl LaneEngine {
         Ok(())
     }
 
+    /// Execute one block's decoded ops on the active lanes of `m`.
+    #[inline(always)]
+    fn exec_block_masked(
+        &mut self,
+        ops: &[DecOp],
+        m: ExecMask,
+        gsize: [usize; 3],
+        bmap: &[usize],
+        bufs: &mut Mem<'_>,
+    ) -> Result<(), VmError> {
+        for op in ops {
+            self.exec_dec_masked(op, m, gsize, bmap, bufs)?;
+        }
+        Ok(())
+    }
+
     /// Execute one decoded op on the active lanes of `m` only: inactive
     /// lanes hold live register state of diverged lane subsets (parked at
     /// a rejoin point or scheduled on the other branch side), so their
     /// registers must not be written, their buffer accesses must not
     /// happen, and only active lanes may fault.
+    #[inline(always)]
     fn exec_dec_masked(
         &mut self,
         op: &DecOp,
@@ -1854,6 +2118,7 @@ impl LaneEngine {
     /// [`masked_chain`] makes every aliasing shape correct, and a
     /// `ConstF` half becomes a closure ignoring its operands); two
     /// masked passes otherwise.
+    #[inline(always)]
     fn masked_fop2(&mut self, op: &DecOp, m: ExecMask) {
         let (s1, s2) = (op.sub1, op.sub2);
         let fi = op.fimm;
@@ -1895,6 +2160,7 @@ impl LaneEngine {
     }
 
     /// Masked `IOp2`: one interleaved loop over the active lanes.
+    #[inline(always)]
     fn masked_iop2(&mut self, op: &DecOp, m: ExecMask) {
         let u1 = op.sub1 & I_UNSIGNED != 0;
         let u2 = op.sub2 & I_UNSIGNED != 0;
@@ -1937,6 +2203,7 @@ impl LaneEngine {
     /// Masked `LoadFOp`: gather + compute interleaved over the active
     /// lanes for the hot binops (the gather faults in the same per-lane
     /// order as the unfused pass); two masked passes otherwise.
+    #[inline(always)]
     fn masked_load_fop(
         &mut self,
         op: &DecOp,
@@ -1998,6 +2265,7 @@ impl LaneEngine {
     /// Masked `FOpStore`: compute + scatter interleaved over the active
     /// lanes for the hot binops (stores commit and fault in the same
     /// per-lane order as the unfused pass); two masked passes otherwise.
+    #[inline(always)]
     fn masked_fop_store(
         &mut self,
         op: &DecOp,
@@ -2052,5 +2320,297 @@ impl LaneEngine {
         }
         masked_f(&mut self.fregs, m, op.dst, op.a, op.b, s1, fimm);
         self.masked_store_f(op.dst, op.c, op.d, m, bmap, bufs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile;
+    use crate::ir::NdRange;
+    use crate::vm::{ArgValue, LaunchBuffers};
+
+    /// Everything a sequence of batches leaves behind; floats and buffer
+    /// elements as bit patterns, so NaNs compare too.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        results: Vec<Result<(), VmError>>,
+        iregs: Vec<Vec<i64>>,
+        fregs: Vec<Vec<u64>>,
+        steps: Vec<Vec<u64>>,
+        counts: Vec<Vec<Counters>>,
+        bufs: Vec<Vec<u32>>,
+    }
+
+    /// Run items `0..n` of `src` batch by batch on `tier`, recording the
+    /// engine state after every batch; stops at the first fault.
+    fn trace(
+        src: &str,
+        n: usize,
+        args: &[ArgValue],
+        bufs: &[BufferData],
+        elide: bool,
+        tier: Tier,
+    ) -> Trace {
+        let k = compile(src).expect("test kernel compiles");
+        let f = &k.bytecode;
+        let nd = NdRange::d1(n);
+        let mut vm = Vm::new();
+        vm.set_bounds_elide(elide);
+        let mut bufs = bufs.to_vec();
+        let mut mem = bufs.mem();
+        let bmap = vm
+            .start_launch(f, &nd, args, mem.layout())
+            .expect("valid launch");
+        let mut eng = LaneEngine::new(f, &vm);
+        eng.tier = tier;
+        let gids: Vec<[usize; 3]> = (0..n).map(|i| [i, 0, 0]).collect();
+        let mut t = Trace {
+            results: vec![],
+            iregs: vec![],
+            fregs: vec![],
+            steps: vec![],
+            counts: vec![],
+            bufs: vec![],
+        };
+        for batch in gids.chunks(LANES) {
+            let mut counts = vec![Counters::new(f); batch.len()];
+            let sink = CountSink::PerLane(&mut counts);
+            let r = eng.exec_batch(f, batch, [n, 1, 1], &bmap, &mut mem, sink);
+            let failed = r.is_err();
+            t.results.push(r);
+            t.iregs.push(eng.iregs.iter().flat_map(|r| r.0).collect());
+            t.fregs.push(
+                eng.fregs
+                    .iter()
+                    .flat_map(|r| r.0.map(f64::to_bits))
+                    .collect(),
+            );
+            t.steps.push(eng.lane_steps()[..batch.len()].to_vec());
+            t.counts.push(counts);
+            if failed {
+                break;
+            }
+        }
+        t.bufs = bufs
+            .iter()
+            .map(|b| match b {
+                BufferData::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
+                BufferData::I32(v) => v.iter().map(|&x| x as u32).collect(),
+                BufferData::U32(v) => v.clone(),
+            })
+            .collect();
+        t
+    }
+
+    /// Run `src` on the portable tier and on the tier this CPU picks
+    /// (AVX2 where available), with and without bounds elision, and
+    /// require identical traces. Returns the portable traces.
+    fn assert_tier_parity(
+        src: &str,
+        n: usize,
+        args: &[ArgValue],
+        bufs: &[BufferData],
+    ) -> Vec<Trace> {
+        [true, false]
+            .into_iter()
+            .map(|elide| {
+                let portable = trace(src, n, args, bufs, elide, Tier::Portable);
+                let native = trace(src, n, args, bufs, elide, Tier::detect());
+                assert_eq!(portable, native, "tier divergence (elide = {elide})");
+                portable
+            })
+            .collect()
+    }
+
+    fn f32_buf(n: usize, g: impl Fn(usize) -> f32) -> BufferData {
+        BufferData::F32((0..n).map(g).collect())
+    }
+
+    // 150 items: two full batches and a 22-lane tail batch.
+    const N: usize = 150;
+
+    #[test]
+    fn tiers_match_on_uniform_loops() {
+        let src = "kernel void k(global const float* a, global float* o, int n) {
+            int i = get_global_id(0);
+            float acc = 0.0;
+            int s = 0;
+            for (int j = 0; j < 16; j++) {
+                acc = acc * 0.5 + a[i] * (float)j - 1.0 / (a[i] + 3.0);
+                s = s * 3 + j - i;
+            }
+            o[i] = acc + (float)s;
+        }";
+        let bufs = [f32_buf(N, |i| i as f32 * 0.25 - 7.0), f32_buf(N, |_| 0.0)];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Int(N as i32),
+        ];
+        assert_tier_parity(src, N, &args, &bufs);
+    }
+
+    #[test]
+    fn tiers_match_on_divergent_branches_and_early_returns() {
+        let src = "kernel void k(global const float* a, global int* o, int n) {
+            int i = get_global_id(0);
+            if (i % 3 == 0) {
+                if (i % 2 == 0) { o[i] = -1; return; }
+                o[i] = i * 7;
+            } else {
+                int s = 0;
+                for (int j = 0; j < i % 13; j++) {
+                    if (j == i % 4) { continue; }
+                    s = s + j * i;
+                    if (s > 400 && i % 5 == 1) { break; }
+                }
+                if (a[i] > 10.0 || s < 3) { s = -s; }
+                o[i] = s;
+            }
+        }";
+        let bufs = [
+            f32_buf(N, |i| (i as f32).sin() * 20.0),
+            BufferData::I32(vec![0; N]),
+        ];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Int(N as i32),
+        ];
+        assert_tier_parity(src, N, &args, &bufs);
+    }
+
+    #[test]
+    fn tiers_match_on_unsigned_xorshift() {
+        let src = "kernel void k(global uint* hits, uint seed, int samples) {
+            int i = get_global_id(0);
+            uint s = seed + (uint)i * 2654435761u;
+            if (s == 0u) { s = 1u; }
+            uint count = 0u;
+            for (int j = 0; j < samples; j++) {
+                s = s ^ (s << 13);
+                s = s ^ (s >> 17);
+                s = s ^ (s << 5);
+                float x = (float)(s & 65535u) / 65536.0;
+                s = s ^ (s << 13);
+                s = s ^ (s >> 17);
+                s = s ^ (s << 5);
+                float y = (float)(s & 65535u) / 65536.0;
+                if (x * x + y * y <= 1.0) { count = count + 1u; }
+            }
+            hits[i] = count ^ (s >> (uint)(i % 32));
+        }";
+        let bufs = [BufferData::U32(vec![0; N])];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::UInt(12345),
+            ArgValue::Int(40),
+        ];
+        assert_tier_parity(src, N, &args, &bufs);
+    }
+
+    #[test]
+    fn tiers_match_on_float_math() {
+        let src = "kernel void k(global const float* a, global float* o, global int* c, int n) {
+            int i = get_global_id(0);
+            float x = a[i];
+            float y = sqrt(fabs(x)) + exp(x * 0.01) - log(fabs(x) + 1.0);
+            y = y + sin(x) * cos(x) + tan(x * 0.1) + rsqrt(fabs(x) + 0.5);
+            y = fmin(y, fmax(x, 0.0)) + floor(x) - ceil(y) + pow(fabs(x), 0.3);
+            y = y + fmod(x, 3.0) + x / (x - x) + sqrt(x);
+            o[i] = y * 2.0 - 1.0;
+            c[i] = (int)(x * 1.0e9) + (int)y;
+        }";
+        let bufs = [
+            f32_buf(N, |i| (i as f32 - 75.0) * 0.73),
+            f32_buf(N, |_| 0.0),
+            BufferData::I32(vec![0; N]),
+        ];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Buffer(2),
+            ArgValue::Int(N as i32),
+        ];
+        assert_tier_parity(src, N, &args, &bufs);
+    }
+
+    #[test]
+    fn tiers_match_on_gathers_and_scatters() {
+        let src = "kernel void k(global const float* a, global const int* ix,
+                             global float* o, global int* p, int n) {
+            int i = get_global_id(0);
+            int j = ix[i];
+            float v = a[j] * 2.0 + a[i];
+            o[(i * 7) % n] = v;
+            p[i] = j + ix[(i + 1) % n];
+            o[i] = o[i] + a[j];
+        }";
+        let bufs = [
+            f32_buf(N, |i| i as f32 * 0.5),
+            BufferData::I32((0..N).map(|i| ((i * 31) % N) as i32).collect()),
+            f32_buf(N, |_| 0.0),
+            BufferData::I32(vec![0; N]),
+        ];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Buffer(2),
+            ArgValue::Buffer(3),
+            ArgValue::Int(N as i32),
+        ];
+        assert_tier_parity(src, N, &args, &bufs);
+    }
+
+    #[test]
+    fn tiers_fault_identically_out_of_bounds() {
+        // Items past 140 store past the end: the third batch faults on
+        // both tiers at the same lane, after the same partial writes.
+        let src = "kernel void k(global const float* a, global float* o, int n) {
+            int i = get_global_id(0);
+            float v = a[i] + 1.0;
+            if (i % 2 == 0) { v = v * 3.0; }
+            o[i + 10] = v;
+        }";
+        let bufs = [f32_buf(N, |i| i as f32), f32_buf(N, |_| 0.0)];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Int(N as i32),
+        ];
+        for t in assert_tier_parity(src, N, &args, &bufs) {
+            assert!(
+                matches!(t.results.last(), Some(Err(VmError::OutOfBounds { .. }))),
+                "expected an out-of-bounds fault, got {:?}",
+                t.results
+            );
+        }
+    }
+
+    #[test]
+    fn lane_rows_start_on_cache_lines() {
+        let src = "kernel void k(global float* o, int n) {
+            int i = get_global_id(0);
+            o[i] = (float)(i * n) + 0.5;
+        }";
+        let k = compile(src).expect("test kernel compiles");
+        let mut vm = Vm::new();
+        let mut bufs = vec![f32_buf(8, |_| 0.0)];
+        let args = [ArgValue::Buffer(0), ArgValue::Int(8)];
+        vm.run_range(&k.bytecode, &NdRange::d1(8), 0..8, &args, &mut bufs)
+            .expect("kernel runs");
+        let eng = LaneEngine::new(&k.bytecode, &vm);
+        assert!(!eng.iregs.is_empty() && !eng.fregs.is_empty());
+        let addrs = eng
+            .iregs
+            .iter()
+            .map(|r| r.as_ptr() as usize)
+            .chain(eng.fregs.iter().map(|r| r.as_ptr() as usize))
+            .chain(eng.gid.iter().map(|r| r.as_ptr() as usize))
+            .chain([eng.steps.as_ptr() as usize]);
+        for a in addrs {
+            assert_eq!(a % 64, 0, "row at {a:#x} is not 64-byte aligned");
+        }
     }
 }
