@@ -103,13 +103,15 @@ impl HarnessConfig {
 }
 
 /// Pick `k` evenly spaced elements from `ladder` (all of them if `k >=
-/// len`), always including the first and last.
+/// len`, none if `k == 0`), always including the first and last.
 pub fn select_evenly(ladder: &[usize], k: usize) -> Vec<usize> {
     let n = ladder.len();
     if k >= n {
         return ladder.to_vec();
     }
-    assert!(k >= 1);
+    if k == 0 {
+        return Vec::new();
+    }
     if k == 1 {
         return vec![ladder[n / 2]];
     }
@@ -128,6 +130,7 @@ mod tests {
         assert_eq!(select_evenly(&ladder, 6), ladder.to_vec());
         assert_eq!(select_evenly(&ladder, 99), ladder.to_vec());
         assert_eq!(select_evenly(&ladder, 1), vec![8]);
+        assert_eq!(select_evenly(&ladder, 0), Vec::<usize>::new());
     }
 
     #[test]

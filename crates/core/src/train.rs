@@ -145,26 +145,33 @@ pub fn collect_training_db(
 /// (visible to [`ShardedDb::merge`]) but are excluded from the returned
 /// view.
 ///
-/// # Panics
-/// Panics if `shards` belongs to a different machine than `machine` —
-/// mixing measurements across machines is a programming error, not a
-/// runtime condition.
+/// A store opened for another machine (a different name, or the same
+/// name with different hardware) fails with
+/// [`DbError::MachineMismatch`] or [`DbError::MachineFingerprintMismatch`]
+/// before anything is read or measured.
 pub fn collect_training_db_sharded(
     machine: &Machine,
     benchmarks: &[Benchmark],
     cfg: &HarnessConfig,
     shards: &ShardedDb,
 ) -> Result<TrainingDb, TrainError> {
-    assert_eq!(
-        shards.machine(),
-        machine.name,
-        "shard store belongs to a different machine"
-    );
-    assert_eq!(
-        shards.machine_fingerprint(),
-        machine.fingerprint(),
-        "shard store belongs to a machine of the same name but different hardware"
-    );
+    if shards.machine() != machine.name {
+        return Err(DbError::MachineMismatch {
+            path: shards.dir().to_path_buf(),
+            expected: machine.name.to_string(),
+            found: shards.machine().to_string(),
+        }
+        .into());
+    }
+    if shards.machine_fingerprint() != machine.fingerprint() {
+        return Err(DbError::MachineFingerprintMismatch {
+            path: shards.dir().to_path_buf(),
+            machine: machine.name.to_string(),
+            expected: machine.fingerprint(),
+            found: shards.machine_fingerprint(),
+        }
+        .into());
+    }
     // Refuse to resume a store collected under different oracle settings
     // (sweep granularity, sample count, sweep mode) — the records would
     // not be comparable. First run records the fingerprint.

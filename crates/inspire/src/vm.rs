@@ -500,19 +500,8 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Counters, VmError> {
-        Self::check_split_range(nd, &split_range)?;
-        let mut mem = bufs.mem();
-        let bmap = self.start_launch(f, nd, args, mem.layout())?;
-        let mut counters = Counters::new(f);
-        let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
-        let inner: usize = nd.items_per_slice();
-        let split_dim = nd.split_dim();
-        let total = split_range.len() * inner;
-        for li in 0..total {
-            let gid = gid_at(li, split_range.start, inner, split_dim, gsize);
-            self.exec_item(f, gid, gsize, &bmap, &mut mem, &mut counters)?;
-        }
-        Ok(counters)
+        let total = split_range.len() * nd.items_per_slice();
+        self.exec_scalar(f, nd, &split_range, args, bufs, total, |k| k, None)
     }
 
     /// [`Vm::run_range`] on the lane-batched engine: batches of up to
@@ -526,34 +515,8 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Counters, VmError> {
-        Self::check_split_range(nd, &split_range)?;
-        let mut mem = bufs.mem();
-        let bmap = self.start_launch(f, nd, args, mem.layout())?;
-        let mut counters = Counters::new(f);
-        let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
-        let inner: usize = nd.items_per_slice();
-        let split_dim = nd.split_dim();
-        let total = split_range.len() * inner;
-        let mut engine = LaneEngine::new(f, self);
-        let mut gids = [[0usize; 3]; LANES];
-        let mut done = 0usize;
-        while done < total {
-            let n = LANES.min(total - done);
-            for (k, gid) in gids[..n].iter_mut().enumerate() {
-                *gid = gid_at(done + k, split_range.start, inner, split_dim, gsize);
-            }
-            counters.items += n as u64;
-            engine.exec_batch(
-                f,
-                &gids[..n],
-                gsize,
-                &bmap,
-                &mut mem,
-                CountSink::Aggregate(&mut counters),
-            )?;
-            done += n;
-        }
-        Ok(counters)
+        let total = split_range.len() * nd.items_per_slice();
+        self.exec_lanes(f, nd, &split_range, args, bufs, total, |k| k, None)
     }
 
     /// Execute a deterministic stratified sample of at most `max_items`
@@ -591,30 +554,13 @@ impl Vm {
         bufs: &mut (impl LaunchBuffers + ?Sized),
         max_items: usize,
     ) -> Result<SampleResult, VmError> {
-        Self::check_split_range(nd, &split_range)?;
-        let mut mem = bufs.mem();
-        let bmap = self.start_launch(f, nd, args, mem.layout())?;
-        let mut counters = Counters::new(f);
-        let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
-        let inner = nd.items_per_slice();
-        let split_dim = nd.split_dim();
-        let chunk_items = split_range.len() * inner;
+        let chunk_items = split_range.len() * nd.items_per_slice();
         let n = chunk_items.min(max_items.max(1));
         let mut stats = OnlineStats::default();
-        // Evenly spaced global linear indices over the chunk.
-        for j in 0..n {
-            let li = sample_index(j, n, chunk_items);
-            let gid = gid_at(li, split_range.start, inner, split_dim, gsize);
-            let steps = self.exec_item(f, gid, gsize, &bmap, &mut mem, &mut counters)?;
-            stats.push(steps as f64);
-        }
-        Ok(SampleResult {
-            counters,
-            sampled_items: n as u64,
-            total_items: chunk_items as u64,
-            mean_ops_per_item: stats.mean(),
-            ops_cv: stats.cv(),
-        })
+        let index = |k| sample_index(k, n, chunk_items);
+        let counters =
+            self.exec_scalar(f, nd, &split_range, args, bufs, n, index, Some(&mut stats))?;
+        Ok(SampleResult::new(counters, n, chunk_items, &stats))
     }
 
     /// [`Vm::run_sampled`] on the lane-batched engine.
@@ -627,24 +573,75 @@ impl Vm {
         bufs: &mut (impl LaunchBuffers + ?Sized),
         max_items: usize,
     ) -> Result<SampleResult, VmError> {
-        Self::check_split_range(nd, &split_range)?;
+        let chunk_items = split_range.len() * nd.items_per_slice();
+        let n = chunk_items.min(max_items.max(1));
+        let mut stats = OnlineStats::default();
+        let index = |k| sample_index(k, n, chunk_items);
+        let counters =
+            self.exec_lanes(f, nd, &split_range, args, bufs, n, index, Some(&mut stats))?;
+        Ok(SampleResult::new(counters, n, chunk_items, &stats))
+    }
+
+    /// The scalar loop behind [`Vm::run_range_scalar`] and
+    /// [`Vm::run_sampled_scalar`]: executes `n` work-items of the split
+    /// range one at a time, item `k` at linear index `index(k)`
+    /// (row-major from the range start), folding each item's step count
+    /// into `stats` when given.
+    #[allow(clippy::too_many_arguments)]
+    fn exec_scalar(
+        &mut self,
+        f: &Function,
+        nd: &NdRange,
+        split_range: &Range<usize>,
+        args: &[ArgValue],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
+        n: usize,
+        index: impl Fn(usize) -> usize,
+        mut stats: Option<&mut OnlineStats>,
+    ) -> Result<Counters, VmError> {
+        Self::check_split_range(nd, split_range)?;
         let mut mem = bufs.mem();
         let bmap = self.start_launch(f, nd, args, mem.layout())?;
         let mut counters = Counters::new(f);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
-        let inner = nd.items_per_slice();
-        let split_dim = nd.split_dim();
-        let chunk_items = split_range.len() * inner;
-        let n = chunk_items.min(max_items.max(1));
+        let (inner, split_dim) = (nd.items_per_slice(), nd.split_dim());
+        for k in 0..n {
+            let gid = gid_at(index(k), split_range.start, inner, split_dim, gsize);
+            let steps = self.exec_item(f, gid, gsize, &bmap, &mut mem, &mut counters)?;
+            if let Some(stats) = stats.as_deref_mut() {
+                stats.push(steps as f64);
+            }
+        }
+        Ok(counters)
+    }
+
+    /// The lane-engine twin of [`Vm::exec_scalar`]: the same items, in
+    /// batches of up to [`LANES`].
+    #[allow(clippy::too_many_arguments)]
+    fn exec_lanes(
+        &mut self,
+        f: &Function,
+        nd: &NdRange,
+        split_range: &Range<usize>,
+        args: &[ArgValue],
+        bufs: &mut (impl LaunchBuffers + ?Sized),
+        n: usize,
+        index: impl Fn(usize) -> usize,
+        mut stats: Option<&mut OnlineStats>,
+    ) -> Result<Counters, VmError> {
+        Self::check_split_range(nd, split_range)?;
+        let mut mem = bufs.mem();
+        let bmap = self.start_launch(f, nd, args, mem.layout())?;
+        let mut counters = Counters::new(f);
+        let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
+        let (inner, split_dim) = (nd.items_per_slice(), nd.split_dim());
         let mut engine = LaneEngine::new(f, self);
         let mut gids = [[0usize; 3]; LANES];
-        let mut stats = OnlineStats::default();
         let mut done = 0usize;
         while done < n {
             let bn = LANES.min(n - done);
             for (k, gid) in gids[..bn].iter_mut().enumerate() {
-                let li = sample_index(done + k, n, chunk_items);
-                *gid = gid_at(li, split_range.start, inner, split_dim, gsize);
+                *gid = gid_at(index(done + k), split_range.start, inner, split_dim, gsize);
             }
             counters.items += bn as u64;
             engine.exec_batch(
@@ -655,18 +652,14 @@ impl Vm {
                 &mut mem,
                 CountSink::Aggregate(&mut counters),
             )?;
-            for &steps in &engine.lane_steps()[..bn] {
-                stats.push(steps as f64);
+            if let Some(stats) = stats.as_deref_mut() {
+                for &steps in &engine.lane_steps()[..bn] {
+                    stats.push(steps as f64);
+                }
             }
             done += bn;
         }
-        Ok(SampleResult {
-            counters,
-            sampled_items: n as u64,
-            total_items: chunk_items as u64,
-            mean_ops_per_item: stats.mean(),
-            ops_cv: stats.cv(),
-        })
+        Ok(counters)
     }
 
     /// Execute an explicit list of work-items (lane-batched), returning
@@ -1090,6 +1083,17 @@ pub struct SampleResult {
 }
 
 impl SampleResult {
+    /// The result of sampling `n` of a chunk's `chunk_items` items.
+    fn new(counters: Counters, n: usize, chunk_items: usize, stats: &OnlineStats) -> Self {
+        Self {
+            counters,
+            sampled_items: n as u64,
+            total_items: chunk_items as u64,
+            mean_ops_per_item: stats.mean(),
+            ops_cv: stats.cv(),
+        }
+    }
+
     /// Extrapolate the sampled counters to the full chunk.
     pub fn extrapolated(&self, f: &Function) -> DynamicCounts {
         let d = dynamic_counts(f, &self.counters);

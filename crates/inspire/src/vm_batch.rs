@@ -21,8 +21,9 @@
 //!   `#[target_feature(enable = "avx2")]` entry with the whole full-width
 //!   path (op dispatch, fused superinstructions, row and gather kernels)
 //!   inlined into it, so the row kernels run four 64-bit lanes per
-//!   vector. The masked path stays out of line: it walks active lanes
-//!   one at a time, which AVX2 cannot widen. `fma` is not enabled and
+//!   vector. The op walk's [`Masked`] instantiation stays out of line
+//!   (`exec_block_masked`): it walks active lanes one at a time, which
+//!   AVX2 cannot widen. `fma` is not enabled and
 //!   Rust never contracts `a * b + c`, so float results are bit-identical
 //!   to the portable tier.
 //! - **Portable** (every other CPU): the same body built for the crate's
@@ -34,7 +35,11 @@
 //! The engine walks the function's pre-decoded op array
 //! ([`crate::opt::decode`]): a flat one-level dispatch per op, with
 //! adjacent op pairs fused into superinstructions that make one pass
-//! over the lane rows where the unfused pair made two. The scalar engine
+//! over the lane rows where the unfused pair made two. There is one op
+//! walk, [`LaneEngine::exec_dec`], generic over the [`LaneSet`] it runs
+//! on: [`Prefix`], the live prefix of a batch, or [`Masked`], the active
+//! lanes of a partial mask. The lane set supplies loop shapes only, so
+//! every op's semantics is written once. The scalar engine
 //! walks the enum blocks instead, so every scalar-vs-lanes comparison
 //! checks two independent implementations of the bytecode semantics —
 //! decoding and fusion included.
@@ -56,8 +61,8 @@
 //!   parked, and once all subsets arrive the parent frame resumes there
 //!   with the re-merged mask — lanes re-join at the post-dominator
 //!   exactly like a hardware SIMT stack. Instructions executed under a
-//!   partial mask use masked variants that only read, write, and fault on
-//!   active lanes.
+//!   partial mask run the same op walk over the [`Masked`] lane set, whose
+//!   loops only read, write, and fault on active lanes.
 //! - The **active-lane mask** of a full batch is a prefix: the final
 //!   batch of a range may cover fewer than [`LANES`] items, and all lane
 //!   loops iterate only over the live prefix.
@@ -76,7 +81,7 @@
 //! order, and buffers may hold partial writes from other items of the
 //! faulting batch.
 
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 
 use crate::bytecode::{CmpOp, Function, IBinOp, Terminator};
 use crate::cfg::NO_POST_DOM;
@@ -299,6 +304,146 @@ struct Frame {
     mask: ExecMask,
 }
 
+/// `with_fsub!(sub, fimm, binary: |f| b, unary: |f| u, math: |f| m,
+/// nullary: |f| c)`: decode the F-file micro-op `sub` (see
+/// [`crate::opt::decode`]) and evaluate the body for its class with `f`
+/// bound to its lane function of two operands (unary ops ignore the
+/// second, the constant `fimm` both). `unary` covers mov, negate, sqrt
+/// and fabs; `math` the other unary math functions, whose per-lane cost
+/// dwarfs the walk a fused pass saves. Two short forms:
+///
+/// - `with_fsub!(sub, fimm, |f| body)`: one body for every class;
+/// - `with_fsub!(sub, fimm, cheap: |f| body, math: fallback)`: one body
+///   for every class but `math`, which evaluates `fallback` instead.
+///
+/// Each arm instantiates its body with its own closure, so the loops in
+/// the body stay monomorphic: one match per op, never per lane.
+macro_rules! with_fsub {
+    ($sub:expr, $fimm:expr, |$f:ident| $body:expr) => {
+        with_fsub!(
+            $sub,
+            $fimm,
+            binary: |$f| $body,
+            unary: |$f| $body,
+            math: |$f| $body,
+            nullary: |$f| $body
+        )
+    };
+    ($sub:expr, $fimm:expr, cheap: |$f:ident| $body:expr, math: $math:expr) => {
+        with_fsub!(
+            $sub,
+            $fimm,
+            binary: |$f| $body,
+            unary: |$f| $body,
+            math: |_f| $math,
+            nullary: |$f| $body
+        )
+    };
+    (
+        $sub:expr,
+        $fimm:expr,
+        binary: |$fb:ident| $binary:expr,
+        unary: |$fu:ident| $unary:expr,
+        math: |$fm:ident| $math:expr,
+        nullary: |$f0:ident| $nullary:expr
+    ) => {{
+        let fimm: f64 = $fimm;
+        match $sub {
+            F_ADD => {
+                let $fb = |x: f64, y: f64| x + y;
+                $binary
+            }
+            F_SUB => {
+                let $fb = |x: f64, y: f64| x - y;
+                $binary
+            }
+            F_MUL => {
+                let $fb = |x: f64, y: f64| x * y;
+                $binary
+            }
+            F_DIV => {
+                let $fb = |x: f64, y: f64| x / y;
+                $binary
+            }
+            F_MOV => {
+                let $fu = |x: f64, _: f64| x;
+                $unary
+            }
+            5 => {
+                let $fu = |x: f64, _: f64| x.sqrt();
+                $unary
+            }
+            6 => {
+                let $fm = |x: f64, _: f64| 1.0 / x.sqrt();
+                $math
+            }
+            7 => {
+                let $fm = |x: f64, _: f64| x.exp();
+                $math
+            }
+            8 => {
+                let $fm = |x: f64, _: f64| x.ln();
+                $math
+            }
+            9 => {
+                let $fm = |x: f64, _: f64| x.sin();
+                $math
+            }
+            10 => {
+                let $fm = |x: f64, _: f64| x.cos();
+                $math
+            }
+            11 => {
+                let $fm = |x: f64, _: f64| x.tan();
+                $math
+            }
+            12 => {
+                let $fu = |x: f64, _: f64| x.abs();
+                $unary
+            }
+            13 => {
+                let $fm = |x: f64, _: f64| x.floor();
+                $math
+            }
+            14 => {
+                let $fm = |x: f64, _: f64| x.ceil();
+                $math
+            }
+            F_NEG => {
+                let $fu = |x: f64, _: f64| -x;
+                $unary
+            }
+            _ => {
+                let $f0 = move |_: f64, _: f64| fimm;
+                $nullary
+            }
+        }
+    }};
+}
+
+/// `with_isub!(sub, |f| body)`: [`with_fsub!`] for the I-file micro-ops
+/// (the non-faulting binops, signedness in bit 7).
+macro_rules! with_isub {
+    ($sub:expr, |$f:ident| $body:expr) => {{
+        let sub: u8 = $sub;
+        let u = sub & I_UNSIGNED != 0;
+        match sub & !I_UNSIGNED {
+            0 => {
+                let $f = move |x: i64, y: i64| wrap32(x.wrapping_add(y), u);
+                $body
+            }
+            1 => {
+                let $f = move |x: i64, y: i64| wrap32(x.wrapping_sub(y), u);
+                $body
+            }
+            _ => {
+                let $f = move |x: i64, y: i64| wrap32(x.wrapping_mul(y), u);
+                $body
+            }
+        }
+    }};
+}
+
 /// Where block executions are counted.
 pub(crate) enum CountSink<'a> {
     /// One shared counter set for the whole batch (a block execution by
@@ -309,31 +454,265 @@ pub(crate) enum CountSink<'a> {
 }
 
 impl CountSink<'_> {
-    /// Count one block execution by the first `lanes` lanes (a full
-    /// prefix mask).
+    /// Count one block execution by every lane of `s`.
     #[inline]
-    fn count_block(&mut self, block: usize, lanes: usize) {
+    fn count_block<S: LaneSet>(&mut self, block: usize, s: S) {
         match self {
-            CountSink::Aggregate(c) => c.block_counts[block] += lanes as u64,
+            CountSink::Aggregate(c) => c.block_counts[block] += s.count(),
             CountSink::PerLane(per) => {
-                for c in per[..lanes].iter_mut() {
-                    c.block_counts[block] += 1;
-                }
-            }
-        }
-    }
-
-    /// Count one block execution by every active lane of `m`.
-    #[inline]
-    fn count_block_masked(&mut self, block: usize, m: ExecMask) {
-        match self {
-            CountSink::Aggregate(c) => c.block_counts[block] += u64::from(m.count()),
-            CountSink::PerLane(per) => {
-                for l in m.lanes() {
+                for l in s.lanes() {
                     per[l].block_counts[block] += 1;
                 }
             }
         }
+    }
+}
+
+/// The lanes one op walk runs over: [`Prefix`], the live prefix of a
+/// batch, or [`Masked`], the active lanes of a partial mask. A lane set
+/// supplies loop shapes only. What every op computes — its semantics,
+/// the sub-op decoding, bounds-elision handling and the superinstruction
+/// logic — is written once, in [`LaneEngine::exec_dec`] and its helpers,
+/// and instantiated per set.
+trait LaneSet: Copy {
+    /// Whether the set is walked lane by lane. Such a walk cannot be
+    /// widened, so it inlines every helper (see `inline_if!`).
+    const MASKED: bool;
+
+    type Lanes: Iterator<Item = usize>;
+
+    /// The lanes in ascending (= item) order: the order in which the
+    /// loops that can fault visit them.
+    fn lanes(self) -> Self::Lanes;
+
+    /// The number of lanes.
+    fn count(self) -> u64;
+
+    /// `dst[l] = f(a[l], b[l])` within one register file; any operand may
+    /// alias `dst`.
+    fn map2<K: Codegen, T: Copy, F: Fn(T, T) -> T>(
+        self,
+        regs: &mut [Row<T>],
+        dst: u16,
+        a: u16,
+        b: u16,
+        f: F,
+    );
+
+    /// `dst[l] = f(a[l])` within one register file.
+    fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F);
+
+    /// `d[l] = f(x[l])` from a row that cannot alias `d`.
+    fn zip1<T: Copy, U, F: Fn(T) -> U>(self, d: &mut Row<U>, x: &Row<T>, f: F);
+
+    /// `d[l] = f(x[l], y[l])` from rows that cannot alias `d`.
+    fn zip2<T: Copy, U, F: Fn(T, T) -> U>(self, d: &mut Row<U>, x: &Row<T>, y: &Row<T>, f: F);
+
+    /// `d[l] = v`.
+    fn fill<T: Copy>(self, d: &mut Row<T>, v: T);
+
+    /// The in-bounds prescan: `true` lets a checked access skip its
+    /// faulting walk, and a fused memory pair run as one pass.
+    fn in_bounds(self, idx: &Row<i64>, len: usize) -> bool;
+
+    /// A fused `FOp2` under the set's pair policy.
+    fn fop2<K: Codegen>(self, fregs: &mut [Row<f64>], op: &DecOp);
+
+    /// A fused `IOp2` under the set's pair policy.
+    fn iop2<K: Codegen>(self, iregs: &mut [Row<i64>], op: &DecOp);
+}
+
+/// The first `n` lanes of a batch, all active: row loops over `[..n]`
+/// that the optimizer vectorizes.
+#[derive(Clone, Copy)]
+struct Prefix(usize);
+
+impl LaneSet for Prefix {
+    const MASKED: bool = false;
+
+    type Lanes = Range<usize>;
+
+    #[inline(always)]
+    fn lanes(self) -> Range<usize> {
+        0..self.0
+    }
+
+    #[inline(always)]
+    fn count(self) -> u64 {
+        self.0 as u64
+    }
+
+    #[inline(always)]
+    fn map2<K: Codegen, T: Copy, F: Fn(T, T) -> T>(
+        self,
+        regs: &mut [Row<T>],
+        dst: u16,
+        a: u16,
+        b: u16,
+        f: F,
+    ) {
+        K::apply2(regs, self.0, dst, a, b, f);
+    }
+
+    #[inline(always)]
+    fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
+        K::apply1(regs, self.0, dst, a, f);
+    }
+
+    #[inline(always)]
+    fn zip1<T: Copy, U, F: Fn(T) -> U>(self, d: &mut Row<U>, x: &Row<T>, f: F) {
+        let n = self.0;
+        for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
+            *d = f(x);
+        }
+    }
+
+    #[inline(always)]
+    fn zip2<T: Copy, U, F: Fn(T, T) -> U>(self, d: &mut Row<U>, x: &Row<T>, y: &Row<T>, f: F) {
+        let n = self.0;
+        for ((d, &x), &y) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]) {
+            *d = f(x, y);
+        }
+    }
+
+    #[inline(always)]
+    fn fill<T: Copy>(self, d: &mut Row<T>, v: T) {
+        d[..self.0].fill(v);
+    }
+
+    /// One vectorized min/max pass over the live index row.
+    #[inline(always)]
+    fn in_bounds(self, idx: &Row<i64>, len: usize) -> bool {
+        all_in_bounds(idx, self.0, len)
+    }
+
+    /// Two mono passes — the unfused execution minus one dispatch. A
+    /// single loop carrying the intermediate in a register was tried here
+    /// and measured *slower* than the two passes on every suite kernel
+    /// (the two-output chain loop defeats the vectorizer); the masked set
+    /// keeps its chain loop, where per-lane interleaving wins over a
+    /// second pass across the scattered active set.
+    #[inline(always)]
+    fn fop2<K: Codegen>(self, fregs: &mut [Row<f64>], op: &DecOp) {
+        if op.sub1 == F_CONST {
+            return const_fop2::<K>(fregs, self.0, op);
+        }
+        apply_f::<K, _>(self, fregs, op.c, op.a, op.b, op.sub1, op.fimm);
+        apply_f::<K, _>(self, fregs, op.dst, op.d, op.e, op.sub2, op.fimm);
+    }
+
+    /// Two mono passes; see [`Prefix::fop2`].
+    #[inline(always)]
+    fn iop2<K: Codegen>(self, iregs: &mut [Row<i64>], op: &DecOp) {
+        apply_i::<K, _>(self, iregs, op.c, op.a, op.b, op.sub1);
+        apply_i::<K, _>(self, iregs, op.dst, op.d, op.e, op.sub2);
+    }
+}
+
+/// The active lanes of a partial mask: loops walk the set bits one lane
+/// at a time, so inactive lanes — live state of diverged lane subsets —
+/// are never read, written or faulted on.
+#[derive(Clone, Copy)]
+struct Masked(ExecMask);
+
+impl LaneSet for Masked {
+    const MASKED: bool = true;
+
+    type Lanes = Lanes;
+
+    #[inline(always)]
+    fn lanes(self) -> Lanes {
+        self.0.lanes()
+    }
+
+    #[inline(always)]
+    fn count(self) -> u64 {
+        u64::from(self.0.count())
+    }
+
+    /// Per-lane read-then-write makes any operand aliasing trivially
+    /// correct.
+    #[inline(always)]
+    fn map2<K: Codegen, T: Copy, F: Fn(T, T) -> T>(
+        self,
+        regs: &mut [Row<T>],
+        dst: u16,
+        a: u16,
+        b: u16,
+        f: F,
+    ) {
+        let (dst, a, b) = (dst as usize, a as usize, b as usize);
+        for l in self.lanes() {
+            let x = regs[a][l];
+            let y = regs[b][l];
+            regs[dst][l] = f(x, y);
+        }
+    }
+
+    #[inline(always)]
+    fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
+        let (dst, a) = (dst as usize, a as usize);
+        for l in self.lanes() {
+            let x = regs[a][l];
+            regs[dst][l] = f(x);
+        }
+    }
+
+    #[inline(always)]
+    fn zip1<T: Copy, U, F: Fn(T) -> U>(self, d: &mut Row<U>, x: &Row<T>, f: F) {
+        for l in self.lanes() {
+            d[l] = f(x[l]);
+        }
+    }
+
+    #[inline(always)]
+    fn zip2<T: Copy, U, F: Fn(T, T) -> U>(self, d: &mut Row<U>, x: &Row<T>, y: &Row<T>, f: F) {
+        for l in self.lanes() {
+            d[l] = f(x[l], y[l]);
+        }
+    }
+
+    #[inline(always)]
+    fn fill<T: Copy>(self, d: &mut Row<T>, v: T) {
+        for l in self.lanes() {
+            d[l] = v;
+        }
+    }
+
+    /// No prescan: the checked walk tests each active index as it goes,
+    /// and a separate scan would be a second walk over the same scattered
+    /// lanes. Only elided accesses take the unchecked shapes.
+    #[inline(always)]
+    fn in_bounds(self, _idx: &Row<i64>, _len: usize) -> bool {
+        false
+    }
+
+    /// A per-lane chain: both halves back to back within each active lane
+    /// (see [`chain`]); a `ConstF` half is a closure ignoring its operands.
+    /// A pair with a `math` half runs as two passes instead.
+    #[inline(always)]
+    fn fop2<K: Codegen>(self, fregs: &mut [Row<f64>], op: &DecOp) {
+        with_fsub!(
+            op.sub1,
+            op.fimm,
+            cheap: |f1| with_fsub!(
+                op.sub2,
+                op.fimm,
+                cheap: |f2| return chain(self, fregs, op, f1, f2),
+                math: ()
+            ),
+            math: ()
+        );
+        apply_f::<K, _>(self, fregs, op.c, op.a, op.b, op.sub1, op.fimm);
+        apply_f::<K, _>(self, fregs, op.dst, op.d, op.e, op.sub2, op.fimm);
+    }
+
+    /// A per-lane chain; see [`Masked::fop2`].
+    #[inline(always)]
+    fn iop2<K: Codegen>(self, iregs: &mut [Row<i64>], op: &DecOp) {
+        with_isub!(op.sub1, |f1| {
+            with_isub!(op.sub2, |f2| chain(self, iregs, op, f1, f2))
+        })
     }
 }
 
@@ -435,37 +814,14 @@ fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u1
     }
 }
 
-/// Masked [`apply2`]: `dst[l] = f(a[l], b[l])` for each active lane.
-/// Per-lane read-then-write makes any operand aliasing trivially correct.
-#[inline]
-fn masked2<T: Copy, F: Fn(T, T) -> T>(
-    regs: &mut [Row<T>],
-    m: ExecMask,
-    dst: u16,
-    a: u16,
-    b: u16,
-    f: F,
-) {
-    let (dst, a, b) = (dst as usize, a as usize, b as usize);
-    for l in m.lanes() {
-        let x = regs[a][l];
-        let y = regs[b][l];
-        regs[dst][l] = f(x, y);
-    }
-}
-
-/// Masked [`apply1`]: `dst[l] = f(a[l])` for each active lane.
-#[inline]
-fn masked1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], m: ExecMask, dst: u16, a: u16, f: F) {
-    let (dst, a) = (dst as usize, a as usize);
-    for l in m.lanes() {
-        let x = regs[a][l];
-        regs[dst][l] = f(x);
-    }
+/// Is buffer parameter `p` proven in bounds under elision mask `elide`?
+#[inline(always)]
+fn elided(elide: u64, p: u16) -> bool {
+    p < 64 && elide & (1u64 << p) != 0
 }
 
 /// Whether every lane index is a valid element index for a buffer of
-/// `len` elements — the gate for the bounds-check-free memory fast paths.
+/// `len` elements — the [`Prefix`] prescan.
 #[inline(always)]
 fn all_in_bounds(idx: &[i64; LANES], n: usize, len: usize) -> bool {
     let mut lo = i64::MAX;
@@ -477,95 +833,63 @@ fn all_in_bounds(idx: &[i64; LANES], n: usize, len: usize) -> bool {
     lo >= 0 && (hi as u64) < len as u64
 }
 
-/// Full-width F-file micro-op: the same vectorized kernels as the
-/// unfused interpreter arms, selected by one match per op (never per
-/// lane — a per-lane sub dispatch would defeat vectorization).
+/// Whether every index of `s` is in `[0, len)`, walked lane by lane: the
+/// debug check behind bounds elision.
+fn proven<S: LaneSet>(s: S, idx: &Row<i64>, len: usize) -> bool {
+    s.lanes().all(|l| (idx[l] as u64) < len as u64)
+}
+
+/// F-file micro-op over the lanes of `s`: the row kernels of the unfused
+/// ops, selected by one match per op.
 #[inline(always)]
-fn apply_f<K: Codegen>(
+fn apply_f<K: Codegen, S: LaneSet>(
+    s: S,
     fregs: &mut [Row<f64>],
-    n: usize,
     dst: u16,
     a: u16,
     b: u16,
     sub: u8,
     fimm: f64,
 ) {
-    match sub {
-        F_ADD => K::apply2(fregs, n, dst, a, b, |x, y| x + y),
-        F_SUB => K::apply2(fregs, n, dst, a, b, |x, y| x - y),
-        F_MUL => K::apply2(fregs, n, dst, a, b, |x, y| x * y),
-        F_DIV => K::apply2(fregs, n, dst, a, b, |x, y| x / y),
-        F_MOV => K::apply1(fregs, n, dst, a, |x| x),
-        5 => K::apply1(fregs, n, dst, a, f64::sqrt),
-        6 => K::apply1(fregs, n, dst, a, |x| 1.0 / x.sqrt()),
-        7 => K::apply1(fregs, n, dst, a, f64::exp),
-        8 => K::apply1(fregs, n, dst, a, f64::ln),
-        9 => K::apply1(fregs, n, dst, a, f64::sin),
-        10 => K::apply1(fregs, n, dst, a, f64::cos),
-        11 => K::apply1(fregs, n, dst, a, f64::tan),
-        12 => K::apply1(fregs, n, dst, a, f64::abs),
-        13 => K::apply1(fregs, n, dst, a, f64::floor),
-        14 => K::apply1(fregs, n, dst, a, f64::ceil),
-        F_NEG => K::apply1(fregs, n, dst, a, |x| -x),
-        _ => fregs[dst as usize][..n].fill(fimm),
-    }
+    with_fsub!(
+        sub,
+        fimm,
+        binary: |f| s.map2::<K, _, _>(fregs, dst, a, b, f),
+        unary: |f| s.map1::<K, _, _>(fregs, dst, a, |x| f(x, x)),
+        math: |f| s.map1::<K, _, _>(fregs, dst, a, |x| f(x, x)),
+        nullary: |_f| s.fill(&mut fregs[dst as usize], fimm)
+    )
 }
 
-/// Full-width I-file micro-op (the non-faulting binops), mono-dispatched
-/// like [`apply_f`].
+/// I-file micro-op (the non-faulting binops) over the lanes of `s`.
 #[inline(always)]
-fn apply_i<K: Codegen>(iregs: &mut [Row<i64>], n: usize, dst: u16, a: u16, b: u16, sub: u8) {
-    let u = sub & I_UNSIGNED != 0;
-    match sub & !I_UNSIGNED {
-        0 => K::apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_add(y), u)),
-        1 => K::apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_sub(y), u)),
-        _ => K::apply2(iregs, n, dst, a, b, |x, y| wrap32(x.wrapping_mul(y), u)),
-    }
+fn apply_i<K: Codegen, S: LaneSet>(
+    s: S,
+    iregs: &mut [Row<i64>],
+    dst: u16,
+    a: u16,
+    b: u16,
+    sub: u8,
+) {
+    with_isub!(sub, |f| s.map2::<K, _, _>(iregs, dst, a, b, f))
 }
 
-/// Masked [`apply_f`].
-fn masked_f(fregs: &mut [Row<f64>], m: ExecMask, dst: u16, a: u16, b: u16, sub: u8, fimm: f64) {
-    match sub {
-        F_ADD => masked2(fregs, m, dst, a, b, |x, y| x + y),
-        F_SUB => masked2(fregs, m, dst, a, b, |x, y| x - y),
-        F_MUL => masked2(fregs, m, dst, a, b, |x, y| x * y),
-        F_DIV => masked2(fregs, m, dst, a, b, |x, y| x / y),
-        F_MOV => masked1(fregs, m, dst, a, |x| x),
-        5 => masked1(fregs, m, dst, a, f64::sqrt),
-        6 => masked1(fregs, m, dst, a, |x| 1.0 / x.sqrt()),
-        7 => masked1(fregs, m, dst, a, f64::exp),
-        8 => masked1(fregs, m, dst, a, f64::ln),
-        9 => masked1(fregs, m, dst, a, f64::sin),
-        10 => masked1(fregs, m, dst, a, f64::cos),
-        11 => masked1(fregs, m, dst, a, f64::tan),
-        12 => masked1(fregs, m, dst, a, f64::abs),
-        13 => masked1(fregs, m, dst, a, f64::floor),
-        14 => masked1(fregs, m, dst, a, f64::ceil),
-        F_NEG => masked1(fregs, m, dst, a, |x| -x),
-        _ => {
-            for l in m.lanes() {
-                fregs[dst as usize][l] = fimm;
-            }
-        }
-    }
-}
-
-/// Masked chain loop shared by the fused compute pairs: both halves run
-/// back to back within each active lane, which is bit-identical to two
-/// masked passes because every op reads only its own lane's elements (a
-/// second-half operand naming the first's destination reads the fresh
-/// value in both orders).
-#[inline]
-fn masked_chain<T: Copy, F1: Fn(T, T) -> T, F2: Fn(T, T) -> T>(
+/// A fused compute pair `c = f1(a, b)`, `dst = f2(d, e)` with both halves
+/// back to back within each lane of `s`. Bit-identical to two passes,
+/// because every op reads only its own lane's elements: a second-half
+/// operand naming the first's destination reads the fresh value in both
+/// orders.
+#[inline(always)]
+fn chain<S: LaneSet, T: Copy, F1: Fn(T, T) -> T, F2: Fn(T, T) -> T>(
+    s: S,
     regs: &mut [Row<T>],
-    m: ExecMask,
     op: &DecOp,
     f1: F1,
     f2: F2,
 ) {
     let (t, z) = (op.c as usize, op.dst as usize);
     let (a, b, p, q) = (op.a as usize, op.b as usize, op.d as usize, op.e as usize);
-    for l in m.lanes() {
+    for l in s.lanes() {
         let v = f1(regs[a][l], regs[b][l]);
         regs[t][l] = v;
         let x = regs[p][l];
@@ -574,19 +898,140 @@ fn masked_chain<T: Copy, F1: Fn(T, T) -> T, F2: Fn(T, T) -> T>(
     }
 }
 
-/// Full-width fused `LoadFOp` fast path (gather already known fully in
-/// bounds): `x[l] = buf[idx[l]]` then `z[l] = f2(p[l], q[l])` in one
-/// pass. Per-lane interleaving is bit-identical to the two full-width
-/// passes because every op reads only its own lane's elements: an
-/// operand equal to `x` reads the freshly loaded value (as it would
-/// after a full load pass), an operand equal to `z` reads the old value
-/// for its own lane. `x != z` is guaranteed at fusion time.
+/// [`Prefix`] `FOp2` whose first half is `ConstF`: when the second half
+/// reads the constant, the immediate folds into its loop (or both rows
+/// become fills) instead of round-tripping through its row; two passes
+/// otherwise.
 #[inline(always)]
-fn load_fop_fast<F: Fn(f64, f64) -> f64>(
+fn const_fop2<K: Codegen>(fregs: &mut [Row<f64>], n: usize, op: &DecOp) {
+    let (c, z, p, q, fi) = (op.c, op.dst, op.d, op.e, op.fimm);
+    fregs[c as usize][..n].fill(fi);
+    if z == c || (p != c && q != c) {
+        return apply_f::<K, _>(Prefix(n), fregs, z, p, q, op.sub2, fi);
+    }
+    // Past the early return the second half reads the constant.
+    with_fsub!(
+        op.sub2,
+        fi,
+        binary: |f| {
+            if p != c {
+                K::apply1(fregs, n, z, p, |x| f(x, fi));
+            } else if q != c {
+                K::apply1(fregs, n, z, q, |y| f(fi, y));
+            } else {
+                fregs[z as usize][..n].fill(f(fi, fi));
+            }
+        },
+        unary: |f| {
+            if p != c {
+                K::apply1(fregs, n, z, p, |x| f(x, x));
+            } else {
+                fregs[z as usize][..n].fill(f(fi, fi));
+            }
+        },
+        math: |f| {
+            if p != c {
+                K::apply1(fregs, n, z, p, |x| f(x, x));
+            } else {
+                fregs[z as usize][..n].fill(f(fi, fi));
+            }
+        },
+        nullary: |f| fregs[z as usize][..n].fill(f(fi, fi))
+    )
+}
+
+/// `d[l] = conv(v[idx[l]])` over `s`, shared by every gather: unchecked
+/// when the accesses are proven in bounds (`el`), the plain loop when the
+/// prescan finds every index in bounds, and otherwise a walk that faults
+/// at the first out-of-bounds lane. `buf` names the parameter in the
+/// fault.
+#[inline(always)]
+fn gather<S: LaneSet, E: Copy, T>(
+    s: S,
+    d: &mut Row<T>,
+    idx: &Row<i64>,
+    v: &[E],
+    el: bool,
+    buf: u16,
+    conv: impl Fn(E) -> T,
+) -> Result<(), VmError> {
+    if el {
+        debug_assert!(proven(s, idx, v.len()), "elision proof violated");
+        s.zip1(d, idx, |i| {
+            // SAFETY: the elision bit is set only when the interval
+            // analysis proved every access on this parameter in `[0, len)`.
+            conv(unsafe { *v.get_unchecked(i as usize) })
+        });
+    } else if s.in_bounds(idx, v.len()) {
+        s.zip1(d, idx, |i| conv(v[i as usize]));
+    } else {
+        for l in s.lanes() {
+            let i = idx[l];
+            let Some(&x) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
+                return Err(VmError::OutOfBounds {
+                    buffer: buf as usize,
+                    index: i,
+                    len: v.len(),
+                });
+            };
+            d[l] = conv(x);
+        }
+    }
+    Ok(())
+}
+
+/// `v[idx[l]] = conv(src[l])` over `s`, shared by every scatter; the
+/// three shapes of [`gather`].
+#[inline(always)]
+fn scatter<S: LaneSet, T: Copy, E>(
+    s: S,
+    v: &mut [E],
+    idx: &Row<i64>,
+    src: &Row<T>,
+    el: bool,
+    buf: u16,
+    conv: impl Fn(T) -> E,
+) -> Result<(), VmError> {
+    let len = v.len();
+    if el {
+        debug_assert!(proven(s, idx, len), "elision proof violated");
+        for l in s.lanes() {
+            // SAFETY: see `gather` — statically proven in bounds.
+            unsafe { *v.get_unchecked_mut(idx[l] as usize) = conv(src[l]) };
+        }
+    } else if s.in_bounds(idx, len) {
+        for l in s.lanes() {
+            v[idx[l] as usize] = conv(src[l]);
+        }
+    } else {
+        for l in s.lanes() {
+            let i = idx[l];
+            let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
+                return Err(VmError::OutOfBounds {
+                    buffer: buf as usize,
+                    index: i,
+                    len,
+                });
+            };
+            *slot = conv(src[l]);
+        }
+    }
+    Ok(())
+}
+
+/// The fused `LoadFOp` pass over `s`, for a gather known in bounds:
+/// `c[l] = v[idx[l]]` then `dst[l] = f2(d[l], e[l])`. Per-lane
+/// interleaving is bit-identical to the two passes because every op reads
+/// only its own lane's elements: an operand equal to `c` reads the
+/// freshly loaded value, one equal to `dst` the old value of its own lane
+/// (`c != dst` by fusion rule). The rows arrive as separate references so
+/// the optimizer knows the stores cannot touch the index row.
+#[inline(always)]
+fn load_fop_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
+    s: S,
     fregs: &mut [Row<f64>],
-    idxv: &[i64; LANES],
+    idx: &Row<i64>,
     v: &[f32],
-    n: usize,
     op: &DecOp,
     el: bool,
     f2: F,
@@ -594,19 +1039,17 @@ fn load_fop_fast<F: Fn(f64, f64) -> f64>(
     let (x, z) = (op.c as usize, op.dst as usize);
     let (p, q) = (op.d as usize, op.e as usize);
     if el {
-        for l in 0..n {
-            // SAFETY: `el` is set only when the interval analysis proved
-            // every access on this parameter in `[0, len)` (and the
-            // caller's debug_assert re-checked it).
-            let loaded = f64::from(unsafe { *v.get_unchecked(idxv[l] as usize) });
+        for l in s.lanes() {
+            // SAFETY: see `gather` — statically proven in bounds.
+            let loaded = f64::from(unsafe { *v.get_unchecked(idx[l] as usize) });
             fregs[x][l] = loaded;
             let pv = fregs[p][l];
             let qv = fregs[q][l];
             fregs[z][l] = f2(pv, qv);
         }
     } else {
-        for l in 0..n {
-            let loaded = f64::from(v[idxv[l] as usize]);
+        for l in s.lanes() {
+            let loaded = f64::from(v[idx[l] as usize]);
             fregs[x][l] = loaded;
             let pv = fregs[p][l];
             let qv = fregs[q][l];
@@ -615,49 +1058,34 @@ fn load_fop_fast<F: Fn(f64, f64) -> f64>(
     }
 }
 
-/// Full-width fused `FOpStore` fast path (scatter already known fully in
-/// bounds): `z[l] = f1(a[l], b[l])` and `buf[idx[l]] = z[l]` in one
-/// pass. Per-lane read-before-write keeps `z == a`/`z == b` aliasing
-/// identical to the unfused compute pass.
+/// The fused `FOpStore` pass over `s`, for a scatter known in bounds:
+/// `dst[l] = f1(a[l], b[l])` and `v[idx[l]] = dst[l]`. Per-lane
+/// read-before-write keeps `dst == a`/`dst == b` aliasing identical to
+/// the unfused compute pass.
 #[inline(always)]
-fn fop_store_fast<F: Fn(f64, f64) -> f64>(
+fn fop_store_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
+    s: S,
     fregs: &mut [Row<f64>],
-    idxv: &[i64; LANES],
+    idx: &Row<i64>,
     v: &mut [f32],
-    n: usize,
     op: &DecOp,
     el: bool,
     f1: F,
 ) {
     let (a, b, z) = (op.a as usize, op.b as usize, op.dst as usize);
     if el {
-        for l in 0..n {
+        for l in s.lanes() {
             let t = f1(fregs[a][l], fregs[b][l]);
             fregs[z][l] = t;
-            // SAFETY: see `load_fop_fast` — statically proven in bounds.
-            unsafe { *v.get_unchecked_mut(idxv[l] as usize) = t as f32 };
+            // SAFETY: see `gather` — statically proven in bounds.
+            unsafe { *v.get_unchecked_mut(idx[l] as usize) = t as f32 };
         }
     } else {
-        for l in 0..n {
+        for l in s.lanes() {
             let t = f1(fregs[a][l], fregs[b][l]);
             fregs[z][l] = t;
-            v[idxv[l] as usize] = t as f32;
+            v[idx[l] as usize] = t as f32;
         }
-    }
-}
-
-/// Lane-wise comparison producing an I-register boolean:
-/// `dst[l] = f(a[l], b[l]) as i64`.
-#[inline(always)]
-fn apply_cmp<T: Copy, F: Fn(T, T) -> bool>(
-    out: &mut [i64; LANES],
-    a: &[T; LANES],
-    b: &[T; LANES],
-    n: usize,
-    f: F,
-) {
-    for ((d, &x), &y) in out[..n].iter_mut().zip(&a[..n]).zip(&b[..n]) {
-        *d = i64::from(f(x, y));
     }
 }
 
@@ -708,12 +1136,6 @@ impl LaneEngine {
             elide: vm.bounds_elide,
             step_limit: vm.step_limit,
         }
-    }
-
-    /// Is buffer parameter `p` proven in bounds for the current launch?
-    #[inline(always)]
-    fn elided(&self, p: u16) -> bool {
-        p < 64 && self.elide & (1u64 << p) != 0
     }
 
     /// Per-lane step totals of the most recent batch that returned `Ok`
@@ -825,10 +1247,10 @@ impl LaneEngine {
             let block = pc as usize;
             let b = &f.blocks[block];
             if mask == full {
-                sink.count_block(block, n);
+                sink.count_block(block, Prefix(n));
                 batch_steps += b.step_cost();
             } else {
-                sink.count_block_masked(block, mask);
+                sink.count_block(block, Masked(mask));
                 let cost = b.step_cost();
                 for l in mask.lanes() {
                     self.steps[l] += cost;
@@ -842,7 +1264,7 @@ impl LaneEngine {
             }
             if mask == full {
                 for op in dec.block_ops(block) {
-                    self.exec_dec::<K>(op, n, gsize, bmap, bufs)?;
+                    self.exec_dec::<K, _>(op, Prefix(n), gsize, bmap, bufs)?;
                 }
             } else {
                 // Per-lane scalar work that AVX2 cannot widen stays out
@@ -850,7 +1272,7 @@ impl LaneEngine {
                 let ops = dec.block_ops(block);
                 inline_if!(
                     !K::AVX2,
-                    self.exec_block_masked(ops, mask, gsize, bmap, bufs)
+                    self.exec_block_masked(ops, Masked(mask), gsize, bmap, bufs)
                 )?;
             }
             // Branch-like terminators evaluate their condition over all
@@ -947,66 +1369,75 @@ impl LaneEngine {
         Ok(())
     }
 
-    /// Execute one decoded op across the first `n` lanes: lane-wise row
-    /// kernels reached by one flat dispatch on the [`OpCode`], with
-    /// operands and immediates already extracted. Results are
-    /// bit-identical to the scalar engine running the corresponding
-    /// [`Instr`](crate::bytecode::Instr)s once per item.
+    /// Execute one block's decoded ops on the active lanes of `m`. The
+    /// per-lane walk never widens, so one instantiation (the portable
+    /// one) serves both tiers.
+    #[inline(always)]
+    fn exec_block_masked(
+        &mut self,
+        ops: &[DecOp],
+        m: Masked,
+        gsize: [usize; 3],
+        bmap: &[usize],
+        bufs: &mut Mem<'_>,
+    ) -> Result<(), VmError> {
+        for op in ops {
+            self.exec_dec::<PortableBody, _>(op, m, gsize, bmap, bufs)?;
+        }
+        Ok(())
+    }
+
+    /// Execute one decoded op on the lanes of `s`, by one flat dispatch on
+    /// the [`OpCode`], with operands and immediates already extracted.
+    /// Results are bit-identical to the scalar engine running the
+    /// corresponding [`Instr`](crate::bytecode::Instr)s once per item.
+    /// Under [`Masked`], inactive lanes hold live register state of
+    /// diverged lane subsets, so the set's loops never write their
+    /// registers, touch their buffer elements or fault on them.
     ///
     /// The fused superinstructions and the `LoadF`/`StoreF` kernels go
     /// through `inline_if!` and the row kernels through `K`, so each tier
-    /// gets its layout (see [`Codegen`]).
+    /// gets its layout (see [`Codegen`]); a masked walk inlines them all.
     #[inline(always)]
-    fn exec_dec<K: Codegen>(
+    fn exec_dec<K: Codegen, S: LaneSet>(
         &mut self,
         op: &DecOp,
-        n: usize,
+        s: S,
         gsize: [usize; 3],
         bmap: &[usize],
         bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let u = op.unsigned;
         let (dst, a, b) = (op.dst, op.a, op.b);
+        let (di, ai, bi) = (dst as usize, a as usize, b as usize);
+        let ir = &mut self.iregs;
+        let fr = &mut self.fregs;
         match op.code {
-            OpCode::ConstI => self.iregs[dst as usize][..n].fill(op.imm),
-            OpCode::ConstF => self.fregs[dst as usize][..n].fill(op.fimm),
-            OpCode::MovI => {
-                let s = self.iregs[a as usize];
-                self.iregs[dst as usize][..n].copy_from_slice(&s[..n]);
-            }
-            OpCode::MovF => {
-                let s = self.fregs[a as usize];
-                self.fregs[dst as usize][..n].copy_from_slice(&s[..n]);
-            }
-            OpCode::IAdd => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
-                wrap32(x.wrapping_add(y), u)
-            }),
-            OpCode::ISub => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
-                wrap32(x.wrapping_sub(y), u)
-            }),
-            OpCode::IMul => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
-                wrap32(x.wrapping_mul(y), u)
-            }),
+            OpCode::ConstI => s.fill(&mut ir[di], op.imm),
+            OpCode::ConstF => s.fill(&mut fr[di], op.fimm),
+            OpCode::MovI => s.map1::<K, _, _>(ir, dst, a, |x| x),
+            OpCode::MovF => s.map1::<K, _, _>(fr, dst, a, |x| x),
+            OpCode::IAdd => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x.wrapping_add(y), u)),
+            OpCode::ISub => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x.wrapping_sub(y), u)),
+            OpCode::IMul => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x.wrapping_mul(y), u)),
             OpCode::IDiv | OpCode::IRem => {
                 let o = if op.code == OpCode::IDiv {
                     IBinOp::Div
                 } else {
                     IBinOp::Rem
                 };
-                let x = self.iregs[a as usize];
-                let y = self.iregs[b as usize];
-                let d = &mut self.iregs[dst as usize];
-                for ((d, &x), &y) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]) {
-                    *d = int_bin(o, x, y, u)?;
+                for l in s.lanes() {
+                    let (x, y) = (ir[ai][l], ir[bi][l]);
+                    ir[di][l] = int_bin(o, x, y, u)?;
                 }
             }
-            OpCode::IAnd => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x & y, u)),
-            OpCode::IOr => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x | y, u)),
-            OpCode::IXor => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| wrap32(x ^ y, u)),
-            OpCode::IShl => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
+            OpCode::IAnd => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x & y, u)),
+            OpCode::IOr => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x | y, u)),
+            OpCode::IXor => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x ^ y, u)),
+            OpCode::IShl => s.map2::<K, _, _>(ir, dst, a, b, |x, y| {
                 wrap32(x.wrapping_shl((y & 31) as u32), u)
             }),
-            OpCode::IShr => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| {
+            OpCode::IShr => s.map2::<K, _, _>(ir, dst, a, b, |x, y| {
                 let s = (y & 31) as u32;
                 let v = if u {
                     ((x as u64) >> s) as i64
@@ -1017,21 +1448,15 @@ impl LaneEngine {
             }),
             OpCode::ImmAdd => {
                 let imm = op.imm;
-                K::apply1(&mut self.iregs, n, dst, a, |x| {
-                    wrap32(x.wrapping_add(imm), u)
-                });
+                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_add(imm), u));
             }
             OpCode::ImmSub => {
                 let imm = op.imm;
-                K::apply1(&mut self.iregs, n, dst, a, |x| {
-                    wrap32(x.wrapping_sub(imm), u)
-                });
+                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_sub(imm), u));
             }
             OpCode::ImmMul => {
                 let imm = op.imm;
-                K::apply1(&mut self.iregs, n, dst, a, |x| {
-                    wrap32(x.wrapping_mul(imm), u)
-                });
+                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_mul(imm), u));
             }
             OpCode::ImmDiv | OpCode::ImmRem => {
                 let o = if op.code == OpCode::ImmDiv {
@@ -1039,414 +1464,217 @@ impl LaneEngine {
                 } else {
                     IBinOp::Rem
                 };
-                let x = self.iregs[a as usize];
-                let d = &mut self.iregs[dst as usize];
-                for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                    *d = int_bin(o, x, op.imm, u)?;
+                for l in s.lanes() {
+                    let x = ir[ai][l];
+                    ir[di][l] = int_bin(o, x, op.imm, u)?;
                 }
             }
             OpCode::ImmAnd => {
                 let imm = op.imm;
-                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x & imm, u));
+                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x & imm, u));
             }
             OpCode::ImmOr => {
                 let imm = op.imm;
-                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x | imm, u));
+                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x | imm, u));
             }
             OpCode::ImmXor => {
                 let imm = op.imm;
-                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x ^ imm, u));
+                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x ^ imm, u));
             }
             OpCode::ImmShl => {
-                let s = (op.imm & 31) as u32;
-                K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x.wrapping_shl(s), u));
+                let s2 = (op.imm & 31) as u32;
+                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_shl(s2), u));
             }
             OpCode::ImmShr => {
-                let s = (op.imm & 31) as u32;
-                K::apply1(&mut self.iregs, n, dst, a, |x| {
+                let s2 = (op.imm & 31) as u32;
+                s.map1::<K, _, _>(ir, dst, a, |x| {
                     let v = if u {
-                        ((x as u64) >> s) as i64
+                        ((x as u64) >> s2) as i64
                     } else {
-                        (x as i32 >> s) as i64
+                        (x as i32 >> s2) as i64
                     };
                     wrap32(v, u)
                 });
             }
-            OpCode::FAdd => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x + y),
-            OpCode::FSub => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x - y),
-            OpCode::FMul => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x * y),
-            OpCode::FDiv => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x / y),
-            OpCode::ICmpLt => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x < y)),
-            OpCode::ICmpLe => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x <= y)),
-            OpCode::ICmpGt => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x > y)),
-            OpCode::ICmpGe => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x >= y)),
-            OpCode::ICmpEq => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x == y)),
-            OpCode::ICmpNe => K::apply2(&mut self.iregs, n, dst, a, b, |x, y| i64::from(x != y)),
-            OpCode::FCmpLt
-            | OpCode::FCmpLe
-            | OpCode::FCmpGt
-            | OpCode::FCmpGe
-            | OpCode::FCmpEq
-            | OpCode::FCmpNe => {
-                let x = &self.fregs[a as usize];
-                let y = &self.fregs[b as usize];
-                let d = &mut self.iregs[dst as usize];
-                match op.code {
-                    OpCode::FCmpLt => apply_cmp(d, x, y, n, |x, y| x < y),
-                    OpCode::FCmpLe => apply_cmp(d, x, y, n, |x, y| x <= y),
-                    OpCode::FCmpGt => apply_cmp(d, x, y, n, |x, y| x > y),
-                    OpCode::FCmpGe => apply_cmp(d, x, y, n, |x, y| x >= y),
-                    OpCode::FCmpEq => apply_cmp(d, x, y, n, |x, y| x == y),
-                    _ => apply_cmp(d, x, y, n, |x, y| x != y),
-                }
-            }
-            OpCode::NegI => K::apply1(&mut self.iregs, n, dst, a, |x| {
-                wrap32(0i64.wrapping_sub(x), u)
-            }),
-            OpCode::NegF => K::apply1(&mut self.fregs, n, dst, a, |x| -x),
-            OpCode::NotI => K::apply1(&mut self.iregs, n, dst, a, |x| i64::from(x == 0)),
-            OpCode::BitNotI => K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(!x, u)),
-            OpCode::CastIF => {
-                let x = &self.iregs[a as usize];
-                let d = &mut self.fregs[dst as usize];
-                for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                    *d = x as f64;
-                }
-            }
+            OpCode::FAdd => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x + y),
+            OpCode::FSub => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x - y),
+            OpCode::FMul => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x * y),
+            OpCode::FDiv => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x / y),
+            OpCode::ICmpLt => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x < y)),
+            OpCode::ICmpLe => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x <= y)),
+            OpCode::ICmpGt => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x > y)),
+            OpCode::ICmpGe => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x >= y)),
+            OpCode::ICmpEq => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x == y)),
+            OpCode::ICmpNe => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x != y)),
+            OpCode::FCmpLt => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x < y)),
+            OpCode::FCmpLe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x <= y)),
+            OpCode::FCmpGt => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x > y)),
+            OpCode::FCmpGe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x >= y)),
+            OpCode::FCmpEq => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x == y)),
+            OpCode::FCmpNe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x != y)),
+            OpCode::NegI => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(0i64.wrapping_sub(x), u)),
+            OpCode::NegF => s.map1::<K, _, _>(fr, dst, a, |x| -x),
+            OpCode::NotI => s.map1::<K, _, _>(ir, dst, a, |x| i64::from(x == 0)),
+            OpCode::BitNotI => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(!x, u)),
+            OpCode::CastIF => s.zip1(&mut fr[di], &ir[ai], |x| x as f64),
             OpCode::CastFI => {
-                let x = &self.fregs[a as usize];
-                let d = &mut self.iregs[dst as usize];
+                let (d, x) = (&mut ir[di], &fr[ai]);
                 if u {
-                    for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                        *d = i64::from(x as u32);
-                    }
+                    s.zip1(d, x, |x| i64::from(x as u32));
                 } else {
-                    for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-                        *d = i64::from(x as i32);
-                    }
+                    s.zip1(d, x, |x| i64::from(x as i32));
                 }
             }
-            OpCode::CastII => K::apply1(&mut self.iregs, n, dst, a, |x| wrap32(x, u)),
-            OpCode::Sqrt => K::apply1(&mut self.fregs, n, dst, a, f64::sqrt),
-            OpCode::Rsqrt => K::apply1(&mut self.fregs, n, dst, a, |x| 1.0 / x.sqrt()),
-            OpCode::Exp => K::apply1(&mut self.fregs, n, dst, a, f64::exp),
-            OpCode::Log => K::apply1(&mut self.fregs, n, dst, a, f64::ln),
-            OpCode::Sin => K::apply1(&mut self.fregs, n, dst, a, f64::sin),
-            OpCode::Cos => K::apply1(&mut self.fregs, n, dst, a, f64::cos),
-            OpCode::Tan => K::apply1(&mut self.fregs, n, dst, a, f64::tan),
-            OpCode::Fabs => K::apply1(&mut self.fregs, n, dst, a, f64::abs),
-            OpCode::Floor => K::apply1(&mut self.fregs, n, dst, a, f64::floor),
-            OpCode::Ceil => K::apply1(&mut self.fregs, n, dst, a, f64::ceil),
-            OpCode::Pow => K::apply2(&mut self.fregs, n, dst, a, b, f64::powf),
-            OpCode::Fmin => K::apply2(&mut self.fregs, n, dst, a, b, f64::min),
-            OpCode::Fmax => K::apply2(&mut self.fregs, n, dst, a, b, f64::max),
-            OpCode::Fmod => K::apply2(&mut self.fregs, n, dst, a, b, |x, y| x % y),
-            OpCode::IMin => K::apply2(&mut self.iregs, n, dst, a, b, i64::min),
-            OpCode::IMax => K::apply2(&mut self.iregs, n, dst, a, b, i64::max),
-            OpCode::IAbs => K::apply1(&mut self.iregs, n, dst, a, |x| {
-                wrap32(x.wrapping_abs(), false)
-            }),
-            OpCode::LoadF => inline_if!(K::AVX2, self.lane_load_f(dst, a, b, n, bmap, bufs))?,
+            OpCode::CastII => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x, u)),
+            OpCode::Sqrt => s.map1::<K, _, _>(fr, dst, a, f64::sqrt),
+            OpCode::Rsqrt => s.map1::<K, _, _>(fr, dst, a, |x| 1.0 / x.sqrt()),
+            OpCode::Exp => s.map1::<K, _, _>(fr, dst, a, f64::exp),
+            OpCode::Log => s.map1::<K, _, _>(fr, dst, a, f64::ln),
+            OpCode::Sin => s.map1::<K, _, _>(fr, dst, a, f64::sin),
+            OpCode::Cos => s.map1::<K, _, _>(fr, dst, a, f64::cos),
+            OpCode::Tan => s.map1::<K, _, _>(fr, dst, a, f64::tan),
+            OpCode::Fabs => s.map1::<K, _, _>(fr, dst, a, f64::abs),
+            OpCode::Floor => s.map1::<K, _, _>(fr, dst, a, f64::floor),
+            OpCode::Ceil => s.map1::<K, _, _>(fr, dst, a, f64::ceil),
+            OpCode::Pow => s.map2::<K, _, _>(fr, dst, a, b, f64::powf),
+            OpCode::Fmin => s.map2::<K, _, _>(fr, dst, a, b, f64::min),
+            OpCode::Fmax => s.map2::<K, _, _>(fr, dst, a, b, f64::max),
+            OpCode::Fmod => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x % y),
+            OpCode::IMin => s.map2::<K, _, _>(ir, dst, a, b, i64::min),
+            OpCode::IMax => s.map2::<K, _, _>(ir, dst, a, b, i64::max),
+            OpCode::IAbs => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_abs(), false)),
+            OpCode::LoadF => {
+                inline_if!(K::AVX2 || S::MASKED, self.load_f(s, dst, a, b, bmap, bufs))?;
+            }
             OpCode::LoadI => {
-                // Index and destination share the I register file; copy
-                // the index lanes so the destination can borrow mutably.
-                let el = self.elided(b);
-                let idxv = self.iregs[a as usize];
-                let idxv = &idxv;
-                let bd = bufs.load(bmap[b as usize]);
-                let d = &mut self.iregs[dst as usize];
-                if el {
-                    debug_assert!(all_in_bounds(idxv, n, bd.len()), "elision proof violated");
-                    // SAFETY: the elision bit is set only when the interval
-                    // analysis proved every access on this parameter in
-                    // `[0, len)`.
-                    unsafe {
-                        match bd {
-                            BufferData::I32(v) => {
-                                for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                    *d = i64::from(*v.get_unchecked(i as usize));
-                                }
-                            }
-                            BufferData::U32(v) => {
-                                for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                    *d = i64::from(*v.get_unchecked(i as usize));
-                                }
-                            }
-                            BufferData::F32(_) => unreachable!("type-checked load"),
-                        }
-                    }
-                } else if all_in_bounds(idxv, n, bd.len()) {
-                    match bd {
-                        BufferData::I32(v) => {
-                            for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                *d = i64::from(v[i as usize]);
-                            }
-                        }
-                        BufferData::U32(v) => {
-                            for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                                *d = i64::from(v[i as usize]);
-                            }
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked load"),
-                    }
+                // Index and destination share the I register file: borrow
+                // them disjointly, or copy the index row when they are
+                // the same register.
+                let el = elided(self.elide, b);
+                let copy;
+                let (d, idx) = if di == ai {
+                    copy = ir[ai];
+                    (&mut ir[di], &copy)
                 } else {
-                    for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                        let val = match bd {
-                            BufferData::I32(v) => usize::try_from(i)
-                                .ok()
-                                .and_then(|i| v.get(i))
-                                .map(|&x| i64::from(x)),
-                            BufferData::U32(v) => usize::try_from(i)
-                                .ok()
-                                .and_then(|i| v.get(i))
-                                .map(|&x| i64::from(x)),
-                            BufferData::F32(_) => unreachable!("type-checked load"),
-                        };
-                        let Some(val) = val else {
-                            return Err(VmError::OutOfBounds {
-                                buffer: b as usize,
-                                index: i,
-                                len: bd.len(),
-                            });
-                        };
-                        *d = val;
-                    }
+                    let Ok([d, idx]) = ir.get_disjoint_mut([di, ai]) else {
+                        unreachable!("disjoint registers");
+                    };
+                    (d, &*idx)
+                };
+                match bufs.load(bmap[bi]) {
+                    BufferData::I32(v) => gather(s, d, idx, v, el, b, i64::from)?,
+                    BufferData::U32(v) => gather(s, d, idx, v, el, b, i64::from)?,
+                    BufferData::F32(_) => unreachable!("type-checked load"),
                 }
             }
-            OpCode::StoreF => inline_if!(K::AVX2, self.lane_store_f(dst, a, b, n, bmap, bufs))?,
+            OpCode::StoreF => {
+                inline_if!(K::AVX2 || S::MASKED, self.store_f(s, dst, a, b, bmap, bufs))?;
+            }
             OpCode::StoreI => {
-                let el = self.elided(b);
-                let idxv = &self.iregs[a as usize];
-                let srcv = &self.iregs[dst as usize];
-                let bd = bufs.store(bmap[b as usize]);
-                let len = bd.len();
-                if el {
-                    debug_assert!(all_in_bounds(idxv, n, len), "elision proof violated");
-                    // SAFETY: see `LoadI` above — statically proven in bounds.
-                    unsafe {
-                        match bd {
-                            BufferData::I32(v) => {
-                                for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                    *v.get_unchecked_mut(i as usize) = x as i32;
-                                }
-                            }
-                            BufferData::U32(v) => {
-                                for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                    *v.get_unchecked_mut(i as usize) = x as u32;
-                                }
-                            }
-                            BufferData::F32(_) => unreachable!("type-checked store"),
-                        }
-                    }
-                } else if all_in_bounds(idxv, n, len) {
-                    match bd {
-                        BufferData::I32(v) => {
-                            for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                v[i as usize] = x as i32;
-                            }
-                        }
-                        BufferData::U32(v) => {
-                            for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                                v[i as usize] = x as u32;
-                            }
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked store"),
-                    }
-                } else {
-                    for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                        let slot = match bd {
-                            BufferData::I32(v) => {
-                                usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                    *s = x as i32;
-                                })
-                            }
-                            BufferData::U32(v) => {
-                                usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                    *s = x as u32;
-                                })
-                            }
-                            BufferData::F32(_) => unreachable!("type-checked store"),
-                        };
-                        if slot.is_none() {
-                            return Err(VmError::OutOfBounds {
-                                buffer: b as usize,
-                                index: i,
-                                len,
-                            });
-                        }
-                    }
+                let el = elided(self.elide, b);
+                let (idx, src) = (&self.iregs[ai], &self.iregs[di]);
+                match bufs.store(bmap[bi]) {
+                    BufferData::I32(v) => scatter(s, v, idx, src, el, b, |x| x as i32)?,
+                    BufferData::U32(v) => scatter(s, v, idx, src, el, b, |x| x as u32)?,
+                    BufferData::F32(_) => unreachable!("type-checked store"),
                 }
             }
-            OpCode::GlobalId => {
-                let g = self.gid[a as usize];
-                self.iregs[dst as usize][..n].copy_from_slice(&g[..n]);
+            OpCode::GlobalId => s.zip1(&mut ir[di], &self.gid[ai], |g| g),
+            OpCode::GlobalSize => s.fill(&mut ir[di], gsize[ai] as i64),
+            // Superinstructions. Compute pairs run under the lane set's
+            // pair policy. Memory pairs make one pass when every access
+            // is known in bounds, and otherwise run as the unfused
+            // sequence, so each lane faults exactly where the original
+            // pair would.
+            OpCode::FOp2 => inline_if!(K::AVX2 || S::MASKED, s.fop2::<K>(fr, op)),
+            OpCode::IOp2 => inline_if!(K::AVX2 || S::MASKED, s.iop2::<K>(ir, op)),
+            OpCode::Load2F => {
+                inline_if!(K::AVX2 || S::MASKED, self.fused_load2f(s, op, bmap, bufs))?;
             }
-            OpCode::GlobalSize => {
-                self.iregs[dst as usize][..n].fill(gsize[a as usize] as i64);
-            }
-            // Superinstructions. Compute pairs run as two mono passes —
-            // exactly the unfused execution, reached through a single
-            // dispatch. Memory pairs collapse to a single loop when all
-            // accesses are known in bounds, and fall back to the unfused
-            // sequence otherwise so each lane faults exactly where the
-            // original pair would.
-            OpCode::FOp2 => inline_if!(K::AVX2, self.fused_fop2::<K>(op, n)),
-            OpCode::IOp2 => inline_if!(K::AVX2, self.fused_iop2::<K>(op, n)),
-            OpCode::Load2F => inline_if!(K::AVX2, self.fused_load2f(op, n, bmap, bufs))?,
-            OpCode::LoadFOp => inline_if!(K::AVX2, self.fused_load_fop::<K>(op, n, bmap, bufs))?,
-            OpCode::FOpStore => inline_if!(K::AVX2, self.fused_fop_store::<K>(op, n, bmap, bufs))?,
+            OpCode::LoadFOp => inline_if!(
+                K::AVX2 || S::MASKED,
+                self.fused_load_fop::<K, _>(s, op, bmap, bufs)
+            )?,
+            OpCode::FOpStore => inline_if!(
+                K::AVX2 || S::MASKED,
+                self.fused_fop_store::<K, _>(s, op, bmap, bufs)
+            )?,
         }
         Ok(())
     }
 
-    /// Full-width `FOp2`: a single chain-fused pass when the second op
-    /// reads the first's result and no written row aliases a first-half
-    /// operand; two mono passes (the unfused execution, one dispatch)
-    /// otherwise. A constant-producing half folds its immediate into
-    /// the partner's loop instead of round-tripping through its row.
+    /// The `LoadF` kernel (`dst`, `idx` = index register, `buf` = buffer
+    /// param), shared with the unfused memory pairs.
     #[inline(always)]
-    fn fused_fop2<K: Codegen>(&mut self, op: &DecOp, n: usize) {
-        let (s1, s2) = (op.sub1, op.sub2);
-        if s2 == F_CONST {
-            // The second half reads nothing, so there is no chain.
-            apply_f::<K>(&mut self.fregs, n, op.c, op.a, op.b, s1, op.fimm);
-            self.fregs[op.dst as usize][..n].fill(op.fimm);
-            return;
-        }
-        if s1 == F_CONST {
-            return self.fused_const_fop::<K>(op, n);
-        }
-        // Two mono passes — the unfused execution minus one dispatch.
-        // A single loop carrying the intermediate in a register was
-        // tried here and measured *slower* than the two passes on every
-        // suite kernel (the two-output chain loop defeats the
-        // vectorizer); the masked path keeps its chain loop, where
-        // per-lane interleaving wins over a second pass across the
-        // scattered active set.
-        apply_f::<K>(&mut self.fregs, n, op.c, op.a, op.b, s1, op.fimm);
-        apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, s2, op.fimm);
-    }
-
-    /// Full-width `FOp2` whose first half is `ConstF`: when the second
-    /// op reads the constant, the immediate is folded straight into its
-    /// loop (or the whole pair collapses to two row fills); two mono
-    /// passes otherwise.
-    #[inline(always)]
-    fn fused_const_fop<K: Codegen>(&mut self, op: &DecOp, n: usize) {
-        let (t, z) = (op.c as usize, op.dst as usize);
-        let (p, q) = (op.d, op.e);
-        let fi = op.fimm;
-        if t != z && (p == op.c || q == op.c) {
-            let s2 = op.sub2;
-            macro_rules! cc {
-                ($g:expr) => {{
-                    let g = $g;
-                    self.fregs[t][..n].fill(fi);
-                    if p == op.c && q == op.c {
-                        let v = g(fi, fi);
-                        self.fregs[z][..n].fill(v);
-                    } else {
-                        let (swap, o) = if p == op.c {
-                            (false, q as usize)
-                        } else {
-                            (true, p as usize)
-                        };
-                        if o == z {
-                            for x in self.fregs[z][..n].iter_mut() {
-                                *x = if swap { g(*x, fi) } else { g(fi, *x) };
-                            }
-                        } else {
-                            let Ok([dz, ro]) = self.fregs.get_disjoint_mut([z, o]) else {
-                                unreachable!("disjoint const-chain registers");
-                            };
-                            for l in 0..n {
-                                dz[l] = if swap { g(ro[l], fi) } else { g(fi, ro[l]) };
-                            }
-                        }
-                    }
-                    return;
-                }};
-            }
-            match s2 {
-                F_ADD => cc!(|x: f64, y: f64| x + y),
-                F_SUB => cc!(|x: f64, y: f64| x - y),
-                F_MUL => cc!(|x: f64, y: f64| x * y),
-                F_DIV => cc!(|x: f64, y: f64| x / y),
-                _ => {
-                    // A unary second half reads `p` only; when that is
-                    // the constant, both rows become fills.
-                    if p == op.c {
-                        let vz = match s2 {
-                            F_MOV => Some(fi),
-                            5 => Some(fi.sqrt()),
-                            6 => Some(1.0 / fi.sqrt()),
-                            7 => Some(fi.exp()),
-                            8 => Some(fi.ln()),
-                            9 => Some(fi.sin()),
-                            10 => Some(fi.cos()),
-                            11 => Some(fi.tan()),
-                            12 => Some(fi.abs()),
-                            13 => Some(fi.floor()),
-                            14 => Some(fi.ceil()),
-                            F_NEG => Some(-fi),
-                            _ => None,
-                        };
-                        if let Some(vz) = vz {
-                            self.fregs[t][..n].fill(fi);
-                            self.fregs[z][..n].fill(vz);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        self.fregs[t][..n].fill(fi);
-        apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, op.sub2, fi);
-    }
-
-    /// Full-width `IOp2`.
-    #[inline(always)]
-    fn fused_iop2<K: Codegen>(&mut self, op: &DecOp, n: usize) {
-        // Two mono passes; see `fused_fop2` for why there is no
-        // full-width chain loop.
-        apply_i::<K>(&mut self.iregs, n, op.c, op.a, op.b, op.sub1);
-        apply_i::<K>(&mut self.iregs, n, op.dst, op.d, op.e, op.sub2);
-    }
-
-    /// Full-width `Load2F`: when both gathers are fully in bounds, one
-    /// pass performs both (the destinations are distinct by fusion
-    /// rule); otherwise the halves run unfused so each lane faults
-    /// exactly where the original pair would.
-    #[inline(always)]
-    fn fused_load2f(
+    fn load_f<S: LaneSet>(
         &mut self,
-        op: &DecOp,
-        n: usize,
+        s: S,
+        dst: u16,
+        idx: u16,
+        buf: u16,
+        bmap: &[usize],
+        bufs: &Mem<'_>,
+    ) -> Result<(), VmError> {
+        let el = elided(self.elide, buf);
+        let BufferData::F32(v) = bufs.load(bmap[buf as usize]) else {
+            unreachable!("type-checked load");
+        };
+        let (d, idx) = (&mut self.fregs[dst as usize], &self.iregs[idx as usize]);
+        gather(s, d, idx, v, el, buf, f64::from)
+    }
+
+    /// The `StoreF` kernel (`src` = source register, `idx` = index
+    /// register, `buf` = buffer param), shared with the unfused memory
+    /// pairs.
+    #[inline(always)]
+    fn store_f<S: LaneSet>(
+        &self,
+        s: S,
+        src: u16,
+        idx: u16,
+        buf: u16,
         bmap: &[usize],
         bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
-        {
-            let el = self.elided(op.b) && self.elided(op.e);
-            let idx1 = &self.iregs[op.a as usize];
-            let idx2 = &self.iregs[op.d as usize];
-            let BufferData::F32(v1) = bufs.load(bmap[op.b as usize]) else {
-                unreachable!("type-checked load");
-            };
-            let BufferData::F32(v2) = bufs.load(bmap[op.e as usize]) else {
-                unreachable!("type-checked load");
+        let el = elided(self.elide, buf);
+        let BufferData::F32(v) = bufs.store(bmap[buf as usize]) else {
+            unreachable!("type-checked store");
+        };
+        let (idx, src) = (&self.iregs[idx as usize], &self.fregs[src as usize]);
+        scatter(s, v, idx, src, el, buf, |x| x as f32)
+    }
+
+    /// `Load2F`: both gathers in one pass when both are known in bounds
+    /// (the destinations are distinct by fusion rule).
+    #[inline(always)]
+    fn fused_load2f<S: LaneSet>(
+        &mut self,
+        s: S,
+        op: &DecOp,
+        bmap: &[usize],
+        bufs: &Mem<'_>,
+    ) -> Result<(), VmError> {
+        let el = elided(self.elide, op.b) && elided(self.elide, op.e);
+        let (idx1, idx2) = (&self.iregs[op.a as usize], &self.iregs[op.d as usize]);
+        let BufferData::F32(v1) = bufs.load(bmap[op.b as usize]) else {
+            unreachable!("type-checked load");
+        };
+        let BufferData::F32(v2) = bufs.load(bmap[op.e as usize]) else {
+            unreachable!("type-checked load");
+        };
+        if el || (s.in_bounds(idx1, v1.len()) && s.in_bounds(idx2, v2.len())) {
+            debug_assert!(
+                proven(s, idx1, v1.len()) && proven(s, idx2, v2.len()),
+                "elision proof violated"
+            );
+            let Ok([d1, d2]) = self
+                .fregs
+                .get_disjoint_mut([op.c as usize, op.dst as usize])
+            else {
+                unreachable!("distinct fused load destinations");
             };
             if el {
-                debug_assert!(
-                    all_in_bounds(idx1, n, v1.len()) && all_in_bounds(idx2, n, v2.len()),
-                    "elision proof violated"
-                );
-                let Ok([d1, d2]) = self
-                    .fregs
-                    .get_disjoint_mut([op.c as usize, op.dst as usize])
-                else {
-                    unreachable!("distinct fused load destinations");
-                };
-                for l in 0..n {
+                for l in s.lanes() {
                     // SAFETY: both elision bits are set only when the
                     // interval analysis proved every access on each
                     // parameter in `[0, len)`.
@@ -1455,871 +1683,83 @@ impl LaneEngine {
                         d2[l] = f64::from(*v2.get_unchecked(idx2[l] as usize));
                     }
                 }
-                return Ok(());
-            }
-            if all_in_bounds(idx1, n, v1.len()) && all_in_bounds(idx2, n, v2.len()) {
-                let Ok([d1, d2]) = self
-                    .fregs
-                    .get_disjoint_mut([op.c as usize, op.dst as usize])
-                else {
-                    unreachable!("distinct fused load destinations");
-                };
-                for l in 0..n {
+            } else {
+                for l in s.lanes() {
                     d1[l] = f64::from(v1[idx1[l] as usize]);
                     d2[l] = f64::from(v2[idx2[l] as usize]);
                 }
-                return Ok(());
             }
+            return Ok(());
         }
-        self.lane_load_f(op.c, op.a, op.b, n, bmap, bufs)?;
-        self.lane_load_f(op.dst, op.d, op.e, n, bmap, bufs)
+        self.load_f(s, op.c, op.a, op.b, bmap, bufs)?;
+        self.load_f(s, op.dst, op.d, op.e, bmap, bufs)
     }
 
-    /// Full-width `LoadFOp`: gather + float compute in one pass when the
-    /// gather is fully in bounds and the compute is a hot binop; the
+    /// `LoadFOp`: one pass ([`load_fop_pass`]) when the gather is known
+    /// in bounds and `sub2` is not a `math` op (see `with_fsub!`); the
     /// unfused sequence otherwise.
     #[inline(always)]
-    fn fused_load_fop<K: Codegen>(
+    fn fused_load_fop<K: Codegen, S: LaneSet>(
         &mut self,
+        s: S,
         op: &DecOp,
-        n: usize,
-        bmap: &[usize],
-        bufs: &mut Mem<'_>,
-    ) -> Result<(), VmError> {
-        let (s2, fimm) = (op.sub2, op.fimm);
-        let el = self.elided(op.b);
-        let fused = {
-            let idxv = &self.iregs[op.a as usize];
-            let BufferData::F32(v) = bufs.load(bmap[op.b as usize]) else {
-                unreachable!("type-checked load");
-            };
-            if el || all_in_bounds(idxv, n, v.len()) {
-                debug_assert!(all_in_bounds(idxv, n, v.len()), "elision proof violated");
-                match s2 {
-                    F_ADD => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x + y),
-                    F_SUB => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x - y),
-                    F_MUL => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x * y),
-                    F_DIV => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x / y),
-                    F_MOV => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x, _| x),
-                    F_NEG => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x: f64, _| -x),
-                    5 => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x: f64, _| x.sqrt()),
-                    12 => load_fop_fast(&mut self.fregs, idxv, v, n, op, el, |x: f64, _| x.abs()),
-                    _ => {
-                        {
-                            let dx = &mut self.fregs[op.c as usize];
-                            for l in 0..n {
-                                dx[l] = f64::from(v[idxv[l] as usize]);
-                            }
-                        }
-                        apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, s2, fimm);
-                    }
-                }
-                true
-            } else {
-                false
-            }
-        };
-        if !fused {
-            self.lane_load_f(op.c, op.a, op.b, n, bmap, bufs)?;
-            apply_f::<K>(&mut self.fregs, n, op.dst, op.d, op.e, s2, fimm);
-        }
-        Ok(())
-    }
-
-    /// Full-width `FOpStore`: compute + scatter in one pass when the
-    /// scatter is fully in bounds and the compute is a hot binop;
-    /// compute-then-checked-store otherwise.
-    #[inline(always)]
-    fn fused_fop_store<K: Codegen>(
-        &mut self,
-        op: &DecOp,
-        n: usize,
-        bmap: &[usize],
-        bufs: &mut Mem<'_>,
-    ) -> Result<(), VmError> {
-        let (s1, fimm) = (op.sub1, op.fimm);
-        let el = self.elided(op.d);
-        let fused = {
-            let idxv = &self.iregs[op.c as usize];
-            let bd = bufs.store(bmap[op.d as usize]);
-            let len = bd.len();
-            let BufferData::F32(v) = bd else {
-                unreachable!("type-checked store");
-            };
-            if el || all_in_bounds(idxv, n, len) {
-                debug_assert!(all_in_bounds(idxv, n, len), "elision proof violated");
-                match s1 {
-                    F_ADD => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x + y);
-                        true
-                    }
-                    F_SUB => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x - y);
-                        true
-                    }
-                    F_MUL => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x * y);
-                        true
-                    }
-                    F_DIV => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x, y| x / y);
-                        true
-                    }
-                    F_MOV => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x, _| x);
-                        true
-                    }
-                    F_NEG => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x: f64, _| -x);
-                        true
-                    }
-                    5 => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x: f64, _| x.sqrt());
-                        true
-                    }
-                    12 => {
-                        fop_store_fast(&mut self.fregs, idxv, v, n, op, el, |x: f64, _| x.abs());
-                        true
-                    }
-                    F_CONST => {
-                        // Constant store: fill the row, stream the value.
-                        self.fregs[op.dst as usize][..n].fill(fimm);
-                        let c = fimm as f32;
-                        for l in 0..n {
-                            v[idxv[l] as usize] = c;
-                        }
-                        true
-                    }
-                    _ => false,
-                }
-            } else {
-                false
-            }
-        };
-        if !fused {
-            apply_f::<K>(&mut self.fregs, n, op.dst, op.a, op.b, s1, fimm);
-            self.lane_store_f(op.dst, op.c, op.d, n, bmap, bufs)?;
-        }
-        Ok(())
-    }
-
-    /// The full-width `LoadF` kernel (`dst`, `idx` = index register,
-    /// `buf` = buffer param), shared with the fused slow paths.
-    #[inline(always)]
-    fn lane_load_f(
-        &mut self,
-        dst: u16,
-        idx: u16,
-        buf: u16,
-        n: usize,
         bmap: &[usize],
         bufs: &Mem<'_>,
     ) -> Result<(), VmError> {
-        let el = self.elided(buf);
-        let idxv = &self.iregs[idx as usize];
-        let bd = bufs.load(bmap[buf as usize]);
-        let BufferData::F32(v) = bd else {
+        let el = elided(self.elide, op.b);
+        let idx = &self.iregs[op.a as usize];
+        let BufferData::F32(v) = bufs.load(bmap[op.b as usize]) else {
             unreachable!("type-checked load");
         };
-        let d = &mut self.fregs[dst as usize];
-        if el {
-            debug_assert!(all_in_bounds(idxv, n, v.len()), "elision proof violated");
-            for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                // SAFETY: the elision bit is set only when the interval
-                // analysis proved every access on this parameter in
-                // `[0, len)`.
-                *d = f64::from(unsafe { *v.get_unchecked(i as usize) });
-            }
-        } else if all_in_bounds(idxv, n, v.len()) {
-            for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                *d = f64::from(v[i as usize]);
-            }
-        } else {
-            for (d, &i) in d[..n].iter_mut().zip(&idxv[..n]) {
-                let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
-                    return Err(VmError::OutOfBounds {
-                        buffer: buf as usize,
-                        index: i,
-                        len: v.len(),
-                    });
-                };
-                *d = f64::from(*val);
-            }
+        if el || s.in_bounds(idx, v.len()) {
+            debug_assert!(proven(s, idx, v.len()), "elision proof violated");
+            let fr = &mut self.fregs;
+            with_fsub!(
+                op.sub2,
+                op.fimm,
+                cheap: |f2| {
+                    load_fop_pass(s, fr, idx, v, op, el, f2);
+                    return Ok(());
+                },
+                math: ()
+            );
         }
+        self.load_f(s, op.c, op.a, op.b, bmap, bufs)?;
+        apply_f::<K, _>(s, &mut self.fregs, op.dst, op.d, op.e, op.sub2, op.fimm);
         Ok(())
     }
 
-    /// The full-width `StoreF` kernel (`src` = source register, `idx` =
-    /// index register, `buf` = buffer param), shared with the fused slow
-    /// paths.
+    /// `FOpStore`: one pass ([`fop_store_pass`]) when the scatter is known
+    /// in bounds and `sub1` is not a `math` op; the unfused sequence
+    /// otherwise.
     #[inline(always)]
-    fn lane_store_f(
+    fn fused_fop_store<K: Codegen, S: LaneSet>(
         &mut self,
-        src: u16,
-        idx: u16,
-        buf: u16,
-        n: usize,
+        s: S,
+        op: &DecOp,
         bmap: &[usize],
         bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
-        let el = self.elided(buf);
-        let idxv = &self.iregs[idx as usize];
-        let srcv = &self.fregs[src as usize];
-        let bd = bufs.store(bmap[buf as usize]);
-        let len = bd.len();
-        let BufferData::F32(v) = bd else {
+        let el = elided(self.elide, op.d);
+        let idx = &self.iregs[op.c as usize];
+        let BufferData::F32(v) = bufs.store(bmap[op.d as usize]) else {
             unreachable!("type-checked store");
         };
-        if el {
-            debug_assert!(all_in_bounds(idxv, n, len), "elision proof violated");
-            for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                // SAFETY: see `lane_load_f` — statically proven in bounds.
-                unsafe { *v.get_unchecked_mut(i as usize) = x as f32 };
-            }
-        } else if all_in_bounds(idxv, n, len) {
-            for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                v[i as usize] = x as f32;
-            }
-        } else {
-            for (&i, &x) in idxv[..n].iter().zip(&srcv[..n]) {
-                let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
-                    return Err(VmError::OutOfBounds {
-                        buffer: buf as usize,
-                        index: i,
-                        len,
-                    });
-                };
-                *slot = x as f32;
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute one block's decoded ops on the active lanes of `m`.
-    #[inline(always)]
-    fn exec_block_masked(
-        &mut self,
-        ops: &[DecOp],
-        m: ExecMask,
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut Mem<'_>,
-    ) -> Result<(), VmError> {
-        for op in ops {
-            self.exec_dec_masked(op, m, gsize, bmap, bufs)?;
-        }
-        Ok(())
-    }
-
-    /// Execute one decoded op on the active lanes of `m` only: inactive
-    /// lanes hold live register state of diverged lane subsets (parked at
-    /// a rejoin point or scheduled on the other branch side), so their
-    /// registers must not be written, their buffer accesses must not
-    /// happen, and only active lanes may fault.
-    #[inline(always)]
-    fn exec_dec_masked(
-        &mut self,
-        op: &DecOp,
-        m: ExecMask,
-        gsize: [usize; 3],
-        bmap: &[usize],
-        bufs: &mut Mem<'_>,
-    ) -> Result<(), VmError> {
-        let u = op.unsigned;
-        let (dst, a, b) = (op.dst, op.a, op.b);
-        match op.code {
-            OpCode::ConstI => {
-                for l in m.lanes() {
-                    self.iregs[dst as usize][l] = op.imm;
-                }
-            }
-            OpCode::ConstF => {
-                for l in m.lanes() {
-                    self.fregs[dst as usize][l] = op.fimm;
-                }
-            }
-            OpCode::MovI => masked1(&mut self.iregs, m, dst, a, |x| x),
-            OpCode::MovF => masked1(&mut self.fregs, m, dst, a, |x| x),
-            OpCode::IAdd => masked2(&mut self.iregs, m, dst, a, b, |x, y| {
-                wrap32(x.wrapping_add(y), u)
-            }),
-            OpCode::ISub => masked2(&mut self.iregs, m, dst, a, b, |x, y| {
-                wrap32(x.wrapping_sub(y), u)
-            }),
-            OpCode::IMul => masked2(&mut self.iregs, m, dst, a, b, |x, y| {
-                wrap32(x.wrapping_mul(y), u)
-            }),
-            OpCode::IDiv | OpCode::IRem => {
-                let o = if op.code == OpCode::IDiv {
-                    IBinOp::Div
-                } else {
-                    IBinOp::Rem
-                };
-                for l in m.lanes() {
-                    let x = self.iregs[a as usize][l];
-                    let y = self.iregs[b as usize][l];
-                    self.iregs[dst as usize][l] = int_bin(o, x, y, u)?;
-                }
-            }
-            OpCode::IAnd => masked2(&mut self.iregs, m, dst, a, b, |x, y| wrap32(x & y, u)),
-            OpCode::IOr => masked2(&mut self.iregs, m, dst, a, b, |x, y| wrap32(x | y, u)),
-            OpCode::IXor => masked2(&mut self.iregs, m, dst, a, b, |x, y| wrap32(x ^ y, u)),
-            OpCode::IShl => masked2(&mut self.iregs, m, dst, a, b, |x, y| {
-                wrap32(x.wrapping_shl((y & 31) as u32), u)
-            }),
-            OpCode::IShr => masked2(&mut self.iregs, m, dst, a, b, |x, y| {
-                let s = (y & 31) as u32;
-                let v = if u {
-                    ((x as u64) >> s) as i64
-                } else {
-                    (x as i32 >> s) as i64
-                };
-                wrap32(v, u)
-            }),
-            OpCode::ImmAdd => {
-                let imm = op.imm;
-                masked1(&mut self.iregs, m, dst, a, |x| {
-                    wrap32(x.wrapping_add(imm), u)
-                });
-            }
-            OpCode::ImmSub => {
-                let imm = op.imm;
-                masked1(&mut self.iregs, m, dst, a, |x| {
-                    wrap32(x.wrapping_sub(imm), u)
-                });
-            }
-            OpCode::ImmMul => {
-                let imm = op.imm;
-                masked1(&mut self.iregs, m, dst, a, |x| {
-                    wrap32(x.wrapping_mul(imm), u)
-                });
-            }
-            OpCode::ImmDiv | OpCode::ImmRem => {
-                let o = if op.code == OpCode::ImmDiv {
-                    IBinOp::Div
-                } else {
-                    IBinOp::Rem
-                };
-                for l in m.lanes() {
-                    let x = self.iregs[a as usize][l];
-                    self.iregs[dst as usize][l] = int_bin(o, x, op.imm, u)?;
-                }
-            }
-            OpCode::ImmAnd => {
-                let imm = op.imm;
-                masked1(&mut self.iregs, m, dst, a, |x| wrap32(x & imm, u));
-            }
-            OpCode::ImmOr => {
-                let imm = op.imm;
-                masked1(&mut self.iregs, m, dst, a, |x| wrap32(x | imm, u));
-            }
-            OpCode::ImmXor => {
-                let imm = op.imm;
-                masked1(&mut self.iregs, m, dst, a, |x| wrap32(x ^ imm, u));
-            }
-            OpCode::ImmShl => {
-                let s = (op.imm & 31) as u32;
-                masked1(&mut self.iregs, m, dst, a, |x| wrap32(x.wrapping_shl(s), u));
-            }
-            OpCode::ImmShr => {
-                let s = (op.imm & 31) as u32;
-                masked1(&mut self.iregs, m, dst, a, |x| {
-                    let v = if u {
-                        ((x as u64) >> s) as i64
-                    } else {
-                        (x as i32 >> s) as i64
-                    };
-                    wrap32(v, u)
-                });
-            }
-            OpCode::FAdd => masked2(&mut self.fregs, m, dst, a, b, |x, y| x + y),
-            OpCode::FSub => masked2(&mut self.fregs, m, dst, a, b, |x, y| x - y),
-            OpCode::FMul => masked2(&mut self.fregs, m, dst, a, b, |x, y| x * y),
-            OpCode::FDiv => masked2(&mut self.fregs, m, dst, a, b, |x, y| x / y),
-            OpCode::ICmpLt => masked2(&mut self.iregs, m, dst, a, b, |x, y| i64::from(x < y)),
-            OpCode::ICmpLe => masked2(&mut self.iregs, m, dst, a, b, |x, y| i64::from(x <= y)),
-            OpCode::ICmpGt => masked2(&mut self.iregs, m, dst, a, b, |x, y| i64::from(x > y)),
-            OpCode::ICmpGe => masked2(&mut self.iregs, m, dst, a, b, |x, y| i64::from(x >= y)),
-            OpCode::ICmpEq => masked2(&mut self.iregs, m, dst, a, b, |x, y| i64::from(x == y)),
-            OpCode::ICmpNe => masked2(&mut self.iregs, m, dst, a, b, |x, y| i64::from(x != y)),
-            OpCode::FCmpLt
-            | OpCode::FCmpLe
-            | OpCode::FCmpGt
-            | OpCode::FCmpGe
-            | OpCode::FCmpEq
-            | OpCode::FCmpNe => {
-                for l in m.lanes() {
-                    let x = self.fregs[a as usize][l];
-                    let y = self.fregs[b as usize][l];
-                    let r = match op.code {
-                        OpCode::FCmpLt => x < y,
-                        OpCode::FCmpLe => x <= y,
-                        OpCode::FCmpGt => x > y,
-                        OpCode::FCmpGe => x >= y,
-                        OpCode::FCmpEq => x == y,
-                        _ => x != y,
-                    };
-                    self.iregs[dst as usize][l] = i64::from(r);
-                }
-            }
-            OpCode::NegI => masked1(&mut self.iregs, m, dst, a, |x| {
-                wrap32(0i64.wrapping_sub(x), u)
-            }),
-            OpCode::NegF => masked1(&mut self.fregs, m, dst, a, |x| -x),
-            OpCode::NotI => masked1(&mut self.iregs, m, dst, a, |x| i64::from(x == 0)),
-            OpCode::BitNotI => masked1(&mut self.iregs, m, dst, a, |x| wrap32(!x, u)),
-            OpCode::CastIF => {
-                for l in m.lanes() {
-                    self.fregs[dst as usize][l] = self.iregs[a as usize][l] as f64;
-                }
-            }
-            OpCode::CastFI => {
-                for l in m.lanes() {
-                    let x = self.fregs[a as usize][l];
-                    self.iregs[dst as usize][l] = if u {
-                        i64::from(x as u32)
-                    } else {
-                        i64::from(x as i32)
-                    };
-                }
-            }
-            OpCode::CastII => masked1(&mut self.iregs, m, dst, a, |x| wrap32(x, u)),
-            OpCode::Sqrt => masked1(&mut self.fregs, m, dst, a, f64::sqrt),
-            OpCode::Rsqrt => masked1(&mut self.fregs, m, dst, a, |x| 1.0 / x.sqrt()),
-            OpCode::Exp => masked1(&mut self.fregs, m, dst, a, f64::exp),
-            OpCode::Log => masked1(&mut self.fregs, m, dst, a, f64::ln),
-            OpCode::Sin => masked1(&mut self.fregs, m, dst, a, f64::sin),
-            OpCode::Cos => masked1(&mut self.fregs, m, dst, a, f64::cos),
-            OpCode::Tan => masked1(&mut self.fregs, m, dst, a, f64::tan),
-            OpCode::Fabs => masked1(&mut self.fregs, m, dst, a, f64::abs),
-            OpCode::Floor => masked1(&mut self.fregs, m, dst, a, f64::floor),
-            OpCode::Ceil => masked1(&mut self.fregs, m, dst, a, f64::ceil),
-            OpCode::Pow => masked2(&mut self.fregs, m, dst, a, b, f64::powf),
-            OpCode::Fmin => masked2(&mut self.fregs, m, dst, a, b, f64::min),
-            OpCode::Fmax => masked2(&mut self.fregs, m, dst, a, b, f64::max),
-            OpCode::Fmod => masked2(&mut self.fregs, m, dst, a, b, |x, y| x % y),
-            OpCode::IMin => masked2(&mut self.iregs, m, dst, a, b, i64::min),
-            OpCode::IMax => masked2(&mut self.iregs, m, dst, a, b, i64::max),
-            OpCode::IAbs => masked1(&mut self.iregs, m, dst, a, |x| {
-                wrap32(x.wrapping_abs(), false)
-            }),
-            OpCode::LoadF => self.masked_load_f(dst, a, b, m, bmap, bufs)?,
-            OpCode::LoadI => {
-                let el = self.elided(b);
-                let bd = bufs.load(bmap[b as usize]);
-                if el {
-                    for l in m.lanes() {
-                        let i = self.iregs[a as usize][l];
-                        debug_assert!((0..bd.len() as i64).contains(&i), "elision proof violated");
-                        // SAFETY: the elision bit is set only when the
-                        // interval analysis proved every access on this
-                        // parameter in `[0, len)`.
-                        let val = unsafe {
-                            match bd {
-                                BufferData::I32(v) => i64::from(*v.get_unchecked(i as usize)),
-                                BufferData::U32(v) => i64::from(*v.get_unchecked(i as usize)),
-                                BufferData::F32(_) => unreachable!("type-checked load"),
-                            }
-                        };
-                        self.iregs[dst as usize][l] = val;
-                    }
+        if el || s.in_bounds(idx, v.len()) {
+            debug_assert!(proven(s, idx, v.len()), "elision proof violated");
+            let fr = &mut self.fregs;
+            with_fsub!(
+                op.sub1,
+                op.fimm,
+                cheap: |f1| {
+                    fop_store_pass(s, fr, idx, v, op, el, f1);
                     return Ok(());
-                }
-                for l in m.lanes() {
-                    let i = self.iregs[a as usize][l];
-                    let val = match bd {
-                        BufferData::I32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::U32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::F32(_) => unreachable!("type-checked load"),
-                    };
-                    let Some(val) = val else {
-                        return Err(VmError::OutOfBounds {
-                            buffer: b as usize,
-                            index: i,
-                            len: bd.len(),
-                        });
-                    };
-                    self.iregs[dst as usize][l] = val;
-                }
-            }
-            OpCode::StoreF => self.masked_store_f(dst, a, b, m, bmap, bufs)?,
-            OpCode::StoreI => {
-                let el = self.elided(b);
-                let bd = bufs.store(bmap[b as usize]);
-                let len = bd.len();
-                if el {
-                    for l in m.lanes() {
-                        let i = self.iregs[a as usize][l];
-                        let x = self.iregs[dst as usize][l];
-                        debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                        // SAFETY: see `LoadI` above — statically proven
-                        // in bounds.
-                        unsafe {
-                            match bd {
-                                BufferData::I32(v) => *v.get_unchecked_mut(i as usize) = x as i32,
-                                BufferData::U32(v) => *v.get_unchecked_mut(i as usize) = x as u32,
-                                BufferData::F32(_) => unreachable!("type-checked store"),
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-                for l in m.lanes() {
-                    let i = self.iregs[a as usize][l];
-                    let x = self.iregs[dst as usize][l];
-                    let stored = match bd {
-                        BufferData::I32(v) => {
-                            usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                *s = x as i32;
-                            })
-                        }
-                        BufferData::U32(v) => {
-                            usize::try_from(i).ok().and_then(|i| v.get_mut(i)).map(|s| {
-                                *s = x as u32;
-                            })
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked store"),
-                    };
-                    if stored.is_none() {
-                        return Err(VmError::OutOfBounds {
-                            buffer: b as usize,
-                            index: i,
-                            len,
-                        });
-                    }
-                }
-            }
-            OpCode::GlobalId => {
-                for l in m.lanes() {
-                    self.iregs[dst as usize][l] = self.gid[a as usize][l];
-                }
-            }
-            OpCode::GlobalSize => {
-                for l in m.lanes() {
-                    self.iregs[dst as usize][l] = gsize[a as usize] as i64;
-                }
-            }
-            // Superinstructions. Compute pairs interleave per lane in a
-            // single masked loop: they can't fault, and each lane reads
-            // only its own elements, so running both halves back to back
-            // within a lane is bit-identical to two masked passes (a
-            // second-half operand naming the first's destination reads
-            // the fresh value either way). `LoadFOp`/`FOpStore` also
-            // interleave: the faultable half walks the active lanes in
-            // the same order as the unfused pass, so the committed
-            // stores and the reported fault are identical, and register
-            // rows touched after an abort are unobservable. `Load2F`
-            // must NOT interleave — with two faultable halves the
-            // original faults on the *first* op's later lane before the
-            // second op's earlier lane.
-            OpCode::FOp2 => self.masked_fop2(op, m),
-            OpCode::IOp2 => self.masked_iop2(op, m),
-            OpCode::Load2F => {
-                self.masked_load_f(op.c, op.a, op.b, m, bmap, bufs)?;
-                self.masked_load_f(op.dst, op.d, op.e, m, bmap, bufs)?;
-            }
-            OpCode::LoadFOp => self.masked_load_fop(op, m, bmap, bufs)?,
-            OpCode::FOpStore => self.masked_fop_store(op, m, bmap, bufs)?,
+                },
+                math: ()
+            );
         }
-        Ok(())
-    }
-
-    /// The masked `LoadF` kernel, shared with the fused memory pairs.
-    #[inline]
-    fn masked_load_f(
-        &mut self,
-        dst: u16,
-        idx: u16,
-        buf: u16,
-        m: ExecMask,
-        bmap: &[usize],
-        bufs: &Mem<'_>,
-    ) -> Result<(), VmError> {
-        let el = self.elided(buf);
-        let bd = bufs.load(bmap[buf as usize]);
-        let BufferData::F32(v) = bd else {
-            unreachable!("type-checked load");
-        };
-        if el {
-            for l in m.lanes() {
-                let i = self.iregs[idx as usize][l];
-                debug_assert!((0..v.len() as i64).contains(&i), "elision proof violated");
-                // SAFETY: the elision bit is set only when the interval
-                // analysis proved every access on this parameter in
-                // `[0, len)`.
-                self.fregs[dst as usize][l] = f64::from(unsafe { *v.get_unchecked(i as usize) });
-            }
-            return Ok(());
-        }
-        for l in m.lanes() {
-            let i = self.iregs[idx as usize][l];
-            let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
-                return Err(VmError::OutOfBounds {
-                    buffer: buf as usize,
-                    index: i,
-                    len: v.len(),
-                });
-            };
-            self.fregs[dst as usize][l] = f64::from(*val);
-        }
-        Ok(())
-    }
-
-    /// The masked `StoreF` kernel, shared with the fused memory pairs.
-    #[inline]
-    fn masked_store_f(
-        &mut self,
-        src: u16,
-        idx: u16,
-        buf: u16,
-        m: ExecMask,
-        bmap: &[usize],
-        bufs: &mut Mem<'_>,
-    ) -> Result<(), VmError> {
-        let el = self.elided(buf);
-        let bd = bufs.store(bmap[buf as usize]);
-        let len = bd.len();
-        let BufferData::F32(v) = bd else {
-            unreachable!("type-checked store");
-        };
-        if el {
-            for l in m.lanes() {
-                let i = self.iregs[idx as usize][l];
-                let x = self.fregs[src as usize][l];
-                debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                // SAFETY: see `masked_load_f` — statically proven in bounds.
-                unsafe { *v.get_unchecked_mut(i as usize) = x as f32 };
-            }
-            return Ok(());
-        }
-        for l in m.lanes() {
-            let i = self.iregs[idx as usize][l];
-            let x = self.fregs[src as usize][l];
-            let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
-                return Err(VmError::OutOfBounds {
-                    buffer: buf as usize,
-                    index: i,
-                    len,
-                });
-            };
-            *slot = x as f32;
-        }
-        Ok(())
-    }
-
-    /// Masked `FOp2`: one interleaved loop over the active lanes for the
-    /// cheap micro-op pairs (the per-lane sequential order of
-    /// [`masked_chain`] makes every aliasing shape correct, and a
-    /// `ConstF` half becomes a closure ignoring its operands); two
-    /// masked passes otherwise.
-    #[inline(always)]
-    fn masked_fop2(&mut self, op: &DecOp, m: ExecMask) {
-        let (s1, s2) = (op.sub1, op.sub2);
-        let fi = op.fimm;
-        macro_rules! chain {
-            ($f1:expr, $f2:expr) => {
-                return masked_chain(&mut self.fregs, m, op, $f1, $f2)
-            };
-        }
-        macro_rules! by2 {
-            ($f1:expr) => {
-                match s2 {
-                    F_ADD => chain!($f1, |x, y| x + y),
-                    F_SUB => chain!($f1, |x, y| x - y),
-                    F_MUL => chain!($f1, |x, y| x * y),
-                    F_DIV => chain!($f1, |x, y| x / y),
-                    F_MOV => chain!($f1, |x, _| x),
-                    F_NEG => chain!($f1, |x: f64, _| -x),
-                    5 => chain!($f1, |x: f64, _| x.sqrt()),
-                    12 => chain!($f1, |x: f64, _| x.abs()),
-                    F_CONST => chain!($f1, |_, _| fi),
-                    _ => {}
-                }
-            };
-        }
-        match s1 {
-            F_ADD => by2!(|x, y| x + y),
-            F_SUB => by2!(|x, y| x - y),
-            F_MUL => by2!(|x, y| x * y),
-            F_DIV => by2!(|x, y| x / y),
-            F_MOV => by2!(|x, _| x),
-            F_NEG => by2!(|x: f64, _| -x),
-            5 => by2!(|x: f64, _| x.sqrt()),
-            12 => by2!(|x: f64, _| x.abs()),
-            F_CONST => by2!(|_, _| fi),
-            _ => {}
-        }
-        masked_f(&mut self.fregs, m, op.c, op.a, op.b, s1, fi);
-        masked_f(&mut self.fregs, m, op.dst, op.d, op.e, s2, fi);
-    }
-
-    /// Masked `IOp2`: one interleaved loop over the active lanes.
-    #[inline(always)]
-    fn masked_iop2(&mut self, op: &DecOp, m: ExecMask) {
-        let u1 = op.sub1 & I_UNSIGNED != 0;
-        let u2 = op.sub2 & I_UNSIGNED != 0;
-        macro_rules! chain {
-            ($f1:expr, $f2:expr) => {
-                masked_chain(&mut self.iregs, m, op, $f1, $f2)
-            };
-        }
-        match (op.sub1 & !I_UNSIGNED, op.sub2 & !I_UNSIGNED) {
-            (0, 0) => chain!(|x: i64, y| wrap32(x.wrapping_add(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_add(y), u2)
-            }),
-            (0, 1) => chain!(|x: i64, y| wrap32(x.wrapping_add(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_sub(y), u2)
-            }),
-            (0, _) => chain!(|x: i64, y| wrap32(x.wrapping_add(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_mul(y), u2)
-            }),
-            (1, 0) => chain!(|x: i64, y| wrap32(x.wrapping_sub(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_add(y), u2)
-            }),
-            (1, 1) => chain!(|x: i64, y| wrap32(x.wrapping_sub(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_sub(y), u2)
-            }),
-            (1, _) => chain!(|x: i64, y| wrap32(x.wrapping_sub(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_mul(y), u2)
-            }),
-            (_, 0) => chain!(|x: i64, y| wrap32(x.wrapping_mul(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_add(y), u2)
-            }),
-            (_, 1) => chain!(|x: i64, y| wrap32(x.wrapping_mul(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_sub(y), u2)
-            }),
-            (_, _) => chain!(|x: i64, y| wrap32(x.wrapping_mul(y), u1), |x: i64, y| {
-                wrap32(x.wrapping_mul(y), u2)
-            }),
-        }
-    }
-
-    /// Masked `LoadFOp`: gather + compute interleaved over the active
-    /// lanes for the hot binops (the gather faults in the same per-lane
-    /// order as the unfused pass); two masked passes otherwise.
-    #[inline(always)]
-    fn masked_load_fop(
-        &mut self,
-        op: &DecOp,
-        m: ExecMask,
-        bmap: &[usize],
-        bufs: &mut Mem<'_>,
-    ) -> Result<(), VmError> {
-        let (s2, fimm) = (op.sub2, op.fimm);
-        macro_rules! go {
-            ($f2:expr) => {{
-                let el = self.elided(op.b);
-                let (x, z) = (op.c as usize, op.dst as usize);
-                let (p, q) = (op.d as usize, op.e as usize);
-                let BufferData::F32(v) = bufs.load(bmap[op.b as usize]) else {
-                    unreachable!("type-checked load");
-                };
-                for l in m.lanes() {
-                    let i = self.iregs[op.a as usize][l];
-                    let loaded = if el {
-                        debug_assert!((0..v.len() as i64).contains(&i), "elision proof violated");
-                        // SAFETY: the elision bit is set only when the
-                        // interval analysis proved every access on this
-                        // parameter in `[0, len)`.
-                        f64::from(unsafe { *v.get_unchecked(i as usize) })
-                    } else {
-                        let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
-                            return Err(VmError::OutOfBounds {
-                                buffer: op.b as usize,
-                                index: i,
-                                len: v.len(),
-                            });
-                        };
-                        f64::from(*val)
-                    };
-                    self.fregs[x][l] = loaded;
-                    let pv = self.fregs[p][l];
-                    let qv = self.fregs[q][l];
-                    self.fregs[z][l] = $f2(pv, qv);
-                }
-                return Ok(());
-            }};
-        }
-        match s2 {
-            F_ADD => go!(|x, y| x + y),
-            F_SUB => go!(|x, y| x - y),
-            F_MUL => go!(|x, y| x * y),
-            F_DIV => go!(|x, y| x / y),
-            F_MOV => go!(|x, _| x),
-            F_NEG => go!(|x: f64, _| -x),
-            5 => go!(|x: f64, _| x.sqrt()),
-            12 => go!(|x: f64, _| x.abs()),
-            _ => {}
-        }
-        self.masked_load_f(op.c, op.a, op.b, m, bmap, bufs)?;
-        masked_f(&mut self.fregs, m, op.dst, op.d, op.e, s2, fimm);
-        Ok(())
-    }
-
-    /// Masked `FOpStore`: compute + scatter interleaved over the active
-    /// lanes for the hot binops (stores commit and fault in the same
-    /// per-lane order as the unfused pass); two masked passes otherwise.
-    #[inline(always)]
-    fn masked_fop_store(
-        &mut self,
-        op: &DecOp,
-        m: ExecMask,
-        bmap: &[usize],
-        bufs: &mut Mem<'_>,
-    ) -> Result<(), VmError> {
-        let (s1, fimm) = (op.sub1, op.fimm);
-        macro_rules! go {
-            ($f1:expr) => {{
-                let el = self.elided(op.d);
-                let (a, b, z) = (op.a as usize, op.b as usize, op.dst as usize);
-                let bd = bufs.store(bmap[op.d as usize]);
-                let len = bd.len();
-                let BufferData::F32(v) = bd else {
-                    unreachable!("type-checked store");
-                };
-                for l in m.lanes() {
-                    let t = $f1(self.fregs[a][l], self.fregs[b][l]);
-                    self.fregs[z][l] = t;
-                    let i = self.iregs[op.c as usize][l];
-                    if el {
-                        debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                        // SAFETY: see `masked_load_fop` — statically
-                        // proven in bounds.
-                        unsafe { *v.get_unchecked_mut(i as usize) = t as f32 };
-                        continue;
-                    }
-                    let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
-                        return Err(VmError::OutOfBounds {
-                            buffer: op.d as usize,
-                            index: i,
-                            len,
-                        });
-                    };
-                    *slot = t as f32;
-                }
-                return Ok(());
-            }};
-        }
-        match s1 {
-            F_ADD => go!(|x, y| x + y),
-            F_SUB => go!(|x, y| x - y),
-            F_MUL => go!(|x, y| x * y),
-            F_DIV => go!(|x, y| x / y),
-            F_MOV => go!(|x, _| x),
-            F_NEG => go!(|x: f64, _| -x),
-            5 => go!(|x: f64, _| x.sqrt()),
-            12 => go!(|x: f64, _| x.abs()),
-            F_CONST => go!(|_, _| fimm),
-            _ => {}
-        }
-        masked_f(&mut self.fregs, m, op.dst, op.a, op.b, s1, fimm);
-        self.masked_store_f(op.dst, op.c, op.d, m, bmap, bufs)
+        apply_f::<K, _>(s, &mut self.fregs, op.dst, op.a, op.b, op.sub1, op.fimm);
+        self.store_f(s, op.dst, op.c, op.d, bmap, bufs)
     }
 }
 
@@ -2612,5 +2052,496 @@ mod tests {
         for a in addrs {
             assert_eq!(a % 64, 0, "row at {a:#x} is not 64-byte aligned");
         }
+    }
+
+    // Op-by-op lane-set parity. Every `OpCode` runs as a `DecOp` literal
+    // on hand-built register files, under `Prefix` and under `Masked`, on
+    // both codegen tiers.
+
+    /// Buffer length; index rows `I_IDX0`/`I_IDX1` are in-bounds
+    /// permutations, `I_OOB` is out of bounds on some hazard lanes.
+    const LEN: usize = 80;
+    const I_IDX0: u16 = 0;
+    const I_IDX1: u16 = 1;
+    const I_OOB: u16 = 6;
+    /// A divisor row that is zero on some hazard lanes.
+    const I_ZDIV: u16 = 5;
+    const N_IREGS: usize = 10;
+    const N_FREGS: usize = 8;
+    /// The lanes where `I_ZDIV` is zero or `I_OOB` is out of bounds.
+    const HAZARDS: [usize; 5] = [20, 37, 41, 45, 50];
+    /// A sparse mask over the safe lanes, and the same plus every hazard.
+    const SPARSE: u64 = 0x8A51_3C0F_F00D_B6E3 & !HAZARD_BITS;
+    const HAZARD_BITS: u64 = 1 << 20 | 1 << 37 | 1 << 41 | 1 << 45 | 1 << 50;
+    const GSIZE: [usize; 3] = [100, 3, 2];
+
+    fn irow(r: usize, l: usize) -> i64 {
+        let li = l as i64;
+        match r {
+            0 => ((l * 37 + 5) % 64) as i64,
+            1 => ((l * 13 + 11) % 64 + 16) as i64,
+            2 => match l {
+                10 => i64::from(i32::MIN),
+                11 => i64::from(u32::MAX),
+                _ => ((l * 7919) % 201) as i64 - 100,
+            },
+            3 => match li % 7 - 3 {
+                0 => 5,
+                d => d,
+            },
+            4 => (li << 33) | ((li * 12345) * if l.is_multiple_of(3) { -1 } else { 1 }),
+            5 => match l {
+                20 | 41 => 0,
+                _ => li + 1,
+            },
+            6 => match l {
+                37 => LEN as i64 + 3,
+                45 => -3,
+                50 => LEN as i64 + 50,
+                _ => li,
+            },
+            7 => li,
+            8 => i64::from(!l.is_multiple_of(3)),
+            _ => li * -123_456_789,
+        }
+    }
+
+    fn frow(r: usize, l: usize) -> f64 {
+        let x = l as f64;
+        match (r, l) {
+            (2, 0) => f64::NAN,
+            (2, 1) => f64::INFINITY,
+            (2, 2) => f64::NEG_INFINITY,
+            (2, 3) => -0.0,
+            (2, 4) => 0.0,
+            (0, _) => (x - 30.0) * 0.37,
+            (1, _) => x * 0.5 + 0.25,
+            (2, _) => (x * 1.7).sin() * 100.0,
+            (3, _) => (x - 32.0) * 1.3e8,
+            _ => (x * 0.9 + r as f64).cos() * 3.0 + 0.5,
+        }
+    }
+
+    /// A fresh engine; `patched` makes every hazard lane safe.
+    fn engine(elide: u64, patched: bool) -> LaneEngine {
+        let mut iregs: Vec<Row<i64>> = (0..N_IREGS)
+            .map(|r| Row(std::array::from_fn(|l| irow(r, l))))
+            .collect();
+        if patched {
+            for l in HAZARDS {
+                iregs[I_ZDIV as usize][l] = 1;
+                iregs[I_OOB as usize][l] = l as i64;
+            }
+        }
+        LaneEngine {
+            iregs,
+            fregs: (0..N_FREGS)
+                .map(|r| Row(std::array::from_fn(|l| frow(r, l))))
+                .collect(),
+            gid: std::array::from_fn(|d| Row(std::array::from_fn(|l| (l * (d + 2)) as i64))),
+            steps: Row([0; LANES]),
+            stack: Vec::new(),
+            tier: Tier::Portable,
+            elide,
+            step_limit: u64::MAX,
+        }
+    }
+
+    /// Buffer 0 is `F32`, 1 `I32`, 2 `U32`.
+    fn buffers() -> Vec<BufferData> {
+        vec![
+            f32_buf(LEN, |i| i as f32 * 1.25 - 9.0),
+            BufferData::I32((0..LEN as i32).map(|i| i * 3 - 70).collect()),
+            BufferData::U32(
+                (0..LEN as u32)
+                    .map(|i| i.wrapping_mul(2_654_435_761))
+                    .collect(),
+            ),
+        ]
+    }
+
+    /// Everything one op leaves behind; floats and buffer elements as bit
+    /// patterns.
+    #[derive(Debug, PartialEq, Clone)]
+    struct Snap {
+        result: Result<(), VmError>,
+        iregs: Vec<[i64; LANES]>,
+        fregs: Vec<[u64; LANES]>,
+        bufs: Vec<Vec<u32>>,
+    }
+
+    fn snap(eng: &LaneEngine, bufs: &[BufferData], result: Result<(), VmError>) -> Snap {
+        Snap {
+            result,
+            iregs: eng.iregs.iter().map(|r| r.0).collect(),
+            fregs: eng.fregs.iter().map(|r| r.0.map(f64::to_bits)).collect(),
+            bufs: bufs
+                .iter()
+                .map(|b| match b {
+                    BufferData::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
+                    BufferData::I32(v) => v.iter().map(|&x| x as u32).collect(),
+                    BufferData::U32(v) => v.clone(),
+                })
+                .collect(),
+        }
+    }
+
+    /// `exec_dec` instantiated with the AVX2 tier's body, compiled with
+    /// AVX2 enabled as in `exec_batch_avx2`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exec_avx2<S: LaneSet>(
+        eng: &mut LaneEngine,
+        op: &DecOp,
+        s: S,
+        mem: &mut Mem<'_>,
+    ) -> Result<(), VmError> {
+        eng.exec_dec::<Avx2Body, S>(op, s, GSIZE, &[0, 1, 2], mem)
+    }
+
+    /// Run `op` once on `s` from a fresh state.
+    fn run_op<S: LaneSet>(tier: Tier, op: &DecOp, s: S, elide: u64, patched: bool) -> Snap {
+        let mut eng = engine(elide, patched);
+        let mut bufs = buffers();
+        let mut mem = bufs.mem();
+        let r = match tier {
+            Tier::Portable => eng.exec_dec::<PortableBody, S>(op, s, GSIZE, &[0, 1, 2], &mut mem),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Tier::Avx2` comes only from `Tier::detect`.
+            Tier::Avx2 => unsafe { exec_avx2(&mut eng, op, s, &mut mem) },
+        };
+        snap(&eng, &bufs, r)
+    }
+
+    fn dec(code: OpCode, dst: u16, a: u16, b: u16) -> DecOp {
+        DecOp {
+            code,
+            dst,
+            a,
+            b,
+            c: 0,
+            d: 0,
+            e: 0,
+            sub1: 0,
+            sub2: 0,
+            unsigned: false,
+            imm: 0,
+            fimm: 0.0,
+        }
+    }
+
+    /// A fused pair `c = sub1(a, b)`-style op with the extra fields set.
+    #[allow(clippy::too_many_arguments)]
+    fn fused(
+        code: OpCode,
+        c: u16,
+        a: u16,
+        b: u16,
+        dst: u16,
+        d: u16,
+        e: u16,
+        s1: u8,
+        s2: u8,
+    ) -> DecOp {
+        DecOp {
+            c,
+            d,
+            e,
+            sub1: s1,
+            sub2: s2,
+            fimm: 2.5,
+            ..dec(code, dst, a, b)
+        }
+    }
+
+    /// Every shape of `code` the parity test runs; the match is
+    /// exhaustive, so a new opcode cannot go untested.
+    fn cases(code: OpCode) -> Vec<DecOp> {
+        use OpCode::*;
+        let signs = |ops: Vec<DecOp>| -> Vec<DecOp> {
+            ops.into_iter()
+                .flat_map(|o| {
+                    [false, true].map(|u| DecOp {
+                        unsigned: u,
+                        ..o.clone()
+                    })
+                })
+                .collect()
+        };
+        let ibin = [
+            (8, 2, 4),
+            (2, 2, 4),
+            (4, 2, 4),
+            (2, 2, 2),
+            (8, 4, 4),
+            (8, 2, 7),
+        ];
+        let fbin = [(7, 0, 2), (0, 0, 2), (2, 0, 2), (0, 0, 0)];
+        match code {
+            ConstI => vec![DecOp {
+                imm: -77,
+                ..dec(code, 8, 0, 0)
+            }],
+            ConstF => vec![DecOp {
+                fimm: -1.5,
+                ..dec(code, 7, 0, 0)
+            }],
+            MovI => vec![dec(code, 8, 2, 0), dec(code, 2, 2, 0)],
+            MovF => vec![dec(code, 7, 2, 0), dec(code, 2, 2, 0)],
+            IAdd | ISub | IMul | IAnd | IOr | IXor | IShl | IShr | ICmpLt | ICmpLe | ICmpGt
+            | ICmpGe | ICmpEq | ICmpNe | IMin | IMax => {
+                signs(ibin.iter().map(|&(d, a, b)| dec(code, d, a, b)).collect())
+            }
+            IDiv | IRem => signs(vec![
+                dec(code, 8, 2, 3),
+                dec(code, 3, 2, 3),
+                dec(code, 8, 2, I_ZDIV),
+            ]),
+            ImmAdd | ImmSub | ImmMul | ImmAnd | ImmOr | ImmXor | ImmShl | ImmShr => signs(
+                [-7, 3, 45]
+                    .into_iter()
+                    .flat_map(|imm| {
+                        [dec(code, 8, 4, 0), dec(code, 4, 4, 0)].map(|o| DecOp { imm, ..o })
+                    })
+                    .collect(),
+            ),
+            ImmDiv | ImmRem => signs(
+                [-7, 3, 0]
+                    .into_iter()
+                    .map(|imm| DecOp {
+                        imm,
+                        ..dec(code, 8, 2, 0)
+                    })
+                    .collect(),
+            ),
+            FAdd | FSub | FMul | FDiv | Pow | Fmin | Fmax | Fmod => {
+                fbin.iter().map(|&(d, a, b)| dec(code, d, a, b)).collect()
+            }
+            FCmpLt | FCmpLe | FCmpGt | FCmpGe | FCmpEq | FCmpNe => {
+                vec![dec(code, 8, 0, 2), dec(code, 8, 2, 2)]
+            }
+            NegI | NotI | BitNotI | CastII | IAbs => signs(vec![
+                dec(code, 8, 4, 0),
+                dec(code, 4, 4, 0),
+                dec(code, 8, 9, 0),
+            ]),
+            NegF | Sqrt | Rsqrt | Exp | Log | Sin | Cos | Tan | Fabs | Floor | Ceil => {
+                vec![dec(code, 7, 2, 0), dec(code, 2, 2, 0), dec(code, 7, 0, 0)]
+            }
+            CastIF => vec![dec(code, 7, 4, 0), dec(code, 7, 2, 0)],
+            CastFI => signs(vec![dec(code, 8, 3, 0), dec(code, 8, 2, 0)]),
+            LoadF => vec![dec(code, 7, I_IDX0, 0), dec(code, 7, I_OOB, 0)],
+            LoadI => vec![
+                dec(code, 8, I_IDX0, 1),
+                dec(code, 8, I_IDX1, 2),
+                dec(code, I_IDX0, I_IDX0, 1),
+                dec(code, 8, I_OOB, 1),
+            ],
+            StoreF => vec![dec(code, 2, I_IDX0, 0), dec(code, 3, I_OOB, 0)],
+            StoreI => vec![
+                dec(code, 2, I_IDX1, 1),
+                dec(code, 4, I_IDX0, 2),
+                dec(code, I_IDX0, I_IDX0, 2),
+                dec(code, 2, I_OOB, 1),
+            ],
+            GlobalId => (0..3).map(|dim| dec(code, 8, dim, 0)).collect(),
+            GlobalSize => (0..3).map(|dim| dec(code, 8, dim, 0)).collect(),
+            FOp2 => {
+                let shapes = [
+                    (6, 0, 1, 7, 6, 2),
+                    (6, 0, 1, 7, 2, 6),
+                    (6, 0, 1, 0, 6, 6),
+                    (6, 6, 1, 6, 6, 3),
+                    (6, 0, 1, 7, 2, 3),
+                ];
+                let mut v = vec![];
+                for s1 in 0..=F_CONST {
+                    for s2 in (0..=F_CONST).filter(|&s2| s1 != F_CONST || s2 != F_CONST) {
+                        for (c, a, b, d, p, q) in shapes {
+                            v.push(fused(code, c, a, b, d, p, q, s1, s2));
+                        }
+                    }
+                }
+                v
+            }
+            IOp2 => {
+                let mut v = vec![];
+                for s1 in [0, 1, 2, I_UNSIGNED, 1 | I_UNSIGNED, 2 | I_UNSIGNED] {
+                    for s2 in [0, 1, 2, I_UNSIGNED | 2] {
+                        for (c, a, b, d, p, q) in
+                            [(8, 2, 4, 9, 8, 3), (8, 2, 4, 2, 8, 8), (8, 8, 2, 8, 3, 8)]
+                        {
+                            v.push(fused(code, c, a, b, d, p, q, s1, s2));
+                        }
+                    }
+                }
+                v
+            }
+            Load2F => vec![
+                fused(code, 6, I_IDX0, 0, 7, I_IDX1, 0, 0, 0),
+                fused(code, 6, I_OOB, 0, 7, I_IDX0, 0, 0, 0),
+                fused(code, 6, I_IDX0, 0, 7, I_OOB, 0, 0, 0),
+            ],
+            LoadFOp => {
+                let mut v = vec![];
+                for s2 in 0..F_CONST {
+                    for (idx, d, p, q) in [(I_IDX0, 7, 6, 2), (I_IDX1, 7, 2, 7), (I_OOB, 7, 6, 6)] {
+                        v.push(fused(code, 6, idx, 0, d, p, q, 0, s2));
+                    }
+                }
+                v
+            }
+            FOpStore => {
+                let mut v = vec![];
+                for s1 in 0..=F_CONST {
+                    for (a, b, z, idx) in [(0, 2, 7, I_IDX0), (7, 2, 7, I_IDX1), (0, 2, 7, I_OOB)] {
+                        let mut o = fused(code, idx, a, b, z, 0, 0, s1, 0);
+                        o.d = 0;
+                        v.push(o);
+                    }
+                }
+                v
+            }
+        }
+    }
+
+    const ALL_OPCODES: [OpCode; 75] = {
+        use OpCode::*;
+        [
+            ConstI, ConstF, MovI, MovF, IAdd, ISub, IMul, IDiv, IRem, IAnd, IOr, IXor, IShl, IShr,
+            ImmAdd, ImmSub, ImmMul, ImmDiv, ImmRem, ImmAnd, ImmOr, ImmXor, ImmShl, ImmShr, FAdd,
+            FSub, FMul, FDiv, ICmpLt, ICmpLe, ICmpGt, ICmpGe, ICmpEq, ICmpNe, FCmpLt, FCmpLe,
+            FCmpGt, FCmpGe, FCmpEq, FCmpNe, NegI, NegF, NotI, BitNotI, CastIF, CastFI, CastII,
+            Sqrt, Rsqrt, Exp, Log, Sin, Cos, Tan, Fabs, Floor, Ceil, Pow, Fmin, Fmax, Fmod, IMin,
+            IMax, IAbs, LoadF, LoadI, StoreF, StoreI, GlobalId, GlobalSize, FOp2, IOp2, Load2F,
+            LoadFOp, FOpStore,
+        ]
+    };
+
+    /// The buffer elements lane `l` of `op` stores to, as (buffer, index).
+    fn store_target(op: &DecOp, eng: &LaneEngine, l: usize) -> Option<(usize, usize)> {
+        let (idx, buf) = if matches!(op.code, OpCode::StoreF | OpCode::StoreI) {
+            (op.a, op.b)
+        } else if op.code == OpCode::FOpStore {
+            (op.c, op.d)
+        } else {
+            return None;
+        };
+        Some((buf as usize, eng.iregs[idx as usize][l] as usize))
+    }
+
+    /// Check one op on one tier with one elision mask.
+    fn check_lane_sets(tier: Tier, op: &DecOp, elide: u64) {
+        let ctx = format!("{op:?} on {} (elide {elide:#x})", tier.name());
+        // Prefix(n) and Masked(full(n)) leave identical state, faults
+        // included.
+        let mut faults = false;
+        for n in [LANES, 22] {
+            let p = run_op(tier, op, Prefix(n), elide, false);
+            let m = run_op(tier, op, Masked(ExecMask::full(n)), elide, false);
+            assert_eq!(p, m, "Prefix({n}) vs Masked(full({n})): {ctx}");
+            faults |= p.result.is_err();
+        }
+        // Under a sparse mask over safe lanes, active lanes match the
+        // full-width run (with the hazards patched away) and inactive
+        // lanes' rows and buffer elements keep their values, even where
+        // an inactive lane holds an out-of-bounds index or zero divisor.
+        let init = snap(&engine(elide, false), &buffers(), Ok(()));
+        let full = run_op(tier, op, Prefix(LANES), elide, true);
+        let sparse = run_op(tier, op, Masked(ExecMask(SPARSE)), elide, false);
+        if full.result.is_ok() {
+            assert_eq!(sparse.result, Ok(()), "sparse mask faulted: {ctx}");
+            let on = |l: usize| SPARSE >> l & 1 != 0;
+            fn blend<T: Copy>(
+                on: impl Fn(usize) -> bool,
+                new: &[[T; LANES]],
+                old: &[[T; LANES]],
+            ) -> Vec<[T; LANES]> {
+                new.iter()
+                    .zip(old)
+                    .map(|(n, o)| std::array::from_fn(|l| if on(l) { n[l] } else { o[l] }))
+                    .collect()
+            }
+            assert_eq!(
+                sparse.iregs,
+                blend(on, &full.iregs, &init.iregs),
+                "I rows: {ctx}"
+            );
+            assert_eq!(
+                sparse.fregs,
+                blend(on, &full.fregs, &init.fregs),
+                "F rows: {ctx}"
+            );
+            let mut want = init.bufs.clone();
+            let eng = engine(elide, false);
+            for l in (0..LANES).filter(|&l| on(l)) {
+                if let Some((b, i)) = store_target(op, &eng, l) {
+                    want[b][i] = full.bufs[b][i];
+                }
+            }
+            assert_eq!(sparse.bufs, want, "buffers: {ctx}");
+        }
+        // With the hazard lanes active too, the fault is the one the
+        // lowest faulting active lane raises on its own.
+        let hazardous = ExecMask(SPARSE | HAZARD_BITS);
+        let m = run_op(tier, op, Masked(hazardous), elide, false);
+        if !faults && m.result.is_ok() {
+            return;
+        }
+        let lowest = hazardous.lanes().find_map(|l| {
+            run_op(tier, op, Masked(ExecMask(1 << l)), elide, false)
+                .result
+                .err()
+        });
+        assert_eq!(m.result, lowest.map_or(Ok(()), Err), "fault lane: {ctx}");
+    }
+
+    #[test]
+    fn lane_sets_agree_op_by_op() {
+        let mut tiers = vec![Tier::Portable];
+        if !matches!(Tier::detect(), Tier::Portable) {
+            tiers.push(Tier::detect());
+        }
+        let mut faulting = 0;
+        for code in ALL_OPCODES {
+            let ops = cases(code);
+            assert!(!ops.is_empty(), "{code:?} has no case");
+            for op in &ops {
+                // Elide only where every index of the op is in bounds:
+                // elision on an out-of-bounds index is undefined.
+                let uses_oob = [op.a, op.c, op.d].contains(&I_OOB)
+                    && matches!(
+                        code,
+                        OpCode::LoadF
+                            | OpCode::LoadI
+                            | OpCode::StoreF
+                            | OpCode::StoreI
+                            | OpCode::Load2F
+                            | OpCode::LoadFOp
+                            | OpCode::FOpStore
+                    );
+                for &tier in &tiers {
+                    check_lane_sets(tier, op, 0);
+                    if !uses_oob {
+                        check_lane_sets(tier, op, 0b111);
+                    }
+                }
+                if run_op(Tier::Portable, op, Prefix(LANES), 0, false)
+                    .result
+                    .is_err()
+                {
+                    faulting += 1;
+                }
+            }
+        }
+        // The faulting shapes: zero divisors (IDiv, IRem, ImmDiv and
+        // ImmRem by zero, each signed and unsigned) and out-of-bounds
+        // accesses (LoadF, LoadI, StoreF, StoreI, two Load2F halves, 16
+        // LoadFOp and 17 FOpStore sub-ops).
+        assert_eq!(faulting, 8 + 1 + 1 + 1 + 1 + 2 + 16 + 17);
     }
 }

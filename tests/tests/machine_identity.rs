@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 
 use hetpart_core::{
-    collect_training_db, DbError, FeatureSet, Framework, HarnessConfig, PartitionPredictor,
-    PredictError, ShardedDb,
+    collect_training_db, collect_training_db_sharded, DbError, FeatureSet, Framework,
+    HarnessConfig, PartitionPredictor, PredictError, ShardedDb, TrainError,
 };
 use hetpart_ml::ModelConfig;
 use hetpart_oclsim::{machines, Machine};
@@ -76,6 +76,51 @@ fn resuming_shards_on_edited_hardware_is_a_typed_error() {
     // The original machine still loads its own shards.
     let again = ShardedDb::open(&root, &machine).unwrap();
     assert_eq!(again.to_training_db().unwrap(), db);
+    std::fs::remove_dir_all(root).ok();
+}
+
+#[test]
+fn collecting_into_a_foreign_shard_store_is_a_typed_error() {
+    let machine = machines::by_name("slow_interconnect");
+    let root = tmp_root("hetpart_it_identity_collect");
+    let shards = ShardedDb::open(&root, &machine).unwrap();
+
+    // Another machine's store: the name differs.
+    let other = machines::mc2();
+    let err = collect_training_db_sharded(&other, &benches(), &cfg(), &shards).unwrap_err();
+    let TrainError::Shard(DbError::MachineMismatch {
+        path,
+        expected,
+        found,
+    }) = err
+    else {
+        panic!("expected a machine mismatch, got {err}");
+    };
+    assert_eq!(path, shards.dir());
+    assert_eq!(
+        (expected.as_str(), found.as_str()),
+        ("mc2", "slow_interconnect")
+    );
+
+    // The same name on edited hardware: the fingerprint differs.
+    let edited = drifted(machine.clone());
+    let err = collect_training_db_sharded(&edited, &benches(), &cfg(), &shards).unwrap_err();
+    let TrainError::Shard(DbError::MachineFingerprintMismatch {
+        path,
+        machine: name,
+        expected,
+        found,
+    }) = err
+    else {
+        panic!("expected a fingerprint mismatch, got {err}");
+    };
+    assert_eq!(path, shards.dir());
+    assert_eq!(name, "slow_interconnect");
+    assert_eq!(expected, edited.fingerprint());
+    assert_eq!(found, machine.fingerprint());
+
+    // Neither refusal measured or wrote anything.
+    assert!(shards.programs().unwrap().is_empty());
     std::fs::remove_dir_all(root).ok();
 }
 
