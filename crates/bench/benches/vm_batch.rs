@@ -22,7 +22,8 @@
 //! `target_met` in the JSON gates CI: the pruned oracle must hold its
 //! ≥ 3x speedup, the divergent kernels must stay batched end-to-end
 //! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x, monte_carlo_pi ≥ 9x over the
-//! scalar engine), and the bytecode optimizer must pay for itself — lane
+//! scalar engine; monte_carlo_pi's floor also guards the predicated
+//! if-arms), and the bytecode optimizer must pay for itself — lane
 //! execution on optimized code at least as fast as on unoptimized code
 //! (geomean over the picks) with a ≥ 15% suite-wide static shrink.
 //! Register allocation has its own A/B column against `RegAlloc::Off`
@@ -165,11 +166,13 @@ fn static_reduction() -> f64 {
 }
 
 fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
-    // Uniform streaming, compute-bound uniform, and three divergent
+    // Uniform streaming, compute-bound uniform, and four divergent
     // kernels (blackscholes: branchy tail after a uniform transcendental
     // body; mandelbrot: data-dependent loop exit — the reconvergence
-    // stress tests; monte_carlo_pi: a divergent branch on every trip of a
-    // uniform loop, the serve workloads' p99 key). Sizes match the
+    // stress tests; monte_carlo_pi: a divergent one-block arm on every
+    // trip of a uniform loop, the serve workloads' p99 key, whose floor
+    // also guards the predicated if-arms; stencil2d: three predicable
+    // boundary triangles, recorded without a floor). Sizes match the
     // training-shaped oracle batch below: the lane engine exists to speed
     // up the VM the training sweeps run on, and sweeps launch at exactly
     // this scale — a DRAM-bound size would measure memory bandwidth
@@ -181,6 +184,7 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("sgemm", 48),
             ("mandelbrot", 48),
             ("monte_carlo_pi", 1 << 10),
+            ("stencil2d", 64),
         ]
     } else {
         &[
@@ -189,6 +193,7 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("sgemm", 64),
             ("mandelbrot", 64),
             ("monte_carlo_pi", 1 << 12),
+            ("stencil2d", 128),
         ]
     };
     let reps = if quick { 3 } else { 5 };

@@ -265,7 +265,7 @@ pub struct TrainingDb {
 
 impl TrainingDb {
     /// Persist as schema-versioned JSON. Serializes the fields in place
-    /// (same layout as [`DbFile`]) instead of deep-cloning the records
+    /// (same layout as `DbFile`) instead of deep-cloning the records
     /// into a wrapper first.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         use serde::{Serialize as _, Value};
@@ -413,7 +413,7 @@ struct ShardHeader {
 /// <root>/<machine>/<program>.jsonl
 /// ```
 ///
-/// Each shard is a JSONL stream — a [`ShardHeader`] line (schema version,
+/// Each shard is a JSONL stream — a `ShardHeader` line (schema version,
 /// machine, program) followed by one [`TrainingRecord`] per line, appended
 /// as records are measured. Appends are crash-consistent: a torn final
 /// line (the process died mid-write) is detected and dropped on load, and

@@ -195,6 +195,11 @@ impl From<LaunchError> for DeployError {
                 device_name,
                 permanent,
             },
+            // The NDRange is part of the launch's arguments, and the plan
+            // was built for others.
+            e @ LaunchError::StalePlan { .. } => {
+                DeployError::Vm(VmError::ArgumentMismatch(e.to_string()))
+            }
         }
     }
 }
@@ -505,6 +510,20 @@ mod tests {
     use crate::train::collect_training_db;
     use hetpart_ml::TreeConfig;
     use hetpart_oclsim::machines;
+
+    #[test]
+    fn stale_plans_surface_as_an_argument_mismatch() {
+        use hetpart_inspire::NdRange;
+        let e = LaunchError::StalePlan {
+            planned: NdRange::d1(8),
+            launched: NdRange::d1(4),
+        };
+        let msg = e.to_string();
+        assert_eq!(
+            DeployError::from(e),
+            DeployError::Vm(VmError::ArgumentMismatch(msg))
+        );
+    }
 
     fn small_db() -> TrainingDb {
         let benches: Vec<_> = hetpart_suite::all()

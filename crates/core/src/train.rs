@@ -101,7 +101,7 @@ const SWEEP_BATCH_JOBS: usize = 32;
 /// The suite trains as **batched sweeps**: every benchmark is compiled
 /// exactly once (shared across all of its problem sizes), then
 /// (benchmark, size) pairs stream through [`sweep_many_mode`] in groups
-/// of [`SWEEP_BATCH_JOBS`] — instances and runtime features prepared in
+/// of `SWEEP_BATCH_JOBS` — instances and runtime features prepared in
 /// parallel, every (launch × partitioning) pair of the group priced in
 /// one flat rayon pass with per-launch access-analysis caches. No
 /// buffers are mutated, and batch boundaries cannot affect results

@@ -233,7 +233,7 @@ impl Interval {
     }
 
     /// `rem` is **not** corner-monotone (`7 % 4 = 3` beats both `7 % 3`
-    /// and `7 % 5`), so it never uses [`Interval::map2`]: for `x >= 0`
+    /// and `7 % 5`), so it never uses `Interval::map2`: for `x >= 0`
     /// and divisors in `[c, d]` with `c > 0`, `x % y` lies in
     /// `[0, min(d-1, x_hi)]` (`x % y <= x` for non-negative `x`). Any
     /// negative operand falls to ⊤ — the sign of a truncated remainder

@@ -17,7 +17,7 @@
 //! - **register-file bounds**: every register read or written (including
 //!   by terminators) fits the function's allocated register files
 //! - **histogram-vs-body consistency**: each block's cached
-//!   [`OpHistogram`] matches a recount of its instruction list — the
+//!   [`OpHistogram`](crate::bytecode::OpHistogram) matches a recount of its instruction list — the
 //!   dynamic statistics the partition predictor trains on depend on it
 //! - **decode-table agreement**: the pre-decoded direct-threaded program
 //!   equals a fresh re-decode of the enum blocks

@@ -1,6 +1,6 @@
 //! Control-flow-graph analyses over compiled bytecode.
 //!
-//! The lane engine's SIMT reconvergence (see [`crate::vm_batch`]) needs to
+//! The lane engine's SIMT reconvergence (see `vm_batch`) needs to
 //! know, for every divergent branch, where the diverged lane subsets are
 //! guaranteed to meet again: the branch block's **immediate
 //! post-dominator**. This module computes, once per compiled
@@ -9,7 +9,10 @@
 //! - the successor and predecessor graphs of the basic blocks,
 //! - a reverse post-order of the forward CFG,
 //! - immediate post-dominators (over the CFG extended with a single
-//!   virtual exit node that every `Ret` block jumps to), and
+//!   virtual exit node that every `Ret` block jumps to),
+//! - each branch's **predicable if-arm**: the one-block side of an
+//!   if-then triangle, which the lane engine may run under a select mask
+//!   instead of splitting the batch, and
 //! - per-block **live-in register sets** (registers read before written on
 //!   some path from the block), which the optimizer's dead-code
 //!   elimination, copy propagation and register allocation consume.
@@ -20,13 +23,16 @@
 //! fixpoint. Functions are small (tens of blocks), so simplicity wins over
 //! asymptotics.
 
-use crate::bytecode::{Block, Instr, Terminator};
+use crate::bytecode::{Block, IBinOp, Instr, Terminator};
 
 /// Sentinel for "no immediate post-dominator": the block cannot reach the
 /// function exit (it sits in an infinite loop), so no reconvergence point
 /// exists. The lane engine treats this like the virtual exit — such lanes
 /// can only terminate via the step limit, exactly as on the scalar engine.
 pub const NO_POST_DOM: u32 = u32::MAX;
+
+/// Sentinel of `CfgInfo::if_arm`: the block has no predicable if-arm.
+pub(crate) const NO_ARM: u32 = u32::MAX;
 
 /// Cached CFG analyses of one compiled function.
 ///
@@ -51,6 +57,13 @@ pub struct CfgInfo {
     pub live_in_i: Vec<Vec<u16>>,
     /// F registers live at entry of each block, ascending.
     pub live_in_f: Vec<Vec<u16>>,
+    /// The predicable if-arm of each branch block, or [`NO_ARM`]: the
+    /// side that is one block jumping straight to the branch's immediate
+    /// post-dominator `r`, while the other side is `r` itself, and whose
+    /// instructions cannot fault (no loads, stores, or integer division
+    /// or remainder). A lane that skips the arm may hold any value in its
+    /// registers, so only such an arm can run on every lane.
+    pub(crate) if_arm: Vec<u32>,
     n_blocks: u32,
 }
 
@@ -88,6 +101,7 @@ impl CfgInfo {
         let rpo = forward_rpo(&succs);
         let ipdom = post_dominators(blocks, &succs);
         let (live_in_i, live_in_f) = liveness(blocks, &succs, n_iregs, n_fregs);
+        let if_arm = if_arms(blocks, &ipdom);
 
         Self {
             succs,
@@ -96,8 +110,51 @@ impl CfgInfo {
             ipdom,
             live_in_i,
             live_in_f,
+            if_arm,
             n_blocks: n as u32,
         }
+    }
+}
+
+/// [`CfgInfo::if_arm`] of every block.
+fn if_arms(blocks: &[Block], ipdom: &[u32]) -> Vec<u32> {
+    blocks
+        .iter()
+        .zip(ipdom)
+        .map(|(b, &r)| {
+            let (Terminator::Branch { then, els, .. } | Terminator::BranchCmp { then, els, .. }) =
+                b.term
+            else {
+                return NO_ARM;
+            };
+            let arm = match (then == r, els == r) {
+                (true, false) => els,
+                (false, true) => then,
+                _ => return NO_ARM,
+            };
+            let a = &blocks[arm as usize];
+            let joins = matches!(a.term, Terminator::Jump(t) if t == r);
+            if joins && !a.instrs.iter().any(can_fault) {
+                arm
+            } else {
+                NO_ARM
+            }
+        })
+        .collect()
+}
+
+/// Whether `ins` can fault on some operand values: a buffer access (its
+/// index may be out of bounds) or an integer division or remainder (its
+/// divisor may be zero).
+fn can_fault(ins: &Instr) -> bool {
+    match *ins {
+        Instr::LoadF { .. } | Instr::LoadI { .. } | Instr::StoreF { .. } | Instr::StoreI { .. } => {
+            true
+        }
+        Instr::IBin { op, .. } | Instr::IBinImm { op, .. } => {
+            matches!(op, IBinOp::Div | IBinOp::Rem)
+        }
+        _ => false,
     }
 }
 
@@ -595,6 +652,81 @@ mod tests {
             f.n_fregs
         );
         assert!(!cfg.live_in_i[then].is_empty(), "index register is live");
+    }
+
+    /// The suite's `monte_carlo_pi` kernel.
+    const MONTE_CARLO_PI: &str =
+        "kernel void monte_carlo_pi(global uint* hits, uint seed, int samples) {
+        int i = get_global_id(0);
+        uint s = seed + (uint)i * 2654435761u;
+        if (s == 0u) { s = 1u; }
+        uint count = 0u;
+        for (int j = 0; j < samples; j++) {
+            s = s ^ (s << 13);
+            s = s ^ (s >> 17);
+            s = s ^ (s << 5);
+            float x = (float)(s & 65535u) / 65536.0;
+            s = s ^ (s << 13);
+            s = s ^ (s >> 17);
+            s = s ^ (s << 5);
+            float y = (float)(s & 65535u) / 65536.0;
+            if (x * x + y * y <= 1.0) { count = count + 1u; }
+        }
+        hits[i] = count;
+    }";
+
+    /// The branch blocks of `f` with a predicable arm, as (branch, arm).
+    fn arms(f: &Function) -> Vec<(usize, u32)> {
+        (0..f.blocks.len())
+            .filter(|&b| f.cfg.if_arm[b] != NO_ARM)
+            .map(|b| (b, f.cfg.if_arm[b]))
+            .collect()
+    }
+
+    #[test]
+    fn if_arm_marks_short_non_faulting_triangles_only() {
+        // The sample test's `count++` arm, as the default pipeline
+        // compiles it; the `s == 0` guard's arm too.
+        let f = crate::compile(MONTE_CARLO_PI).unwrap().bytecode;
+        let a = arms(&f);
+        assert!(a.contains(&(4, 7)), "bb4 -> bb7 arm missing: {a:?}");
+        for (b, arm) in a {
+            assert!(
+                matches!(f.blocks[arm as usize].term, Terminator::Jump(r) if r == f.cfg.ipdom[b])
+            );
+        }
+        // An arm holding a load or an integer division can fault on the
+        // lanes that skip it; a loop exit is no triangle.
+        for (what, body) in [
+            ("load", "if (i < n) { v = v + o[i]; }"),
+            ("division", "if (i > 0) { v = n / i; }"),
+            ("remainder", "if (i > 0) { v = v % 7; }"),
+            ("loop exit", "for (int j = 0; j < i; j++) { v = v + 3; }"),
+        ] {
+            let src = format!(
+                "kernel void k(global int* o, int n) {{
+                    int i = get_global_id(0);
+                    int v = i * 5;
+                    {body}
+                    o[i] = v;
+                }}"
+            );
+            assert_eq!(arms(&crate::compile(&src).unwrap().bytecode), [], "{what}");
+        }
+        // The same triangle with a non-faulting arm is predicable. (Only
+        // optimized code has triangles: codegen gives every `if` an else
+        // block, which the optimizer drops when it is empty.)
+        let f = crate::compile(
+            "kernel void k(global int* o, int n) {
+                int i = get_global_id(0);
+                int v = i * 5;
+                if (i > 0) { v = v * 7 + n; }
+                o[i] = v;
+            }",
+        )
+        .unwrap()
+        .bytecode;
+        assert_eq!(arms(&f).len(), 1);
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! Compiling at [`OptLevel::None`] skips the pipeline entirely.
 //!
 //! After the pass pipeline, liveness-driven linear-scan register
-//! allocation ([`regalloc`]) shrinks both register files to their true
+//! allocation (`regalloc`) shrinks both register files to their true
 //! maximum live width; [`RegAlloc::Off`] disables it independently of
 //! the pass pipeline. Whatever the opt level and allocation mode, the
-//! final blocks are then pre-decoded ([`decode`]) into the flat
+//! final blocks are then pre-decoded (`decode`) into the flat
 //! direct-threaded op array the lane engine executes; the scalar
 //! reference engine keeps matching on the instruction enum.
 

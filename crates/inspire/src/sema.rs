@@ -1,7 +1,7 @@
 //! Semantic analysis: name resolution, type checking, desugaring.
 //!
 //! Turns the untyped [`crate::ast`] into the typed [`crate::ir`]. All
-//! implicit conversions become explicit [`ir::ExprKind::Cast`] nodes;
+//! implicit conversions become explicit [`ExprKind::Cast`] nodes;
 //! compound assignments and increments are desugared; `get_global_id` /
 //! `get_global_size` become dedicated IR nodes.
 

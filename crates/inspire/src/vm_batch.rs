@@ -19,13 +19,13 @@
 //!
 //! - **AVX2** (x86-64 CPUs with AVX2): the body is instantiated inside a
 //!   `#[target_feature(enable = "avx2")]` entry with the whole full-width
-//!   path (op dispatch, fused superinstructions, row and gather kernels)
-//!   inlined into it, so the row kernels run four 64-bit lanes per
-//!   vector. The op walk's [`Masked`] instantiation stays out of line
-//!   (`exec_block_masked`): it walks active lanes one at a time, which
-//!   AVX2 cannot widen. `fma` is not enabled and
-//!   Rust never contracts `a * b + c`, so float results are bit-identical
-//!   to the portable tier.
+//!   path (op dispatch, fused superinstructions, row and gather kernels,
+//!   for the [`Prefix`] and [`Select`] walks) inlined into it, so the row
+//!   kernels run four 64-bit lanes per vector. The op walk's [`Masked`]
+//!   instantiation stays out of line (`exec_block_masked`): it walks
+//!   active lanes one at a time, which AVX2 cannot widen. `fma` is not
+//!   enabled and Rust never contracts `a * b + c`, so float results are
+//!   bit-identical to the portable tier.
 //! - **Portable** (every other CPU): the same body built for the crate's
 //!   compile target (SSE2 on baseline x86-64), with the fused
 //!   superinstructions and gather/scatter kernels out of line.
@@ -37,9 +37,11 @@
 //! adjacent op pairs fused into superinstructions that make one pass
 //! over the lane rows where the unfused pair made two. There is one op
 //! walk, [`LaneEngine::exec_dec`], generic over the [`LaneSet`] it runs
-//! on: [`Prefix`], the live prefix of a batch, or [`Masked`], the active
-//! lanes of a partial mask. The lane set supplies loop shapes only, so
-//! every op's semantics is written once. The scalar engine
+//! on: [`Prefix`], the live prefix of a batch; [`Masked`], the active
+//! lanes of a partial mask, walked one at a time; or [`Select`], the
+//! same lanes computed at full width with only the active ones stored.
+//! The lane set supplies loop shapes only, so every op's semantics is
+//! written once. The scalar engine
 //! walks the enum blocks instead, so every scalar-vs-lanes comparison
 //! checks two independent implementations of the bytecode semantics —
 //! decoding and fusion included.
@@ -63,6 +65,21 @@
 //!   exactly like a hardware SIMT stack. Instructions executed under a
 //!   partial mask run the same op walk over the [`Masked`] lane set, whose
 //!   loops only read, write, and fault on active lanes.
+//! - **Predicated if-arms** skip the stack. When one side of a divergent
+//!   branch is a single block that cannot fault and jumps straight to
+//!   the post-dominator `r`, and the other side is `r` itself (an if-then
+//!   triangle), and at least `LANES / 2` lanes take the arm
+//!   (`PREDICATE_MIN_LANES`), the arm runs under the [`Select`] lane set:
+//!   full-width row passes that store only the arm's lanes, with the
+//!   arm's block count and step cost charged to exactly those lanes.
+//!   The frame then continues at `r` with its mask unchanged, where the
+//!   stack would have resumed it, so no frame is pushed and no lane is
+//!   walked alone. This is the select-at-join rule of whole-function
+//!   vectorization (Karrenberg & Hack, CGO 2011). The arm of each branch
+//!   is found once per compiled [`Function`], next to the
+//!   post-dominators, in `CfgInfo::if_arm` ([`crate::cfg`]). Below the
+//!   gate, the arm's few lanes are cheaper to walk one at a time than a
+//!   full-width pass, so the frame path runs it.
 //! - The **active-lane mask** of a full batch is a prefix: the final
 //!   batch of a range may cover fewer than [`LANES`] items, and all lane
 //!   loops iterate only over the live prefix.
@@ -74,7 +91,8 @@
 //! Per-lane parity holds because reconvergence never changes *which*
 //! blocks a lane executes — only when they run relative to other lanes —
 //! so each lane's block-visit sequence, and therefore its block counts
-//! and step count, is exactly the scalar engine's. The one observable
+//! and step count, is exactly the scalar engine's (a predicated arm is
+//! charged only to its lanes, so this holds there too). The one observable
 //! difference is *which* error surfaces when multiple work-items of a
 //! batch fault: items execute in instruction lockstep, so the earliest
 //! fault in lockstep order wins rather than the earliest item in item
@@ -84,7 +102,7 @@
 use std::ops::{Deref, DerefMut, Range};
 
 use crate::bytecode::{CmpOp, Function, IBinOp, Terminator};
-use crate::cfg::NO_POST_DOM;
+use crate::cfg::{NO_ARM, NO_POST_DOM};
 use crate::error::VmError;
 use crate::opt::decode::{
     DecOp, OpCode, F_ADD, F_CONST, F_DIV, F_MOV, F_MUL, F_NEG, F_SUB, I_UNSIGNED,
@@ -93,6 +111,11 @@ use crate::vm::{int_bin, wrap32, BufferData, Counters, Mem, Vm};
 
 /// Work-items executed in lockstep per batch.
 pub const LANES: usize = 64;
+
+/// The fewest lanes that run a predicated if-arm (see the module docs).
+/// Below it the arm's full-width passes cost more than walking its few
+/// lanes one at a time under a pushed frame.
+const PREDICATE_MIN_LANES: u32 = LANES as u32 / 2;
 
 /// One register row: lane `l`'s value at index `l`, aligned to a 64-byte
 /// cache line. It derefs to `[T; LANES]`, so row kernels index it like
@@ -165,17 +188,23 @@ trait Codegen {
     const AVX2: bool;
 
     /// [`apply2`] under this tier's inlining policy.
-    fn apply2<T: Copy, F: Fn(T, T) -> T>(
+    fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         regs: &mut [Row<T>],
         n: usize,
         dst: u16,
         a: u16,
         b: u16,
-        f: F,
+        g: G,
     );
 
     /// [`apply1`] under this tier's inlining policy.
-    fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F);
+    fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(
+        regs: &mut [Row<T>],
+        n: usize,
+        dst: u16,
+        a: u16,
+        g: G,
+    );
 }
 
 /// The portable tier's body.
@@ -185,20 +214,26 @@ impl Codegen for PortableBody {
     const AVX2: bool = false;
 
     #[inline]
-    fn apply2<T: Copy, F: Fn(T, T) -> T>(
+    fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         regs: &mut [Row<T>],
         n: usize,
         dst: u16,
         a: u16,
         b: u16,
-        f: F,
+        g: G,
     ) {
-        apply2(regs, n, dst, a, b, f);
+        apply2(regs, n, dst, a, b, g);
     }
 
     #[inline]
-    fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F) {
-        apply1(regs, n, dst, a, f);
+    fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(
+        regs: &mut [Row<T>],
+        n: usize,
+        dst: u16,
+        a: u16,
+        g: G,
+    ) {
+        apply1(regs, n, dst, a, g);
     }
 }
 
@@ -211,20 +246,26 @@ impl Codegen for Avx2Body {
     const AVX2: bool = true;
 
     #[inline(always)]
-    fn apply2<T: Copy, F: Fn(T, T) -> T>(
+    fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         regs: &mut [Row<T>],
         n: usize,
         dst: u16,
         a: u16,
         b: u16,
-        f: F,
+        g: G,
     ) {
-        apply2(regs, n, dst, a, b, f);
+        apply2(regs, n, dst, a, b, g);
     }
 
     #[inline(always)]
-    fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F) {
-        apply1(regs, n, dst, a, f);
+    fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(
+        regs: &mut [Row<T>],
+        n: usize,
+        dst: u16,
+        a: u16,
+        g: G,
+    ) {
+        apply1(regs, n, dst, a, g);
     }
 }
 
@@ -469,7 +510,8 @@ impl CountSink<'_> {
 }
 
 /// The lanes one op walk runs over: [`Prefix`], the live prefix of a
-/// batch, or [`Masked`], the active lanes of a partial mask. A lane set
+/// batch, or [`Masked`] or [`Select`], the active lanes of a partial
+/// mask walked one at a time or computed at full width. A lane set
 /// supplies loop shapes only. What every op computes — its semantics,
 /// the sub-op decoding, bounds-elision handling and the superinstruction
 /// logic — is written once, in [`LaneEngine::exec_dec`] and its helpers,
@@ -551,12 +593,12 @@ impl LaneSet for Prefix {
         b: u16,
         f: F,
     ) {
-        K::apply2(regs, self.0, dst, a, b, f);
+        K::apply2(regs, self.0, dst, a, b, |_, _, x, y| f(x, y));
     }
 
     #[inline(always)]
     fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
-        K::apply1(regs, self.0, dst, a, f);
+        K::apply1(regs, self.0, dst, a, |_, _, x| f(x));
     }
 
     #[inline(always)]
@@ -716,6 +758,103 @@ impl LaneSet for Masked {
     }
 }
 
+/// The active lanes of a partial mask, run at full width: a row pass
+/// computes every lane and stores only the active ones, so inactive rows
+/// keep their values bit for bit. An inactive lane's operands are another
+/// lane subset's live state or stale, so only ops that cannot fault on
+/// any value run under it: the predicated if-arms of
+/// [`CfgInfo::if_arm`](crate::cfg::CfgInfo). `zip1`/`zip2` and every
+/// gather, scatter and division walk visit only the active lanes, as
+/// under [`Masked`]: an elided gather shares `zip1`, and must never read
+/// an inactive lane's index.
+#[derive(Clone, Copy)]
+struct Select(ExecMask);
+
+impl Select {
+    /// `new` on an active lane `l`, `old` on an inactive one.
+    #[inline(always)]
+    fn pick<T>(self, l: usize, old: T, new: T) -> T {
+        if self.0 .0 >> l & 1 != 0 {
+            new
+        } else {
+            old
+        }
+    }
+}
+
+impl LaneSet for Select {
+    const MASKED: bool = false;
+
+    type Lanes = Lanes;
+
+    #[inline(always)]
+    fn lanes(self) -> Lanes {
+        self.0.lanes()
+    }
+
+    #[inline(always)]
+    fn count(self) -> u64 {
+        u64::from(self.0.count())
+    }
+
+    #[inline(always)]
+    fn map2<K: Codegen, T: Copy, F: Fn(T, T) -> T>(
+        self,
+        regs: &mut [Row<T>],
+        dst: u16,
+        a: u16,
+        b: u16,
+        f: F,
+    ) {
+        K::apply2(regs, LANES, dst, a, b, |l, d, x, y| {
+            self.pick(l, d, f(x, y))
+        });
+    }
+
+    #[inline(always)]
+    fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
+        K::apply1(regs, LANES, dst, a, |l, d, x| self.pick(l, d, f(x)));
+    }
+
+    #[inline(always)]
+    fn zip1<T: Copy, U, F: Fn(T) -> U>(self, d: &mut Row<U>, x: &Row<T>, f: F) {
+        Masked(self.0).zip1(d, x, f);
+    }
+
+    #[inline(always)]
+    fn zip2<T: Copy, U, F: Fn(T, T) -> U>(self, d: &mut Row<U>, x: &Row<T>, y: &Row<T>, f: F) {
+        Masked(self.0).zip2(d, x, y, f);
+    }
+
+    #[inline(always)]
+    fn fill<T: Copy>(self, d: &mut Row<T>, v: T) {
+        for (l, d) in d.iter_mut().enumerate() {
+            *d = self.pick(l, *d, v);
+        }
+    }
+
+    /// No prescan, as under [`Masked`]: an inactive lane's index may be
+    /// out of bounds without the access faulting.
+    #[inline(always)]
+    fn in_bounds(self, _idx: &Row<i64>, _len: usize) -> bool {
+        false
+    }
+
+    /// Two row passes, one per half.
+    #[inline(always)]
+    fn fop2<K: Codegen>(self, fregs: &mut [Row<f64>], op: &DecOp) {
+        apply_f::<K, _>(self, fregs, op.c, op.a, op.b, op.sub1, op.fimm);
+        apply_f::<K, _>(self, fregs, op.dst, op.d, op.e, op.sub2, op.fimm);
+    }
+
+    /// Two row passes, one per half.
+    #[inline(always)]
+    fn iop2<K: Codegen>(self, iregs: &mut [Row<i64>], op: &DecOp) {
+        apply_i::<K, _>(self, iregs, op.c, op.a, op.b, op.sub1);
+        apply_i::<K, _>(self, iregs, op.dst, op.d, op.e, op.sub2);
+    }
+}
+
 /// The structure-of-arrays lane engine. One instance is reused across all
 /// batches of a run; lane register state persists between batches exactly
 /// like the scalar engine's register file persists between items.
@@ -743,39 +882,41 @@ pub(crate) struct LaneEngine {
     step_limit: u64,
 }
 
-/// Apply `f` lane-wise: `dst[l] = f(a[l], b[l])` for the first `n` lanes.
+/// Apply `g` lane-wise over the first `n` lanes: `dst[l] = g(l, dst[l],
+/// a[l], b[l])`, where the old `dst[l]` lets a [`Select`] pass keep an
+/// inactive lane's value.
 ///
 /// The common case (the compiler allocates a fresh temp for `dst`) borrows
 /// all three registers disjointly and runs a bounds-check-free loop the
 /// optimizer can vectorize; aliased operands fall back to copying, which
 /// is always correct because each lane only reads its own elements.
 #[inline(always)]
-fn apply2<T: Copy, F: Fn(T, T) -> T>(
+fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
     regs: &mut [Row<T>],
     n: usize,
     dst: u16,
     a: u16,
     b: u16,
-    f: F,
+    g: G,
 ) {
     let (dst, a, b) = (dst as usize, a as usize, b as usize);
     if dst != a && dst != b && a != b {
         let Ok([d, x, y]) = regs.get_disjoint_mut([dst, a, b]) else {
             unreachable!("disjoint registers");
         };
-        for ((d, &x), &y) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]) {
-            *d = f(x, y);
+        for (l, ((d, &x), &y)) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]).enumerate() {
+            *d = g(l, *d, x, y);
         }
     } else if a == b && dst != a {
         let Ok([d, x]) = regs.get_disjoint_mut([dst, a]) else {
             unreachable!("disjoint registers");
         };
-        for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-            *d = f(x, x);
+        for (l, (d, &x)) in d[..n].iter_mut().zip(&x[..n]).enumerate() {
+            *d = g(l, *d, x, x);
         }
     } else if dst == a && dst == b {
-        for v in regs[dst][..n].iter_mut() {
-            *v = f(*v, *v);
+        for (l, v) in regs[dst][..n].iter_mut().enumerate() {
+            *v = g(l, *v, *v, *v);
         }
     } else if dst == a {
         // In-place accumulator: each lane reads its own element before
@@ -783,33 +924,34 @@ fn apply2<T: Copy, F: Fn(T, T) -> T>(
         let Ok([d, y]) = regs.get_disjoint_mut([dst, b]) else {
             unreachable!("disjoint registers");
         };
-        for (d, &y) in d[..n].iter_mut().zip(&y[..n]) {
-            *d = f(*d, y);
+        for (l, (d, &y)) in d[..n].iter_mut().zip(&y[..n]).enumerate() {
+            *d = g(l, *d, *d, y);
         }
     } else {
         let Ok([d, x]) = regs.get_disjoint_mut([dst, a]) else {
             unreachable!("disjoint registers");
         };
-        for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-            *d = f(x, *d);
+        for (l, (d, &x)) in d[..n].iter_mut().zip(&x[..n]).enumerate() {
+            *d = g(l, *d, x, *d);
         }
     }
 }
 
-/// Apply `f` lane-wise: `dst[l] = f(a[l])` for the first `n` lanes.
+/// Apply `g` lane-wise over the first `n` lanes: `dst[l] = g(l, dst[l],
+/// a[l])` (see [`apply2`]).
 #[inline(always)]
-fn apply1<T: Copy, F: Fn(T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, f: F) {
+fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, g: G) {
     let (dst, a) = (dst as usize, a as usize);
     if dst != a {
         let Ok([d, x]) = regs.get_disjoint_mut([dst, a]) else {
             unreachable!("disjoint registers");
         };
-        for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
-            *d = f(x);
+        for (l, (d, &x)) in d[..n].iter_mut().zip(&x[..n]).enumerate() {
+            *d = g(l, *d, x);
         }
     } else {
-        for v in regs[dst][..n].iter_mut() {
-            *v = f(*v);
+        for (l, v) in regs[dst][..n].iter_mut().enumerate() {
+            *v = g(l, *v, *v);
         }
     }
 }
@@ -915,23 +1057,23 @@ fn const_fop2<K: Codegen>(fregs: &mut [Row<f64>], n: usize, op: &DecOp) {
         fi,
         binary: |f| {
             if p != c {
-                K::apply1(fregs, n, z, p, |x| f(x, fi));
+                K::apply1(fregs, n, z, p, |_, _, x| f(x, fi));
             } else if q != c {
-                K::apply1(fregs, n, z, q, |y| f(fi, y));
+                K::apply1(fregs, n, z, q, |_, _, y| f(fi, y));
             } else {
                 fregs[z as usize][..n].fill(f(fi, fi));
             }
         },
         unary: |f| {
             if p != c {
-                K::apply1(fregs, n, z, p, |x| f(x, x));
+                K::apply1(fregs, n, z, p, |_, _, x| f(x, x));
             } else {
                 fregs[z as usize][..n].fill(f(fi, fi));
             }
         },
         math: |f| {
             if p != c {
-                K::apply1(fregs, n, z, p, |x| f(x, x));
+                K::apply1(fregs, n, z, p, |_, _, x| f(x, x));
             } else {
                 fregs[z as usize][..n].fill(f(fi, fi));
             }
@@ -1220,13 +1362,13 @@ impl LaneEngine {
         // under the full mask, and `self.steps[l]` holds lane `l`'s
         // offset from it, charged only by blocks run under a partial mask
         // (so a full-mask block costs O(1) even after divergence). Lane
-        // `l`'s total is `batch_steps + steps[l]`, and every lane's total
-        // stayed within the limit at the previous check, so testing the
-        // largest offset fires at exactly the block where the scalar
-        // engine would.
+        // `l`'s total is `batch_steps + steps[l]`; `max_off` bounds the
+        // largest offset from above (see `check_steps`). Every row is
+        // zeroed, because the predicated path charges all `LANES` rows and
+        // `check_steps` reads them all.
         let mut batch_steps: u64 = 0;
         let mut max_off: u64 = 0;
-        self.steps[..n].fill(0);
+        self.steps.fill(0);
         let dec = &f.decoded;
         loop {
             if pc == rpc {
@@ -1257,11 +1399,7 @@ impl LaneEngine {
                     max_off = max_off.max(self.steps[l]);
                 }
             }
-            if batch_steps + max_off > self.step_limit {
-                return Err(VmError::StepLimitExceeded {
-                    limit: self.step_limit,
-                });
-            }
+            self.check_steps(batch_steps, &mut max_off)?;
             if mask == full {
                 for op in dec.block_ops(block) {
                     self.exec_dec::<K, _>(op, Prefix(n), gsize, bmap, bufs)?;
@@ -1326,6 +1464,29 @@ impl LaneEngine {
                 pc = els;
                 continue;
             }
+            // A predicable if-arm taken by enough lanes runs at full width
+            // under a select mask, charged to its lanes only; then the
+            // whole frame continues at the rejoin, where the frame path
+            // would also resume it.
+            let arm = f.cfg.if_arm[block];
+            if arm != NO_ARM {
+                let on = if arm == then { t } else { e };
+                if on.count() >= PREDICATE_MIN_LANES {
+                    let arm = arm as usize;
+                    sink.count_block(arm, Select(on));
+                    let cost = f.blocks[arm].step_cost();
+                    for (l, s) in self.steps.iter_mut().enumerate() {
+                        *s += cost & 0u64.wrapping_sub(on.0 >> l & 1);
+                    }
+                    max_off += cost;
+                    self.check_steps(batch_steps, &mut max_off)?;
+                    for op in dec.block_ops(arm) {
+                        self.exec_dec::<K, _>(op, Select(on), gsize, bmap, bufs)?;
+                    }
+                    pc = f.cfg.ipdom[block];
+                    continue;
+                }
+            }
             // A branch with no post-dominator (an infinite loop)
             // rejoins "at the exit": such lanes can only stop via
             // the step limit, exactly as on the scalar engine.
@@ -1365,6 +1526,25 @@ impl LaneEngine {
         }
         for s in self.steps[..n].iter_mut() {
             *s += batch_steps;
+        }
+        Ok(())
+    }
+
+    /// Fail if some lane's step total `batch_steps + steps[l]` exceeds the
+    /// limit. `max_off` is an upper bound on the largest offset; when the
+    /// bound crosses the limit it is first tightened to the exact maximum.
+    /// Every lane's total stayed within the limit at the previous check,
+    /// so the limit fires at exactly the block where the scalar engine's
+    /// does.
+    #[inline(always)]
+    fn check_steps(&self, batch_steps: u64, max_off: &mut u64) -> Result<(), VmError> {
+        if batch_steps + *max_off > self.step_limit {
+            *max_off = self.steps.iter().fold(0, |m, &s| m.max(s));
+            if batch_steps + *max_off > self.step_limit {
+                return Err(VmError::StepLimitExceeded {
+                    limit: self.step_limit,
+                });
+            }
         }
         Ok(())
     }
@@ -2434,16 +2614,40 @@ mod tests {
         Some((buf as usize, eng.iregs[idx as usize][l] as usize))
     }
 
+    /// Whether `code` can fault on some operand values: such an op never
+    /// runs under [`Select`] (see [`crate::cfg::CfgInfo::if_arm`]).
+    fn can_fault(code: OpCode) -> bool {
+        use OpCode::*;
+        matches!(
+            code,
+            IDiv | IRem
+                | ImmDiv
+                | ImmRem
+                | LoadF
+                | LoadI
+                | StoreF
+                | StoreI
+                | Load2F
+                | LoadFOp
+                | FOpStore
+        )
+    }
+
     /// Check one op on one tier with one elision mask.
     fn check_lane_sets(tier: Tier, op: &DecOp, elide: u64) {
         let ctx = format!("{op:?} on {} (elide {elide:#x})", tier.name());
-        // Prefix(n) and Masked(full(n)) leave identical state, faults
-        // included.
+        let select = !can_fault(op.code);
+        // Prefix(n), Masked(full(n)) and, for an op that cannot fault,
+        // Select(full(n)) leave identical state, faults included.
         let mut faults = false;
         for n in [LANES, 22] {
             let p = run_op(tier, op, Prefix(n), elide, false);
             let m = run_op(tier, op, Masked(ExecMask::full(n)), elide, false);
             assert_eq!(p, m, "Prefix({n}) vs Masked(full({n})): {ctx}");
+            if select {
+                let s = run_op(tier, op, Select(ExecMask::full(n)), elide, false);
+                assert_eq!(p, s, "Prefix({n}) vs Select(full({n})): {ctx}");
+            }
             faults |= p.result.is_err();
         }
         // Under a sparse mask over safe lanes, active lanes match the
@@ -2484,6 +2688,12 @@ mod tests {
                 }
             }
             assert_eq!(sparse.bufs, want, "buffers: {ctx}");
+            // Select computes the inactive lanes too, but stores only the
+            // active ones: the same rows and buffers as the masked walk.
+            if select {
+                let s = run_op(tier, op, Select(ExecMask(SPARSE)), elide, false);
+                assert_eq!(s, sparse, "Select vs Masked under a sparse mask: {ctx}");
+            }
         }
         // With the hazard lanes active too, the fault is the one the
         // lowest faulting active lane raises on its own.

@@ -12,9 +12,9 @@
 //! one batch at a time as matrices. A workspace allocated once per fit
 //! holds, per layer, a row-major `batch × width` activation buffer and
 //! delta buffer, plus gradient buffers that are zeroed in place. The
-//! forward pass computes [`BLOCK`] samples per weight row at once, each
+//! forward pass computes `BLOCK` samples per weight row at once, each
 //! in its own accumulator; the backward pass walks layer by layer over
-//! the whole batch and folds [`BLOCK`] samples into each pass over a
+//! the whole batch and folds `BLOCK` samples into each pass over a
 //! gradient row.
 //!
 //! ## Summation order

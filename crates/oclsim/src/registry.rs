@@ -1,9 +1,10 @@
 //! Machines as data: load [`Machine`] definitions from JSON profiles.
 //!
 //! A *profile* is a JSON document describing one machine — its registry
-//! name, its devices (full [`DeviceProfile`] field set each), and the
-//! multi-device coordination overhead — plus a `schema_version` marker so
-//! old tooling fails loudly on new profiles instead of misreading them.
+//! name, its devices (full [`DeviceProfile`](crate::DeviceProfile) field
+//! set each), and the multi-device coordination overhead — plus a
+//! `schema_version` marker so old tooling fails loudly on new profiles
+//! instead of misreading them.
 //! The stock paper machines (`mc1`, `mc2`) and the synthetic zoo under
 //! `profiles/` are all embedded into the crate and load through the exact
 //! same path as a user-supplied file, so the data path is regression-locked

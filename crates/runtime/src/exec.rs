@@ -26,8 +26,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::partition::Partition;
 
-/// Why a planned launch failed: the VM rejected or faulted it, or a
-/// device did. Device faults carry whether the failure is permanent
+/// Why a planned launch failed: the VM rejected or faulted it, a device
+/// did, or the plan was built for another launch shape. Device faults carry whether the failure is permanent
 /// (device death — re-plan around it) or transient (retry may succeed);
 /// the serving layer's retry/re-plan logic branches on exactly that.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,6 +39,15 @@ pub enum LaunchError {
         /// read without a device table at hand.
         device_name: String,
         permanent: bool,
+    },
+    /// [`Executor::run_planned`] was given a plan built for another
+    /// NDRange: its chunks and transfer sizes are stale, so the caller
+    /// must re-plan instead of replaying it.
+    StalePlan {
+        /// The NDRange the plan was built for.
+        planned: NdRange,
+        /// The NDRange of the launch it was replayed on.
+        launched: NdRange,
     },
 }
 
@@ -58,6 +67,11 @@ impl std::fmt::Display for LaunchError {
                 } else {
                     "failed transiently"
                 }
+            ),
+            LaunchError::StalePlan { planned, launched } => write!(
+                f,
+                "plan was built for NDRange {planned:?} but the launch uses {launched:?}; \
+                 re-plan instead of replaying stale transfer sizes"
             ),
         }
     }
@@ -220,11 +234,11 @@ impl Executor {
         })
     }
 
-    /// Estimate a launch from a pre-collected [`LaunchProfile`]: no kernel
-    /// execution happens at all — chunk counts come from the profile,
-    /// transfer sizes from the access analysis. This is what the training
-    /// sweep uses (one profile per launch, 66 partitionings priced from
-    /// it).
+    /// Estimate a launch from a pre-collected
+    /// [`LaunchProfile`](crate::LaunchProfile): no kernel execution
+    /// happens at all — chunk counts come from the profile, transfer
+    /// sizes from the access analysis. This is what the training sweep
+    /// uses (one profile per launch, 66 partitionings priced from it).
     pub fn simulate_with_profile(
         &self,
         launch: &Launch,
@@ -391,12 +405,12 @@ impl Executor {
         let nd = &launch.nd;
         Vm::check_args(&kernel.bytecode, &launch.args, bufs)?;
 
-        assert_eq!(
-            *nd, plan.nd,
-            "plan was built for NDRange {:?} but the launch uses {:?} — \
-             re-plan instead of replaying stale transfer sizes",
-            plan.nd, nd
-        );
+        if *nd != plan.nd {
+            return Err(LaunchError::StalePlan {
+                planned: plan.nd.clone(),
+                launched: nd.clone(),
+            });
+        }
         let chunks = partition.chunks(nd.split_extent());
         let coalesced = coalesced_fraction(kernel);
 
@@ -920,6 +934,27 @@ mod tests {
                 assert_eq!(a.shape.items, b.shape.items);
             }
         }
+    }
+
+    #[test]
+    fn replaying_a_plan_on_another_ndrange_is_a_typed_error() {
+        let k = compile(VEC_ADD).unwrap();
+        let n = 256;
+        let (bufs, args) = vec_add_setup(n);
+        let ex = Executor::new(machines::mc2());
+        let planned = Launch::new(&k, NdRange::d1(n), args.clone());
+        let plan = ex.plan_execution(&planned, &bufs, &Partition::even(3), 0.0);
+        let launch = Launch::new(&k, NdRange::d1(n / 2), args);
+        let mut attempt = bufs.clone();
+        let err = ex.run_planned(&launch, &mut attempt, &plan).unwrap_err();
+        assert_eq!(
+            err,
+            LaunchError::StalePlan {
+                planned: NdRange::d1(n),
+                launched: NdRange::d1(n / 2),
+            }
+        );
+        assert_eq!(attempt, bufs, "a stale plan must not run any chunk");
     }
 
     #[test]

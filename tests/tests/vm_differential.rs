@@ -538,6 +538,66 @@ fn nested_divergence_with_early_return_rejoins_correctly() {
     }
 }
 
+/// If-then triangles whose arms cannot fault: predicable arms on the
+/// `then` side (`lane < t`) and on the `else` side (the empty `then` is
+/// dropped by the optimizer), each taken by `t` lanes of every full batch,
+/// plus one inside a divergent loop, where it runs under a partial mask.
+const TRIANGLES: &str = "kernel void k(global int* o, global float* g, int t, int n) {
+    int i = get_global_id(0);
+    int lane = i % 64;
+    int v = i * 7;
+    float x = (float)i * 0.25;
+    if (lane < t) { v = v * 3 + 7; x = x * 1.5 - 2.0; }
+    if (lane >= t) { } else { v = v ^ 85; x = sqrt(fabs(x) + 1.0); }
+    for (int j = 0; j < lane % 5 + 1; j++) {
+        if ((lane + j) % 64 < t) { v = v + j; x = x * 0.5; }
+    }
+    o[i] = v;
+    g[i] = x;
+}";
+
+#[test]
+fn predicated_triangles_match_at_every_arm_occupancy() {
+    // Taken-lane counts on both sides of the predication gate (half the
+    // lanes); 150 items add a 22-lane tail batch, which never reaches it.
+    let n = 150usize;
+    let bufs = vec![BufferData::I32(vec![0; n]), BufferData::F32(vec![0.0; n])];
+    for t in [1, 31, 32, 33, 63] {
+        let args = vec![
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Int(t),
+            ArgValue::Int(n as i32),
+        ];
+        assert_range_parity(TRIANGLES, &NdRange::d1(n), 0..n, &args, &bufs);
+        assert_sampled_parity(TRIANGLES, &NdRange::d1(n), 0..n, &args, &bufs, n);
+        assert_sampled_parity(TRIANGLES, &NdRange::d1(n), 0..n, &args, &bufs, 41);
+    }
+}
+
+#[test]
+fn step_limit_bound_crossed_in_a_predicated_arm() {
+    // A quarter of the lanes run a long arm first (below the gate, so a
+    // pushed frame), then the other three quarters run a predicated arm.
+    // Charging that arm raises the engine's upper bound on the largest
+    // step offset past the true one, and the bound crosses the limit set
+    // to the exact maximum there: the engine must recompute the exact
+    // maximum instead of failing. One below, every engine fails at the
+    // store, as the scalar one does.
+    let src = "kernel void k(global int* o, int n) {
+        int i = get_global_id(0);
+        int v = i;
+        if (i % 4 == 0) { v = v * 3; v = v + 7; v = v ^ 5; v = v * 9; v = v - n; v = v * 11; }
+        if (i % 4 != 0) { v = v + 1; v = v * 5; v = v ^ 3; }
+        o[i] = v;
+    }";
+    let n = 3 * LANES;
+    let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
+    let bufs = vec![BufferData::I32(vec![0; n])];
+    let k = compile(src).unwrap();
+    assert_step_limit_boundary("predicated arm", &k, &NdRange::d1(n), &args, &bufs);
+}
+
 #[test]
 fn divergent_loop_trip_counts_keep_per_lane_steps_exact() {
     // A mandelbrot-shaped kernel: per-lane loop exit via a data-dependent
