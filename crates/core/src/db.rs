@@ -76,6 +76,10 @@ pub enum DbError {
     /// [`ShardedDb::merge`] was called with no shard stores — usually a
     /// mis-computed shard list (wrong root path), not an empty machine.
     NoShards,
+    /// The shard stores exist but hold no records, so there is nothing to
+    /// train a predictor on (the collection has not run yet, or ran on
+    /// another root).
+    NoRecords { machine: String },
     /// The shard store was collected under a different harness
     /// configuration than the resuming run — mixing the measurements
     /// would train on inconsistent sweeps and features.
@@ -145,6 +149,11 @@ impl fmt::Display for DbError {
                 f,
                 "cannot merge zero shard stores — no machine or records to build a \
                  database from (is the shard root path right?)"
+            ),
+            DbError::NoRecords { machine } => write!(
+                f,
+                "the shard stores for machine `{machine}` hold no training records — \
+                 collect into them first (is the shard root path right?)"
             ),
             DbError::ConfigMismatch {
                 path,

@@ -295,13 +295,19 @@ impl PartitionPredictor {
     /// different processes, or a single resumable run). The merged
     /// database is canonical, so the resulting predictor is bit-identical
     /// to [`PartitionPredictor::train`] on a monolithic collection of the
-    /// same measurements, regardless of shard order.
+    /// same measurements, regardless of shard order. Stores that hold no
+    /// records fail with [`DbError::NoRecords`].
     pub fn train_from_shards(
         shards: &[&ShardedDb],
         model: &ModelConfig,
         feature_set: FeatureSet,
     ) -> Result<Self, DbError> {
         let db = ShardedDb::merge(shards)?;
+        if db.records.is_empty() {
+            return Err(DbError::NoRecords {
+                machine: db.machine,
+            });
+        }
         Ok(Self::train(&db, model, feature_set))
     }
 

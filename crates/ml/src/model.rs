@@ -128,13 +128,18 @@ impl Pipeline {
 
     /// Predict the class of one raw feature row.
     pub fn predict(&self, x: &[f64]) -> usize {
-        match &self.scaler {
-            Some(sc) => {
+        match (&self.scaler, &self.model) {
+            // The MLP scales the row inside its one inference buffer.
+            (Some(sc), Model::Mlp(m)) => crate::argmax_by(
+                &m.predict_proba_with(x, |row| sc.transform_row(row)),
+                f64::total_cmp,
+            ),
+            (Some(sc), model) => {
                 let mut row = x.to_vec();
                 sc.transform_row(&mut row);
-                self.model.predict(&row)
+                model.predict(&row)
             }
-            None => self.model.predict(x),
+            (None, model) => model.predict(x),
         }
     }
 }
@@ -171,6 +176,26 @@ mod tests {
                 .count() as f64
                 / x.len() as f64;
             assert!(acc > 0.9, "{} accuracy {acc}", cfg.name());
+        }
+    }
+
+    #[test]
+    fn mlp_pipeline_scales_inside_the_inference_buffer() {
+        let (x, y) = blobs();
+        let p = Pipeline::fit(&ModelConfig::Mlp(MlpConfig::default()), &x, &y, 2);
+        let (Some(sc), Model::Mlp(m)) = (&p.scaler, &p.model) else {
+            panic!("an MLP pipeline scales its inputs");
+        };
+        for xi in &x {
+            let mut row = xi.clone();
+            sc.transform_row(&mut row);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let want = m.predict_proba(&row);
+            assert_eq!(
+                bits(m.predict_proba_with(xi, |r| sc.transform_row(r))),
+                bits(want.clone())
+            );
+            assert_eq!(p.predict(xi), crate::argmax_by(&want, f64::total_cmp));
         }
     }
 

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use hetpart_core::{
-    collect_training_db, collect_training_db_sharded, FeatureSet, HarnessConfig,
+    collect_training_db, collect_training_db_sharded, DbError, FeatureSet, HarnessConfig,
     PartitionPredictor, ShardedDb, TrainingDb,
 };
 use hetpart_ml::ModelConfig;
@@ -167,6 +167,25 @@ fn merged_shards_train_a_bit_identical_predictor_in_any_order() {
     }
     std::fs::remove_dir_all(root_a).ok();
     std::fs::remove_dir_all(root_b).ok();
+}
+
+#[test]
+fn training_on_empty_shard_stores_is_a_typed_error() {
+    let machine = machines::mc2();
+    let root = tmp_root("hetpart_it_shard_empty");
+    let store = ShardedDb::open(&root, &machine).unwrap();
+    let err = PartitionPredictor::train_from_shards(
+        &[&store],
+        &ModelConfig::Knn { k: 1 },
+        FeatureSet::Both,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&err, DbError::NoRecords { machine: m } if *m == machine.name),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("no training records"), "{err}");
+    std::fs::remove_dir_all(root).ok();
 }
 
 #[test]
