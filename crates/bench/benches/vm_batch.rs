@@ -19,6 +19,11 @@
 //!    exhaustively; the bench refuses to record numbers from a broken
 //!    comparison).
 //!
+//! The scalar baseline is timed in one round-robin (`interleaved_best`)
+//! with the lane engine, so a gated `speedup` compares runs from the
+//! same host phase rather than two phases timed apart; the four lane
+//! configurations share a second round-robin.
+//!
 //! `target_met` in the JSON gates CI: the pruned oracle must hold its
 //! ≥ 3x speedup, the divergent kernels must stay batched end-to-end
 //! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x, monte_carlo_pi ≥ 9x over the
@@ -59,7 +64,11 @@ struct RunRangeRow {
     /// baseline (PR 1 had neither the lane engine nor the optimizer),
     /// so `speedup` records the cumulative system win.
     scalar_s: f64,
-    /// Lane engine on optimized, register-allocated bytecode.
+    /// Lane engine on optimized, register-allocated bytecode, timed in
+    /// the scalar baseline's round-robin.
+    paired_lanes_s: f64,
+    /// Lane engine on optimized, register-allocated bytecode, timed in
+    /// the lane configurations' round-robin.
     lanes_s: f64,
     /// Lane engine on the **unoptimized** bytecode (`OptLevel::None`) —
     /// the same engine minus the optimizer pipeline, timed for A/B.
@@ -72,7 +81,7 @@ struct RunRangeRow {
     /// (`Vm::set_bounds_elide(false)`): every buffer access re-checked at run
     /// time — isolates what the interval bounds proofs buy.
     noelide_lanes_s: f64,
-    /// scalar_s / lanes_s.
+    /// scalar_s / paired_lanes_s.
     speedup: f64,
     /// unopt_lanes_s / lanes_s: what the optimizer buys end-to-end.
     speedup_vs_unopt: f64,
@@ -172,7 +181,9 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
     // stress tests; monte_carlo_pi: a divergent one-block arm on every
     // trip of a uniform loop, the serve workloads' p99 key, whose floor
     // also guards the predicated if-arms; stencil2d: three predicable
-    // boundary triangles, recorded without a floor). Sizes match the
+    // boundary triangles, recorded without a floor) — plus nbody and
+    // kmeans, whose uniform index rows load as one broadcast per row,
+    // recorded without a floor. Sizes match the
     // training-shaped oracle batch below: the lane engine exists to speed
     // up the VM the training sweeps run on, and sweeps launch at exactly
     // this scale — a DRAM-bound size would measure memory bandwidth
@@ -185,6 +196,8 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("mandelbrot", 48),
             ("monte_carlo_pi", 1 << 10),
             ("stencil2d", 64),
+            ("nbody", 1 << 8),
+            ("kmeans", 1 << 10),
         ]
     } else {
         &[
@@ -194,6 +207,8 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("mandelbrot", 64),
             ("monte_carlo_pi", 1 << 12),
             ("stencil2d", 128),
+            ("nbody", 1 << 10),
+            ("kmeans", 1 << 12),
         ]
     };
     let reps = if quick { 3 } else { 5 };
@@ -214,17 +229,26 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
         let extent = inst.nd.split_extent();
         let mut vm = Vm::new();
         let mut bufs = inst.bufs.clone();
-        let scalar_s = time_best(reps, || {
-            vm.run_range_scalar(&unopt.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
-                .unwrap();
+        // Every ratio compares configurations timed interleaved (one rep
+        // of each per round, min over rounds) rather than in sequential
+        // blocks, because interleaving cancels the slow frequency/load
+        // drift and host phases that otherwise dominate block-to-block
+        // comparisons. The scalar baseline shares its round-robin with
+        // the lane engine. The first lane run after a scalar run
+        // re-warms the lane engine's code (up to 25% of a short kmeans
+        // run), so a lane run whose time is discarded sits between them.
+        let [scalar_s, _, paired_lanes_s] = interleaved_best(5 * reps, |config| {
+            if config == 0 {
+                vm.run_range_scalar(&unopt.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
+            } else {
+                vm.run_range_lanes(&kernel.bytecode, &inst.nd, 0..extent, &inst.args, &mut bufs)
+            }
+            .unwrap();
         });
-        // The four lane configurations are timed interleaved (one rep of
-        // each per round, min over rounds) rather than in sequential
-        // blocks: the gated columns are *ratios* between them, and
-        // interleaving cancels the slow frequency/load drift that
-        // otherwise dominates block-to-block comparisons.
-        // Elision is on for every column except the dedicated
-        // elision-off one (config 1).
+        // The four lane configurations get a round-robin of their own:
+        // rounds stretched by the scalar run span host phases, and their
+        // minima then come from different phases. Elision is on for
+        // every column except the dedicated elision-off one (config 1).
         let configs = [&kernel, &kernel, &unopt, &noalloc];
         let [lanes_s, noelide_lanes_s, unopt_lanes_s, noregalloc_lanes_s] =
             interleaved_best(5 * reps, |config| {
@@ -242,11 +266,12 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             kernel: name.to_string(),
             items: inst.nd.total() as u64,
             scalar_s,
+            paired_lanes_s,
             lanes_s,
             unopt_lanes_s,
             noregalloc_lanes_s,
             noelide_lanes_s,
-            speedup: scalar_s / lanes_s,
+            speedup: scalar_s / paired_lanes_s,
             speedup_vs_unopt: unopt_lanes_s / lanes_s,
             speedup_vs_noregalloc: noregalloc_lanes_s / lanes_s,
             speedup_vs_noelide: noelide_lanes_s / lanes_s,

@@ -195,9 +195,9 @@ impl From<LaunchError> for DeployError {
                 device_name,
                 permanent,
             },
-            // The NDRange is part of the launch's arguments, and the plan
-            // was built for others.
-            e @ LaunchError::StalePlan { .. } => {
+            // The NDRange and the machine are part of the launch's
+            // arguments, and the plan was built for others.
+            e @ (LaunchError::StalePlan { .. } | LaunchError::ArityMismatch { .. }) => {
                 DeployError::Vm(VmError::ArgumentMismatch(e.to_string()))
             }
         }
@@ -523,6 +523,20 @@ mod tests {
         let e = LaunchError::StalePlan {
             planned: NdRange::d1(8),
             launched: NdRange::d1(4),
+        };
+        let msg = e.to_string();
+        assert_eq!(
+            DeployError::from(e),
+            DeployError::Vm(VmError::ArgumentMismatch(msg))
+        );
+    }
+
+    #[test]
+    fn plans_for_another_machine_surface_as_an_argument_mismatch() {
+        let e = LaunchError::ArityMismatch {
+            planned: 2,
+            machine: "mc2".into(),
+            devices: 3,
         };
         let msg = e.to_string();
         assert_eq!(

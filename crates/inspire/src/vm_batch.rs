@@ -41,7 +41,18 @@
 //! lanes of a partial mask, walked one at a time; or [`Select`], the
 //! same lanes computed at full width with only the active ones stored.
 //! The lane set supplies loop shapes only, so every op's semantics is
-//! written once. The scalar engine
+//! written once.
+//!
+//! Gathers over a [`Prefix`] look at the shape of their index row first.
+//! A batch-uniform row (every lane reads one element, like a
+//! loop-invariant `a[j]`) loads as one broadcast, and a unit-stride row
+//! (lane `l` reads `base + l`, like `a[i]`) as one slice copy, instead of
+//! one indexed load per lane. The first and last lanes screen out most
+//! other rows in O(1) before a full check. A shaped row that reaches past
+//! its buffer takes the checked walk, which faults exactly as before. The
+//! walked lane sets never look: their active lanes are scattered.
+//!
+//! The scalar engine
 //! walks the enum blocks instead, so every scalar-vs-lanes comparison
 //! checks two independent implementations of the bytecode semantics —
 //! decoding and fusion included.
@@ -54,6 +65,10 @@
 //!   guard-style `if (i < n)` conditions and fixed-trip-count loops. A
 //!   branch condition is evaluated over all lane rows into one packed
 //!   bitmask, so deciding uniform vs divergent costs the same either way.
+//!   The tier picks the packing loop: one bit per lane on AVX2 (compares
+//!   plus a movemask), 8 lanes per byte on the portable tier, where SSE2
+//!   has no 64-bit compare (the mask as a bit vector follows Karrenberg &
+//!   Hack, CGO 2011).
 //! - **Divergent branches** split the active mask. The engine pushes the
 //!   not-taken subset onto a **reconvergence stack** together with the
 //!   branch's **immediate post-dominator** (the first block every path
@@ -182,9 +197,13 @@ pub fn lane_tier() -> &'static str {
 /// - the portable body keeps the fused superinstructions and the
 ///   gather/scatter kernels out of line and leaves the row kernels to
 ///   LLVM's heuristics; forcing them inline measured slower there.
+///
+/// The tier also picks how a branch condition packs into its lane mask
+/// (see [`pack_rows`]): one bit per lane on AVX2, 8 lanes per byte on the
+/// portable tier.
 trait Codegen {
     /// Inline the full-width path and outline the masked one (see
-    /// `inline_if!`).
+    /// `inline_if!`), and pack branch masks one bit per lane.
     const AVX2: bool;
 
     /// [`apply2`] under this tier's inlining policy.
@@ -557,6 +576,10 @@ trait LaneSet: Copy {
     /// faulting walk, and a fused memory pair run as one pass.
     fn in_bounds(self, idx: &Row<i64>, len: usize) -> bool;
 
+    /// The shape of index row `idx` over the set, which lets a gather
+    /// run as one row pass (see [`gather_row`]).
+    fn shape(self, idx: &Row<i64>) -> Shape;
+
     /// A fused `FOp2` under the set's pair policy.
     fn fop2<K: Codegen>(self, fregs: &mut [Row<f64>], op: &DecOp);
 
@@ -626,6 +649,11 @@ impl LaneSet for Prefix {
     #[inline(always)]
     fn in_bounds(self, idx: &Row<i64>, len: usize) -> bool {
         all_in_bounds(idx, self.0, len)
+    }
+
+    #[inline(always)]
+    fn shape(self, idx: &Row<i64>) -> Shape {
+        index_shape(idx, self.0)
     }
 
     /// Two mono passes — the unfused execution minus one dispatch. A
@@ -727,6 +755,13 @@ impl LaneSet for Masked {
     #[inline(always)]
     fn in_bounds(self, _idx: &Row<i64>, _len: usize) -> bool {
         false
+    }
+
+    /// Never looked at: a walk over scattered active lanes gains nothing
+    /// from a row pass.
+    #[inline(always)]
+    fn shape(self, _idx: &Row<i64>) -> Shape {
+        Shape::Scattered
     }
 
     /// A per-lane chain: both halves back to back within each active lane
@@ -838,6 +873,12 @@ impl LaneSet for Select {
     #[inline(always)]
     fn in_bounds(self, _idx: &Row<i64>, _len: usize) -> bool {
         false
+    }
+
+    /// Never looked at, as under [`Masked`]: gathers walk active lanes.
+    #[inline(always)]
+    fn shape(self, _idx: &Row<i64>) -> Shape {
+        Shape::Scattered
     }
 
     /// Two row passes, one per half.
@@ -975,6 +1016,76 @@ fn all_in_bounds(idx: &[i64; LANES], n: usize, len: usize) -> bool {
     lo >= 0 && (hi as u64) < len as u64
 }
 
+/// The shape of an index row over a lane set (see [`LaneSet::shape`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Shape {
+    /// Every lane reads element `i`: a broadcast.
+    Uniform(i64),
+    /// Lane `l` of the first `n` reads element `base + l`: a slice.
+    Stride(i64, usize),
+    /// Anything else: a per-lane gather.
+    Scattered,
+}
+
+/// The shape of the first `n` lanes of `idx`. The first and last lanes
+/// screen out most rows in O(1); a candidate is confirmed by one
+/// branch-free pass over the row.
+#[inline(always)]
+fn index_shape(idx: &[i64; LANES], n: usize) -> Shape {
+    let (first, last) = (idx[0], idx[n - 1]);
+    if first == last {
+        if idx[..n].iter().fold(0, |acc, &i| acc | (i ^ first)) == 0 {
+            return Shape::Uniform(first);
+        }
+    } else if last.wrapping_sub(first) == n as i64 - 1 {
+        let off = idx[..n]
+            .iter()
+            .zip(0i64..)
+            .fold(0, |acc, (&i, l)| acc | (i.wrapping_sub(l) ^ first));
+        if off == 0 {
+            return Shape::Stride(first, n);
+        }
+    }
+    Shape::Scattered
+}
+
+/// `d[l] = conv(v[idx[l]])` over `s` as one row pass, when the index row
+/// is uniform (a broadcast) or unit-stride (a slice copy) and every
+/// element it reads is in bounds. Returns `false`, writing nothing,
+/// otherwise: the caller then gathers lane by lane, and its checked walk
+/// decides any fault.
+#[inline(always)]
+fn gather_row<S: LaneSet, E: Copy, T: Copy>(
+    s: S,
+    d: &mut Row<T>,
+    idx: &Row<i64>,
+    v: &[E],
+    conv: impl Fn(E) -> T,
+) -> bool {
+    match s.shape(idx) {
+        Shape::Uniform(i) => {
+            let Some(&x) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
+                return false;
+            };
+            s.fill(d, conv(x));
+        }
+        Shape::Stride(base, n) => {
+            let Some(src) = usize::try_from(base)
+                .ok()
+                .and_then(|b| v.get(b..))
+                .and_then(|t| t.get(..n))
+            else {
+                return false;
+            };
+            for (d, &x) in d[..n].iter_mut().zip(src) {
+                *d = conv(x);
+            }
+        }
+        Shape::Scattered => return false,
+    }
+    true
+}
+
 /// Whether every index of `s` is in `[0, len)`, walked lane by lane: the
 /// debug check behind bounds elision.
 fn proven<S: LaneSet>(s: S, idx: &Row<i64>, len: usize) -> bool {
@@ -1082,13 +1193,14 @@ fn const_fop2<K: Codegen>(fregs: &mut [Row<f64>], n: usize, op: &DecOp) {
     )
 }
 
-/// `d[l] = conv(v[idx[l]])` over `s`, shared by every gather: unchecked
-/// when the accesses are proven in bounds (`el`), the plain loop when the
-/// prescan finds every index in bounds, and otherwise a walk that faults
-/// at the first out-of-bounds lane. `buf` names the parameter in the
-/// fault.
+/// `d[l] = conv(v[idx[l]])` over `s`, shared by every gather: one row
+/// pass for a uniform or unit-stride row in bounds ([`gather_row`]),
+/// unchecked when the accesses are proven in bounds (`el`), the plain
+/// loop when the prescan finds every index in bounds, and otherwise a
+/// walk that faults at the first out-of-bounds lane. `buf` names the
+/// parameter in the fault.
 #[inline(always)]
-fn gather<S: LaneSet, E: Copy, T>(
+fn gather<S: LaneSet, E: Copy, T: Copy>(
     s: S,
     d: &mut Row<T>,
     idx: &Row<i64>,
@@ -1097,6 +1209,9 @@ fn gather<S: LaneSet, E: Copy, T>(
     buf: u16,
     conv: impl Fn(E) -> T,
 ) -> Result<(), VmError> {
+    if gather_row(s, d, idx, v, &conv) {
+        return Ok(());
+    }
     if el {
         debug_assert!(proven(s, idx, v.len()), "elision proof violated");
         s.zip1(d, idx, |i| {
@@ -1232,10 +1347,26 @@ fn fop_store_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
 }
 
 /// Branch-condition bitmask over all [`LANES`] rows: bit `l` is
-/// `f(a[l], b[l])`. Built 8 lanes per byte so the loop vectorises; the
-/// caller ANDs the result with its active mask.
+/// `f(a[l], b[l])`; the caller ANDs the result with its active mask. The
+/// tier picks the loop shape that vectorizes on it:
+///
+/// - AVX2 ORs one bit per lane into the mask, which becomes 64-bit
+///   compares plus a movemask per vector;
+/// - the portable tier builds the mask 8 lanes per byte, because SSE2
+///   has no 64-bit compare and the one-bit loop measured slower there.
 #[inline(always)]
-fn pack_rows<T: Copy, F: Fn(T, T) -> bool>(a: &[T; LANES], b: &[T; LANES], f: F) -> u64 {
+fn pack_rows<K: Codegen, T: Copy, F: Fn(T, T) -> bool>(
+    a: &[T; LANES],
+    b: &[T; LANES],
+    f: F,
+) -> u64 {
+    if K::AVX2 {
+        let mut m = 0u64;
+        for (l, (&x, &y)) in a.iter().zip(b).enumerate() {
+            m |= u64::from(f(x, y)) << l;
+        }
+        return m;
+    }
     let mut bytes = [0u8; LANES / 8];
     for (k, byte) in bytes.iter_mut().enumerate() {
         for j in 0..8 {
@@ -1248,14 +1379,14 @@ fn pack_rows<T: Copy, F: Fn(T, T) -> bool>(a: &[T; LANES], b: &[T; LANES], f: F)
 /// [`pack_rows`] for a fused cmp+branch, with the comparison matched once
 /// rather than per lane.
 #[inline(always)]
-fn cmp_rows<T: Copy + PartialOrd>(op: CmpOp, a: &[T; LANES], b: &[T; LANES]) -> u64 {
+fn cmp_rows<K: Codegen, T: Copy + PartialOrd>(op: CmpOp, a: &[T; LANES], b: &[T; LANES]) -> u64 {
     match op {
-        CmpOp::Lt => pack_rows(a, b, |x, y| x < y),
-        CmpOp::Le => pack_rows(a, b, |x, y| x <= y),
-        CmpOp::Gt => pack_rows(a, b, |x, y| x > y),
-        CmpOp::Ge => pack_rows(a, b, |x, y| x >= y),
-        CmpOp::Eq => pack_rows(a, b, |x, y| x == y),
-        CmpOp::Ne => pack_rows(a, b, |x, y| x != y),
+        CmpOp::Lt => pack_rows::<K, _, _>(a, b, |x, y| x < y),
+        CmpOp::Le => pack_rows::<K, _, _>(a, b, |x, y| x <= y),
+        CmpOp::Gt => pack_rows::<K, _, _>(a, b, |x, y| x > y),
+        CmpOp::Ge => pack_rows::<K, _, _>(a, b, |x, y| x >= y),
+        CmpOp::Eq => pack_rows::<K, _, _>(a, b, |x, y| x == y),
+        CmpOp::Ne => pack_rows::<K, _, _>(a, b, |x, y| x != y),
     }
 }
 
@@ -1433,7 +1564,7 @@ impl LaneEngine {
                 }
                 Terminator::Branch { cond, then, els } => {
                     let c = &self.iregs[cond as usize];
-                    (then, els, pack_rows(c, c, |v, _| v != 0))
+                    (then, els, pack_rows::<K, _, _>(c, c, |v, _| v != 0))
                 }
                 Terminator::BranchCmp {
                     op,
@@ -1445,9 +1576,9 @@ impl LaneEngine {
                 } => {
                     // Fused cmp+branch: no boolean register is written.
                     let taken = if float {
-                        cmp_rows(op, &self.fregs[a as usize], &self.fregs[rb as usize])
+                        cmp_rows::<K, _>(op, &self.fregs[a as usize], &self.fregs[rb as usize])
                     } else {
-                        cmp_rows(op, &self.iregs[a as usize], &self.iregs[rb as usize])
+                        cmp_rows::<K, _>(op, &self.iregs[a as usize], &self.iregs[rb as usize])
                     };
                     (then, els, taken)
                 }
@@ -1825,7 +1956,9 @@ impl LaneEngine {
     }
 
     /// `Load2F`: both gathers in one pass when both are known in bounds
-    /// (the destinations are distinct by fusion rule).
+    /// (the destinations are distinct by fusion rule) and neither index
+    /// row has a row-pass shape; otherwise the unfused sequence, whose
+    /// gathers load such rows in one pass each.
     #[inline(always)]
     fn fused_load2f<S: LaneSet>(
         &mut self,
@@ -1842,7 +1975,8 @@ impl LaneEngine {
         let BufferData::F32(v2) = bufs.load(bmap[op.e as usize]) else {
             unreachable!("type-checked load");
         };
-        if el || (s.in_bounds(idx1, v1.len()) && s.in_bounds(idx2, v2.len())) {
+        let scattered = s.shape(idx1) == Shape::Scattered && s.shape(idx2) == Shape::Scattered;
+        if scattered && (el || (s.in_bounds(idx1, v1.len()) && s.in_bounds(idx2, v2.len()))) {
             debug_assert!(
                 proven(s, idx1, v1.len()) && proven(s, idx2, v2.len()),
                 "elision proof violated"
@@ -1891,9 +2025,15 @@ impl LaneEngine {
         let BufferData::F32(v) = bufs.load(bmap[op.b as usize]) else {
             unreachable!("type-checked load");
         };
+        // A uniform or unit-stride load is one row pass, and the compute
+        // half a second one: the unfused sequence, with nothing to fault.
+        let fr = &mut self.fregs;
+        if gather_row(s, &mut fr[op.c as usize], idx, v, f64::from) {
+            apply_f::<K, _>(s, fr, op.dst, op.d, op.e, op.sub2, op.fimm);
+            return Ok(());
+        }
         if el || s.in_bounds(idx, v.len()) {
             debug_assert!(proven(s, idx, v.len()), "elision proof violated");
-            let fr = &mut self.fregs;
             with_fsub!(
                 op.sub2,
                 op.fimm,
@@ -2246,7 +2386,12 @@ mod tests {
     const I_OOB: u16 = 6;
     /// A divisor row that is zero on some hazard lanes.
     const I_ZDIV: u16 = 5;
-    const N_IREGS: usize = 10;
+    /// Index rows with a row-pass shape, or nearly one (see
+    /// [`index_shape`]): `I_SHAPED` in bounds on every lane, `I_SHAPED_OOB`
+    /// out of bounds on some.
+    const I_SHAPED: [u16; 6] = [10, 11, 12, 13, 14, 15];
+    const I_SHAPED_OOB: [u16; 4] = [16, 17, 18, 19];
+    const N_IREGS: usize = 20;
     const N_FREGS: usize = 8;
     /// The lanes where `I_ZDIV` is zero or `I_OOB` is out of bounds.
     const HAZARDS: [usize; 5] = [20, 37, 41, 45, 50];
@@ -2282,6 +2427,26 @@ mod tests {
             },
             7 => li,
             8 => i64::from(!l.is_multiple_of(3)),
+            // Uniform, unit-stride, and shapes one lane off them, where
+            // the first and last lanes fail (12, 14) or pass (13, 15) the
+            // O(1) screen.
+            10 => 17,
+            11 => li + 9,
+            12 => 17 + i64::from(l == 63),
+            13 => 17 + 23 * i64::from(l == 30),
+            14 => li + 9 - 4 * i64::from(l == 63),
+            15 => li + 9 + i64::from(l == 30),
+            // Out of bounds: a uniform row past the end, a unit-stride
+            // row running off the end at lane 50 (in bounds over a
+            // 22-lane prefix), one starting before element 0, and a
+            // uniform row with one out-of-bounds lane.
+            16 => LEN as i64 + 5,
+            17 => li + 30,
+            18 => li - 3,
+            19 => match l {
+                37 => LEN as i64 + 3,
+                _ => 17,
+            },
             _ => li * -123_456_789,
         }
     }
@@ -2753,5 +2918,229 @@ mod tests {
         // accesses (LoadF, LoadI, StoreF, StoreI, two Load2F halves, 16
         // LoadFOp and 17 FOpStore sub-ops).
         assert_eq!(faulting, 8 + 1 + 1 + 1 + 1 + 2 + 16 + 17);
+        // The gathers again on index rows with a row-pass shape, one lane
+        // off one, or out of bounds on some lanes; `Select` too.
+        for (op, in_bounds) in shaped_cases() {
+            for &tier in &tiers {
+                check_shaped(tier, &op, 0);
+                if in_bounds {
+                    check_shaped(tier, &op, 0b111);
+                }
+            }
+        }
+    }
+
+    /// Every gather on every row of `I_SHAPED` and `I_SHAPED_OOB`, with
+    /// whether all its indices are in bounds. (Scatters have no row-pass
+    /// shape, and the sparse-mask check above assumes lanes store to
+    /// distinct elements.)
+    fn shaped_cases() -> Vec<(DecOp, bool)> {
+        use OpCode::*;
+        let rows = I_SHAPED.map(|r| (r, true));
+        let oob = I_SHAPED_OOB.map(|r| (r, false));
+        let mut v = vec![];
+        for (r, in_bounds) in rows.into_iter().chain(oob) {
+            let ops = [
+                dec(LoadF, 7, r, 0),
+                dec(LoadI, 8, r, 1),
+                dec(LoadI, 8, r, 2),
+                dec(LoadI, r, r, 1),
+                fused(Load2F, 6, r, 0, 7, I_IDX0, 0, 0, 0),
+                fused(Load2F, 6, I_IDX1, 0, 7, r, 0, 0, 0),
+                fused(Load2F, 6, r, 0, 7, r, 0, 0, 0),
+                // The compute half reads the fresh load, updates in
+                // place, or is a `math` op.
+                fused(LoadFOp, 6, r, 0, 7, 6, 2, 0, F_ADD),
+                fused(LoadFOp, 6, r, 0, 7, 2, 7, 0, F_MUL),
+                fused(LoadFOp, 6, r, 0, 7, 6, 6, 0, 7),
+            ];
+            v.extend(ops.into_iter().map(|op| (op, in_bounds)));
+        }
+        v
+    }
+
+    /// [`check_lane_sets`], plus `Select`, whose gathers walk the active
+    /// lanes as `Masked` does: it leaves `Prefix`'s state under a full
+    /// mask and `Masked`'s under a partial one, faults included.
+    fn check_shaped(tier: Tier, op: &DecOp, elide: u64) {
+        check_lane_sets(tier, op, elide);
+        let ctx = format!("{op:?} on {} (elide {elide:#x})", tier.name());
+        for n in [LANES, 22] {
+            let p = run_op(tier, op, Prefix(n), elide, false);
+            let s = run_op(tier, op, Select(ExecMask::full(n)), elide, false);
+            assert_eq!(p, s, "Prefix({n}) vs Select(full({n})): {ctx}");
+        }
+        for m in [SPARSE, SPARSE | HAZARD_BITS] {
+            let s = run_op(tier, op, Select(ExecMask(m)), elide, false);
+            let w = run_op(tier, op, Masked(ExecMask(m)), elide, false);
+            assert_eq!(s, w, "Select vs Masked under {m:#x}: {ctx}");
+        }
+    }
+
+    #[test]
+    fn index_rows_classify_by_shape() {
+        let row = |r: u16| Row(std::array::from_fn(|l| irow(r as usize, l)));
+        let shapes = |n| I_SHAPED.map(|r| index_shape(&row(r), n));
+        use Shape::*;
+        assert_eq!(
+            shapes(LANES),
+            [
+                Uniform(17),
+                Stride(9, LANES),
+                Scattered,
+                Scattered,
+                Scattered,
+                Scattered
+            ]
+        );
+        // Over a 22-lane prefix the odd lanes fall outside.
+        assert_eq!(
+            shapes(22),
+            [
+                Uniform(17),
+                Stride(9, 22),
+                Uniform(17),
+                Uniform(17),
+                Stride(9, 22),
+                Stride(9, 22)
+            ]
+        );
+        assert_eq!(index_shape(&row(I_IDX0), LANES), Scattered);
+        assert_eq!(index_shape(&row(7), 1), Uniform(0));
+    }
+
+    /// A branch mask on `tier`: the fused `BranchCmp` form (`Some(op)`)
+    /// or the boolean `v != 0` form of `Branch` on `a` (`None`), compiled
+    /// with AVX2 enabled for the AVX2 tier as in `exec_batch_avx2`.
+    fn branch_mask<T: Copy + PartialOrd + Default>(
+        tier: Tier,
+        op: Option<CmpOp>,
+        a: &Row<T>,
+        b: &Row<T>,
+    ) -> u64 {
+        #[inline(always)]
+        fn mask<K: Codegen, T: Copy + PartialOrd + Default>(
+            op: Option<CmpOp>,
+            a: &Row<T>,
+            b: &Row<T>,
+        ) -> u64 {
+            match op {
+                Some(op) => cmp_rows::<K, T>(op, a, b),
+                None => pack_rows::<K, _, _>(a, a, |v, _| v != T::default()),
+            }
+        }
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn mask_avx2<T: Copy + PartialOrd + Default>(
+            op: Option<CmpOp>,
+            a: &Row<T>,
+            b: &Row<T>,
+        ) -> u64 {
+            mask::<Avx2Body, T>(op, a, b)
+        }
+        match tier {
+            Tier::Portable => mask::<PortableBody, T>(op, a, b),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Tier::Avx2` comes only from `Tier::detect`.
+            Tier::Avx2 => unsafe { mask_avx2(op, a, b) },
+        }
+    }
+
+    /// Check every mask form on `a`, `b` against a per-lane reference,
+    /// over all lanes and with the rows past a 22-lane prefix stale.
+    fn check_masks<T: Copy + PartialOrd + Default + std::fmt::Debug>(
+        tier: Tier,
+        a: &Row<T>,
+        b: &Row<T>,
+    ) {
+        use CmpOp::*;
+        // The condition lane `l` evaluates on its own.
+        let holds = |op: Option<CmpOp>, l: usize| {
+            let (x, y) = (a[l], b[l]);
+            match op {
+                Some(Lt) => x < y,
+                Some(Le) => x <= y,
+                Some(Gt) => x > y,
+                Some(Ge) => x >= y,
+                Some(Eq) => x == y,
+                Some(Ne) => x != y,
+                None => x != T::default(),
+            }
+        };
+        let live = ExecMask::full(22).0;
+        for op in [
+            Some(Lt),
+            Some(Le),
+            Some(Gt),
+            Some(Ge),
+            Some(Eq),
+            Some(Ne),
+            None,
+        ] {
+            let reference =
+                |lanes: usize| (0..lanes).fold(0u64, |m, l| m | u64::from(holds(op, l)) << l);
+            let got = branch_mask(tier, op, a, b);
+            let ctx = format!("{op:?} on {}: {:?} vs {:?}", tier.name(), a.0, b.0);
+            assert_eq!(got, reference(LANES), "{ctx}");
+            assert_eq!(got & live, reference(22), "22-lane prefix: {ctx}");
+        }
+    }
+
+    #[test]
+    fn branch_masks_match_a_per_lane_reference_on_both_tiers() {
+        let mut tiers = vec![Tier::Portable];
+        if !matches!(Tier::detect(), Tier::Portable) {
+            tiers.push(Tier::detect());
+        }
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            -7,
+            -1,
+            0,
+            1,
+            7,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let floats = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::INFINITY,
+            -f64::NAN,
+        ];
+        // Rows pairing every special value with every other somewhere,
+        // and equal on some lanes; lanes 22 and up are the stale tail of
+        // a partial batch, so they differ from the live lanes' pattern.
+        let pick = |vals: &[i64; 9], seed: usize, l: usize| {
+            let k = if l < 22 { l * seed } else { l * l + seed };
+            vals[(k + l / 9) % 9]
+        };
+        let ia = Row(std::array::from_fn(|l| pick(&ints, 1, l)));
+        let ib = Row(std::array::from_fn(|l| pick(&ints, 4, l)));
+        let fa = Row(std::array::from_fn(|l| floats[(l + l / 9) % 9]));
+        let fb = Row(std::array::from_fn(|l| floats[(4 * l + l / 9 + 1) % 9]));
+        for &tier in &tiers {
+            check_masks(tier, &ia, &ib);
+            check_masks(tier, &ia, &ia);
+            check_masks(tier, &fa, &fb);
+            check_masks(tier, &fb, &fa);
+            check_masks(tier, &fa, &fa);
+            // Rows of one value each, so that every bit is set or clear.
+            for &x in &ints {
+                check_masks(tier, &Row([x; LANES]), &ib);
+            }
+            for &x in &floats {
+                check_masks(tier, &Row([x; LANES]), &fb);
+            }
+        }
     }
 }

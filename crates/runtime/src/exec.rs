@@ -49,6 +49,17 @@ pub enum LaunchError {
         /// The NDRange of the launch it was replayed on.
         launched: NdRange,
     },
+    /// [`Executor::run_planned`] was given a plan whose partition
+    /// addresses another number of devices than the executor's machine
+    /// has: it was built for another machine.
+    ArityMismatch {
+        /// The number of devices the plan's partition addresses.
+        planned: usize,
+        /// The executor's machine.
+        machine: String,
+        /// The number of devices that machine has.
+        devices: usize,
+    },
 }
 
 impl std::fmt::Display for LaunchError {
@@ -72,6 +83,15 @@ impl std::fmt::Display for LaunchError {
                 f,
                 "plan was built for NDRange {planned:?} but the launch uses {launched:?}; \
                  re-plan instead of replaying stale transfer sizes"
+            ),
+            LaunchError::ArityMismatch {
+                planned,
+                machine,
+                devices,
+            } => write!(
+                f,
+                "plan partitions the launch over {planned} devices but machine `{machine}` has \
+                 {devices}; re-plan for this machine"
             ),
         }
     }
@@ -322,6 +342,11 @@ impl Executor {
     /// or a per-launch access-analysis cache (the batched training sweep,
     /// [`crate::sweep::sweep_many`]). Both paths run exactly this code,
     /// so cached and uncached pricing are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// If `partition` addresses another number of devices than the
+    /// machine has.
     pub fn price_with_profile<F>(
         &self,
         launch: &Launch,
@@ -400,7 +425,13 @@ impl Executor {
         plan: &ExecPlan,
     ) -> Result<ExecutionReport, LaunchError> {
         let partition = &plan.partition;
-        self.check_arity(partition);
+        if partition.num_devices() != self.machine.num_devices() {
+            return Err(LaunchError::ArityMismatch {
+                planned: partition.num_devices(),
+                machine: self.machine.name.clone(),
+                devices: self.machine.num_devices(),
+            });
+        }
         let kernel = launch.kernel;
         let nd = &launch.nd;
         Vm::check_args(&kernel.bytecode, &launch.args, bufs)?;
@@ -955,6 +986,29 @@ mod tests {
             }
         );
         assert_eq!(attempt, bufs, "a stale plan must not run any chunk");
+    }
+
+    #[test]
+    fn replaying_a_plan_on_a_machine_with_more_devices_is_a_typed_error() {
+        let k = compile(VEC_ADD).unwrap();
+        let n = 256;
+        let (bufs, args) = vec_add_setup(n);
+        let launch = Launch::new(&k, NdRange::d1(n), args);
+        let plan =
+            Executor::new(machines::mc1()).plan_execution(&launch, &bufs, &Partition::even(2), 0.0);
+        let ex = Executor::new(machines::mc2());
+        let mut attempt = bufs.clone();
+        let err = ex.run_planned(&launch, &mut attempt, &plan).unwrap_err();
+        assert_eq!(
+            err,
+            LaunchError::ArityMismatch {
+                planned: 2,
+                machine: ex.machine.name.clone(),
+                devices: 3,
+            }
+        );
+        assert!(err.to_string().contains("over 2 devices"), "{err}");
+        assert_eq!(attempt, bufs, "a plan for another machine must not run");
     }
 
     #[test]
