@@ -5,7 +5,7 @@
 use hetpart_inspire::ir::NdRange;
 use hetpart_inspire::vm::{ArgValue, BufferData};
 
-use crate::workload::{hash_f32, hash_u64, Benchmark, Instance};
+use crate::workload::{hash_indices, hash_series, Benchmark, Instance};
 
 /// Dimensionality of the k-means points.
 pub const KMEANS_DIMS: usize = 4;
@@ -17,10 +17,6 @@ pub const MD_NEIGHBORS: usize = 16;
 pub const MANDEL_MAX_ITER: i32 = 128;
 /// Monte-Carlo samples per work-item.
 pub const MC_SAMPLES: i32 = 256;
-
-fn series(seed: u64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
-    (0..n).map(|i| hash_f32(seed, i as u64, lo, hi)).collect()
-}
 
 const KMEANS_SRC: &str = r#"
 kernel void kmeans_assign(global const float* pts, global const float* ctr,
@@ -62,8 +58,8 @@ pub fn kmeans() -> Benchmark {
                 ArgValue::Int(KMEANS_DIMS as i32),
             ],
             bufs: vec![
-                BufferData::F32(series(seed, n * KMEANS_DIMS, -10.0, 10.0)),
-                BufferData::F32(series(seed ^ 81, KMEANS_K * KMEANS_DIMS, -10.0, 10.0)),
+                BufferData::F32(hash_series(seed, n * KMEANS_DIMS, -10.0, 10.0)),
+                BufferData::F32(hash_series(seed ^ 81, KMEANS_K * KMEANS_DIMS, -10.0, 10.0)),
                 BufferData::I32(vec![0; n]),
             ],
             outputs: vec![2],
@@ -124,8 +120,8 @@ pub fn nearest_neighbor() -> Benchmark {
                 ArgValue::Float(-75.25),
             ],
             bufs: vec![
-                BufferData::F32(series(seed, n, -90.0, 90.0)),
-                BufferData::F32(series(seed ^ 91, n, -180.0, 180.0)),
+                BufferData::F32(hash_series(seed, n, -90.0, 90.0)),
+                BufferData::F32(hash_series(seed ^ 91, n, -180.0, 180.0)),
                 BufferData::F32(vec![0.0; n]),
             ],
             outputs: vec![2],
@@ -201,10 +197,10 @@ pub fn nbody() -> Benchmark {
                 ArgValue::Float(0.01),
             ],
             bufs: vec![
-                BufferData::F32(series(seed, n, -1.0, 1.0)),
-                BufferData::F32(series(seed ^ 101, n, -1.0, 1.0)),
-                BufferData::F32(series(seed ^ 102, n, -1.0, 1.0)),
-                BufferData::F32(series(seed ^ 103, n, 0.1, 1.0)),
+                BufferData::F32(hash_series(seed, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 101, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 102, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 103, n, 0.1, 1.0)),
                 BufferData::F32(vec![0.0; n]),
                 BufferData::F32(vec![0.0; n]),
                 BufferData::F32(vec![0.0; n]),
@@ -292,9 +288,7 @@ pub fn md_lj() -> Benchmark {
         source: MD_SRC,
         sizes: &[1024, 4096, 16384, 65536, 262144, 1048576],
         setup: |n, seed| {
-            let neigh: Vec<i32> = (0..n * MD_NEIGHBORS)
-                .map(|i| (hash_u64(seed ^ 111, i as u64) as usize % n) as i32)
-                .collect();
+            let neigh = hash_indices(seed ^ 111, n * MD_NEIGHBORS, n);
             Instance {
                 nd: NdRange::d1(n),
                 args: vec![
@@ -309,9 +303,9 @@ pub fn md_lj() -> Benchmark {
                     ArgValue::Float(4.0),
                 ],
                 bufs: vec![
-                    BufferData::F32(series(seed, n, -8.0, 8.0)),
-                    BufferData::F32(series(seed ^ 112, n, -8.0, 8.0)),
-                    BufferData::F32(series(seed ^ 113, n, -8.0, 8.0)),
+                    BufferData::F32(hash_series(seed, n, -8.0, 8.0)),
+                    BufferData::F32(hash_series(seed ^ 112, n, -8.0, 8.0)),
+                    BufferData::F32(hash_series(seed ^ 113, n, -8.0, 8.0)),
                     BufferData::I32(neigh),
                     BufferData::F32(vec![0.0; n]),
                     BufferData::F32(vec![0.0; n]),
@@ -416,9 +410,9 @@ pub fn blackscholes() -> Benchmark {
                 ArgValue::Float(0.30),
             ],
             bufs: vec![
-                BufferData::F32(series(seed, n, 5.0, 30.0)),
-                BufferData::F32(series(seed ^ 121, n, 1.0, 100.0)),
-                BufferData::F32(series(seed ^ 122, n, 0.25, 10.0)),
+                BufferData::F32(hash_series(seed, n, 5.0, 30.0)),
+                BufferData::F32(hash_series(seed ^ 121, n, 1.0, 100.0)),
+                BufferData::F32(hash_series(seed ^ 122, n, 0.25, 10.0)),
                 BufferData::F32(vec![0.0; n]),
                 BufferData::F32(vec![0.0; n]),
             ],
@@ -616,6 +610,21 @@ pub fn monte_carlo_pi() -> Benchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::hash_u64;
+
+    #[test]
+    fn md_lj_neighbours_match_their_per_index_form() {
+        // 1000 divides; 1024 masks.
+        for n in [1000, 1024] {
+            for seed in [0, 7, u64::MAX] {
+                let inst = (md_lj().setup)(n, seed);
+                let want: Vec<i32> = (0..(n * MD_NEIGHBORS) as u64)
+                    .map(|i| (hash_u64(seed ^ 111, i) as usize % n) as i32)
+                    .collect();
+                assert_eq!(inst.bufs[3].as_i32(), Some(&want[..]), "n {n} seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn kmeans_verifies() {

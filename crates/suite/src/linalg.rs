@@ -4,13 +4,7 @@
 use hetpart_inspire::ir::NdRange;
 use hetpart_inspire::vm::{ArgValue, BufferData};
 
-use crate::workload::{hash_f32, Benchmark, Instance};
-
-fn matrix(seed: u64, n: usize, m: usize, lo: f32, hi: f32) -> Vec<f32> {
-    (0..n * m)
-        .map(|i| hash_f32(seed, i as u64, lo, hi))
-        .collect()
-}
+use crate::workload::{hash_series, Benchmark, Instance};
 
 const SGEMM_SRC: &str = r#"
 kernel void sgemm(global const float* a, global const float* b,
@@ -43,8 +37,8 @@ pub fn sgemm() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(matrix(seed, n, n, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 5, n, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed, n * n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 5, n * n, -1.0, 1.0)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![2],
@@ -95,7 +89,7 @@ pub fn mat_transpose() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(matrix(seed, n, n, -4.0, 4.0)),
+                BufferData::F32(hash_series(seed, n * n, -4.0, 4.0)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![1],
@@ -150,9 +144,9 @@ pub fn mvt() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(matrix(seed, n, n, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 7, n, 1, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 8, n, 1, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed, n * n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 7, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 8, n, -1.0, 1.0)),
                 BufferData::F32(vec![0.0; n]),
                 BufferData::F32(vec![0.0; n]),
             ],
@@ -210,11 +204,11 @@ pub fn gemver() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(matrix(seed, n, n, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 11, n, 1, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 12, n, 1, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 13, n, 1, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 14, n, 1, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed, n * n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 11, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 12, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 13, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 14, n, -1.0, 1.0)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![5],
@@ -275,9 +269,9 @@ pub fn bicg() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(matrix(seed, n, n, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 21, n, 1, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 22, n, 1, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed, n * n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 21, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 22, n, -1.0, 1.0)),
                 BufferData::F32(vec![0.0; n]),
                 BufferData::F32(vec![0.0; n]),
             ],
@@ -337,8 +331,8 @@ pub fn syrk() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(matrix(seed, n, n, -1.0, 1.0)),
-                BufferData::F32(matrix(seed ^ 31, n, n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed, n * n, -1.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 31, n * n, -1.0, 1.0)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![2],

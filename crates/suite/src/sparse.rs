@@ -3,7 +3,7 @@
 use hetpart_inspire::ir::NdRange;
 use hetpart_inspire::vm::{ArgValue, BufferData};
 
-use crate::workload::{hash_f32, hash_u64, Benchmark, Instance};
+use crate::workload::{hash_f32, hash_series, hash_u64, reduce, Benchmark, Instance};
 
 /// Average non-zeros per row of the generated matrices.
 pub const NNZ_PER_ROW: usize = 8;
@@ -36,22 +36,27 @@ pub fn spmv_csr() -> Benchmark {
         setup: |n, seed| {
             // Deterministic sparsity: row i has 1 + (hash % (2*avg-1))
             // entries at pseudo-random columns, so row lengths diverge.
-            let mut row_ptr = Vec::with_capacity(n + 1);
-            let mut col_idx = Vec::new();
-            let mut vals = Vec::new();
-            row_ptr.push(0i32);
-            for i in 0..n {
-                let nnz = 1 + (hash_u64(seed ^ 41, i as u64) as usize) % (2 * NNZ_PER_ROW - 1);
-                for j in 0..nnz {
-                    let col = (hash_u64(seed ^ 42, (i * 131 + j) as u64) as usize) % n;
-                    col_idx.push(col as i32);
-                    vals.push(hash_f32(seed ^ 43, (i * 131 + j) as u64, -1.0, 1.0));
-                }
-                row_ptr.push(col_idx.len() as i32);
-            }
-            let x: Vec<f32> = (0..n)
-                .map(|i| hash_f32(seed ^ 44, i as u64, -1.0, 1.0))
+            // Row i's entries hash indices i*131 + j. The modulus is a
+            // constant, so the row lengths compile to a multiply.
+            let lens: Vec<usize> = (0..n as u64)
+                .map(|i| 1 + hash_u64(seed ^ 41, i) as usize % (2 * NNZ_PER_ROW - 1))
                 .collect();
+            let mut row_ptr = Vec::with_capacity(n + 1);
+            row_ptr.push(0i32);
+            for len in &lens {
+                row_ptr.push(row_ptr[row_ptr.len() - 1] + *len as i32);
+            }
+            let nnz = row_ptr[n] as usize;
+            let mut col_idx = Vec::with_capacity(nnz);
+            let mut vals = Vec::with_capacity(nnz);
+            for (i, &len) in lens.iter().enumerate() {
+                for j in 0..len {
+                    let k = (i * 131 + j) as u64;
+                    col_idx.push(reduce(hash_u64(seed ^ 42, k), n) as i32);
+                    vals.push(hash_f32(seed ^ 43, k, -1.0, 1.0));
+                }
+            }
+            let x = hash_series(seed ^ 44, n, -1.0, 1.0);
             Instance {
                 nd: NdRange::d1(n),
                 args: vec![
@@ -110,6 +115,39 @@ mod tests {
         let max = lens.iter().max().unwrap();
         assert!(max > min, "row lengths must vary: min={min} max={max}");
         assert!(*max as usize <= 2 * NNZ_PER_ROW);
+    }
+
+    /// The generator as one per-index loop, with `%` for every column.
+    fn per_index(n: usize, seed: u64) -> [BufferData; 4] {
+        let mut row_ptr = vec![0i32];
+        let (mut col_idx, mut vals) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let nnz = 1 + (hash_u64(seed ^ 41, i as u64) as usize) % (2 * NNZ_PER_ROW - 1);
+            for j in 0..nnz {
+                let k = (i * 131 + j) as u64;
+                col_idx.push((hash_u64(seed ^ 42, k) as usize % n) as i32);
+                vals.push(hash_f32(seed ^ 43, k, -1.0, 1.0));
+            }
+            row_ptr.push(col_idx.len() as i32);
+        }
+        let x = (0..n as u64).map(|i| hash_f32(seed ^ 44, i, -1.0, 1.0));
+        [
+            BufferData::I32(row_ptr),
+            BufferData::I32(col_idx),
+            BufferData::F32(vals),
+            BufferData::F32(x.collect()),
+        ]
+    }
+
+    #[test]
+    fn spmv_matches_its_per_index_form() {
+        // 1000 divides; 1024 masks.
+        for n in [1000, 1024] {
+            for seed in [0, 7, u64::MAX] {
+                let inst = (spmv_csr().setup)(n, seed);
+                assert_eq!(inst.bufs[..4], per_index(n, seed), "n {n} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,7 @@
 use hetpart_inspire::ir::NdRange;
 use hetpart_inspire::vm::{ArgValue, BufferData};
 
-use crate::workload::{hash_f32, Benchmark, Instance};
-
-fn grid(seed: u64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
-    (0..n).map(|i| hash_f32(seed, i as u64, lo, hi)).collect()
-}
+use crate::workload::{hash_series, Benchmark, Instance};
 
 const STENCIL2D_SRC: &str = r#"
 kernel void stencil2d(global const float* a, global float* o, int w, int h) {
@@ -41,7 +37,7 @@ pub fn stencil2d() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(grid(seed, n * n, 0.0, 100.0)),
+                BufferData::F32(hash_series(seed, n * n, 0.0, 100.0)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![1],
@@ -108,8 +104,8 @@ pub fn conv2d() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(grid(seed, n * n, 0.0, 1.0)),
-                BufferData::F32(grid(seed ^ 51, 25, -0.2, 0.2)),
+                BufferData::F32(hash_series(seed, n * n, 0.0, 1.0)),
+                BufferData::F32(hash_series(seed ^ 51, 25, -0.2, 0.2)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![2],
@@ -185,8 +181,8 @@ pub fn hotspot() -> Benchmark {
                 ArgValue::Float(80.0),
             ],
             bufs: vec![
-                BufferData::F32(grid(seed, n * n, 300.0, 350.0)),
-                BufferData::F32(grid(seed ^ 61, n * n, 0.0, 5.0)),
+                BufferData::F32(hash_series(seed, n * n, 300.0, 350.0)),
+                BufferData::F32(hash_series(seed ^ 61, n * n, 0.0, 5.0)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![2],
@@ -274,7 +270,7 @@ pub fn srad() -> Benchmark {
                 ArgValue::Float(0.05),
             ],
             bufs: vec![
-                BufferData::F32(grid(seed, n * n, 0.05, 1.0)),
+                BufferData::F32(hash_series(seed, n * n, 0.05, 1.0)),
                 BufferData::F32(vec![0.0; n * n]),
             ],
             outputs: vec![1],
@@ -340,8 +336,8 @@ pub fn pathfinder() -> Benchmark {
                 ArgValue::Int(n as i32),
             ],
             bufs: vec![
-                BufferData::F32(grid(seed, n, 0.0, 10.0)),
-                BufferData::F32(grid(seed ^ 71, n, 0.0, 10.0)),
+                BufferData::F32(hash_series(seed, n, 0.0, 10.0)),
+                BufferData::F32(hash_series(seed ^ 71, n, 0.0, 10.0)),
                 BufferData::F32(vec![0.0; n]),
             ],
             outputs: vec![2],

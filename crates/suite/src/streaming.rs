@@ -4,7 +4,7 @@
 use hetpart_inspire::ir::NdRange;
 use hetpart_inspire::vm::{ArgValue, BufferData};
 
-use crate::workload::{hash_f32, Benchmark, Instance};
+use crate::workload::{hash_series, Benchmark, Instance};
 
 /// Elements each work-item reduces in the block-reduction kernels.
 pub const REDUCTION_BLOCK: usize = 64;
@@ -29,12 +29,8 @@ pub fn vec_add() -> Benchmark {
         source: VEC_ADD_SRC,
         sizes: &[1024, 4096, 16384, 65536, 262144, 1048576],
         setup: |n, seed| {
-            let a: Vec<f32> = (0..n)
-                .map(|i| hash_f32(seed, i as u64, -1.0, 1.0))
-                .collect();
-            let b: Vec<f32> = (0..n)
-                .map(|i| hash_f32(seed ^ 1, i as u64, -1.0, 1.0))
-                .collect();
+            let a = hash_series(seed, n, -1.0, 1.0);
+            let b = hash_series(seed ^ 1, n, -1.0, 1.0);
             Instance {
                 nd: NdRange::d1(n),
                 args: vec![
@@ -84,12 +80,8 @@ pub fn triad() -> Benchmark {
         source: TRIAD_SRC,
         sizes: &[1024, 4096, 16384, 65536, 262144, 1048576],
         setup: |n, seed| {
-            let a: Vec<f32> = (0..n)
-                .map(|i| hash_f32(seed, i as u64, -2.0, 2.0))
-                .collect();
-            let b: Vec<f32> = (0..n)
-                .map(|i| hash_f32(seed ^ 2, i as u64, -2.0, 2.0))
-                .collect();
+            let a = hash_series(seed, n, -2.0, 2.0);
+            let b = hash_series(seed ^ 2, n, -2.0, 2.0);
             Instance {
                 nd: NdRange::d1(n),
                 args: vec![
@@ -146,12 +138,8 @@ pub fn dot_product() -> Benchmark {
         sizes: &[4096, 16384, 65536, 262144, 1048576, 4194304],
         setup: |n, seed| {
             let items = n / REDUCTION_BLOCK;
-            let a: Vec<f32> = (0..n)
-                .map(|i| hash_f32(seed, i as u64, -1.0, 1.0))
-                .collect();
-            let b: Vec<f32> = (0..n)
-                .map(|i| hash_f32(seed ^ 3, i as u64, -1.0, 1.0))
-                .collect();
+            let a = hash_series(seed, n, -1.0, 1.0);
+            let b = hash_series(seed ^ 3, n, -1.0, 1.0);
             Instance {
                 nd: NdRange::d1(items),
                 args: vec![
@@ -213,7 +201,7 @@ pub fn reduction_sum() -> Benchmark {
         sizes: &[4096, 16384, 65536, 262144, 1048576, 4194304],
         setup: |n, seed| {
             let items = n.div_ceil(REDUCTION_BLOCK);
-            let a: Vec<f32> = (0..n).map(|i| hash_f32(seed, i as u64, 0.0, 1.0)).collect();
+            let a = hash_series(seed, n, 0.0, 1.0);
             Instance {
                 nd: NdRange::d1(items),
                 args: vec![

@@ -58,7 +58,8 @@ impl Benchmark {
     }
 
     /// Compile the kernel source at an explicit optimization level and
-    /// backend (register-allocation + pre-decode) mode.
+    /// register-allocation mode. Pre-decoding for the lane engine runs in
+    /// every mode; no argument toggles it.
     ///
     /// # Panics
     /// Panics if the bundled source does not compile — that is a bug in
@@ -182,23 +183,158 @@ pub fn compare_buffers(
 
 /// Deterministic pseudo-random `f32` in `[lo, hi)` from an index and seed
 /// (splitmix64-based; identical in setup and reference code).
+///
+/// This is the series contract every generator keeps:
+/// [`hash_series`]`(seed, n, lo, hi)[i] == hash_f32(seed, i, lo, hi)`
+/// bit for bit.
 pub fn hash_f32(seed: u64, i: u64, lo: f32, hi: f32) -> f32 {
     let unit = (splitmix(seed, i) >> 11) as f64 / (1u64 << 53) as f64;
     lo + (hi - lo) * unit as f32
 }
 
-/// Deterministic pseudo-random `u64` from an index and seed.
+/// Deterministic pseudo-random `u64` from an index and seed: element `i`
+/// of splitmix64's stream for `seed` (Steele, Lea & Flood, OOPSLA 2014).
+///
+/// [`hash_indices`]`(seed, n, m)[i] == (hash_u64(seed, i) as usize % m) as i32`
+/// bit for bit.
 pub fn hash_u64(seed: u64, i: u64) -> u64 {
     splitmix(seed, i)
 }
 
+/// `n` values of [`hash_f32`] for indices `0..n`, bit for bit, as one
+/// vector loop.
+pub fn hash_series(seed: u64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+    let mut out = vec![0.0; n];
+    series_on(Tier::detect(), seed, lo, hi, &mut out);
+    out
+}
+
+/// `n` indices in `0..m`: element `i` is
+/// `(hash_u64(seed, i) as usize % m) as i32`, bit for bit.
+///
+/// # Panics
+/// Panics if `m == 0` and `n > 0`, like the `%` it replaces.
+pub fn hash_indices(seed: u64, n: usize, m: usize) -> Vec<i32> {
+    let mut out = vec![0; n];
+    indices_on(Tier::detect(), seed, m, &mut out);
+    out
+}
+
+/// `h as usize % m`. A power-of-two `m` reduces with a mask, which is
+/// exact; any other `m` divides.
+#[inline(always)]
+pub(crate) fn reduce(h: u64, m: usize) -> usize {
+    if m.is_power_of_two() {
+        h as usize & (m - 1)
+    } else {
+        h as usize % m
+    }
+}
+
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 fn splitmix(seed: u64, i: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    mix(seed.wrapping_add(i.wrapping_mul(GAMMA)).wrapping_add(GAMMA))
+}
+
+#[inline(always)]
+fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Write `f(splitmix(seed, i))` to `out[i]`. The state is a running
+/// counter, `seed + (i + 1)·γ` under wrapping arithmetic, so an element
+/// costs the two multiplies of the finalizer and no index multiply.
+#[inline(always)]
+fn fill<T>(seed: u64, out: &mut [T], f: impl Fn(u64) -> T) {
+    let mut z = seed.wrapping_add(GAMMA);
+    for o in out {
+        *o = f(mix(z));
+        z = z.wrapping_add(GAMMA);
+    }
+}
+
+/// The body of [`hash_series`]. The `i64` conversion is exact because
+/// the value is below 2⁵³, and scaling by 2⁻⁵³ equals [`hash_f32`]'s
+/// divide; unlike `u64`, `i64` converts without a fix-up.
+#[inline(always)]
+fn series_body(seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
+    const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+    fill(seed, out, |h| {
+        let unit = (h >> 11) as i64 as f64 * UNIT;
+        lo + (hi - lo) * unit as f32
+    });
+}
+
+/// The body of [`hash_indices`]. The power-of-two test in [`reduce`] is
+/// loop-invariant, so the compiler hoists it out of the loop.
+#[inline(always)]
+fn indices_body(seed: u64, m: usize, out: &mut [i32]) {
+    fill(seed, out, |h| reduce(h, m) as i32);
+}
+
+/// The codegen tier of the fills: one body, compiled for the baseline
+/// target or with AVX2 enabled. Nothing but the CPU picks it.
+#[derive(Clone, Copy, Debug)]
+enum Tier {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Tier {
+    /// The widest tier this CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Portable
+    }
+}
+
+fn series_on(tier: Tier, seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
+    match tier {
+        Tier::Portable => series_body(seed, lo, hi, out),
+        // SAFETY: `Tier::Avx2` is only constructed after
+        // `is_x86_feature_detected!("avx2")` returned true.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { series_avx2(seed, lo, hi, out) },
+    }
+}
+
+fn indices_on(tier: Tier, seed: u64, m: usize, out: &mut [i32]) {
+    match tier {
+        Tier::Portable => indices_body(seed, m, out),
+        // SAFETY: `Tier::Avx2` is only constructed after
+        // `is_x86_feature_detected!("avx2")` returned true.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { indices_avx2(seed, m, out) },
+    }
+}
+
+/// `series_body` compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn series_avx2(seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
+    series_body(seed, lo, hi, out);
+}
+
+/// `indices_body` compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn indices_avx2(seed: u64, m: usize, out: &mut [i32]) {
+    indices_body(seed, m, out);
 }
 
 #[cfg(test)]
@@ -222,6 +358,55 @@ mod tests {
             assert_eq!(v, hash_f32(7, i, -2.0, 3.0));
         }
         assert_ne!(hash_f32(7, 0, 0.0, 1.0), hash_f32(8, 0, 0.0, 1.0));
+    }
+
+    /// Both codegen tiers this CPU runs: the portable one and the widest.
+    fn tiers() -> [Tier; 2] {
+        [Tier::Portable, Tier::detect()]
+    }
+
+    const LENS: [usize; 5] = [0, 1, 3, 64, 4097];
+    // At `u64::MAX` the counter's start, `seed + γ`, already wraps.
+    const SEEDS: [u64; 3] = [0, 7, u64::MAX];
+
+    #[test]
+    fn series_fill_matches_hash_f32_on_every_tier() {
+        for tier in tiers() {
+            for n in LENS {
+                for seed in SEEDS {
+                    for (lo, hi) in [(-1.0, 1.0), (0.25, 10.0), (300.0, 350.0)] {
+                        let mut got = vec![f32::NAN; n];
+                        series_on(tier, seed, lo, hi, &mut got);
+                        for (i, g) in got.iter().enumerate() {
+                            let want = hash_f32(seed, i as u64, lo, hi);
+                            assert_eq!(
+                                g.to_bits(),
+                                want.to_bits(),
+                                "{tier:?} seed {seed} n {n} [{lo}, {hi}) at {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_fill_matches_hash_u64_modulo_on_every_tier() {
+        for tier in tiers() {
+            for n in LENS {
+                for seed in SEEDS {
+                    for m in [1, 3, 1000, 1024, 1 << 20] {
+                        let mut got = vec![-1; n];
+                        indices_on(tier, seed, m, &mut got);
+                        for (i, &g) in got.iter().enumerate() {
+                            let want = (hash_u64(seed, i as u64) as usize % m) as i32;
+                            assert_eq!(g, want, "{tier:?} seed {seed} n {n} m {m} at {i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
