@@ -8,8 +8,7 @@
 //!    (uniform, compute-bound, divergent): the original scalar engine on
 //!    unoptimized bytecode vs today's lane engine on optimized bytecode,
 //!    plus A/B columns isolating each layer — optimized vs
-//!    unoptimized bytecode, register allocation on vs off, and
-//!    bounds-check elision on vs off.
+//!    unoptimized bytecode, and register allocation on vs off.
 //! 2. **Training oracle** — one full oracle pass over a batch of
 //!    training launches: the PR-1 shape (scalar probe profiles over
 //!    unoptimized bytecode + the exhaustive partition space) vs today's
@@ -21,7 +20,7 @@
 //!
 //! The scalar baseline is timed in one round-robin (`interleaved_best`)
 //! with the lane engine, so a gated `speedup` compares runs from the
-//! same host phase rather than two phases timed apart; the four lane
+//! same host phase rather than two phases timed apart; the three lane
 //! configurations share a second round-robin.
 //!
 //! `target_met` in the JSON gates CI: the pruned oracle must hold its
@@ -77,18 +76,12 @@ struct RunRangeRow {
     /// (`RegAlloc::Off`): the same decoded walk over the wider
     /// codegen-shaped register files — isolates what allocation buys.
     noregalloc_lanes_s: f64,
-    /// Lane engine with bounds-check elision off
-    /// (`Vm::set_bounds_elide(false)`): every buffer access re-checked at run
-    /// time — isolates what the interval bounds proofs buy.
-    noelide_lanes_s: f64,
     /// scalar_s / paired_lanes_s.
     speedup: f64,
     /// unopt_lanes_s / lanes_s: what the optimizer buys end-to-end.
     speedup_vs_unopt: f64,
     /// noregalloc_lanes_s / lanes_s: what register allocation buys.
     speedup_vs_noregalloc: f64,
-    /// noelide_lanes_s / lanes_s: what bounds-check elision buys.
-    speedup_vs_noelide: f64,
     /// Static instruction count, unoptimized vs optimized.
     static_instrs_unopt: usize,
     static_instrs_opt: usize,
@@ -130,9 +123,6 @@ struct Targets {
     /// geomean over the picks (see the module doc for why this is a
     /// break-even floor, not a speedup target).
     regalloc_geomean_speedup: f64,
-    /// Bounds-check elision removes work and must therefore hold at
-    /// least break-even within noise on geomean over the picks.
-    elide_geomean_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -149,8 +139,6 @@ struct Report {
     opt_geomean_speedup: f64,
     /// Geomean of `speedup_vs_noregalloc` over the benchmarked kernels.
     regalloc_geomean_speedup: f64,
-    /// Geomean of `speedup_vs_noelide` over the benchmarked kernels.
-    elide_geomean_speedup: f64,
     /// Suite-wide geomean static shrink: 1 - geomean(opt/unopt instrs)
     /// over all suite kernels, not just the benchmarked picks.
     opt_static_reduction: f64,
@@ -245,23 +233,20 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             }
             .unwrap();
         });
-        // The four lane configurations get a round-robin of their own:
+        // The three lane configurations get a round-robin of their own:
         // rounds stretched by the scalar run span host phases, and their
-        // minima then come from different phases. Elision is on for
-        // every column except the dedicated elision-off one (config 1).
-        let configs = [&kernel, &kernel, &unopt, &noalloc];
-        let [lanes_s, noelide_lanes_s, unopt_lanes_s, noregalloc_lanes_s] =
-            interleaved_best(5 * reps, |config| {
-                vm.set_bounds_elide(config != 1);
-                vm.run_range_lanes(
-                    &configs[config].bytecode,
-                    &inst.nd,
-                    0..extent,
-                    &inst.args,
-                    &mut bufs,
-                )
-                .unwrap();
-            });
+        // minima then come from different phases.
+        let configs = [&kernel, &unopt, &noalloc];
+        let [lanes_s, unopt_lanes_s, noregalloc_lanes_s] = interleaved_best(5 * reps, |config| {
+            vm.run_range_lanes(
+                &configs[config].bytecode,
+                &inst.nd,
+                0..extent,
+                &inst.args,
+                &mut bufs,
+            )
+            .unwrap();
+        });
         rows.push(RunRangeRow {
             kernel: name.to_string(),
             items: inst.nd.total() as u64,
@@ -270,11 +255,9 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             lanes_s,
             unopt_lanes_s,
             noregalloc_lanes_s,
-            noelide_lanes_s,
             speedup: scalar_s / paired_lanes_s,
             speedup_vs_unopt: unopt_lanes_s / lanes_s,
             speedup_vs_noregalloc: noregalloc_lanes_s / lanes_s,
-            speedup_vs_noelide: noelide_lanes_s / lanes_s,
             static_instrs_unopt: unopt.bytecode.num_instrs(),
             static_instrs_opt: kernel.bytecode.num_instrs(),
             regfile_i_before: noalloc.bytecode.n_iregs,
@@ -487,35 +470,31 @@ fn main() {
 
     let run_range = run_range_rows(quick);
     println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9} {:>11} {:>11}",
+        "{:<14} {:>10} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>9} {:>11} {:>11}",
         "kernel",
         "items",
         "scalar",
         "opt-off",
         "ra-off",
-        "elide-off",
         "lanes",
         "speedup",
         "vs opt-off",
         "vs ra-off",
-        "vs el-off",
         "instrs",
         "regs i+f"
     );
     for r in &run_range {
         println!(
-            "{:<14} {:>10} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x {:>5} -> {:>3} {:>4} -> {:>3}",
+            "{:<14} {:>10} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>8.2}x {:>8.2}x {:>8.2}x {:>5} -> {:>3} {:>4} -> {:>3}",
             r.kernel,
             r.items,
             r.scalar_s * 1e3,
             r.unopt_lanes_s * 1e3,
             r.noregalloc_lanes_s * 1e3,
-            r.noelide_lanes_s * 1e3,
             r.lanes_s * 1e3,
             r.speedup,
             r.speedup_vs_unopt,
             r.speedup_vs_noregalloc,
-            r.speedup_vs_noelide,
             r.static_instrs_unopt,
             r.static_instrs_opt,
             r.regfile_i_before + r.regfile_f_before,
@@ -549,11 +528,6 @@ fn main() {
         "register allocation A/B: geomean lane speedup {regalloc_geomean_speedup:.2}x \
          (allocated vs unallocated register files, same decoded walk)"
     );
-    let elide_geomean_speedup = geomean(run_range.iter().map(|r| r.speedup_vs_noelide));
-    println!(
-        "bounds elision A/B: geomean lane speedup {elide_geomean_speedup:.2}x \
-         (interval-proved unchecked accesses vs checked accesses)"
-    );
 
     let targets = Targets {
         oracle_speedup: 3.0,
@@ -563,7 +537,6 @@ fn main() {
         opt_geomean_speedup: 1.0,
         opt_static_reduction: 0.15,
         regalloc_geomean_speedup: 0.95,
-        elide_geomean_speedup: 0.95,
     };
     let kernel_speedup = |name: &str| {
         run_range
@@ -607,11 +580,6 @@ fn main() {
             regalloc_geomean_speedup,
             targets.regalloc_geomean_speedup,
         ),
-        (
-            "elide_geomean_speedup",
-            elide_geomean_speedup,
-            targets.elide_geomean_speedup,
-        ),
     ]);
     println!("\ntarget_met: {target_met}");
     let report = Report {
@@ -623,7 +591,6 @@ fn main() {
         oracle,
         opt_geomean_speedup,
         regalloc_geomean_speedup,
-        elide_geomean_speedup,
         opt_static_reduction,
         targets,
         target_met,

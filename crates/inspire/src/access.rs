@@ -150,32 +150,6 @@ impl Interval {
         }
     }
 
-    /// Largest interval contained in both operands, or `None` when they
-    /// are disjoint. Used for branch-condition refinement.
-    pub fn intersect(self, other: Interval) -> Option<Interval> {
-        match (self, other) {
-            (Interval::Range(a, b), Interval::Range(c, d)) => {
-                let (lo, hi) = (a.max(c), b.min(d));
-                (lo <= hi).then_some(Interval::Range(lo, hi))
-            }
-            (x, Interval::Top) | (Interval::Top, x) => Some(x),
-        }
-    }
-
-    /// Standard widening: any bound that moved since `prev` jumps to the
-    /// corresponding infinity (the saturated `i64` extreme), so ascending
-    /// chains at loop headers stabilize in at most two steps per bound.
-    pub fn widen_from(self, prev: Interval) -> Interval {
-        match (prev, self) {
-            (Interval::Range(a, b), Interval::Range(c, d)) => {
-                let lo = if c < a { i64::MIN } else { a.min(c) };
-                let hi = if d > b { i64::MAX } else { b.max(d) };
-                Interval::Range(lo, hi)
-            }
-            _ => Interval::Top,
-        }
-    }
-
     /// Evaluate `f` at the four endpoint pairs and take the hull.
     ///
     /// Sound only for operators that attain their extremes at box corners

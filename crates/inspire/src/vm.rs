@@ -297,15 +297,6 @@ pub struct Vm {
     pub(crate) fregs: Vec<f64>,
     /// Maximum instructions one work-item may execute (runaway-loop guard).
     pub step_limit: u64,
-    /// Per-parameter bounds-check elision mask for the current launch:
-    /// bit `p` set means the interval analysis proved **every** access to
-    /// buffer parameter `p` in bounds, so loads/stores on it skip the
-    /// per-access check. Recomputed at every run entry by
-    /// [`crate::analysis::bounds`]; 0 disables elision entirely.
-    pub(crate) bounds_elide: u64,
-    /// Whether run entries run the bounds analysis at all (default on);
-    /// see [`Vm::set_bounds_elide`].
-    elide_bounds: bool,
 }
 
 impl Default for Vm {
@@ -321,38 +312,7 @@ impl Vm {
             iregs: Vec::new(),
             fregs: Vec::new(),
             step_limit: DEFAULT_STEP_LIMIT,
-            bounds_elide: 0,
-            elide_bounds: true,
         }
-    }
-
-    /// Turn bounds-check elision on (the default) or off for this VM.
-    /// `false` makes every access take the checked path, bit-identical to
-    /// a build without the analysis.
-    pub fn set_bounds_elide(&mut self, on: bool) {
-        self.elide_bounds = on;
-    }
-
-    /// Recompute the per-parameter elision mask for one launch. Called by
-    /// every run entry after argument validation.
-    fn prepare_bounds(
-        &mut self,
-        f: &Function,
-        nd: &NdRange,
-        args: &[ArgValue],
-        bufs: &[BufferData],
-    ) {
-        self.bounds_elide = if self.elide_bounds {
-            crate::analysis::bounds::elide_mask(f, nd, args, bufs)
-        } else {
-            0
-        };
-    }
-
-    /// Is buffer parameter `p` proven in bounds for the current launch?
-    #[inline(always)]
-    pub(crate) fn elided(&self, p: u16) -> bool {
-        p < 64 && self.bounds_elide & (1u64 << p) != 0
     }
 
     /// Validate `args` against the kernel signature and buffer types.
@@ -427,20 +387,19 @@ impl Vm {
             .collect()
     }
 
-    /// Validate a launch and set up the scalar register state and the
-    /// bounds-elision mask; returns the buffer map. Every run entry
-    /// starts here, after checking its work-items lie inside `nd` (the
-    /// elision proof assumes they do).
+    /// Validate a launch and set up the scalar register state; returns
+    /// the buffer map. Every run entry starts here, after checking its
+    /// work-items lie inside the NDRange: an item outside it is not part
+    /// of the launch, and would see a global id the kernel's own guards
+    /// (written against `get_global_size`) never expect.
     pub(crate) fn start_launch(
         &mut self,
         f: &Function,
-        nd: &NdRange,
         args: &[ArgValue],
         bufs: &[BufferData],
     ) -> Result<Vec<usize>, VmError> {
         Self::check_args(f, args, bufs)?;
         self.bind_scalars(f, args);
-        self.prepare_bounds(f, nd, args, bufs);
         Ok(Self::buffer_map(f, args))
     }
 
@@ -601,7 +560,7 @@ impl Vm {
     ) -> Result<Counters, VmError> {
         Self::check_split_range(nd, split_range)?;
         let mut mem = bufs.mem();
-        let bmap = self.start_launch(f, nd, args, mem.layout())?;
+        let bmap = self.start_launch(f, args, mem.layout())?;
         let mut counters = Counters::new(f);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let (inner, split_dim) = (nd.items_per_slice(), nd.split_dim());
@@ -631,7 +590,7 @@ impl Vm {
     ) -> Result<Counters, VmError> {
         Self::check_split_range(nd, split_range)?;
         let mut mem = bufs.mem();
-        let bmap = self.start_launch(f, nd, args, mem.layout())?;
+        let bmap = self.start_launch(f, args, mem.layout())?;
         let mut counters = Counters::new(f);
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         let (inner, split_dim) = (nd.items_per_slice(), nd.split_dim());
@@ -681,7 +640,7 @@ impl Vm {
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         Self::check_items(gids, gsize)?;
         let mut mem = bufs.mem();
-        let bmap = self.start_launch(f, nd, args, mem.layout())?;
+        let bmap = self.start_launch(f, args, mem.layout())?;
         let mut engine = LaneEngine::new(f, self);
         let mut per_item: Vec<Counters> = gids.iter().map(|_| Counters::new(f)).collect();
         for (batch, counters) in gids.chunks(LANES).zip(per_item.chunks_mut(LANES)) {
@@ -712,7 +671,7 @@ impl Vm {
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         Self::check_items(gids, gsize)?;
         let mut mem = bufs.mem();
-        let bmap = self.start_launch(f, nd, args, mem.layout())?;
+        let bmap = self.start_launch(f, args, mem.layout())?;
         gids.iter()
             .map(|&gid| {
                 let mut c = Counters::new(f);
@@ -908,58 +867,37 @@ impl Vm {
                 let BufferData::F32(v) = b else {
                     unreachable!("type-checked load");
                 };
-                if self.elided(buf) {
-                    debug_assert!((0..v.len() as i64).contains(&i), "elision proof violated");
-                    // SAFETY: bit `buf` of `bounds_elide` is set only when
-                    // the launch-seeded interval analysis proved every
-                    // access on this parameter lies in `[0, len)`.
-                    self.fregs[dst as usize] = f64::from(unsafe { *v.get_unchecked(i as usize) });
-                } else {
-                    let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
-                        return Err(VmError::OutOfBounds {
-                            buffer: buf as usize,
-                            index: i,
-                            len: v.len(),
-                        });
-                    };
-                    self.fregs[dst as usize] = f64::from(*val);
-                }
+                let Some(val) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
+                    return Err(VmError::OutOfBounds {
+                        buffer: buf as usize,
+                        index: i,
+                        len: v.len(),
+                    });
+                };
+                self.fregs[dst as usize] = f64::from(*val);
             }
             LoadI { dst, buf, idx } => {
                 let i = self.iregs[idx as usize];
                 let b = mem.load(bmap[buf as usize]);
-                if self.elided(buf) {
-                    debug_assert!((0..b.len() as i64).contains(&i), "elision proof violated");
-                    // SAFETY: see `LoadF` — the elision bit is a proof
-                    // that `i` is in `[0, len)`.
-                    self.iregs[dst as usize] = unsafe {
-                        match b {
-                            BufferData::I32(v) => i64::from(*v.get_unchecked(i as usize)),
-                            BufferData::U32(v) => i64::from(*v.get_unchecked(i as usize)),
-                            BufferData::F32(_) => unreachable!("type-checked load"),
-                        }
-                    };
-                } else {
-                    let val = match b {
-                        BufferData::I32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::U32(v) => usize::try_from(i)
-                            .ok()
-                            .and_then(|i| v.get(i))
-                            .map(|&x| i64::from(x)),
-                        BufferData::F32(_) => unreachable!("type-checked load"),
-                    };
-                    let Some(val) = val else {
-                        return Err(VmError::OutOfBounds {
-                            buffer: buf as usize,
-                            index: i,
-                            len: b.len(),
-                        });
-                    };
-                    self.iregs[dst as usize] = val;
-                }
+                let val = match b {
+                    BufferData::I32(v) => usize::try_from(i)
+                        .ok()
+                        .and_then(|i| v.get(i))
+                        .map(|&x| i64::from(x)),
+                    BufferData::U32(v) => usize::try_from(i)
+                        .ok()
+                        .and_then(|i| v.get(i))
+                        .map(|&x| i64::from(x)),
+                    BufferData::F32(_) => unreachable!("type-checked load"),
+                };
+                let Some(val) = val else {
+                    return Err(VmError::OutOfBounds {
+                        buffer: buf as usize,
+                        index: i,
+                        len: b.len(),
+                    });
+                };
+                self.iregs[dst as usize] = val;
             }
             StoreF { buf, idx, src } => {
                 let i = self.iregs[idx as usize];
@@ -969,62 +907,42 @@ impl Vm {
                 let BufferData::F32(v) = b else {
                     unreachable!("type-checked store");
                 };
-                if self.elided(buf) {
-                    debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                    // SAFETY: see `LoadF`.
-                    unsafe { *v.get_unchecked_mut(i as usize) = val };
-                } else {
-                    let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
-                        return Err(VmError::OutOfBounds {
-                            buffer: buf as usize,
-                            index: i,
-                            len,
-                        });
-                    };
-                    *slot = val;
-                }
+                let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
+                    return Err(VmError::OutOfBounds {
+                        buffer: buf as usize,
+                        index: i,
+                        len,
+                    });
+                };
+                *slot = val;
             }
             StoreI { buf, idx, src } => {
                 let i = self.iregs[idx as usize];
                 let val = self.iregs[src as usize];
                 let b = mem.store(bmap[buf as usize]);
                 let len = b.len();
-                if self.elided(buf) {
-                    debug_assert!((0..len as i64).contains(&i), "elision proof violated");
-                    // SAFETY: see `LoadF`.
-                    unsafe {
-                        match b {
-                            BufferData::I32(v) => *v.get_unchecked_mut(i as usize) = val as i32,
-                            BufferData::U32(v) => *v.get_unchecked_mut(i as usize) = val as u32,
-                            BufferData::F32(_) => unreachable!("type-checked store"),
-                        }
+                match b {
+                    BufferData::I32(v) => {
+                        let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
+                            return Err(VmError::OutOfBounds {
+                                buffer: buf as usize,
+                                index: i,
+                                len,
+                            });
+                        };
+                        *slot = val as i32;
                     }
-                } else {
-                    match b {
-                        BufferData::I32(v) => {
-                            let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i))
-                            else {
-                                return Err(VmError::OutOfBounds {
-                                    buffer: buf as usize,
-                                    index: i,
-                                    len,
-                                });
-                            };
-                            *slot = val as i32;
-                        }
-                        BufferData::U32(v) => {
-                            let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i))
-                            else {
-                                return Err(VmError::OutOfBounds {
-                                    buffer: buf as usize,
-                                    index: i,
-                                    len,
-                                });
-                            };
-                            *slot = val as u32;
-                        }
-                        BufferData::F32(_) => unreachable!("type-checked store"),
+                    BufferData::U32(v) => {
+                        let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
+                            return Err(VmError::OutOfBounds {
+                                buffer: buf as usize,
+                                index: i,
+                                len,
+                            });
+                        };
+                        *slot = val as u32;
                     }
+                    BufferData::F32(_) => unreachable!("type-checked store"),
                 }
             }
             GlobalId { dst, dim } => self.iregs[dst as usize] = gid[dim as usize] as i64,
@@ -1202,37 +1120,6 @@ mod tests {
             &mut bufs,
         );
         assert_eq!(bufs[2].as_f32().unwrap(), &[1.5, 2.25, 3.125]);
-    }
-
-    #[test]
-    fn bounds_elision_is_on_by_default() {
-        let k = compile(
-            "kernel void k(global const float* a, global const float* b,
-                           global float* c, int n) {
-                int i = get_global_id(0);
-                if (i < n) { c[i] = a[i] + b[i]; }
-            }",
-        )
-        .unwrap();
-        let args = [
-            ArgValue::Buffer(0),
-            ArgValue::Buffer(1),
-            ArgValue::Buffer(2),
-            ArgValue::Int(4),
-        ];
-        let mask = |vm: &mut Vm| {
-            let mut bufs = vec![BufferData::F32(vec![1.0; 4]); 3];
-            vm.run_range(&k.bytecode, &NdRange::d1(4), 0..4, &args, &mut bufs)
-                .unwrap();
-            vm.bounds_elide
-        };
-        let default = mask(&mut Vm::new());
-        assert_ne!(default, 0);
-        let mut forced = Vm::new();
-        forced.set_bounds_elide(true);
-        assert_eq!(default, mask(&mut forced));
-        forced.set_bounds_elide(false);
-        assert_eq!(mask(&mut forced), 0);
     }
 
     #[test]

@@ -532,7 +532,7 @@ impl CountSink<'_> {
 /// batch, or [`Masked`] or [`Select`], the active lanes of a partial
 /// mask walked one at a time or computed at full width. A lane set
 /// supplies loop shapes only. What every op computes — its semantics,
-/// the sub-op decoding, bounds-elision handling and the superinstruction
+/// the sub-op decoding, the memory checks and the superinstruction
 /// logic — is written once, in [`LaneEngine::exec_dec`] and its helpers,
 /// and instantiated per set.
 trait LaneSet: Copy {
@@ -751,7 +751,7 @@ impl LaneSet for Masked {
 
     /// No prescan: the checked walk tests each active index as it goes,
     /// and a separate scan would be a second walk over the same scattered
-    /// lanes. Only elided accesses take the unchecked shapes.
+    /// lanes.
     #[inline(always)]
     fn in_bounds(self, _idx: &Row<i64>, _len: usize) -> bool {
         false
@@ -800,8 +800,7 @@ impl LaneSet for Masked {
 /// any value run under it: the predicated if-arms of
 /// [`CfgInfo::if_arm`](crate::cfg::CfgInfo). `zip1`/`zip2` and every
 /// gather, scatter and division walk visit only the active lanes, as
-/// under [`Masked`]: an elided gather shares `zip1`, and must never read
-/// an inactive lane's index.
+/// under [`Masked`].
 #[derive(Clone, Copy)]
 struct Select(ExecMask);
 
@@ -911,13 +910,6 @@ pub(crate) struct LaneEngine {
     /// across batches so a divergent batch does not allocate.
     stack: Vec<Frame>,
     tier: Tier,
-    /// Per-parameter bounds-check elision mask, copied from
-    /// [`Vm::bounds_elide`] at construction (the run entry computes it
-    /// before creating the engine). Bit `p` set = every access to buffer
-    /// parameter `p` is statically proven in bounds for this launch, so
-    /// the gather/scatter loops skip both the per-batch range scan and
-    /// the per-lane checks.
-    elide: u64,
     /// Maximum instructions one work-item may execute, copied from
     /// [`Vm::step_limit`].
     step_limit: u64,
@@ -995,12 +987,6 @@ fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(regs: &mut [Row<T>], n: usize, dst: 
             *v = g(l, *v, *v);
         }
     }
-}
-
-/// Is buffer parameter `p` proven in bounds under elision mask `elide`?
-#[inline(always)]
-fn elided(elide: u64, p: u16) -> bool {
-    p < 64 && elide & (1u64 << p) != 0
 }
 
 /// Whether every lane index is a valid element index for a buffer of
@@ -1084,12 +1070,6 @@ fn gather_row<S: LaneSet, E: Copy, T: Copy>(
         Shape::Scattered => return false,
     }
     true
-}
-
-/// Whether every index of `s` is in `[0, len)`, walked lane by lane: the
-/// debug check behind bounds elision.
-fn proven<S: LaneSet>(s: S, idx: &Row<i64>, len: usize) -> bool {
-    s.lanes().all(|l| (idx[l] as u64) < len as u64)
 }
 
 /// F-file micro-op over the lanes of `s`: the row kernels of the unfused
@@ -1194,10 +1174,9 @@ fn const_fop2<K: Codegen>(fregs: &mut [Row<f64>], n: usize, op: &DecOp) {
 }
 
 /// `d[l] = conv(v[idx[l]])` over `s`, shared by every gather: one row
-/// pass for a uniform or unit-stride row in bounds ([`gather_row`]),
-/// unchecked when the accesses are proven in bounds (`el`), the plain
-/// loop when the prescan finds every index in bounds, and otherwise a
-/// walk that faults at the first out-of-bounds lane. `buf` names the
+/// pass for a uniform or unit-stride row in bounds ([`gather_row`]), the
+/// plain loop when the prescan finds every index in bounds, and otherwise
+/// a walk that faults at the first out-of-bounds lane. `buf` names the
 /// parameter in the fault.
 #[inline(always)]
 fn gather<S: LaneSet, E: Copy, T: Copy>(
@@ -1205,21 +1184,13 @@ fn gather<S: LaneSet, E: Copy, T: Copy>(
     d: &mut Row<T>,
     idx: &Row<i64>,
     v: &[E],
-    el: bool,
     buf: u16,
     conv: impl Fn(E) -> T,
 ) -> Result<(), VmError> {
     if gather_row(s, d, idx, v, &conv) {
         return Ok(());
     }
-    if el {
-        debug_assert!(proven(s, idx, v.len()), "elision proof violated");
-        s.zip1(d, idx, |i| {
-            // SAFETY: the elision bit is set only when the interval
-            // analysis proved every access on this parameter in `[0, len)`.
-            conv(unsafe { *v.get_unchecked(i as usize) })
-        });
-    } else if s.in_bounds(idx, v.len()) {
+    if s.in_bounds(idx, v.len()) {
         s.zip1(d, idx, |i| conv(v[i as usize]));
     } else {
         for l in s.lanes() {
@@ -1237,26 +1208,20 @@ fn gather<S: LaneSet, E: Copy, T: Copy>(
     Ok(())
 }
 
-/// `v[idx[l]] = conv(src[l])` over `s`, shared by every scatter; the
-/// three shapes of [`gather`].
+/// `v[idx[l]] = conv(src[l])` over `s`, shared by every scatter: the
+/// plain loop when the prescan finds every index in bounds, and otherwise
+/// the faulting walk of [`gather`].
 #[inline(always)]
 fn scatter<S: LaneSet, T: Copy, E>(
     s: S,
     v: &mut [E],
     idx: &Row<i64>,
     src: &Row<T>,
-    el: bool,
     buf: u16,
     conv: impl Fn(T) -> E,
 ) -> Result<(), VmError> {
     let len = v.len();
-    if el {
-        debug_assert!(proven(s, idx, len), "elision proof violated");
-        for l in s.lanes() {
-            // SAFETY: see `gather` — statically proven in bounds.
-            unsafe { *v.get_unchecked_mut(idx[l] as usize) = conv(src[l]) };
-        }
-    } else if s.in_bounds(idx, len) {
+    if s.in_bounds(idx, len) {
         for l in s.lanes() {
             v[idx[l] as usize] = conv(src[l]);
         }
@@ -1290,28 +1255,16 @@ fn load_fop_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
     idx: &Row<i64>,
     v: &[f32],
     op: &DecOp,
-    el: bool,
     f2: F,
 ) {
     let (x, z) = (op.c as usize, op.dst as usize);
     let (p, q) = (op.d as usize, op.e as usize);
-    if el {
-        for l in s.lanes() {
-            // SAFETY: see `gather` — statically proven in bounds.
-            let loaded = f64::from(unsafe { *v.get_unchecked(idx[l] as usize) });
-            fregs[x][l] = loaded;
-            let pv = fregs[p][l];
-            let qv = fregs[q][l];
-            fregs[z][l] = f2(pv, qv);
-        }
-    } else {
-        for l in s.lanes() {
-            let loaded = f64::from(v[idx[l] as usize]);
-            fregs[x][l] = loaded;
-            let pv = fregs[p][l];
-            let qv = fregs[q][l];
-            fregs[z][l] = f2(pv, qv);
-        }
+    for l in s.lanes() {
+        let loaded = f64::from(v[idx[l] as usize]);
+        fregs[x][l] = loaded;
+        let pv = fregs[p][l];
+        let qv = fregs[q][l];
+        fregs[z][l] = f2(pv, qv);
     }
 }
 
@@ -1326,23 +1279,13 @@ fn fop_store_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
     idx: &Row<i64>,
     v: &mut [f32],
     op: &DecOp,
-    el: bool,
     f1: F,
 ) {
     let (a, b, z) = (op.a as usize, op.b as usize, op.dst as usize);
-    if el {
-        for l in s.lanes() {
-            let t = f1(fregs[a][l], fregs[b][l]);
-            fregs[z][l] = t;
-            // SAFETY: see `gather` — statically proven in bounds.
-            unsafe { *v.get_unchecked_mut(idx[l] as usize) = t as f32 };
-        }
-    } else {
-        for l in s.lanes() {
-            let t = f1(fregs[a][l], fregs[b][l]);
-            fregs[z][l] = t;
-            v[idx[l] as usize] = t as f32;
-        }
+    for l in s.lanes() {
+        let t = f1(fregs[a][l], fregs[b][l]);
+        fregs[z][l] = t;
+        v[idx[l] as usize] = t as f32;
     }
 }
 
@@ -1406,7 +1349,6 @@ impl LaneEngine {
             steps: Row([0; LANES]),
             stack: Vec::new(),
             tier: Tier::detect(),
-            elide: vm.bounds_elide,
             step_limit: vm.step_limit,
         }
     }
@@ -1861,7 +1803,6 @@ impl LaneEngine {
                 // Index and destination share the I register file: borrow
                 // them disjointly, or copy the index row when they are
                 // the same register.
-                let el = elided(self.elide, b);
                 let copy;
                 let (d, idx) = if di == ai {
                     copy = ir[ai];
@@ -1873,8 +1814,8 @@ impl LaneEngine {
                     (d, &*idx)
                 };
                 match bufs.load(bmap[bi]) {
-                    BufferData::I32(v) => gather(s, d, idx, v, el, b, i64::from)?,
-                    BufferData::U32(v) => gather(s, d, idx, v, el, b, i64::from)?,
+                    BufferData::I32(v) => gather(s, d, idx, v, b, i64::from)?,
+                    BufferData::U32(v) => gather(s, d, idx, v, b, i64::from)?,
                     BufferData::F32(_) => unreachable!("type-checked load"),
                 }
             }
@@ -1882,21 +1823,20 @@ impl LaneEngine {
                 inline_if!(K::AVX2 || S::MASKED, self.store_f(s, dst, a, b, bmap, bufs))?;
             }
             OpCode::StoreI => {
-                let el = elided(self.elide, b);
                 let (idx, src) = (&self.iregs[ai], &self.iregs[di]);
                 match bufs.store(bmap[bi]) {
-                    BufferData::I32(v) => scatter(s, v, idx, src, el, b, |x| x as i32)?,
-                    BufferData::U32(v) => scatter(s, v, idx, src, el, b, |x| x as u32)?,
+                    BufferData::I32(v) => scatter(s, v, idx, src, b, |x| x as i32)?,
+                    BufferData::U32(v) => scatter(s, v, idx, src, b, |x| x as u32)?,
                     BufferData::F32(_) => unreachable!("type-checked store"),
                 }
             }
             OpCode::GlobalId => s.zip1(&mut ir[di], &self.gid[ai], |g| g),
             OpCode::GlobalSize => s.fill(&mut ir[di], gsize[ai] as i64),
             // Superinstructions. Compute pairs run under the lane set's
-            // pair policy. Memory pairs make one pass when every access
-            // is known in bounds, and otherwise run as the unfused
-            // sequence, so each lane faults exactly where the original
-            // pair would.
+            // pair policy. Memory pairs make one pass when the prescan
+            // finds every access in bounds, and otherwise run as the
+            // unfused sequence, so each lane faults exactly where the
+            // original pair would.
             OpCode::FOp2 => inline_if!(K::AVX2 || S::MASKED, s.fop2::<K>(fr, op)),
             OpCode::IOp2 => inline_if!(K::AVX2 || S::MASKED, s.iop2::<K>(ir, op)),
             OpCode::Load2F => {
@@ -1926,12 +1866,11 @@ impl LaneEngine {
         bmap: &[usize],
         bufs: &Mem<'_>,
     ) -> Result<(), VmError> {
-        let el = elided(self.elide, buf);
         let BufferData::F32(v) = bufs.load(bmap[buf as usize]) else {
             unreachable!("type-checked load");
         };
         let (d, idx) = (&mut self.fregs[dst as usize], &self.iregs[idx as usize]);
-        gather(s, d, idx, v, el, buf, f64::from)
+        gather(s, d, idx, v, buf, f64::from)
     }
 
     /// The `StoreF` kernel (`src` = source register, `idx` = index
@@ -1947,16 +1886,15 @@ impl LaneEngine {
         bmap: &[usize],
         bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
-        let el = elided(self.elide, buf);
         let BufferData::F32(v) = bufs.store(bmap[buf as usize]) else {
             unreachable!("type-checked store");
         };
         let (idx, src) = (&self.iregs[idx as usize], &self.fregs[src as usize]);
-        scatter(s, v, idx, src, el, buf, |x| x as f32)
+        scatter(s, v, idx, src, buf, |x| x as f32)
     }
 
-    /// `Load2F`: both gathers in one pass when both are known in bounds
-    /// (the destinations are distinct by fusion rule) and neither index
+    /// `Load2F`: both gathers in one pass when the prescan finds both in
+    /// bounds (the destinations are distinct by fusion rule) and neither index
     /// row has a row-pass shape; otherwise the unfused sequence, whose
     /// gathers load such rows in one pass each.
     #[inline(always)]
@@ -1967,7 +1905,6 @@ impl LaneEngine {
         bmap: &[usize],
         bufs: &Mem<'_>,
     ) -> Result<(), VmError> {
-        let el = elided(self.elide, op.b) && elided(self.elide, op.e);
         let (idx1, idx2) = (&self.iregs[op.a as usize], &self.iregs[op.d as usize]);
         let BufferData::F32(v1) = bufs.load(bmap[op.b as usize]) else {
             unreachable!("type-checked load");
@@ -1976,32 +1913,16 @@ impl LaneEngine {
             unreachable!("type-checked load");
         };
         let scattered = s.shape(idx1) == Shape::Scattered && s.shape(idx2) == Shape::Scattered;
-        if scattered && (el || (s.in_bounds(idx1, v1.len()) && s.in_bounds(idx2, v2.len()))) {
-            debug_assert!(
-                proven(s, idx1, v1.len()) && proven(s, idx2, v2.len()),
-                "elision proof violated"
-            );
+        if scattered && s.in_bounds(idx1, v1.len()) && s.in_bounds(idx2, v2.len()) {
             let Ok([d1, d2]) = self
                 .fregs
                 .get_disjoint_mut([op.c as usize, op.dst as usize])
             else {
                 unreachable!("distinct fused load destinations");
             };
-            if el {
-                for l in s.lanes() {
-                    // SAFETY: both elision bits are set only when the
-                    // interval analysis proved every access on each
-                    // parameter in `[0, len)`.
-                    unsafe {
-                        d1[l] = f64::from(*v1.get_unchecked(idx1[l] as usize));
-                        d2[l] = f64::from(*v2.get_unchecked(idx2[l] as usize));
-                    }
-                }
-            } else {
-                for l in s.lanes() {
-                    d1[l] = f64::from(v1[idx1[l] as usize]);
-                    d2[l] = f64::from(v2[idx2[l] as usize]);
-                }
+            for l in s.lanes() {
+                d1[l] = f64::from(v1[idx1[l] as usize]);
+                d2[l] = f64::from(v2[idx2[l] as usize]);
             }
             return Ok(());
         }
@@ -2009,8 +1930,8 @@ impl LaneEngine {
         self.load_f(s, op.dst, op.d, op.e, bmap, bufs)
     }
 
-    /// `LoadFOp`: one pass ([`load_fop_pass`]) when the gather is known
-    /// in bounds and `sub2` is not a `math` op (see `with_fsub!`); the
+    /// `LoadFOp`: one pass ([`load_fop_pass`]) when the prescan finds the
+    /// gather in bounds and `sub2` is not a `math` op (see `with_fsub!`); the
     /// unfused sequence otherwise.
     #[inline(always)]
     fn fused_load_fop<K: Codegen, S: LaneSet>(
@@ -2020,7 +1941,6 @@ impl LaneEngine {
         bmap: &[usize],
         bufs: &Mem<'_>,
     ) -> Result<(), VmError> {
-        let el = elided(self.elide, op.b);
         let idx = &self.iregs[op.a as usize];
         let BufferData::F32(v) = bufs.load(bmap[op.b as usize]) else {
             unreachable!("type-checked load");
@@ -2032,13 +1952,12 @@ impl LaneEngine {
             apply_f::<K, _>(s, fr, op.dst, op.d, op.e, op.sub2, op.fimm);
             return Ok(());
         }
-        if el || s.in_bounds(idx, v.len()) {
-            debug_assert!(proven(s, idx, v.len()), "elision proof violated");
+        if s.in_bounds(idx, v.len()) {
             with_fsub!(
                 op.sub2,
                 op.fimm,
                 cheap: |f2| {
-                    load_fop_pass(s, fr, idx, v, op, el, f2);
+                    load_fop_pass(s, fr, idx, v, op, f2);
                     return Ok(());
                 },
                 math: ()
@@ -2049,8 +1968,8 @@ impl LaneEngine {
         Ok(())
     }
 
-    /// `FOpStore`: one pass ([`fop_store_pass`]) when the scatter is known
-    /// in bounds and `sub1` is not a `math` op; the unfused sequence
+    /// `FOpStore`: one pass ([`fop_store_pass`]) when the prescan finds the
+    /// scatter in bounds and `sub1` is not a `math` op; the unfused sequence
     /// otherwise.
     #[inline(always)]
     fn fused_fop_store<K: Codegen, S: LaneSet>(
@@ -2060,19 +1979,17 @@ impl LaneEngine {
         bmap: &[usize],
         bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
-        let el = elided(self.elide, op.d);
         let idx = &self.iregs[op.c as usize];
         let BufferData::F32(v) = bufs.store(bmap[op.d as usize]) else {
             unreachable!("type-checked store");
         };
-        if el || s.in_bounds(idx, v.len()) {
-            debug_assert!(proven(s, idx, v.len()), "elision proof violated");
+        if s.in_bounds(idx, v.len()) {
             let fr = &mut self.fregs;
             with_fsub!(
                 op.sub1,
                 op.fimm,
                 cheap: |f1| {
-                    fop_store_pass(s, fr, idx, v, op, el, f1);
+                    fop_store_pass(s, fr, idx, v, op, f1);
                     return Ok(());
                 },
                 math: ()
@@ -2104,23 +2021,14 @@ mod tests {
 
     /// Run items `0..n` of `src` batch by batch on `tier`, recording the
     /// engine state after every batch; stops at the first fault.
-    fn trace(
-        src: &str,
-        n: usize,
-        args: &[ArgValue],
-        bufs: &[BufferData],
-        elide: bool,
-        tier: Tier,
-    ) -> Trace {
+    fn trace(src: &str, n: usize, args: &[ArgValue], bufs: &[BufferData], tier: Tier) -> Trace {
         let k = compile(src).expect("test kernel compiles");
         let f = &k.bytecode;
-        let nd = NdRange::d1(n);
         let mut vm = Vm::new();
-        vm.set_bounds_elide(elide);
         let mut bufs = bufs.to_vec();
         let mut mem = bufs.mem();
         let bmap = vm
-            .start_launch(f, &nd, args, mem.layout())
+            .start_launch(f, args, mem.layout())
             .expect("valid launch");
         let mut eng = LaneEngine::new(f, &vm);
         eng.tier = tier;
@@ -2164,23 +2072,13 @@ mod tests {
     }
 
     /// Run `src` on the portable tier and on the tier this CPU picks
-    /// (AVX2 where available), with and without bounds elision, and
-    /// require identical traces. Returns the portable traces.
-    fn assert_tier_parity(
-        src: &str,
-        n: usize,
-        args: &[ArgValue],
-        bufs: &[BufferData],
-    ) -> Vec<Trace> {
-        [true, false]
-            .into_iter()
-            .map(|elide| {
-                let portable = trace(src, n, args, bufs, elide, Tier::Portable);
-                let native = trace(src, n, args, bufs, elide, Tier::detect());
-                assert_eq!(portable, native, "tier divergence (elide = {elide})");
-                portable
-            })
-            .collect()
+    /// (AVX2 where available) and require identical traces. Returns the
+    /// portable trace.
+    fn assert_tier_parity(src: &str, n: usize, args: &[ArgValue], bufs: &[BufferData]) -> Trace {
+        let portable = trace(src, n, args, bufs, Tier::Portable);
+        let native = trace(src, n, args, bufs, Tier::detect());
+        assert_eq!(portable, native, "tier divergence");
+        portable
     }
 
     fn f32_buf(n: usize, g: impl Fn(usize) -> f32) -> BufferData {
@@ -2339,13 +2237,12 @@ mod tests {
             ArgValue::Buffer(1),
             ArgValue::Int(N as i32),
         ];
-        for t in assert_tier_parity(src, N, &args, &bufs) {
-            assert!(
-                matches!(t.results.last(), Some(Err(VmError::OutOfBounds { .. }))),
-                "expected an out-of-bounds fault, got {:?}",
-                t.results
-            );
-        }
+        let t = assert_tier_parity(src, N, &args, &bufs);
+        assert!(
+            matches!(t.results.last(), Some(Err(VmError::OutOfBounds { .. }))),
+            "expected an out-of-bounds fault, got {:?}",
+            t.results
+        );
     }
 
     #[test]
@@ -2468,7 +2365,7 @@ mod tests {
     }
 
     /// A fresh engine; `patched` makes every hazard lane safe.
-    fn engine(elide: u64, patched: bool) -> LaneEngine {
+    fn engine(patched: bool) -> LaneEngine {
         let mut iregs: Vec<Row<i64>> = (0..N_IREGS)
             .map(|r| Row(std::array::from_fn(|l| irow(r, l))))
             .collect();
@@ -2487,7 +2384,6 @@ mod tests {
             steps: Row([0; LANES]),
             stack: Vec::new(),
             tier: Tier::Portable,
-            elide,
             step_limit: u64::MAX,
         }
     }
@@ -2549,8 +2445,8 @@ mod tests {
     }
 
     /// Run `op` once on `s` from a fresh state.
-    fn run_op<S: LaneSet>(tier: Tier, op: &DecOp, s: S, elide: u64, patched: bool) -> Snap {
-        let mut eng = engine(elide, patched);
+    fn run_op<S: LaneSet>(tier: Tier, op: &DecOp, s: S, patched: bool) -> Snap {
+        let mut eng = engine(patched);
         let mut bufs = buffers();
         let mut mem = bufs.mem();
         let r = match tier {
@@ -2798,19 +2694,19 @@ mod tests {
         )
     }
 
-    /// Check one op on one tier with one elision mask.
-    fn check_lane_sets(tier: Tier, op: &DecOp, elide: u64) {
-        let ctx = format!("{op:?} on {} (elide {elide:#x})", tier.name());
+    /// Check one op on one tier.
+    fn check_lane_sets(tier: Tier, op: &DecOp) {
+        let ctx = format!("{op:?} on {}", tier.name());
         let select = !can_fault(op.code);
         // Prefix(n), Masked(full(n)) and, for an op that cannot fault,
         // Select(full(n)) leave identical state, faults included.
         let mut faults = false;
         for n in [LANES, 22] {
-            let p = run_op(tier, op, Prefix(n), elide, false);
-            let m = run_op(tier, op, Masked(ExecMask::full(n)), elide, false);
+            let p = run_op(tier, op, Prefix(n), false);
+            let m = run_op(tier, op, Masked(ExecMask::full(n)), false);
             assert_eq!(p, m, "Prefix({n}) vs Masked(full({n})): {ctx}");
             if select {
-                let s = run_op(tier, op, Select(ExecMask::full(n)), elide, false);
+                let s = run_op(tier, op, Select(ExecMask::full(n)), false);
                 assert_eq!(p, s, "Prefix({n}) vs Select(full({n})): {ctx}");
             }
             faults |= p.result.is_err();
@@ -2819,9 +2715,9 @@ mod tests {
         // full-width run (with the hazards patched away) and inactive
         // lanes' rows and buffer elements keep their values, even where
         // an inactive lane holds an out-of-bounds index or zero divisor.
-        let init = snap(&engine(elide, false), &buffers(), Ok(()));
-        let full = run_op(tier, op, Prefix(LANES), elide, true);
-        let sparse = run_op(tier, op, Masked(ExecMask(SPARSE)), elide, false);
+        let init = snap(&engine(false), &buffers(), Ok(()));
+        let full = run_op(tier, op, Prefix(LANES), true);
+        let sparse = run_op(tier, op, Masked(ExecMask(SPARSE)), false);
         if full.result.is_ok() {
             assert_eq!(sparse.result, Ok(()), "sparse mask faulted: {ctx}");
             let on = |l: usize| SPARSE >> l & 1 != 0;
@@ -2846,7 +2742,7 @@ mod tests {
                 "F rows: {ctx}"
             );
             let mut want = init.bufs.clone();
-            let eng = engine(elide, false);
+            let eng = engine(false);
             for l in (0..LANES).filter(|&l| on(l)) {
                 if let Some((b, i)) = store_target(op, &eng, l) {
                     want[b][i] = full.bufs[b][i];
@@ -2856,19 +2752,19 @@ mod tests {
             // Select computes the inactive lanes too, but stores only the
             // active ones: the same rows and buffers as the masked walk.
             if select {
-                let s = run_op(tier, op, Select(ExecMask(SPARSE)), elide, false);
+                let s = run_op(tier, op, Select(ExecMask(SPARSE)), false);
                 assert_eq!(s, sparse, "Select vs Masked under a sparse mask: {ctx}");
             }
         }
         // With the hazard lanes active too, the fault is the one the
         // lowest faulting active lane raises on its own.
         let hazardous = ExecMask(SPARSE | HAZARD_BITS);
-        let m = run_op(tier, op, Masked(hazardous), elide, false);
+        let m = run_op(tier, op, Masked(hazardous), false);
         if !faults && m.result.is_ok() {
             return;
         }
         let lowest = hazardous.lanes().find_map(|l| {
-            run_op(tier, op, Masked(ExecMask(1 << l)), elide, false)
+            run_op(tier, op, Masked(ExecMask(1 << l)), false)
                 .result
                 .err()
         });
@@ -2886,26 +2782,10 @@ mod tests {
             let ops = cases(code);
             assert!(!ops.is_empty(), "{code:?} has no case");
             for op in &ops {
-                // Elide only where every index of the op is in bounds:
-                // elision on an out-of-bounds index is undefined.
-                let uses_oob = [op.a, op.c, op.d].contains(&I_OOB)
-                    && matches!(
-                        code,
-                        OpCode::LoadF
-                            | OpCode::LoadI
-                            | OpCode::StoreF
-                            | OpCode::StoreI
-                            | OpCode::Load2F
-                            | OpCode::LoadFOp
-                            | OpCode::FOpStore
-                    );
                 for &tier in &tiers {
-                    check_lane_sets(tier, op, 0);
-                    if !uses_oob {
-                        check_lane_sets(tier, op, 0b111);
-                    }
+                    check_lane_sets(tier, op);
                 }
-                if run_op(Tier::Portable, op, Prefix(LANES), 0, false)
+                if run_op(Tier::Portable, op, Prefix(LANES), false)
                     .result
                     .is_err()
                 {
@@ -2920,26 +2800,20 @@ mod tests {
         assert_eq!(faulting, 8 + 1 + 1 + 1 + 1 + 2 + 16 + 17);
         // The gathers again on index rows with a row-pass shape, one lane
         // off one, or out of bounds on some lanes; `Select` too.
-        for (op, in_bounds) in shaped_cases() {
+        for op in shaped_cases() {
             for &tier in &tiers {
-                check_shaped(tier, &op, 0);
-                if in_bounds {
-                    check_shaped(tier, &op, 0b111);
-                }
+                check_shaped(tier, &op);
             }
         }
     }
 
-    /// Every gather on every row of `I_SHAPED` and `I_SHAPED_OOB`, with
-    /// whether all its indices are in bounds. (Scatters have no row-pass
-    /// shape, and the sparse-mask check above assumes lanes store to
-    /// distinct elements.)
-    fn shaped_cases() -> Vec<(DecOp, bool)> {
+    /// Every gather on every row of `I_SHAPED` and `I_SHAPED_OOB`.
+    /// (Scatters have no row-pass shape, and the sparse-mask check above
+    /// assumes lanes store to distinct elements.)
+    fn shaped_cases() -> Vec<DecOp> {
         use OpCode::*;
-        let rows = I_SHAPED.map(|r| (r, true));
-        let oob = I_SHAPED_OOB.map(|r| (r, false));
         let mut v = vec![];
-        for (r, in_bounds) in rows.into_iter().chain(oob) {
+        for r in I_SHAPED.into_iter().chain(I_SHAPED_OOB) {
             let ops = [
                 dec(LoadF, 7, r, 0),
                 dec(LoadI, 8, r, 1),
@@ -2954,7 +2828,7 @@ mod tests {
                 fused(LoadFOp, 6, r, 0, 7, 2, 7, 0, F_MUL),
                 fused(LoadFOp, 6, r, 0, 7, 6, 6, 0, 7),
             ];
-            v.extend(ops.into_iter().map(|op| (op, in_bounds)));
+            v.extend(ops);
         }
         v
     }
@@ -2962,17 +2836,17 @@ mod tests {
     /// [`check_lane_sets`], plus `Select`, whose gathers walk the active
     /// lanes as `Masked` does: it leaves `Prefix`'s state under a full
     /// mask and `Masked`'s under a partial one, faults included.
-    fn check_shaped(tier: Tier, op: &DecOp, elide: u64) {
-        check_lane_sets(tier, op, elide);
-        let ctx = format!("{op:?} on {} (elide {elide:#x})", tier.name());
+    fn check_shaped(tier: Tier, op: &DecOp) {
+        check_lane_sets(tier, op);
+        let ctx = format!("{op:?} on {}", tier.name());
         for n in [LANES, 22] {
-            let p = run_op(tier, op, Prefix(n), elide, false);
-            let s = run_op(tier, op, Select(ExecMask::full(n)), elide, false);
+            let p = run_op(tier, op, Prefix(n), false);
+            let s = run_op(tier, op, Select(ExecMask::full(n)), false);
             assert_eq!(p, s, "Prefix({n}) vs Select(full({n})): {ctx}");
         }
         for m in [SPARSE, SPARSE | HAZARD_BITS] {
-            let s = run_op(tier, op, Select(ExecMask(m)), elide, false);
-            let w = run_op(tier, op, Masked(ExecMask(m)), elide, false);
+            let s = run_op(tier, op, Select(ExecMask(m)), false);
+            let w = run_op(tier, op, Masked(ExecMask(m)), false);
             assert_eq!(s, w, "Select vs Masked under {m:#x}: {ctx}");
         }
     }

@@ -93,8 +93,8 @@ impl Mem<'_> {
     }
 
     /// Buffers with this launch's lengths and element types, for argument
-    /// validation and the bounds analysis. Stores never change either, so
-    /// a scratch view answers from the borrowed buffers.
+    /// validation. Stores never change either, so a scratch view answers
+    /// from the borrowed buffers.
     pub(crate) fn layout(&self) -> &[BufferData] {
         match &self.0 {
             Backing::Direct(bufs) => bufs,

@@ -1,13 +1,14 @@
-//! Integration tests for the bytecode static-analysis framework: the IR
-//! verifier over the whole benchmark suite, mutation coverage for each
-//! corruption class, agreement between the bytecode-level bounds analysis
-//! and the IR-level access-range analysis, and bit-identity of the
-//! bounds-check-elision fast paths.
+//! Integration tests for the static analyses: the IR verifier over the
+//! whole benchmark suite, mutation coverage for each corruption class,
+//! the IR-level access ranges the runtime sizes transfers with, checked
+//! against execution, and the bounds checks both engines keep on every
+//! access.
+
+use std::ops::Range;
 
 use hetpart_inspire::access::{self, BufferRange, LaunchBounds};
-use hetpart_inspire::analysis::{bounds, verify};
+use hetpart_inspire::analysis::verify;
 use hetpart_inspire::bytecode::{Instr, Terminator};
-use hetpart_inspire::ir::ParamKind;
 use hetpart_inspire::vm::{ArgValue, BufferData, Vm};
 use hetpart_inspire::{compile_with_modes, CompiledKernel, NdRange, OptLevel, RegAlloc, VmError};
 
@@ -144,26 +145,17 @@ fn verifier_names_the_offending_pass() {
 }
 
 // ---------------------------------------------------------------------
-// Bounds analysis vs. the IR-level access-range analysis
+// Access ranges cover every access the kernel makes
 // ---------------------------------------------------------------------
 
-/// Hull of a `BufferRange` as an optional interval (`Untouched` = empty).
-fn hull(r: &BufferRange) -> Option<(i64, i64)> {
-    match r {
-        BufferRange::Untouched => None,
-        BufferRange::Exact { lo, hi } => Some((*lo, *hi)),
-        BufferRange::Whole => Some((i64::MIN, i64::MAX)),
-    }
-}
-
-fn launch_bounds(nd: &NdRange, args: &[ArgValue]) -> LaunchBounds {
+/// The launch bounds the runtime sizes one chunk's transfers with: the
+/// whole NDRange except `chunk` in the split dimension.
+fn chunk_bounds(nd: &NdRange, chunk: &Range<usize>, args: &[ArgValue]) -> LaunchBounds {
     let mut gid = [(0i64, 0i64); 3];
-    let mut gsize = [1i64; 3];
-    for d in 0..3 {
-        let e = nd.dim(d) as i64;
-        gid[d] = (0, (e - 1).max(0));
-        gsize[d] = e;
+    for (d, g) in gid.iter_mut().enumerate() {
+        *g = (0, nd.dim(d) as i64 - 1);
     }
+    gid[nd.split_dim()] = (chunk.start as i64, chunk.end as i64 - 1);
     let scalars = args
         .iter()
         .map(|a| match a {
@@ -174,234 +166,143 @@ fn launch_bounds(nd: &NdRange, args: &[ArgValue]) -> LaunchBounds {
         .collect();
     LaunchBounds {
         gid,
-        gsize,
+        gsize: [nd.dim(0) as i64, nd.dim(1) as i64, nd.dim(2) as i64],
         scalars,
     }
 }
 
-#[test]
-fn bounds_analysis_agrees_with_the_ir_access_ranges() {
-    for bench in hetpart_suite::all() {
-        let k = bench.compile();
-        let inst = bench.instance(bench.smallest_size());
-        let Some(seed) =
-            bounds::LaunchSeed::from_launch(&k.bytecode, &inst.nd, &inst.args, &inst.bufs)
-        else {
-            panic!(
-                "{}: launch seed must build for a suite instance",
-                bench.name
-            );
-        };
-        let facts = bounds::analyze_launch(&k.bytecode, &seed);
-        let ir = access::access_ranges(&k.ir, &launch_bounds(&inst.nd, &inst.args));
-        for (p, (byte_r, ir_r)) in facts.read.iter().zip(&ir.read).enumerate() {
-            check_agrees(bench.name, p, "read", byte_r, ir_r);
+/// How many leading elements of a buffer its read and write ranges
+/// cover: one past the hull's upper end (0 when both are `Untouched`),
+/// `None` when either is `Whole`.
+fn covered_prefix(ranges: [BufferRange; 2]) -> Option<usize> {
+    let mut len = 0;
+    for r in ranges {
+        match r {
+            BufferRange::Untouched => {}
+            BufferRange::Exact { hi, .. } => {
+                len = len.max(usize::try_from(hi.saturating_add(1)).unwrap_or(0))
+            }
+            BufferRange::Whole => return None,
         }
-        for (p, (byte_w, ir_w)) in facts.write.iter().zip(&ir.write).enumerate() {
-            check_agrees(bench.name, p, "write", byte_w, ir_w);
-        }
+    }
+    Some(len)
+}
+
+fn truncate(b: &mut BufferData, len: usize) {
+    match b {
+        BufferData::F32(v) => v.truncate(len),
+        BufferData::I32(v) => v.truncate(len),
+        BufferData::U32(v) => v.truncate(len),
     }
 }
 
-/// Both analyses over-approximate the same concrete access set, so they
-/// need not *refine* each other — widening at a strided loop header can
-/// cost the bytecode analysis a lower bound the structural IR analysis
-/// keeps, and dead-code elimination can remove an access the IR still
-/// counts. What must hold: an access the bytecode sees, the IR sees too,
-/// and any two non-empty ranges for the same parameter overlap.
-fn check_agrees(name: &str, p: usize, what: &str, byte: &BufferRange, ir: &BufferRange) {
-    let Some((blo, bhi)) = hull(byte) else {
-        return;
-    };
-    let Some((ilo, ihi)) = hull(ir) else {
-        panic!("{name}: param {p} {what} seen by the bytecode analysis but not the IR analysis");
-    };
-    assert!(
-        blo <= ihi && ilo <= bhi,
-        "{name}: param {p} {what} range [{blo}, {bhi}] from bytecode is \
-         disjoint from the IR range [{ilo}, {ihi}]"
-    );
-}
-
+/// The transfer sizes the runtime plans come from `access_ranges`, so an
+/// access outside them would read data never sent or write data never
+/// returned. For the whole NDRange and for its leading half, cut every
+/// buffer to the prefix the chunk's ranges cover: the chunk must run
+/// without a fault, writing exactly the full-size run's values into that
+/// prefix.
 #[test]
-fn elision_facts_are_within_the_buffer_length() {
-    let mut proved_any = false;
+fn access_ranges_cover_every_suite_access() {
+    let mut truncated_any = false;
     for bench in hetpart_suite::all() {
         let k = bench.compile();
         let inst = bench.instance(bench.smallest_size());
-        let Some(seed) =
-            bounds::LaunchSeed::from_launch(&k.bytecode, &inst.nd, &inst.args, &inst.bufs)
-        else {
-            continue;
-        };
-        let facts = bounds::analyze_launch(&k.bytecode, &seed);
-        for (p, param) in k.bytecode.params.iter().enumerate() {
-            if p >= 64 || facts.elide & (1 << p) == 0 {
-                continue;
+        let extent = inst.nd.split_extent();
+        for chunk in [0..extent, 0..extent.div_ceil(2)] {
+            let ranges = access::access_ranges(&k.ir, &chunk_bounds(&inst.nd, &chunk, &inst.args));
+            // A buffer bound to several parameters keeps the longest prefix.
+            let mut keep: Vec<Option<usize>> = vec![Some(0); inst.bufs.len()];
+            for (p, arg) in inst.args.iter().enumerate() {
+                let ArgValue::Buffer(b) = *arg else {
+                    continue;
+                };
+                keep[b] = match (keep[b], covered_prefix([ranges.read[p], ranges.write[p]])) {
+                    (Some(x), Some(y)) => Some(x.max(y)),
+                    _ => None,
+                };
             }
-            proved_any = true;
-            assert!(matches!(param.kind, ParamKind::Buffer { .. }));
-            let len = seed.buf_len[p].unwrap_or(0) as i64;
-            for r in [&facts.read[p], &facts.write[p]] {
-                if let Some((lo, hi)) = hull(r) {
-                    assert!(
-                        lo >= 0 && hi < len,
-                        "{}: param {p} elided but range [{lo}, {hi}] vs len {len}",
-                        bench.name
-                    );
+            let mut cut = inst.bufs.clone();
+            for (b, keep) in cut.iter_mut().zip(&keep) {
+                if let Some(n) = *keep {
+                    truncated_any |= n < b.len();
+                    truncate(b, n.min(b.len()));
                 }
             }
-        }
-    }
-    assert!(
-        proved_any,
-        "the bounds analysis proved no suite access in bounds — elision is vacuous"
-    );
-}
 
-// ---------------------------------------------------------------------
-// Elision A/B: bit-identical results, faults preserved
-// ---------------------------------------------------------------------
-
-/// One elision-on and one elision-off run: (outcome, buffers) for each.
-type AbOutcome = (
-    Result<(), VmError>,
-    Vec<BufferData>,
-    Result<(), VmError>,
-    Vec<BufferData>,
-);
-
-fn run_ab(
-    k: &CompiledKernel,
-    nd: &NdRange,
-    args: &[ArgValue],
-    bufs: &[BufferData],
-    lanes: bool,
-) -> AbOutcome {
-    let mut on = bufs.to_vec();
-    let mut off = bufs.to_vec();
-    let mut vm = Vm::new();
-    vm.set_bounds_elide(true);
-    let r_on = if lanes {
-        vm.run_range_lanes(&k.bytecode, nd, 0..nd.split_extent(), args, &mut on)
-    } else {
-        vm.run_range_scalar(&k.bytecode, nd, 0..nd.split_extent(), args, &mut on)
-    };
-    vm.set_bounds_elide(false);
-    let r_off = if lanes {
-        vm.run_range_lanes(&k.bytecode, nd, 0..nd.split_extent(), args, &mut off)
-    } else {
-        vm.run_range_scalar(&k.bytecode, nd, 0..nd.split_extent(), args, &mut off)
-    };
-    (r_on.map(|_| ()), on, r_off.map(|_| ()), off)
-}
-
-#[test]
-fn elision_is_bit_identical_across_the_suite() {
-    for bench in hetpart_suite::all() {
-        for (level, ra) in MODES {
-            let k = bench.compile_with_modes(level, ra);
-            let inst = bench.instance(bench.smallest_size());
-            let outcomes = [false, true].map(|lanes| {
-                let (r_on, on, r_off, off) = run_ab(&k, &inst.nd, &inst.args, &inst.bufs, lanes);
+            let ctx = format!("{} over items {chunk:?}", bench.name);
+            let mut vm = Vm::new();
+            let mut full = inst.bufs.clone();
+            vm.run_range_scalar(&k.bytecode, &inst.nd, chunk.clone(), &inst.args, &mut full)
+                .unwrap_or_else(|e| panic!("{ctx}: full-size run faulted: {e}"));
+            vm.run_range_scalar(&k.bytecode, &inst.nd, chunk.clone(), &inst.args, &mut cut)
+                .unwrap_or_else(|e| {
+                    panic!("{ctx}: an access falls outside the access ranges: {e}")
+                });
+            for (b, (cut, full)) in cut.iter().zip(&full).enumerate() {
+                let mut prefix = full.clone();
+                truncate(&mut prefix, cut.len());
                 assert_eq!(
-                    r_on.is_ok(),
-                    r_off.is_ok(),
-                    "{} {level:?}/{ra:?} lanes={lanes}: outcome differs",
-                    bench.name
-                );
-                assert_eq!(
-                    on, off,
-                    "{} {level:?}/{ra:?} lanes={lanes}: buffers differ with elision",
-                    bench.name
-                );
-                (r_on, on)
-            });
-            // The scalar engine walks the enum blocks and the lane engine
-            // the decoded ops, so this also holds decoding and fusion to
-            // the reference at every compile mode.
-            let [(s_out, s_bufs), (l_out, l_bufs)] = &outcomes;
-            assert_eq!(
-                s_out, l_out,
-                "{} {level:?}/{ra:?}: lane outcome differs from scalar",
-                bench.name
-            );
-            if s_out.is_ok() {
-                assert_eq!(
-                    s_bufs, l_bufs,
-                    "{} {level:?}/{ra:?}: lane buffers differ from scalar",
-                    bench.name
+                    *cut, prefix,
+                    "{ctx}: buffer {b} differs from the full-size run"
                 );
             }
         }
     }
+    assert!(
+        truncated_any,
+        "no suite buffer was cut: the check is vacuous"
+    );
 }
 
-#[test]
-fn elision_triggers_for_a_guarded_streaming_kernel() {
-    let k = compiled(GUARDED);
-    let n = 128usize;
-    let bufs = vec![BufferData::F32(vec![1.0; n]), BufferData::F32(vec![0.0; n])];
-    let args = vec![
-        ArgValue::Buffer(0),
-        ArgValue::Buffer(1),
-        ArgValue::Int(n as i32),
-    ];
-    let mask = bounds::elide_mask(&k.bytecode, &NdRange::d1(n), &args, &bufs);
-    assert!(
-        mask & 0b11 == 0b11,
-        "guarded `o[i] = a[i] * 2` must prove both buffers in bounds, got {mask:#b}"
-    );
+// ---------------------------------------------------------------------
+// Bounds checks: both engines fault alike on out-of-bounds shapes
+// ---------------------------------------------------------------------
+
+/// Run `o[i + offset] = 1.0` over `len(o) == n == 64` items on both
+/// engines: each must return the `OutOfBounds` fault at index `n`, leave
+/// the same partial writes behind, and have stored exactly `stored` ones.
+fn assert_engines_fault_alike(offset: &str, stored: usize) {
+    let n = 64usize;
+    let k = compiled(&format!(
+        "kernel void k(global float* o, int n) {{
+            int i = get_global_id(0);
+            o[i + {offset}] = 1.0;
+        }}"
+    ));
+    let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
+    let nd = NdRange::d1(n);
+    let mut vm = Vm::new();
+    let mut b_scalar = vec![BufferData::F32(vec![0.0; n])];
+    let e_scalar = vm
+        .run_range_scalar(&k.bytecode, &nd, 0..n, &args, &mut b_scalar)
+        .expect_err("scalar engine must fault");
+    let mut b_lanes = vec![BufferData::F32(vec![0.0; n])];
+    let e_lanes = vm
+        .run_range_lanes(&k.bytecode, &nd, 0..n, &args, &mut b_lanes)
+        .expect_err("lane engine must fault");
+    let fault = VmError::OutOfBounds {
+        buffer: 0,
+        index: n as i64,
+        len: n,
+    };
+    assert_eq!(e_scalar, fault, "o[i + {offset}]");
+    assert_eq!(e_lanes, fault, "o[i + {offset}]");
+    assert_eq!(b_scalar, b_lanes, "o[i + {offset}]: partial writes differ");
+    let ones = b_scalar[0].as_f32().unwrap().iter().filter(|&&x| x == 1.0);
+    assert_eq!(ones.count(), stored, "o[i + {offset}]");
 }
 
 #[test]
 fn elision_never_claims_an_out_of_bounds_access() {
-    // `o[i + n]` is out of bounds for every work-item when `len(o) == n`.
-    let k = compiled(
-        "kernel void k(global float* o, int n) {
-            int i = get_global_id(0);
-            o[i + n] = 1.0;
-        }",
-    );
-    let n = 64usize;
-    let bufs = vec![BufferData::F32(vec![0.0; n])];
-    let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
-    let nd = NdRange::d1(n);
-    let mask = bounds::elide_mask(&k.bytecode, &nd, &args, &bufs);
-    assert_eq!(mask & 1, 0, "faulting access must not be elided");
-    // And forcing elision on still reports the same fault: the mask, not
-    // the switch, is what licenses the unchecked path.
-    for lanes in [false, true] {
-        let (r_on, _, r_off, _) = run_ab(&k, &nd, &args, &bufs, lanes);
-        let on = r_on.expect_err("must fault");
-        let off = r_off.expect_err("must fault");
-        assert_eq!(format!("{on}"), format!("{off}"), "lanes={lanes}");
-    }
+    // `o[i + n]` is out of bounds for every work-item: the first item
+    // faults before any store lands.
+    assert_engines_fault_alike("n", 0);
 }
 
 #[test]
 fn boundary_crossing_guard_is_not_elided_but_stays_identical() {
-    // In-bounds for most items, out of bounds for the last 4 — the
-    // analysis must refuse to elide, and both settings must fault with
-    // the same error.
-    let k = compiled(
-        "kernel void k(global float* o, int n) {
-            int i = get_global_id(0);
-            o[i + 4] = 1.0;
-        }",
-    );
-    let n = 64usize;
-    let bufs = vec![BufferData::F32(vec![0.0; n])];
-    let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
-    let nd = NdRange::d1(n);
-    assert_eq!(bounds::elide_mask(&k.bytecode, &nd, &args, &bufs) & 1, 0);
-    for lanes in [false, true] {
-        let (r_on, on, r_off, off) = run_ab(&k, &nd, &args, &bufs, lanes);
-        assert_eq!(
-            format!("{}", r_on.expect_err("must fault")),
-            format!("{}", r_off.expect_err("must fault")),
-        );
-        // Partial effects before the fault must also match bit for bit.
-        assert_eq!(on, off, "lanes={lanes}");
-    }
+    // In bounds for items 0..n-4, out of bounds for the last 4: the lane
+    // engine faults mid-batch, after the same stores as the scalar one.
+    assert_engines_fault_alike("4", 64 - 4);
 }

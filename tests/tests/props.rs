@@ -270,14 +270,8 @@ proptest! {
             prop_assert!(iv_sound(x.rem(y), pxw % pyw), "rem {x:?} {y:?} @ {px} {py}");
         }
 
-        // Lattice ops: union covers both points, intersection keeps any
-        // shared point, widening only ever grows the new interval.
+        // The lattice join: union covers both points.
         prop_assert!(x.union(y).contains(px) && x.union(y).contains(py));
-        if y.contains(px) {
-            let i = x.intersect(y).expect("non-disjoint");
-            prop_assert!(i.contains(px), "intersect {x:?} {y:?} lost {px}");
-        }
-        prop_assert!(x.widen_from(y).contains(px), "widen {x:?} from {y:?} lost {px}");
     }
 
     #[test]
@@ -295,7 +289,6 @@ proptest! {
         ] {
             prop_assert_eq!(r, Interval::Top);
         }
-        prop_assert!(x.intersect(Interval::Top) == Some(x));
         prop_assert!(Interval::Top.contains(px));
     }
 }

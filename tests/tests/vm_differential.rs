@@ -243,6 +243,37 @@ fn every_suite_kernel_is_bit_identical_across_engines() {
 }
 
 #[test]
+fn every_suite_kernel_agrees_across_engines_at_every_compile_mode() {
+    for bench in hetpart_suite::all() {
+        let inst = bench.instance(bench.smallest_size());
+        let extent = inst.nd.split_extent();
+        for (level, ra) in [
+            (OptLevel::None, RegAlloc::Off),
+            (OptLevel::None, RegAlloc::On),
+            (OptLevel::Full, RegAlloc::Off),
+            (OptLevel::Full, RegAlloc::On),
+        ] {
+            let k = bench.compile_with_modes(level, ra);
+            let mut vm = Vm::new();
+            let mut scalar_bufs = inst.bufs.clone();
+            let scalar = vm.run_range_scalar(
+                &k.bytecode,
+                &inst.nd,
+                0..extent,
+                &inst.args,
+                &mut scalar_bufs,
+            );
+            let mut lane_bufs = inst.bufs.clone();
+            let lanes =
+                vm.run_range_lanes(&k.bytecode, &inst.nd, 0..extent, &inst.args, &mut lane_bufs);
+            let ctx = format!("{} at {level:?}/{ra:?}", bench.name);
+            assert_eq!(scalar, lanes, "{ctx}: outcome or counters differ");
+            assert_eq!(scalar_bufs, lane_bufs, "{ctx}: buffers differ");
+        }
+    }
+}
+
+#[test]
 fn every_suite_kernel_matches_the_unoptimized_reference() {
     // Three-way parity on the whole suite: unoptimized scalar is the
     // reference; optimized scalar and optimized lanes must agree with it
@@ -657,10 +688,10 @@ fn run_items_per_item_counters_match_scalar() {
 
 #[test]
 fn every_entry_rejects_work_items_outside_the_ndrange() {
-    // An unguarded kernel: the bounds analysis proves `a[i]`/`c[i]` in
-    // bounds from `i < 64` alone, so both accesses run unchecked. A
-    // request past the NDRange must therefore be refused before any
-    // item executes, with a typed error and the buffers untouched.
+    // An unguarded kernel: `a[i]`/`c[i]` are in bounds only for the
+    // NDRange's own items, `i < 64`. A request past the NDRange must be
+    // refused before any item executes, with a typed error and the
+    // buffers untouched.
     let src = "kernel void k(global const float* a, global float* c) {
         int i = get_global_id(0);
         c[i] = a[i] + 1.0f;
@@ -683,7 +714,6 @@ fn every_entry_rejects_work_items_outside_the_ndrange() {
     });
     let gids = [[0, 0, 0], [n, 0, 0]];
     let mut vm = Vm::new();
-    vm.set_bounds_elide(true);
     let mut b = bufs.clone();
     let outcomes = [
         (
