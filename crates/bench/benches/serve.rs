@@ -10,14 +10,16 @@
 //!
 //! Four columns per traffic class, and totals:
 //!
-//! * **cold run_auto** — the PR-0..3 deployment path, re-planning every
-//!   launch (the baseline the acceptance target is measured against);
+//! * **cold run_auto** — the synchronous deployment path, `prepare` +
+//!   `execute_planned` on every launch (the baseline the acceptance
+//!   target is measured against);
 //! * **serve cold** — first pass through the service: every launch a
 //!   cache miss (plan once + planned execution);
 //! * **warm plan** — repeat passes against the plan cache only: the
 //!   launch still executes, but skips probe, inference and access
-//!   analysis (bounded ≈ 3x by construction: cold sampling can never
-//!   exceed the extent the warm launch must still execute);
+//!   analysis (near 2x plus the inference and analysis cost by
+//!   construction: the cold probe samples at most the extent the warm
+//!   launch must still execute);
 //! * **warm result** — repeat passes with the content-keyed result memo
 //!   on: a bit-identical launch replays its memoized outputs.
 //!
@@ -28,8 +30,8 @@
 //! door instead of melting the worker).
 //!
 //! The bench refuses to record numbers from a broken comparison: served
-//! outputs and partitions must be bit-identical to the serial loop, and
-//! the hit/miss counters must add up. `target_met` gates CI (set
+//! outputs, partitions and reports must be bit-identical to the serial
+//! loop, and the hit/miss counters must add up. `target_met` gates CI (set
 //! `SERVE_BENCH_QUICK=1` for the reduced CI sizes): warm served launches
 //! (result tier) must be ≥ 5x faster than cold `run_auto` on this
 //! repeat traffic, and the plan tier alone must hold ≥ 1.5x.
@@ -549,7 +551,7 @@ fn main() {
         .expect("valid framework");
         for (kernel, inst, name, _) in &compiled {
             let mut serial_bufs = inst.bufs.clone();
-            let (serial_partition, _) = fw
+            let (serial_partition, serial_report) = fw
                 .run_auto(kernel, &inst.nd, &inst.args, &mut serial_bufs)
                 .expect("serial launch");
             for pass in 0..2 {
@@ -566,6 +568,10 @@ fn main() {
                 assert_eq!(
                     served.partition, serial_partition,
                     "{name} (memo {memo}): served partition drifted from run_auto"
+                );
+                assert_eq!(
+                    served.report, serial_report,
+                    "{name} (memo {memo}): served report drifted from run_auto"
                 );
                 assert_eq!(
                     served.bufs, serial_bufs,

@@ -384,9 +384,9 @@ impl Framework {
     /// every label-space partition must address exactly the machine's
     /// device count, and the machine must be the one the predictor was
     /// trained on — same registry name *and* same hardware fingerprint.
-    /// Run it once at service start-up — a mismatch would otherwise panic
-    /// deep inside the executor on the first launch, or silently deploy a
-    /// model whose learned boundaries are meaningless on this hardware.
+    /// Run it once at service start-up — a mismatch would otherwise fail
+    /// every launch, or silently deploy a model whose learned boundaries
+    /// are meaningless on this hardware.
     pub fn validate(&self) -> Result<(), PredictError> {
         let machine = &self.executor.machine;
         let machine_devices = machine.num_devices();
@@ -418,18 +418,6 @@ impl Framework {
         Ok(())
     }
 
-    /// Predict the partitioning for a launch without executing it.
-    pub fn plan(
-        &self,
-        kernel: &CompiledKernel,
-        nd: &NdRange,
-        args: &[ArgValue],
-        bufs: &[BufferData],
-    ) -> Result<Partition, DeployError> {
-        let rt = runtime_features(kernel, nd, args, bufs, self.executor.sample_items)?;
-        Ok(self.predictor.predict(kernel, &rt)?)
-    }
-
     /// The full planning phase of one launch: probe runtime features,
     /// predict the partitioning, and pre-compute the execution plan.
     /// This is the expensive, cacheable half of [`Framework::run_auto`];
@@ -452,9 +440,9 @@ impl Framework {
 
     /// Execute a launch under a pre-computed [`LaunchPlan`]: only the
     /// kernel work runs — no probe, no inference, no access analysis.
-    /// Outputs are bit-identical to [`Framework::run_auto`] with the same
-    /// predicted partition. Injected device faults surface as
-    /// [`DeployError::Fault`].
+    /// With the plan [`Framework::prepare`] returns for the same launch,
+    /// this is exactly [`Framework::run_auto`]. Injected device faults
+    /// surface as [`DeployError::Fault`].
     pub fn execute_planned(
         &self,
         kernel: &CompiledKernel,
@@ -493,8 +481,12 @@ impl Framework {
         Some(LaunchPlan { partition, exec })
     }
 
-    /// Plan and execute: returns the chosen partitioning and the full
-    /// execution report; output buffers receive the kernel results.
+    /// Plan and execute one launch: [`Framework::prepare`] followed by
+    /// [`Framework::execute_planned`]. Returns the chosen partitioning and
+    /// the execution report; output buffers receive the kernel results.
+    /// A predictor whose partitions address another number of devices
+    /// than the executor's machine fails with [`DeployError::Vm`] before
+    /// any chunk runs.
     pub fn run_auto(
         &self,
         kernel: &CompiledKernel,
@@ -502,10 +494,9 @@ impl Framework {
         args: &[ArgValue],
         bufs: &mut [BufferData],
     ) -> Result<(Partition, ExecutionReport), DeployError> {
-        let partition = self.plan(kernel, nd, args, bufs)?;
-        let launch = Launch::new(kernel, nd.clone(), args.to_vec());
-        let report = self.executor.run(&launch, bufs, &partition)?;
-        Ok((partition, report))
+        let plan = self.prepare(kernel, nd, args, bufs)?;
+        let report = self.execute_planned(kernel, nd, args, bufs, &plan)?;
+        Ok((plan.partition, report))
     }
 }
 
@@ -723,6 +714,22 @@ mod tests {
             bad.validate().unwrap_err(),
             PredictError::ArityMismatch { .. }
         ));
+        // Deploying it anyway is a typed error, and no chunk runs.
+        let bench = hetpart_suite::by_name("vec_add").unwrap();
+        let kernel = bench.compile();
+        let inst = bench.instance(bench.smallest_size());
+        let mut bufs = inst.bufs.clone();
+        let err = bad
+            .run_auto(&kernel, &inst.nd, &inst.args, &mut bufs)
+            .unwrap_err();
+        assert!(
+            matches!(&err, DeployError::Vm(VmError::ArgumentMismatch(m)) if m.contains("over 3 devices")),
+            "{err}"
+        );
+        assert_eq!(
+            bufs, inst.bufs,
+            "a failed launch must not touch the buffers"
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The paper's deployment phase collects a launched program's runtime
 //! features, feeds them to the trained model and runs the launch with the
 //! predicted partitioning. [`Framework::run_auto`] does exactly that —
-//! synchronously, re-probing the kernel on *every* launch. For serving
+//! synchronously, [`Framework::prepare`] then
+//! [`Framework::execute_planned`], re-probing the kernel on *every* launch. For serving
 //! repeat traffic that is wasted work: the same (kernel, launch shape)
 //! pair produces the same features, the same prediction and the same
 //! transfer plan every time.
@@ -1234,7 +1235,7 @@ mod tests {
         let inst = bench.instance(bench.smallest_size());
 
         let mut serial_bufs = inst.bufs.clone();
-        let (serial_partition, _) = fw
+        let (serial_partition, serial_report) = fw
             .run_auto(&kernel, &inst.nd, &inst.args, &mut serial_bufs)
             .unwrap();
 
@@ -1251,6 +1252,7 @@ mod tests {
             .unwrap();
         assert!(!cold.cache_hit);
         assert_eq!(cold.partition, serial_partition);
+        assert_eq!(cold.report, serial_report);
         assert_eq!(cold.bufs, serial_bufs);
 
         let warm = service
@@ -1265,6 +1267,7 @@ mod tests {
             .unwrap();
         assert!(warm.cache_hit);
         assert_eq!(warm.partition, serial_partition);
+        assert_eq!(warm.report, serial_report);
         assert_eq!(warm.bufs, serial_bufs);
 
         let stats = service.stats();

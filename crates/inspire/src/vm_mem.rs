@@ -1,8 +1,8 @@
 //! Launch memory: the one accessor both VM engines reach buffers through.
 //!
 //! A real launch runs against the caller's `&mut [BufferData]` and writes
-//! its results there. A probe — the sampled runs behind runtime features,
-//! launch profiles and simulated launches — runs against a [`Scratch`]: a
+//! its results there. A probe — the sampled runs behind runtime features
+//! and launch profiles — runs against a [`Scratch`]: a
 //! copy-on-write view that borrows the caller's buffers and clones one
 //! only on the first store to it. Most launch buffers are read-only
 //! inputs that no sampled work-item ever stores to, so a probe copies

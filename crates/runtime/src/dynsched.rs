@@ -121,14 +121,9 @@ pub fn dynamic_schedule_with_profile(
     }
 
     let makespan = ready.iter().copied().fold(0.0, f64::max);
-    // Multi-device coordination overhead, as in the static executor.
-    let coordination = if chunks_per_device.iter().filter(|&&c| c > 0).count() > 1 {
-        executor.machine.multi_device_overhead_us * 1e-6
-    } else {
-        0.0
-    };
+    let active = chunks_per_device.iter().filter(|&&c| c > 0).count();
     Ok(DynSchedReport {
-        time: makespan + coordination,
+        time: makespan + executor.coordination_overhead(active),
         chunks_per_device,
         busy_per_device: busy,
     })

@@ -3,21 +3,20 @@
 //! This is the runtime half of the paper's system: given a compiled
 //! kernel, a launch NDRange and a [`Partition`], it splits the range into
 //! one contiguous chunk per device, plans the host↔device transfers for
-//! each chunk using the compiler's access-range analysis, executes (or
-//! samples) the chunks on the VM, and prices each chunk on its device's
-//! cost model. The reported launch time is the maximum over the devices
-//! (they run concurrently) plus a coordination overhead for multi-device
-//! launches — kernel time *including* memory transfers, the paper's
-//! measurement convention.
+//! each chunk using the compiler's access-range analysis, executes the
+//! chunks on the VM, and prices each chunk on its device's cost model —
+//! from its executed counts, or, for the training oracle, from a sampled
+//! launch profile. The reported launch time is the maximum over the
+//! devices (they run concurrently) plus a coordination overhead for
+//! multi-device launches — kernel time *including* memory transfers, the
+//! paper's measurement convention.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use hetpart_inspire::access::{access_ranges, BufferRange, LaunchBounds};
 use hetpart_inspire::ir::{NdRange, ParamKind, ScalarType};
-use hetpart_inspire::vm::{
-    dynamic_counts, ArgValue, BufferData, DynamicCounts, SampleResult, Scratch, Vm,
-};
+use hetpart_inspire::vm::{dynamic_counts, ArgValue, BufferData, DynamicCounts, Vm};
 use hetpart_inspire::{CompiledKernel, VmError};
 use hetpart_oclsim::fault::{FaultState, FaultVerdict};
 use hetpart_oclsim::model::{estimate_time, TimeBreakdown, WorkloadShape};
@@ -153,10 +152,10 @@ impl ExecutionReport {
 }
 
 /// A pre-planned execution: the chosen partition plus the per-chunk data
-/// that [`Executor::run`] would otherwise recompute on every launch
-/// (transfer sizes from the access analysis, a divergence estimate from
-/// probe sampling). Built once by [`Executor::plan_execution`]; repeat
-/// launches of the same (kernel, launch shape) replay it through
+/// that pricing needs besides the kernel's own counts (transfer sizes
+/// from the access analysis, a launch-level divergence estimate from the
+/// runtime-feature probe). Built once by [`Executor::plan_execution`];
+/// repeat launches of the same (kernel, launch shape) replay it through
 /// [`Executor::run_planned`] and pay only for the kernel work itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
@@ -184,14 +183,17 @@ pub const DEFAULT_SAMPLE_ITEMS: usize = 128;
 #[derive(Debug, Clone)]
 pub struct Executor {
     pub machine: Arc<Machine>,
-    /// Per-chunk sample budget for `simulate` and divergence estimation.
+    /// Sample budget of the runtime-feature probe. Launch profiles sample
+    /// the larger of it and
+    /// [`SWEEP_PROFILE_SAMPLES`](crate::sweep::SWEEP_PROFILE_SAMPLES).
     pub sample_items: usize,
     /// Optional fault-injection state consulted by [`Executor::run_planned`]
-    /// before every device chunk (the *serving* execution path). `None` —
-    /// the default — injects nothing; the training/probing paths
-    /// ([`Executor::run`], [`Executor::simulate`]) never consult it, so an
-    /// oracle sweep is always fault-free. Shared behind an `Arc`: every
-    /// executor clone of a worker pool sees one global fault timeline.
+    /// before every device chunk (the execution path). `None` — the
+    /// default — injects nothing; the pricing paths
+    /// ([`Executor::simulate_with_profile`], [`Executor::price_with_profile`])
+    /// never consult it, so an oracle sweep is always fault-free. Shared
+    /// behind an `Arc`: every executor clone of a worker pool sees one
+    /// global fault timeline.
     pub faults: Option<Arc<FaultState>>,
 }
 
@@ -216,42 +218,6 @@ impl Executor {
     pub fn with_faults(mut self, faults: Arc<FaultState>) -> Self {
         self.faults = Some(faults);
         self
-    }
-
-    /// Execute a launch **functionally**: every work-item runs, the output
-    /// buffers in `bufs` receive the kernel's results, and the simulated
-    /// time uses exact dynamic counts.
-    pub fn run(
-        &self,
-        launch: &Launch,
-        bufs: &mut [BufferData],
-        partition: &Partition,
-    ) -> Result<ExecutionReport, VmError> {
-        let probes = self.probe_chunks(launch, bufs, partition)?;
-        let f = &launch.kernel.bytecode;
-        let mut vm = Vm::new();
-        self.execute(launch, partition, probes, |chunk, _| {
-            let c = vm.run_range(f, &launch.nd, chunk, &launch.args, bufs)?;
-            Ok(dynamic_counts(f, &c))
-        })
-    }
-
-    /// Estimate a launch without observable effects: each chunk is sampled
-    /// and extrapolated. The samples run on a copy-on-write [`Scratch`]
-    /// view, so `bufs` is never modified and only the buffers the samples
-    /// store to are copied. Orders of magnitude faster than
-    /// [`Executor::run`] for large NDRanges.
-    pub fn simulate(
-        &self,
-        launch: &Launch,
-        bufs: &[BufferData],
-        partition: &Partition,
-    ) -> Result<ExecutionReport, VmError> {
-        let probes = self.probe_chunks(launch, bufs, partition)?;
-        let f = &launch.kernel.bytecode;
-        self.execute(launch, partition, probes, |_, sample| {
-            Ok(sample.extrapolated(f))
-        })
     }
 
     /// Estimate a launch from a pre-collected
@@ -315,8 +281,8 @@ impl Executor {
 
     /// Assemble the launch report from per-device runs: the slowest
     /// device is the critical path, plus the multi-device coordination
-    /// overhead. Every execution/pricing path ends here, so planned,
-    /// unplanned and profiled reports can never diverge in shape.
+    /// overhead. Execution and pricing both end here, so executed and
+    /// profiled reports can never diverge in shape.
     fn finish_report(&self, partition: &Partition, device_runs: Vec<DeviceRun>) -> ExecutionReport {
         let slowest = device_runs.iter().map(|r| r.time.total).fold(0.0, f64::max);
         let coordination = self.coordination_overhead(device_runs.len());
@@ -399,17 +365,12 @@ impl Executor {
         }
     }
 
-    /// Execute a pre-planned launch: only the kernel work itself runs.
-    ///
-    /// Compared to [`Executor::run`], this skips the per-chunk divergence
-    /// probe and the per-chunk access analysis — transfer sizes and the
-    /// divergence estimate come from the plan, and exact dynamic counts
-    /// fall out of the functional execution for free.
-    /// Output buffers receive results bit-identical to [`Executor::run`]
-    /// with the same partition (both paths run `run_range` on the same
-    /// chunks); only the simulated-time breakdown may differ, because the
-    /// plan carries one launch-level divergence estimate instead of a
-    /// fresh per-chunk sample.
+    /// Execute a pre-planned launch **functionally**: every work-item
+    /// runs and the output buffers in `bufs` receive the kernel's results.
+    /// Transfer sizes and the divergence estimate come from the plan;
+    /// exact dynamic counts fall out of the execution itself. Outputs do
+    /// not depend on the partition: every chunk runs `run_range` on the
+    /// same buffers, in device order.
     ///
     /// When fault injection is armed ([`Executor::with_faults`]), each
     /// device's verdict is taken *before* its chunk runs: a faulted
@@ -491,100 +452,6 @@ impl Executor {
 
         Ok(self.finish_report(partition, device_runs))
     }
-
-    /// Validate a launch and probe each non-empty chunk of `partition`:
-    /// transfer sizes from the access analysis and a divergence sample.
-    /// The samples run in device order on one copy-on-write [`Scratch`]
-    /// view of `bufs`, so each sees the stores of those before it and no
-    /// sample perturbs the real outputs. Sampling stops at the first
-    /// failed sample, which ends the list; [`Executor::execute`] reports it
-    /// once it reaches that chunk, after the chunks before it have run.
-    fn probe_chunks(
-        &self,
-        launch: &Launch,
-        bufs: &[BufferData],
-        partition: &Partition,
-    ) -> Result<Vec<ChunkProbe>, VmError> {
-        self.check_arity(partition);
-        let kernel = launch.kernel;
-        let nd = &launch.nd;
-        Vm::check_args(&kernel.bytecode, &launch.args, bufs)?;
-        let scalars = scalar_values(kernel, &launch.args);
-
-        let mut scratch = Scratch::new(bufs);
-        let mut vm = Vm::new();
-        let mut probes = Vec::new();
-        for (dev, chunk) in self
-            .machine
-            .device_ids()
-            .zip(partition.chunks(nd.split_extent()))
-        {
-            if chunk.is_empty() {
-                continue;
-            }
-            let transfer = transfer_bytes(kernel, nd, chunk.clone(), &scalars, &launch.args, bufs);
-            let sample = vm.run_sampled(
-                &kernel.bytecode,
-                nd,
-                chunk.clone(),
-                &launch.args,
-                &mut scratch,
-                self.sample_items,
-            );
-            let failed = sample.is_err();
-            probes.push(ChunkProbe {
-                device: dev,
-                chunk,
-                transfer,
-                sample,
-            });
-            if failed {
-                break;
-            }
-        }
-        Ok(probes)
-    }
-
-    /// Price probed chunks in device order. `counts` supplies each chunk's
-    /// dynamic counts: its full execution, or its sample extrapolated.
-    fn execute(
-        &self,
-        launch: &Launch,
-        partition: &Partition,
-        probes: Vec<ChunkProbe>,
-        mut counts: impl FnMut(Range<usize>, &SampleResult) -> Result<DynamicCounts, VmError>,
-    ) -> Result<ExecutionReport, VmError> {
-        let coalesced = coalesced_fraction(launch.kernel);
-        let mut device_runs = Vec::new();
-        for p in probes {
-            let sample = p.sample?;
-            let divergence = sample.ops_cv.clamp(0.0, 1.0);
-            let counts = counts(p.chunk.clone(), &sample)?;
-            let (bytes_in, bytes_out) = p.transfer;
-            let shape = workload_shape(&counts, bytes_in, bytes_out, divergence, coalesced);
-            let time = estimate_time(self.machine.device(p.device), &shape);
-            device_runs.push(DeviceRun {
-                device: p.device,
-                chunk_start: p.chunk.start,
-                chunk_end: p.chunk.end,
-                shape,
-                time,
-            });
-        }
-        Ok(self.finish_report(partition, device_runs))
-    }
-}
-
-/// One device's non-empty chunk of a launch, probed before any chunk
-/// runs for real (see [`Executor::probe_chunks`]).
-struct ChunkProbe {
-    device: DeviceId,
-    chunk: Range<usize>,
-    /// `(bytes_in, bytes_out)` from the access analysis.
-    transfer: (u64, u64),
-    /// The chunk's sampled execution: divergence, and in simulate mode
-    /// the counts to extrapolate.
-    sample: Result<SampleResult, VmError>,
 }
 
 /// Static coalescing estimate: the fraction of buffer accesses whose index
@@ -706,6 +573,7 @@ pub fn workload_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::LaunchProfile;
     use hetpart_inspire::compile;
     use hetpart_oclsim::machines;
 
@@ -732,42 +600,65 @@ mod tests {
         (bufs, args)
     }
 
+    /// The whole vec_add launch on the scalar engine: the independent
+    /// reference for partitioned outputs.
+    fn scalar_reference(k: &CompiledKernel, n: usize) -> Vec<BufferData> {
+        let (mut bufs, args) = vec_add_setup(n);
+        Vm::new()
+            .run_range_scalar(&k.bytecode, &NdRange::d1(n), 0..n, &args, &mut bufs)
+            .unwrap();
+        bufs
+    }
+
+    /// Plan and execute `p` on fresh vec_add buffers.
+    fn run_partition(
+        ex: &Executor,
+        launch: &Launch,
+        p: &Partition,
+    ) -> (Vec<BufferData>, ExecutionReport) {
+        let (mut bufs, _) = vec_add_setup(launch.nd.total());
+        let plan = ex.plan_execution(launch, &bufs, p, 0.0);
+        let report = ex.run_planned(launch, &mut bufs, &plan).unwrap();
+        (bufs, report)
+    }
+
+    /// Price `p` from a launch profile, without executing it.
+    fn price(
+        ex: &Executor,
+        launch: &Launch,
+        bufs: &[BufferData],
+        p: &Partition,
+    ) -> ExecutionReport {
+        let profile = LaunchProfile::collect(
+            launch.kernel,
+            &launch.nd,
+            &launch.args,
+            bufs,
+            DEFAULT_SAMPLE_ITEMS,
+        )
+        .unwrap();
+        ex.simulate_with_profile(launch, bufs, p, &profile)
+    }
+
     #[test]
     fn partitioned_run_equals_single_device_run() {
         let k = compile(VEC_ADD).unwrap();
         let n = 1000;
         let ex = Executor::new(machines::mc1());
         let launch = Launch::new(&k, NdRange::d1(n), vec_add_setup(n).1);
-
-        let (mut ref_bufs, _) = vec_add_setup(n);
-        ex.run(&launch, &mut ref_bufs, &Partition::cpu_only(3))
-            .unwrap();
-
+        let want = scalar_reference(&k, n);
         for p in [
+            Partition::cpu_only(3),
             Partition::from_tenths(vec![3, 4, 3]),
             Partition::from_tenths(vec![0, 5, 5]),
             Partition::even(3),
         ] {
-            let (mut bufs, _) = vec_add_setup(n);
-            ex.run(&launch, &mut bufs, &p).unwrap();
+            let (bufs, _) = run_partition(&ex, &launch, &p);
             assert_eq!(
-                bufs[2].as_f32().unwrap(),
-                ref_bufs[2].as_f32().unwrap(),
+                bufs[2], want[2],
                 "partition {p} must produce identical results"
             );
         }
-    }
-
-    #[test]
-    fn simulate_does_not_touch_buffers() {
-        let k = compile(VEC_ADD).unwrap();
-        let n = 512;
-        let (bufs, args) = vec_add_setup(n);
-        let before = bufs.clone();
-        let ex = Executor::new(machines::mc2());
-        let launch = Launch::new(&k, NdRange::d1(n), args);
-        ex.simulate(&launch, &bufs, &Partition::even(3)).unwrap();
-        assert_eq!(bufs, before);
     }
 
     #[test]
@@ -777,9 +668,7 @@ mod tests {
         let (bufs, args) = vec_add_setup(n);
         let ex = Executor::new(machines::mc1());
         let launch = Launch::new(&k, NdRange::d1(n), args);
-        let r = ex
-            .simulate(&launch, &bufs, &Partition::from_tenths(vec![5, 0, 5]))
-            .unwrap();
+        let r = price(&ex, &launch, &bufs, &Partition::from_tenths(vec![5, 0, 5]));
         assert_eq!(r.device_runs.len(), 2);
         assert_eq!(r.device_runs[0].device, DeviceId(0));
         assert_eq!(r.device_runs[1].device, DeviceId(2));
@@ -793,14 +682,12 @@ mod tests {
         let (bufs, args) = vec_add_setup(n);
         let ex = Executor::new(machines::mc1());
         let launch = Launch::new(&k, NdRange::d1(n), args);
-        let single = ex
-            .simulate(&launch, &bufs, &Partition::cpu_only(3))
-            .unwrap();
+        let single = price(&ex, &launch, &bufs, &Partition::cpu_only(3));
         assert_eq!(
             single.time, single.device_runs[0].time.total,
             "single device launch has no coordination overhead"
         );
-        let multi = ex.simulate(&launch, &bufs, &Partition::even(3)).unwrap();
+        let multi = price(&ex, &launch, &bufs, &Partition::even(3));
         let slowest = multi
             .device_runs
             .iter()
@@ -871,21 +758,29 @@ mod tests {
 
     #[test]
     fn full_counts_match_extrapolated_counts_for_uniform_kernel() {
+        // Every vec_add item runs the same ops, so the profile's
+        // extrapolation is exact and must equal the executed counts.
         let k = compile(VEC_ADD).unwrap();
         let n = 4096;
-        let (mut bufs, args) = vec_add_setup(n);
+        let (bufs, args) = vec_add_setup(n);
         let ex = Executor::new(machines::mc2());
         let launch = Launch::new(&k, NdRange::d1(n), args);
-        let p = Partition::gpu_only(3);
-        let full = ex.run(&launch, &mut bufs, &p).unwrap();
-        let (bufs2, _) = vec_add_setup(n);
-        let sim = ex.simulate(&launch, &bufs2, &p).unwrap();
-        let sf = full.device_runs[0].shape;
-        let ss = sim.device_runs[0].shape;
-        assert_eq!(sf.items, ss.items);
-        assert_eq!(sf.loads, ss.loads);
-        assert_eq!(sf.float_ops, ss.float_ops);
-        assert_eq!(sf.bytes_in, ss.bytes_in);
+        for p in [
+            Partition::gpu_only(3),
+            Partition::from_tenths(vec![3, 3, 4]),
+        ] {
+            let (_, full) = run_partition(&ex, &launch, &p);
+            let sim = price(&ex, &launch, &bufs, &p);
+            assert_eq!(full.device_runs.len(), sim.device_runs.len(), "{p}");
+            for (f, s) in full.device_runs.iter().zip(&sim.device_runs) {
+                // The divergence estimate is the plan's, not the profile's.
+                let priced = WorkloadShape {
+                    divergence: f.shape.divergence,
+                    ..s.shape
+                };
+                assert_eq!(f.shape, priced, "{p}: {}", f.device);
+            }
+        }
     }
 
     #[test]
@@ -937,29 +832,30 @@ mod tests {
     }
 
     #[test]
-    fn run_planned_matches_run_outputs_and_partition() {
+    fn run_planned_matches_scalar_outputs_and_profiled_transfers() {
         let k = compile(VEC_ADD).unwrap();
         let n = 1000;
         let ex = Executor::new(machines::mc2());
-        let launch = Launch::new(&k, NdRange::d1(n), vec_add_setup(n).1);
+        let (bufs, args) = vec_add_setup(n);
+        let launch = Launch::new(&k, NdRange::d1(n), args);
+        let want = scalar_reference(&k, n);
         for p in [
             Partition::even(3),
             Partition::gpu_only(3),
             Partition::from_tenths(vec![2, 0, 8]),
         ] {
-            let (mut ref_bufs, _) = vec_add_setup(n);
-            let ref_report = ex.run(&launch, &mut ref_bufs, &p).unwrap();
+            let (out, planned) = run_partition(&ex, &launch, &p);
+            assert_eq!(out, want, "{p}: outputs must match the whole-range run");
 
-            let (bufs, _) = vec_add_setup(n);
-            let plan = ex.plan_execution(&launch, &bufs, &p, 0.0);
-            let mut planned_bufs = bufs;
-            let planned = ex.run_planned(&launch, &mut planned_bufs, &plan).unwrap();
-
-            assert_eq!(planned_bufs[2], ref_bufs[2], "{p}: outputs must match");
-            assert_eq!(planned.partition, ref_report.partition);
-            assert_eq!(planned.device_runs.len(), ref_report.device_runs.len());
-            // Transfer sizes and exact counts agree with the unplanned path.
-            for (a, b) in planned.device_runs.iter().zip(&ref_report.device_runs) {
+            // Chunks, transfer sizes and item counts agree with pricing.
+            let priced = price(&ex, &launch, &bufs, &p);
+            assert_eq!(planned.partition, priced.partition);
+            assert_eq!(planned.device_runs.len(), priced.device_runs.len());
+            for (a, b) in planned.device_runs.iter().zip(&priced.device_runs) {
+                assert_eq!(
+                    (a.device, a.chunk_start, a.chunk_end),
+                    (b.device, b.chunk_start, b.chunk_end)
+                );
                 assert_eq!(a.shape.bytes_in, b.shape.bytes_in);
                 assert_eq!(a.shape.bytes_out, b.shape.bytes_out);
                 assert_eq!(a.shape.items, b.shape.items);
@@ -1058,11 +954,7 @@ mod tests {
         assert_eq!(before[1], after[1], "idle device consumed an ordinal");
 
         // Outputs equal the fault-free reference despite the re-route.
-        let (mut ref_bufs, _) = vec_add_setup(n);
-        Executor::new(machines::mc2())
-            .run(&launch, &mut ref_bufs, &Partition::even(3))
-            .unwrap();
-        assert_eq!(ok_bufs[2], ref_bufs[2]);
+        assert_eq!(ok_bufs[2], scalar_reference(&k, n)[2]);
     }
 
     #[test]
@@ -1127,9 +1019,9 @@ mod tests {
     #[should_panic(expected = "partition is for")]
     fn wrong_partition_arity_panics() {
         let k = compile(VEC_ADD).unwrap();
-        let (mut bufs, args) = vec_add_setup(16);
+        let (bufs, args) = vec_add_setup(16);
         let ex = Executor::new(machines::mc1());
         let launch = Launch::new(&k, NdRange::d1(16), args);
-        let _ = ex.run(&launch, &mut bufs, &Partition::from_tenths(vec![5, 5]));
+        let _ = price(&ex, &launch, &bufs, &Partition::from_tenths(vec![5, 5]));
     }
 }

@@ -28,10 +28,12 @@
 //!
 //! let ex = Executor::new(machines::mc2());
 //! let launch = Launch::new(&k, NdRange::d1(n), args);
-//! // Split 40% CPU / 30% / 30% across the two GTX 480s.
-//! let report = ex
-//!     .run(&launch, &mut bufs, &Partition::from_tenths(vec![4, 3, 3]))
-//!     .unwrap();
+//! // Split 40% CPU / 30% / 30% across the two GTX 480s: plan the
+//! // per-chunk transfers once (divergence 0: a branch-free kernel),
+//! // then execute.
+//! let partition = Partition::from_tenths(vec![4, 3, 3]);
+//! let plan = ex.plan_execution(&launch, &bufs, &partition, 0.0);
+//! let report = ex.run_planned(&launch, &mut bufs, &plan).unwrap();
 //! assert_eq!(bufs[1].as_f32().unwrap()[0], 6.0);
 //! assert_eq!(report.device_runs.len(), 3);
 //! ```

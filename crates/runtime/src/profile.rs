@@ -7,7 +7,8 @@
 //! counts, and estimates any chunk `[a, b)` by scaling the counts of the
 //! samples that fall inside it. For uniform kernels this is exact; for
 //! spatially varying kernels (mandelbrot!) it captures the per-chunk
-//! differences the per-chunk sampler would see, at a fraction of the cost.
+//! differences that sampling each chunk would see, at a fraction of the
+//! cost.
 
 use hetpart_inspire::bytecode::N_OP_CLASSES;
 use hetpart_inspire::ir::NdRange;

@@ -3,8 +3,11 @@
 //! every benchmark of the suite — the source-to-source transformation the
 //! Insieme compiler performs must not change program semantics.
 
+use hetpart_inspire::vm::BufferData;
 use hetpart_oclsim::machines;
-use hetpart_runtime::{Executor, Launch, Partition};
+use hetpart_runtime::{
+    ExecutionReport, Executor, Launch, LaunchError, LaunchProfile, Partition, DEFAULT_SAMPLE_ITEMS,
+};
 
 /// Partitions that exercise interesting split shapes.
 fn probe_partitions() -> Vec<Partition> {
@@ -17,6 +20,17 @@ fn probe_partitions() -> Vec<Partition> {
     ]
 }
 
+/// Plan `partition` for `launch` and execute it on `bufs`.
+fn run(
+    ex: &Executor,
+    launch: &Launch,
+    bufs: &mut [BufferData],
+    partition: &Partition,
+) -> Result<ExecutionReport, LaunchError> {
+    let plan = ex.plan_execution(launch, bufs, partition, 0.0);
+    ex.run_planned(launch, bufs, &plan)
+}
+
 #[test]
 fn every_benchmark_is_partition_invariant() {
     let ex = Executor::new(machines::mc1());
@@ -27,7 +41,7 @@ fn every_benchmark_is_partition_invariant() {
         for partition in probe_partitions() {
             let mut bufs = inst.bufs.clone();
             let launch = Launch::new(&kernel, inst.nd.clone(), inst.args.clone());
-            ex.run(&launch, &mut bufs, &partition)
+            run(&ex, &launch, &mut bufs, &partition)
                 .unwrap_or_else(|e| panic!("{} under {partition}: {e}", bench.name));
             bench
                 .check_outputs(&inst, &bufs)
@@ -47,7 +61,7 @@ fn two_dimensional_kernels_split_rows_not_columns() {
     let ex = Executor::new(machines::mc2());
     let launch = Launch::new(&kernel, inst.nd.clone(), inst.args.clone());
     let mut bufs = inst.bufs.clone();
-    let report = ex.run(&launch, &mut bufs, &Partition::even(3)).unwrap();
+    let report = run(&ex, &launch, &mut bufs, &Partition::even(3)).unwrap();
     let mut covered = 0;
     for run in &report.device_runs {
         assert_eq!(run.chunk_start, covered, "chunks must be contiguous");
@@ -63,9 +77,15 @@ fn partition_report_times_are_positive_and_bounded() {
         let kernel = bench.compile();
         let inst = bench.instance(bench.smallest_size());
         let launch = Launch::new(&kernel, inst.nd.clone(), inst.args.clone());
-        let report = ex
-            .simulate(&launch, &inst.bufs, &Partition::even(3))
-            .unwrap();
+        let profile = LaunchProfile::collect(
+            &kernel,
+            &inst.nd,
+            &inst.args,
+            &inst.bufs,
+            DEFAULT_SAMPLE_ITEMS,
+        )
+        .unwrap();
+        let report = ex.simulate_with_profile(&launch, &inst.bufs, &Partition::even(3), &profile);
         assert!(
             report.time > 0.0 && report.time < 10.0,
             "{}: {}",

@@ -1,13 +1,13 @@
 //! Probes on copy-on-write scratch views.
 //!
-//! Runtime features, launch profiles and simulated launches execute
-//! sampled work-items that store to the launch's buffers. They run on a
-//! [`Scratch`] view, which borrows the caller's buffers and copies one
-//! only on the first store to it. These suites pin down that the view is
-//! invisible: every sampled run on a scratch view matches the same run on
-//! an explicit copy of all buffers, bit for bit, for every suite kernel;
-//! the caller's buffers are never touched; parameters bound to one buffer
-//! stay coherent; and the view copies exactly the buffers stored to.
+//! Runtime features and launch profiles execute sampled work-items that
+//! store to the launch's buffers. They run on a [`Scratch`] view, which
+//! borrows the caller's buffers and copies one only on the first store
+//! to it. These suites pin down that the view is invisible: every sampled
+//! run on a scratch view matches the same run on an explicit copy of all
+//! buffers, bit for bit, for every suite kernel; the caller's buffers are
+//! never touched; parameters bound to one buffer stay coherent; and the
+//! view copies exactly the buffers stored to.
 
 use std::collections::BTreeSet;
 
@@ -208,24 +208,12 @@ fn probes_are_bit_identical_and_leave_caller_buffers_untouched() {
                 assert_eq!(wc, gc, "{name}: scalar={scalar} {chunk:?} counts");
                 assert_eq!(wd.to_bits(), gd.to_bits(), "{name}: {chunk:?} divergence");
             }
-        }
-
-        for p in &partitions {
             let launch = Launch::new(&kernel, nd.clone(), inst.args.clone());
-            let want = ex.simulate(&launch, &copy, p).unwrap();
-            let got = ex.simulate(&launch, &inst.bufs, p).unwrap();
-            assert_eq!(want, got, "{name}: simulate under {p}");
-
-            // A functional run prices divergence from the same probe.
-            let mut out = inst.bufs.clone();
-            let run = ex.run(&launch, &mut out, p).unwrap();
-            let div = |r: &hetpart_runtime::ExecutionReport| {
-                r.device_runs
-                    .iter()
-                    .map(|d| (d.device, d.shape.divergence.to_bits()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(div(&run), div(&got), "{name}: run vs simulate divergence");
+            for p in &partitions {
+                let want = ex.simulate_with_profile(&launch, &copy, p, &want);
+                let got = ex.simulate_with_profile(&launch, &inst.bufs, p, &got);
+                assert_eq!(want, got, "{name}: scalar={scalar} priced under {p}");
+            }
         }
         assert_eq!(inst.bufs, before, "{name}: caller buffers modified");
     }

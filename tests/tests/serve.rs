@@ -40,7 +40,7 @@ fn deployed_framework() -> Framework {
 }
 
 /// Every suite benchmark, submitted concurrently, matches the serial
-/// deployment path bit for bit — partitions and output buffers.
+/// deployment path bit for bit — partitions, reports and output buffers.
 #[test]
 fn concurrent_service_is_bit_identical_to_serial_run_auto_for_every_benchmark() {
     let fw = deployed_framework();
@@ -52,10 +52,10 @@ fn concurrent_service_is_bit_identical_to_serial_run_auto_for_every_benchmark() 
         let kernel = Arc::new(bench.compile());
         let inst = bench.instance(bench.smallest_size());
         let mut bufs = inst.bufs.clone();
-        let (partition, _) = fw
+        let (partition, report) = fw
             .run_auto(&kernel, &inst.nd, &inst.args, &mut bufs)
             .unwrap_or_else(|e| panic!("{}: serial launch failed: {e}", bench.name));
-        serial.push((kernel, inst, partition, bufs));
+        serial.push((kernel, inst, partition, report, bufs));
     }
 
     // Concurrent: submit everything up front on a multi-worker service,
@@ -70,7 +70,7 @@ fn concurrent_service_is_bit_identical_to_serial_run_auto_for_every_benchmark() 
     .expect("trained framework deploys on its training machine");
     let tickets: Vec<_> = serial
         .iter()
-        .map(|(kernel, inst, _, _)| {
+        .map(|(kernel, inst, _, _, _)| {
             service
                 .submit(
                     Arc::clone(kernel),
@@ -83,7 +83,7 @@ fn concurrent_service_is_bit_identical_to_serial_run_auto_for_every_benchmark() 
         .collect();
 
     for (i, ticket) in tickets.into_iter().enumerate() {
-        let (_, inst, partition, bufs) = &serial[i];
+        let (_, inst, partition, report, bufs) = &serial[i];
         let bench = &suite[i];
         let served = ticket
             .wait()
@@ -91,6 +91,11 @@ fn concurrent_service_is_bit_identical_to_serial_run_auto_for_every_benchmark() 
         assert_eq!(
             served.partition, *partition,
             "{}: service chose a different partition than run_auto",
+            bench.name
+        );
+        assert_eq!(
+            served.report, *report,
+            "{}: service report differs from run_auto",
             bench.name
         );
         assert_eq!(

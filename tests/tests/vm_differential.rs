@@ -538,6 +538,38 @@ fn lane_engine_reports_errors_like_scalar_on_uniform_faults() {
 }
 
 #[test]
+fn engines_pick_different_faults_when_items_fault_at_different_ops() {
+    // Item 5 faults at the first store, item 3 at the last. The scalar
+    // engine runs item by item, so the first faulting *item* wins; the
+    // lane engine runs each op over the whole batch, so the first
+    // faulting *op* wins. The engines agree on the error only where the
+    // first faulting item is also the first faulting op, as on every
+    // suite kernel. Partial buffers of a faulted launch are unspecified.
+    let src = "kernel void k(global float* o) {
+        int i = get_global_id(0);
+        if (i == 5) { o[1000] = 1.0; }
+        o[i] = 2.0;
+        if (i == 3) { o[2000] = 1.0; }
+    }";
+    let k = compile(src).unwrap();
+    let n = 64usize;
+    let nd = NdRange::d1(n);
+    let args = [ArgValue::Buffer(0)];
+    let oob = |index| VmError::OutOfBounds {
+        buffer: 0,
+        index,
+        len: n,
+    };
+    let mut vm = Vm::new();
+    let mut b = vec![BufferData::F32(vec![0.0; n])];
+    let scalar = vm.run_range_scalar(&k.bytecode, &nd, 0..n, &args, &mut b);
+    assert_eq!(scalar.unwrap_err(), oob(2000));
+    let mut b = vec![BufferData::F32(vec![0.0; n])];
+    let lanes = vm.run_range_lanes(&k.bytecode, &nd, 0..n, &args, &mut b);
+    assert_eq!(lanes.unwrap_err(), oob(1000));
+}
+
+#[test]
 fn nested_divergence_with_early_return_rejoins_correctly() {
     // Divergent early return (rejoin = virtual exit), a divergent loop
     // whose body contains another divergent branch (nested reconvergence
