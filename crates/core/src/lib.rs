@@ -47,7 +47,6 @@ pub use db::{DbError, FeatureSet, ShardedDb, TrainingDb, TrainingRecord, DB_SCHE
 pub use eval::EvalContext;
 pub use predictor::{DeployError, Framework, LaunchPlan, PartitionPredictor, PredictError};
 pub use serve::{
-    AdmissionPolicy, PlanKey, ServedLaunch, Service, ServiceConfig, ServiceStats, StripedCache,
-    Ticket,
+    PlanKey, ServedLaunch, Service, ServiceConfig, ServiceStats, StripedCache, Ticket,
 };
 pub use train::{collect_training_db, collect_training_db_sharded, TrainError};

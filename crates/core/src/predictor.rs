@@ -106,7 +106,7 @@ impl std::error::Error for PredictError {}
 
 /// A deployment-phase failure: the launch itself failed in the VM, the
 /// predictor refused the inputs, a device faulted, or the serving layer
-/// refused / lost the job (overload, shutdown, worker panic).
+/// refused the job (overload) or lost it to a worker panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeployError {
     Vm(VmError),
@@ -125,15 +125,12 @@ pub enum DeployError {
         device_name: String,
         permanent: bool,
     },
-    /// Admission control refused the launch: the queue held `depth` jobs,
-    /// at or above the configured bound (and stayed there past the
-    /// admission deadline under a blocking policy).
+    /// Admission control shed the launch at once: the queue held `depth`
+    /// jobs, at or above the configured bound. An admitted job is never
+    /// shed; shutdown drains the queue.
     Overloaded {
         depth: usize,
     },
-    /// The job was shed after admission: the service shut down (or hit its
-    /// drain deadline) before a worker picked the job up.
-    Shed,
     /// The service could not be brought up (worker thread spawn failed or
     /// the configuration is invalid).
     Config(String),
@@ -162,7 +159,6 @@ impl fmt::Display for DeployError {
                     "service overloaded: {depth} jobs queued, submission shed"
                 )
             }
-            DeployError::Shed => write!(f, "job shed before execution (service shutting down)"),
             DeployError::Config(msg) => write!(f, "service configuration rejected: {msg}"),
         }
     }

@@ -27,6 +27,8 @@
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every `unsafe` block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod cv;
 pub mod dataset;

@@ -18,6 +18,9 @@
 //! vec_add.run_and_verify(1024).unwrap();
 //! ```
 
+// Every `unsafe` block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod apps;
 pub mod linalg;
 pub mod sparse;
