@@ -204,7 +204,10 @@ impl From<LaunchError> for DeployError {
 /// six orders of magnitude) before scaling: `x -> ln(1 + x)`. Applied
 /// symmetrically at training and prediction time.
 pub fn log_compress(features: &[f64]) -> Vec<f64> {
-    features.iter().map(|&x| (1.0 + x.max(0.0)).ln()).collect()
+    features
+        .iter()
+        .map(|&x| hetpart_ml::ln(1.0 + x.max(0.0)))
+        .collect()
 }
 
 /// The offline-generated prediction model: maps a feature vector to a

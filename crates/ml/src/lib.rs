@@ -30,6 +30,7 @@
 // Every `unsafe` block states why it is sound.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+mod activation;
 pub mod cv;
 pub mod dataset;
 pub mod forest;
@@ -42,6 +43,7 @@ pub mod scale;
 pub mod svm;
 pub mod tree;
 
+pub use activation::ln;
 pub use cv::{kfold_cv, leave_one_group_out, CvResult};
 pub use dataset::Dataset;
 pub use forest::{ForestConfig, RandomForest};
