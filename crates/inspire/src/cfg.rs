@@ -1,6 +1,6 @@
 //! Control-flow-graph analyses over compiled bytecode.
 //!
-//! The lane engine's SIMT reconvergence (see `vm_batch`) needs to
+//! The lane engine's SIMT reconvergence (see `vm_batch/mod.rs`) needs to
 //! know, for every divergent branch, where the diverged lane subsets are
 //! guaranteed to meet again: the branch block's **immediate
 //! post-dominator**. This module computes, once per compiled

@@ -76,6 +76,7 @@ pub use error::{CompileError, VmError};
 pub use features::StaticFeatures;
 pub use ir::{Kernel, NdRange, ScalarType};
 pub use opt::{OptLevel, RegAlloc};
+pub use vm_batch::Tier;
 
 /// A fully compiled kernel: typed IR plus every analysis product the
 /// runtime and the machine-learning pipeline consume.

@@ -121,16 +121,26 @@ pub(crate) enum OpCode {
 }
 
 /// Micro-op codes for the compute halves of fused ops. The F table
-/// covers binops (0–3), mov (4), the `MathFn1` unaries (5–14), negate
-/// (15) and a float constant (16, value in [`DecOp::fimm`]); the I
-/// table covers the non-faulting add/sub/mul (0–2) with the unsigned
-/// flag packed into bit 7.
+/// covers binops (0–3), mov (4), the unary math ops (5–14), negate (15)
+/// and a float constant (16, value in [`DecOp::fimm`]); the I table
+/// covers the non-faulting add/sub/mul (0–2) with the unsigned flag
+/// packed into bit 7. The encoder and the lane engine both use the
+/// names, never the numbers.
 pub(crate) const F_ADD: u8 = 0;
 pub(crate) const F_SUB: u8 = 1;
 pub(crate) const F_MUL: u8 = 2;
 pub(crate) const F_DIV: u8 = 3;
 pub(crate) const F_MOV: u8 = 4;
-pub(crate) const F_MATH1: u8 = 5; // 5..=14: MathFn1 in declaration order
+pub(crate) const F_SQRT: u8 = 5;
+pub(crate) const F_RSQRT: u8 = 6;
+pub(crate) const F_EXP: u8 = 7;
+pub(crate) const F_LOG: u8 = 8;
+pub(crate) const F_SIN: u8 = 9;
+pub(crate) const F_COS: u8 = 10;
+pub(crate) const F_TAN: u8 = 11;
+pub(crate) const F_FABS: u8 = 12;
+pub(crate) const F_FLOOR: u8 = 13;
+pub(crate) const F_CEIL: u8 = 14;
 pub(crate) const F_NEG: u8 = 15;
 pub(crate) const F_CONST: u8 = 16;
 pub(crate) const I_UNSIGNED: u8 = 0x80;
@@ -504,16 +514,16 @@ fn f_micro(op: &DecOp) -> Option<(u8, u16, u16)> {
         FMul => F_MUL,
         FDiv => F_DIV,
         MovF => F_MOV,
-        Sqrt => F_MATH1,
-        Rsqrt => F_MATH1 + 1,
-        Exp => F_MATH1 + 2,
-        Log => F_MATH1 + 3,
-        Sin => F_MATH1 + 4,
-        Cos => F_MATH1 + 5,
-        Tan => F_MATH1 + 6,
-        Fabs => F_MATH1 + 7,
-        Floor => F_MATH1 + 8,
-        Ceil => F_MATH1 + 9,
+        Sqrt => F_SQRT,
+        Rsqrt => F_RSQRT,
+        Exp => F_EXP,
+        Log => F_LOG,
+        Sin => F_SIN,
+        Cos => F_COS,
+        Tan => F_TAN,
+        Fabs => F_FABS,
+        Floor => F_FLOOR,
+        Ceil => F_CEIL,
         NegF => F_NEG,
         ConstF => F_CONST,
         _ => return None,

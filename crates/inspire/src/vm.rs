@@ -11,7 +11,7 @@
 //! - the **scalar engine** ([`Vm::run_range_scalar`]) interprets one
 //!   work-item at a time by matching on the [`Instr`] enum of each block
 //!   — the reference implementation;
-//! - the **lane engine** ([`Vm::run_range_lanes`], `vm_batch`)
+//! - the **lane engine** ([`Vm::run_range_lanes`], `vm_batch/`)
 //!   executes batches of up to [`LANES`] work-items in lockstep over
 //!   structure-of-arrays register files, walking the function's
 //!   pre-decoded op array and handling divergent branches with masked
@@ -465,7 +465,7 @@ impl Vm {
 
     /// [`Vm::run_range`] on the lane-batched engine: batches of up to
     /// [`LANES`] consecutive work-items execute each instruction in
-    /// lockstep (see the `vm_batch` module).
+    /// lockstep (see the `vm_batch` module, `vm_batch/mod.rs`).
     pub fn run_range_lanes(
         &mut self,
         f: &Function,

@@ -3,7 +3,7 @@
 
 use hetpart_inspire::ir::NdRange;
 use hetpart_inspire::vm::{ArgValue, BufferData, Vm};
-use hetpart_inspire::{compile, CompiledKernel};
+use hetpart_inspire::{compile, tier_dispatch, CompiledKernel, Tier};
 
 /// A concrete, runnable problem instance of a benchmark.
 #[derive(Debug, Clone)]
@@ -256,85 +256,31 @@ fn fill<T>(seed: u64, out: &mut [T], f: impl Fn(u64) -> T) {
     }
 }
 
-/// The body of [`hash_series`]. The `i64` conversion is exact because
-/// the value is below 2⁵³, and scaling by 2⁻⁵³ equals [`hash_f32`]'s
-/// divide; unlike `u64`, `i64` converts without a fix-up.
-#[inline(always)]
-fn series_body(seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
-    const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
-    fill(seed, out, |h| {
-        let unit = (h >> 11) as i64 as f64 * UNIT;
-        lo + (hi - lo) * unit as f32
-    });
-}
-
-/// The body of [`hash_indices`]. The power-of-two test in [`reduce`] is
-/// loop-invariant, so the compiler hoists it out of the loop.
-#[inline(always)]
-fn indices_body(seed: u64, m: usize, out: &mut [i32]) {
-    fill(seed, out, |h| reduce(h, m) as i32);
-}
-
-/// The codegen tier of the fills: one body, compiled for the baseline
-/// target or with AVX2 enabled. Nothing but the CPU picks it.
-#[derive(Clone, Copy, Debug)]
-enum Tier {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Tier {
-    /// The widest tier this CPU supports.
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
-        }
-        Self::Portable
-    }
-}
-
+/// [`hash_series`] on `tier`. The `i64` conversion is exact because the
+/// value is below 2⁵³, and scaling by 2⁻⁵³ equals [`hash_f32`]'s divide;
+/// unlike `u64`, `i64` converts without a fix-up.
 fn series_on(tier: Tier, seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
-    match tier {
-        Tier::Portable => series_body(seed, lo, hi, out),
-        // SAFETY: `Tier::Avx2` is only constructed after
-        // `is_x86_feature_detected!("avx2")` returned true.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { series_avx2(seed, lo, hi, out) },
-    }
+    tier_dispatch!(
+        tier,
+        fn series_avx2(seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
+            const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+            fill(seed, out, |h| {
+                let unit = (h >> 11) as i64 as f64 * UNIT;
+                lo + (hi - lo) * unit as f32
+            });
+        }
+    )
 }
 
+/// [`hash_indices`] on `tier`. The power-of-two test in [`reduce`] is
+/// loop-invariant, so the compiler hoists it out of the loop.
 fn indices_on(tier: Tier, seed: u64, m: usize, out: &mut [i32]) {
-    match tier {
-        Tier::Portable => indices_body(seed, m, out),
-        // SAFETY: `Tier::Avx2` is only constructed after
-        // `is_x86_feature_detected!("avx2")` returned true.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { indices_avx2(seed, m, out) },
-    }
-}
-
-/// `series_body` compiled with AVX2 enabled.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn series_avx2(seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
-    series_body(seed, lo, hi, out);
-}
-
-/// `indices_body` compiled with AVX2 enabled.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn indices_avx2(seed: u64, m: usize, out: &mut [i32]) {
-    indices_body(seed, m, out);
+    tier_dispatch!(
+        tier,
+        fn indices_avx2(seed: u64, m: usize, out: &mut [i32]) {
+            fill(seed, out, |h| reduce(h, m) as i32);
+        }
+    )
 }
 
 #[cfg(test)]
