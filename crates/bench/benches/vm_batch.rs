@@ -129,8 +129,9 @@ struct Targets {
 struct Report {
     bench: String,
     lane_width: usize,
-    /// The lane engine's codegen tier on the recording CPU (`"avx2"` or
-    /// `"portable"`); every lane time and ratio was measured on it.
+    /// The lane engine's codegen tier on the recording CPU (`"avx512"`,
+    /// `"avx2"` or `"portable"`); every lane time and ratio was measured
+    /// on it.
     lane_tier: &'static str,
     quick: bool,
     run_range: Vec<RunRangeRow>,

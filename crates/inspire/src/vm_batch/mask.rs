@@ -69,8 +69,9 @@ pub(super) struct Frame {
 /// `f(a[l], b[l])`; the caller ANDs the result with its active mask. The
 /// tier picks the loop shape that vectorizes on it:
 ///
-/// - AVX2 ORs one bit per lane into the mask, which becomes 64-bit
-///   compares plus a movemask per vector;
+/// - the wide tiers OR one bit per lane into the mask, which becomes
+///   64-bit compares plus a movemask per vector on AVX2, and compares
+///   straight into a mask register on AVX-512;
 /// - the portable tier builds the mask 8 lanes per byte, because SSE2
 ///   has no 64-bit compare and the one-bit loop measured slower there.
 #[inline(always)]
@@ -79,7 +80,7 @@ pub(super) fn pack_rows<K: Codegen, T: Copy, F: Fn(T, T) -> bool>(
     b: &[T; LANES],
     f: F,
 ) -> u64 {
-    if K::AVX2 {
+    if K::WIDE {
         let mut m = 0u64;
         for (l, (&x, &y)) in a.iter().zip(b).enumerate() {
             m |= u64::from(f(x, y)) << l;

@@ -80,7 +80,7 @@ use lanes::{LaneSet, Masked, Prefix, Select};
 use mask::{cmp_rows, pack_rows, ExecMask, Frame};
 use mem::{gather, scatter};
 #[cfg(target_arch = "x86_64")]
-use tier::Avx2Body;
+use tier::WideBody;
 use tier::{inline_if, Codegen, PortableBody, Row};
 pub use tier::{lane_tier, Tier};
 
@@ -182,8 +182,8 @@ impl LaneEngine {
     ) -> Result<(), VmError> {
         crate::tier_dispatch!(
             self.tier,
-            type K = PortableBody | Avx2Body,
-            fn exec_batch_avx2(
+            type K = PortableBody | WideBody,
+            fn exec_batch_wide(
                 eng: &mut LaneEngine = self,
                 f: &Function,
                 gids: &[[usize; 3]],
@@ -197,7 +197,7 @@ impl LaneEngine {
         )
     }
 
-    /// The one batch loop both tiers instantiate; `K` picks the layout.
+    /// The one batch loop every tier instantiates; `K` picks the layout.
     #[inline(always)]
     fn exec_batch_body<K: Codegen>(
         &mut self,
@@ -269,11 +269,11 @@ impl LaneEngine {
                     self.exec_dec::<K, _>(op, Prefix(n), gsize, bmap, bufs)?;
                 }
             } else {
-                // Per-lane scalar work that AVX2 cannot widen stays out
-                // of the AVX2 body.
+                // Per-lane scalar work that no vector width widens stays
+                // out of the wide bodies.
                 let ops = dec.block_ops(block);
                 inline_if!(
-                    !K::AVX2,
+                    !K::WIDE,
                     self.exec_block_masked(ops, Masked(mask), gsize, bmap, bufs)
                 )?;
             }
@@ -413,7 +413,7 @@ impl LaneEngine {
 
     /// Execute one block's decoded ops on the active lanes of `m`. The
     /// per-lane walk never widens, so one instantiation (the portable
-    /// one) serves both tiers.
+    /// one) serves every tier.
     #[inline(always)]
     fn exec_block_masked(
         &mut self,
@@ -586,7 +586,7 @@ impl LaneEngine {
             OpCode::IMax => s.map2::<K, _, _>(ir, dst, a, b, i64::max),
             OpCode::IAbs => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_abs(), false)),
             OpCode::LoadF => {
-                inline_if!(K::AVX2 || S::MASKED, self.load_f(s, dst, a, b, bmap, bufs))?;
+                inline_if!(K::WIDE || S::MASKED, self.load_f(s, dst, a, b, bmap, bufs))?;
             }
             OpCode::LoadI => {
                 // Index and destination share the I register file: borrow
@@ -609,7 +609,7 @@ impl LaneEngine {
                 }
             }
             OpCode::StoreF => {
-                inline_if!(K::AVX2 || S::MASKED, self.store_f(s, dst, a, b, bmap, bufs))?;
+                inline_if!(K::WIDE || S::MASKED, self.store_f(s, dst, a, b, bmap, bufs))?;
             }
             OpCode::StoreI => {
                 let (idx, src) = (&self.iregs[ai], &self.iregs[di]);
@@ -626,17 +626,17 @@ impl LaneEngine {
             // finds every access in bounds, and otherwise run as the
             // unfused sequence, so each lane faults exactly where the
             // original pair would.
-            OpCode::FOp2 => inline_if!(K::AVX2 || S::MASKED, s.fop2::<K>(fr, op)),
-            OpCode::IOp2 => inline_if!(K::AVX2 || S::MASKED, s.iop2::<K>(ir, op)),
+            OpCode::FOp2 => inline_if!(K::WIDE || S::MASKED, s.fop2::<K>(fr, op)),
+            OpCode::IOp2 => inline_if!(K::WIDE || S::MASKED, s.iop2::<K>(ir, op)),
             OpCode::Load2F => {
-                inline_if!(K::AVX2 || S::MASKED, self.fused_load2f(s, op, bmap, bufs))?;
+                inline_if!(K::WIDE || S::MASKED, self.fused_load2f(s, op, bmap, bufs))?;
             }
             OpCode::LoadFOp => inline_if!(
-                K::AVX2 || S::MASKED,
+                K::WIDE || S::MASKED,
                 self.fused_load_fop::<K, _>(s, op, bmap, bufs)
             )?,
             OpCode::FOpStore => inline_if!(
-                K::AVX2 || S::MASKED,
+                K::WIDE || S::MASKED,
                 self.fused_fop_store::<K, _>(s, op, bmap, bufs)
             )?,
         }

@@ -70,14 +70,26 @@ fn trace(src: &str, n: usize, args: &[ArgValue], bufs: &[BufferData], tier: Tier
     t
 }
 
-/// Run `src` on the portable tier and on the tier this CPU picks
-/// (AVX2 where available) and require identical traces. Returns the
-/// portable trace.
+/// Run `src` on every tier this CPU supports and require identical
+/// traces. Returns the portable trace.
 fn assert_tier_parity(src: &str, n: usize, args: &[ArgValue], bufs: &[BufferData]) -> Trace {
     let portable = trace(src, n, args, bufs, Tier::Portable);
-    let native = trace(src, n, args, bufs, Tier::detect());
-    assert_eq!(portable, native, "tier divergence");
+    for tier in Tier::supported().into_iter().skip(1) {
+        let wide = trace(src, n, args, bufs, tier);
+        assert_eq!(portable, wide, "tier divergence on {}", tier.name());
+    }
     portable
+}
+
+#[test]
+fn supported_tiers_climb_the_ladder_to_the_detected_one() {
+    let tiers = Tier::supported();
+    assert_eq!(tiers[0], Tier::Portable);
+    assert_eq!(tiers.last(), Some(&Tier::detect()));
+    assert_eq!(lane_tier(), Tier::detect().name());
+    let names: Vec<_> = tiers.iter().map(|t| t.name()).collect();
+    let ladder = ["portable", "avx2", "avx512"];
+    assert_eq!(names, ladder[..names.len()], "a rung is missing");
 }
 
 fn f32_buf(n: usize, g: impl Fn(usize) -> f32) -> BufferData {
@@ -223,7 +235,7 @@ fn tiers_match_on_gathers_and_scatters() {
 #[test]
 fn tiers_fault_identically_out_of_bounds() {
     // Items past 140 store past the end: the third batch faults on
-    // both tiers at the same lane, after the same partial writes.
+    // every tier at the same lane, after the same partial writes.
     let src = "kernel void k(global const float* a, global float* o, int n) {
         int i = get_global_id(0);
         float v = a[i] + 1.0;
@@ -272,7 +284,7 @@ fn lane_rows_start_on_cache_lines() {
 
 // Op-by-op lane-set parity. Every `OpCode` runs as a `DecOp` literal
 // on hand-built register files, under `Prefix` and under `Masked`, on
-// both codegen tiers.
+// every codegen tier this CPU supports.
 
 /// Buffer length; index rows `I_IDX0`/`I_IDX1` are in-bounds
 /// permutations, `I_OOB` is out of bounds on some hazard lanes.
@@ -427,16 +439,16 @@ fn snap(eng: &LaneEngine, bufs: &[BufferData], result: Result<(), VmError>) -> S
 }
 
 /// Run `op` once on `s` from a fresh state, with `exec_dec` instantiated
-/// with `tier`'s body (compiled with AVX2 enabled on the AVX2 tier, as in
-/// `exec_batch_avx2`).
+/// with `tier`'s body (compiled with the tier's features on a wide tier,
+/// as in `exec_batch_wide`).
 fn run_op<S: LaneSet>(tier: Tier, op: &DecOp, s: S, patched: bool) -> Snap {
     let mut eng = engine(patched);
     let mut bufs = buffers();
     let mut mem = bufs.mem();
     let r = crate::tier_dispatch!(
         tier,
-        type K = PortableBody | Avx2Body,
-        fn exec_avx2<S: LaneSet>(
+        type K = PortableBody | WideBody,
+        fn exec_wide<S: LaneSet>(
             eng: &mut LaneEngine = &mut eng,
             op: &DecOp,
             s: S,
@@ -752,10 +764,7 @@ fn check_lane_sets(tier: Tier, op: &DecOp) {
 
 #[test]
 fn lane_sets_agree_op_by_op() {
-    let mut tiers = vec![Tier::Portable];
-    if !matches!(Tier::detect(), Tier::Portable) {
-        tiers.push(Tier::detect());
-    }
+    let tiers = Tier::supported();
     let mut faulting = 0;
     for code in ALL_OPCODES {
         let ops = cases(code);
@@ -864,7 +873,7 @@ fn index_rows_classify_by_shape() {
 
 /// A branch mask on `tier`: the fused `BranchCmp` form (`Some(op)`)
 /// or the boolean `v != 0` form of `Branch` on `a` (`None`), compiled
-/// with AVX2 enabled for the AVX2 tier as in `exec_batch_avx2`.
+/// with the tier's features on a wide tier, as in `exec_batch_wide`.
 fn branch_mask<T: Copy + PartialOrd + Default>(
     tier: Tier,
     op: Option<CmpOp>,
@@ -873,8 +882,8 @@ fn branch_mask<T: Copy + PartialOrd + Default>(
 ) -> u64 {
     crate::tier_dispatch!(
         tier,
-        type K = PortableBody | Avx2Body,
-        fn mask_avx2<T: Copy + PartialOrd + Default>(
+        type K = PortableBody | WideBody,
+        fn mask_wide<T: Copy + PartialOrd + Default>(
             op: Option<CmpOp>,
             a: &Row<T>,
             b: &Row<T>,
@@ -928,11 +937,8 @@ fn check_masks<T: Copy + PartialOrd + Default + std::fmt::Debug>(
 }
 
 #[test]
-fn branch_masks_match_a_per_lane_reference_on_both_tiers() {
-    let mut tiers = vec![Tier::Portable];
-    if !matches!(Tier::detect(), Tier::Portable) {
-        tiers.push(Tier::detect());
-    }
+fn branch_masks_match_a_per_lane_reference_on_every_tier() {
+    let tiers = Tier::supported();
     let ints = [
         i64::MIN,
         i64::MIN + 1,

@@ -1,14 +1,23 @@
 //! The CPU-tier ladder and the row kernels it compiles.
 //!
-//! The batch loop has two codegen tiers built from one body
-//! (`exec_batch_body`), and each engine picks one when it is created,
-//! from what the CPU reports: **AVX2** on x86-64 CPUs with AVX2, where
-//! the body is instantiated inside a `#[target_feature(enable = "avx2")]`
-//! entry so the row kernels run four 64-bit lanes per vector, and
-//! **portable** on every other CPU, where it is built for the crate's
-//! compile target (SSE2 on baseline x86-64). [`Codegen`] gives each tier
-//! its layout. `fma` is not enabled and Rust never contracts `a * b + c`,
-//! so float results are bit-identical on both tiers.
+//! The batch loop has three codegen tiers built from one body
+//! (`exec_batch_body`), and each engine picks the widest one the CPU
+//! reports when it is created:
+//!
+//! - **AVX-512** on x86-64 CPUs with AVX-512F, BW, VL and DQ (and AVX2):
+//!   the body is instantiated inside an entry compiled with those
+//!   features, so the row kernels run eight 64-bit lanes per vector and
+//!   branch masks compare straight into mask registers;
+//! - **AVX2** on other x86-64 CPUs with AVX2: the same body inside a
+//!   `#[target_feature(enable = "avx2")]` entry, four 64-bit lanes per
+//!   vector;
+//! - **portable** on every other CPU, built for the crate's compile
+//!   target (SSE2 on baseline x86-64).
+//!
+//! [`Codegen`] gives each tier its layout; both wide tiers share one,
+//! [`WideBody`]. `fma` is never used for float results (Rust never
+//! contracts `a * b + c`, even where AVX-512 implies the `fma` feature),
+//! so float results are bit-identical on every tier.
 //!
 //! Nothing but the CPU picks the tier; [`lane_tier`] reports it. The same
 //! [`Tier`] and its entry macro, `tier_dispatch!`, compile the suite's
@@ -46,39 +55,79 @@ impl<T> DerefMut for Row<T> {
 }
 
 /// A CPU codegen tier, picked by [`Tier::detect`] and run on through
-/// `tier_dispatch!`: the crate's compile target (SSE2 on baseline x86-64)
-/// or AVX2. `Avx2` is `#[non_exhaustive]`, so no other crate can
-/// construct it, and inside this one only `detect` does.
+/// `tier_dispatch!`. The ladder, narrowest first: the crate's compile
+/// target (SSE2 on baseline x86-64), AVX2, and AVX-512 (F, BW, VL and DQ,
+/// with AVX2). The wide variants are `#[non_exhaustive]`, so no other
+/// crate can construct them, and inside this one only [`Tier::detect`]
+/// and [`Tier::supported`] do, each after the CPU reported the tier's
+/// features.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
     Portable,
     #[cfg(target_arch = "x86_64")]
     #[non_exhaustive]
     Avx2,
+    #[cfg(target_arch = "x86_64")]
+    #[non_exhaustive]
+    Avx512,
 }
 
 impl Tier {
     /// The widest tier this CPU supports.
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
+        {
+            if has_avx512() {
+                return Self::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Self::Avx2;
+            }
         }
         Self::Portable
     }
 
-    /// `"avx2"` or `"portable"`, for reports.
+    /// Every tier this CPU supports, in ladder order: `Portable` first,
+    /// [`Tier::detect`]'s pick last. For tests that compare the tiers.
+    pub fn supported() -> Vec<Self> {
+        let mut tiers = vec![Self::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(Self::Avx2);
+            }
+            if has_avx512() {
+                tiers.push(Self::Avx512);
+            }
+        }
+        tiers
+    }
+
+    /// `"portable"`, `"avx2"` or `"avx512"`, for reports.
     pub fn name(self) -> &'static str {
         match self {
             Self::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => "avx512",
         }
     }
 }
 
-/// The lane engine's codegen tier on this CPU, `"avx2"` or `"portable"`
-/// (for reports; the CPU alone picks it).
+/// Whether the CPU reports every feature the `Avx512` entries of
+/// `tier_dispatch!` enable.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx2")
+        && is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx512dq")
+}
+
+/// The lane engine's codegen tier on this CPU, `"portable"`, `"avx2"` or
+/// `"avx512"` (for reports; the CPU alone picks it).
 pub fn lane_tier() -> &'static str {
     Tier::detect().name()
 }
@@ -86,21 +135,23 @@ pub fn lane_tier() -> &'static str {
 /// Run one function body on a [`Tier`]:
 ///
 /// ```text
-/// tier_dispatch!(tier, [type K = PortableType | Avx2Type,]
+/// tier_dispatch!(tier, [type K = PortableType | WideType,]
 ///     fn entry<G: Bound + ...>(param: Type [= value], ...) -> Ret { body })
 /// ```
 ///
-/// On `Portable` the body runs as an always-inlined function; on `Avx2`
-/// as `entry`, compiled with `#[target_feature(enable = "avx2")]`, so
-/// whatever the body inlines is built with 256-bit vectors. Each
+/// On `Portable` the body runs as an always-inlined function; on a wide
+/// tier as `entry`, compiled with that tier's `#[target_feature]` set
+/// (`"avx2"`, or `"avx2,avx512f,avx512bw,avx512vl,avx512dq"`), so
+/// whatever the body inlines is built with 256- or 512-bit vectors. Each
 /// parameter takes `value`, or else the caller's variable of its name.
-/// `type K = P | A` binds `K` in the body to `P` on the portable tier and
-/// to `A` on AVX2. Generic bounds are plain trait names.
+/// `type K = P | W` binds `K` in the body to `P` on the portable tier and
+/// to `W` on both wide tiers. Generic bounds are plain trait names.
 ///
 /// A macro rather than a function taking a closure: the closure body
 /// would be a function of its own, and LLVM may leave it out of line, and
-/// compiled without AVX2, even inside the AVX2 entry. This is where safe
-/// code enters AVX2 code, so the safety argument is written once, here.
+/// compiled without the tier's features, even inside the entry. This is
+/// where safe code enters wide-vector code, so the safety argument is
+/// written once, here.
 #[macro_export]
 macro_rules! tier_dispatch {
     (@arg $p:ident) => {
@@ -111,7 +162,7 @@ macro_rules! tier_dispatch {
     };
     (
         $tier:expr,
-        $(type $k:ident = $kp:ty | $ka:ty,)?
+        $(type $k:ident = $kp:ty | $kw:ty,)?
         fn $name:ident $(<$($g:ident $(: $b0:ident $(+ $bs:ident)*)?),+>)?
             ($($p:ident: $t:ty $(= $v:expr)?),* $(,)?) $(-> $r:ty)? $body:block
     ) => {
@@ -125,52 +176,71 @@ macro_rules! tier_dispatch {
                 portable($($crate::tier_dispatch!(@arg $p $($v)?)),*)
             }
             #[cfg(target_arch = "x86_64")]
-            $crate::Tier::Avx2 { .. } => {
-                /// The body compiled with AVX2 enabled.
-                ///
-                /// # Safety
-                ///
-                /// The CPU must support AVX2.
-                #[target_feature(enable = "avx2")]
-                fn $name $(<$($g $(: $b0 $(+ $bs)*)?),+>)? ($($p: $t),*) $(-> $r)? {
-                    $(type $k = $ka;)?
-                    $body
-                }
+            wide @ ($crate::Tier::Avx2 { .. } | $crate::Tier::Avx512 { .. }) => {
                 let ($($p,)*) = ($($crate::tier_dispatch!(@arg $p $($v)?),)*);
-                // SAFETY: only `Tier::detect` constructs `Tier::Avx2`, and
-                // only on a CPU that reports AVX2 (other crates cannot
-                // construct the `#[non_exhaustive]` variant at all).
-                unsafe { $name($($p),*) }
+                // SAFETY: only `Tier::detect` and `Tier::supported`
+                // construct `Tier::Avx2` and `Tier::Avx512`, each only on a
+                // CPU that reports every feature its entry below enables
+                // (other crates cannot construct the `#[non_exhaustive]`
+                // variants at all).
+                unsafe {
+                    if let $crate::Tier::Avx512 { .. } = wide {
+                        /// The body compiled with AVX-512F/BW/VL/DQ and AVX2.
+                        ///
+                        /// # Safety
+                        ///
+                        /// The CPU must support every feature enabled here.
+                        #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vl,avx512dq")]
+                        fn $name $(<$($g $(: $b0 $(+ $bs)*)?),+>)? ($($p: $t),*) $(-> $r)? {
+                            $(type $k = $kw;)?
+                            $body
+                        }
+                        $name($($p),*)
+                    } else {
+                        /// The body compiled with AVX2.
+                        ///
+                        /// # Safety
+                        ///
+                        /// The CPU must support AVX2.
+                        #[target_feature(enable = "avx2")]
+                        fn $name $(<$($g $(: $b0 $(+ $bs)*)?),+>)? ($($p: $t),*) $(-> $r)? {
+                            $(type $k = $kw;)?
+                            $body
+                        }
+                        $name($($p),*)
+                    }
+                }
             }
         }
     };
 }
 
 /// One codegen tier of the batch body, as the type parameter the body and
-/// its full-width path are instantiated with. The two tiers want opposite
-/// layouts, so the type carries the inlining policy:
+/// its full-width path are instantiated with. The portable and the wide
+/// tiers want opposite layouts, so the type carries the inlining policy:
 ///
-/// - the AVX2 body inlines the whole full-width path (op dispatch, fused
-///   superinstructions, row and gather kernels, for the
+/// - the wide body ([`WideBody`], which both the AVX2 and the AVX-512
+///   entries instantiate) inlines the whole full-width path (op dispatch,
+///   fused superinstructions, row and gather kernels, for the
 ///   [`Prefix`](super::lanes::Prefix) and [`Select`](super::lanes::Select)
-///   walks), since any helper left out of line compiles without AVX2. The
-///   op walk's [`Masked`](super::lanes::Masked) instantiation stays out of
-///   line (`exec_block_masked`): it walks active lanes one at a time,
-///   which AVX2 cannot widen;
+///   walks), since any helper left out of line compiles without the
+///   entry's features. The op walk's [`Masked`](super::lanes::Masked)
+///   instantiation stays out of line (`exec_block_masked`): it walks
+///   active lanes one at a time, which no vector width widens;
 /// - the portable body keeps the fused superinstructions and the
 ///   gather/scatter kernels out of line and leaves the row kernels to
 ///   LLVM's heuristics; forcing them inline measured slower there.
 ///
 /// The tier also picks how a branch condition packs into its lane mask
-/// (see [`pack_rows`](super::mask::pack_rows)): one bit per lane on AVX2,
-/// 8 lanes per byte on the portable tier.
+/// (see [`pack_rows`](super::mask::pack_rows)): one bit per lane on the
+/// wide tiers, 8 lanes per byte on the portable tier.
 pub(super) trait Codegen {
     /// Inline the full-width path and outline the masked one (see
     /// `inline_if!`), and pack branch masks one bit per lane.
-    const AVX2: bool;
+    const WIDE: bool;
 
     /// [`apply2`] under this tier's inlining policy; always inlined by
-    /// default, as on AVX2.
+    /// default, as on the wide tiers.
     #[inline(always)]
     fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         regs: &mut [Row<T>],
@@ -184,7 +254,7 @@ pub(super) trait Codegen {
     }
 
     /// [`apply1`] under this tier's inlining policy; always inlined by
-    /// default, as on AVX2.
+    /// default, as on the wide tiers.
     #[inline(always)]
     fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(
         regs: &mut [Row<T>],
@@ -201,7 +271,7 @@ pub(super) trait Codegen {
 pub(super) struct PortableBody;
 
 impl Codegen for PortableBody {
-    const AVX2: bool = false;
+    const WIDE: bool = false;
 
     #[inline]
     fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
@@ -227,13 +297,14 @@ impl Codegen for PortableBody {
     }
 }
 
-/// The AVX2 tier's body.
+/// The body of both wide tiers, AVX2 and AVX-512: one layout, compiled
+/// once per entry with that entry's vector width.
 #[cfg(target_arch = "x86_64")]
-pub(super) struct Avx2Body;
+pub(super) struct WideBody;
 
 #[cfg(target_arch = "x86_64")]
-impl Codegen for Avx2Body {
-    const AVX2: bool = true;
+impl Codegen for WideBody {
+    const WIDE: bool = true;
 }
 
 /// `inline_if!(INLINE, call)`: evaluate `call` in place when `INLINE`,

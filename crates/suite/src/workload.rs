@@ -262,7 +262,7 @@ fn fill<T>(seed: u64, out: &mut [T], f: impl Fn(u64) -> T) {
 fn series_on(tier: Tier, seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
     tier_dispatch!(
         tier,
-        fn series_avx2(seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
+        fn series_wide(seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
             const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
             fill(seed, out, |h| {
                 let unit = (h >> 11) as i64 as f64 * UNIT;
@@ -277,7 +277,7 @@ fn series_on(tier: Tier, seed: u64, lo: f32, hi: f32, out: &mut [f32]) {
 fn indices_on(tier: Tier, seed: u64, m: usize, out: &mut [i32]) {
     tier_dispatch!(
         tier,
-        fn indices_avx2(seed: u64, m: usize, out: &mut [i32]) {
+        fn indices_wide(seed: u64, m: usize, out: &mut [i32]) {
             fill(seed, out, |h| reduce(h, m) as i32);
         }
     )
@@ -306,18 +306,13 @@ mod tests {
         assert_ne!(hash_f32(7, 0, 0.0, 1.0), hash_f32(8, 0, 0.0, 1.0));
     }
 
-    /// Both codegen tiers this CPU runs: the portable one and the widest.
-    fn tiers() -> [Tier; 2] {
-        [Tier::Portable, Tier::detect()]
-    }
-
     const LENS: [usize; 5] = [0, 1, 3, 64, 4097];
     // At `u64::MAX` the counter's start, `seed + γ`, already wraps.
     const SEEDS: [u64; 3] = [0, 7, u64::MAX];
 
     #[test]
     fn series_fill_matches_hash_f32_on_every_tier() {
-        for tier in tiers() {
+        for tier in Tier::supported() {
             for n in LENS {
                 for seed in SEEDS {
                     for (lo, hi) in [(-1.0, 1.0), (0.25, 10.0), (300.0, 350.0)] {
@@ -339,7 +334,7 @@ mod tests {
 
     #[test]
     fn index_fill_matches_hash_u64_modulo_on_every_tier() {
-        for tier in tiers() {
+        for tier in Tier::supported() {
             for n in LENS {
                 for seed in SEEDS {
                     for m in [1, 3, 1000, 1024, 1 << 20] {
