@@ -27,7 +27,9 @@
 //! ≥ 3x speedup, the divergent kernels must stay batched end-to-end
 //! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x, monte_carlo_pi ≥ 9x over the
 //! scalar engine; monte_carlo_pi's floor also guards the predicated
-//! if-arms), and the bytecode optimizer must pay for itself — lane
+//! if-arms and the full-width row passes of its loop body, whose
+//! divisions by 65536.0 run as exact multiplies), and the bytecode
+//! optimizer must pay for itself — lane
 //! execution on optimized code at least as fast as on unoptimized code
 //! (geomean over the picks) with a ≥ 15% suite-wide static shrink.
 //! Register allocation has its own A/B column against `RegAlloc::Off`

@@ -2,28 +2,34 @@
 //! (see [`LaneSet`]), and the compute kernels written once over them.
 //!
 //! The **active-lane mask** of a full batch is a prefix: the final batch
-//! of a range may cover fewer than [`LANES`] items, and all lane loops
-//! iterate only over the live prefix.
+//! of a range may cover fewer than [`LANES`] items. Its lanes past the
+//! live prefix are dead scratch, so every row pass that cannot fault runs
+//! over all [`LANES`] lanes, with a trip count the compiler knows, and
+//! may overwrite them (see [`Prefix`]). Gathers, scatters, their prescans,
+//! integer-division walks, per-lane libm calls and every counter stay on
+//! the live prefix.
 //!
 //! [`LaneEngine::exec_dec`]: super::LaneEngine::exec_dec
+//! [`LANES`]: super::LANES
 
 use std::ops::Range;
 
 use super::mask::{ExecMask, Lanes};
 use super::mem::{all_in_bounds, index_shape, Shape};
 use super::tier::{Codegen, Row};
-use super::LANES;
-use crate::opt::decode::{DecOp, F_CONST};
+use crate::opt::decode::{DecOp, F_CONST, F_DIV};
 
 /// `with_fsub!(sub, fimm, binary: |f| b, unary: |f| u, math: |f| m,
-/// nullary: |f| c)`: decode the F-file micro-op `sub` (see
+/// libm: |f| l, nullary: |f| c)`: decode the F-file micro-op `sub` (see
 /// [`crate::opt::decode`]) and evaluate the body for its class with `f`
 /// bound to its lane function of two operands (unary ops ignore the
 /// second, the constant `fimm` both). `unary` covers mov, negate, sqrt
-/// and fabs; `math` the other unary math functions, whose per-lane cost
-/// dwarfs the walk a fused pass saves. The short form `with_fsub!(sub,
-/// fimm, cheap: |f| body, math: fallback)` evaluates one body for every
-/// class but `math`, which evaluates `fallback` instead.
+/// and fabs; `math` and `libm` the other unary math functions, whose
+/// per-lane cost dwarfs the walk a fused pass saves: `math` rsqrt, floor
+/// and ceil, `libm` the host libm calls exp, log, sin, cos and tan. The
+/// short form `with_fsub!(sub, fimm, cheap: |f| body, math: fallback)`
+/// evaluates one body for every class but `math` and `libm`, which
+/// evaluate `fallback` instead.
 ///
 /// Each arm instantiates its body with its own closure, so the loops in
 /// the body stay monomorphic: one match per op, never per lane.
@@ -35,6 +41,7 @@ macro_rules! with_fsub {
             binary: |$f| $body,
             unary: |$f| $body,
             math: |_f| $math,
+            libm: |_f| $math,
             nullary: |$f| $body
         )
     };
@@ -44,6 +51,7 @@ macro_rules! with_fsub {
         binary: |$fb:ident| $binary:expr,
         unary: |$fu:ident| $unary:expr,
         math: |$fm:ident| $math:expr,
+        libm: |$fl:ident| $libm:expr,
         nullary: |$f0:ident| $nullary:expr
     ) => {{
         use $crate::opt::decode::{
@@ -81,24 +89,24 @@ macro_rules! with_fsub {
                 $math
             }
             F_EXP => {
-                let $fm = |x: f64, _: f64| x.exp();
-                $math
+                let $fl = |x: f64, _: f64| x.exp();
+                $libm
             }
             F_LOG => {
-                let $fm = |x: f64, _: f64| x.ln();
-                $math
+                let $fl = |x: f64, _: f64| x.ln();
+                $libm
             }
             F_SIN => {
-                let $fm = |x: f64, _: f64| x.sin();
-                $math
+                let $fl = |x: f64, _: f64| x.sin();
+                $libm
             }
             F_COS => {
-                let $fm = |x: f64, _: f64| x.cos();
-                $math
+                let $fl = |x: f64, _: f64| x.cos();
+                $libm
             }
             F_TAN => {
-                let $fm = |x: f64, _: f64| x.tan();
-                $math
+                let $fl = |x: f64, _: f64| x.tan();
+                $libm
             }
             F_FABS => {
                 let $fu = |x: f64, _: f64| x.abs();
@@ -154,7 +162,10 @@ macro_rules! with_isub {
 /// batch, or [`Masked`] or [`Select`], the active lanes of a partial
 /// mask walked one at a time or computed at full width with only the
 /// active ones stored. A lane set supplies loop shapes only, and the
-/// defaults are the walk over [`LaneSet::lanes`]. What every
+/// defaults are the walk over [`LaneSet::lanes`]. The row passes
+/// (`map1`, `map2`, `zip1`, `zip2`, `fill`) may also write lanes outside
+/// the set that hold no live state; the walks that can fault, the libm
+/// passes and the counters visit exactly [`LaneSet::lanes`]. What every
 /// op computes — its semantics, the sub-op decoding, the memory checks
 /// and the superinstruction logic — is written once, in
 /// [`LaneEngine::exec_dec`] and its helpers, and instantiated per set.
@@ -174,8 +185,8 @@ pub(super) trait LaneSet: Copy {
     /// The number of lanes.
     fn count(self) -> u64;
 
-    /// `dst[l] = f(a[l], b[l])` within one register file; any operand may
-    /// alias `dst`.
+    /// `dst[l] = f(a[l], b[l])` within one register file, for an `f` that
+    /// cannot fault; any operand may alias `dst`.
     fn map2<K: Codegen, T: Copy, F: Fn(T, T) -> T>(
         self,
         regs: &mut [Row<T>],
@@ -185,7 +196,8 @@ pub(super) trait LaneSet: Copy {
         f: F,
     );
 
-    /// `dst[l] = f(a[l])` within one register file.
+    /// `dst[l] = f(a[l])` within one register file, for an `f` that cannot
+    /// fault.
     fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F);
 
     /// `d[l] = f(x[l])` from a row that cannot alias `d`; by default a
@@ -212,6 +224,22 @@ pub(super) trait LaneSet: Copy {
         for l in self.lanes() {
             d[l] = v;
         }
+    }
+
+    /// `dst[l] = f(a[l])` for a host libm call (`exp`, `log`, `sin`, `cos`,
+    /// `tan`): a walk over the lanes on every set. The call costs as much
+    /// on a lane outside the set as on one inside, and no vector width
+    /// widens it.
+    #[inline(always)]
+    fn libm1<T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
+        walk1(self, regs, dst, a, f);
+    }
+
+    /// `dst[l] = f(a[l], b[l])` for a host libm call (`pow`, `fmod`); see
+    /// [`LaneSet::libm1`].
+    #[inline(always)]
+    fn libm2<T: Copy, F: Fn(T, T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, b: u16, f: F) {
+        walk2(self, regs, dst, a, b, f);
     }
 
     /// The in-bounds prescan: `true` lets a checked access skip its
@@ -251,8 +279,14 @@ pub(super) trait LaneSet: Copy {
     }
 }
 
-/// The first `n` lanes of a batch, all active: row loops over `[..n]`
-/// that the optimizer vectorizes.
+/// The first `n` lanes of a batch, all active. Lanes `n..` exist only in
+/// the final batch of a range and hold no live state, so the row passes
+/// run over all [`LANES`](super::LANES) lanes: loops with a constant trip
+/// count and no tail, which the optimizer vectorizes fully, and which may
+/// overwrite the dead lanes. Everything that can fault or is counted —
+/// gathers, scatters, their shape and bounds prescans, integer-division
+/// walks — and the libm passes stay on `[..n]`, so a dead lane's stale
+/// operands are never used.
 #[derive(Clone, Copy)]
 pub(super) struct Prefix(pub(super) usize);
 
@@ -280,33 +314,31 @@ impl LaneSet for Prefix {
         b: u16,
         f: F,
     ) {
-        K::apply2(regs, self.0, dst, a, b, |_, _, x, y| f(x, y));
+        K::apply2(regs, dst, a, b, |_, _, x, y| f(x, y));
     }
 
     #[inline(always)]
     fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
-        K::apply1(regs, self.0, dst, a, |_, _, x| f(x));
+        K::apply1(regs, dst, a, |_, _, x| f(x));
     }
 
     #[inline(always)]
     fn zip1<T: Copy, U, F: Fn(T) -> U>(self, d: &mut Row<U>, x: &Row<T>, f: F) {
-        let n = self.0;
-        for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
+        for (d, &x) in d.iter_mut().zip(x.iter()) {
             *d = f(x);
         }
     }
 
     #[inline(always)]
     fn zip2<T: Copy, U, F: Fn(T, T) -> U>(self, d: &mut Row<U>, x: &Row<T>, y: &Row<T>, f: F) {
-        let n = self.0;
-        for ((d, &x), &y) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]) {
+        for ((d, &x), &y) in d.iter_mut().zip(x.iter()).zip(y.iter()) {
             *d = f(x, y);
         }
     }
 
     #[inline(always)]
     fn fill<T: Copy>(self, d: &mut Row<T>, v: T) {
-        d[..self.0].fill(v);
+        d.fill(v);
     }
 
     /// One vectorized min/max pass over the live index row.
@@ -330,7 +362,7 @@ impl LaneSet for Prefix {
     #[inline(always)]
     fn fop2<K: Codegen>(self, fregs: &mut [Row<f64>], op: &DecOp) {
         if op.sub1 == F_CONST {
-            return const_fop2::<K>(fregs, self.0, op);
+            return const_fop2::<K>(self, fregs, op);
         }
         apply_f::<K, _>(self, fregs, op.c, op.a, op.b, op.sub1, op.fimm);
         apply_f::<K, _>(self, fregs, op.dst, op.d, op.e, op.sub2, op.fimm);
@@ -358,8 +390,6 @@ impl LaneSet for Masked {
         u64::from(self.0.count())
     }
 
-    /// Per-lane read-then-write makes any operand aliasing trivially
-    /// correct.
     #[inline(always)]
     fn map2<K: Codegen, T: Copy, F: Fn(T, T) -> T>(
         self,
@@ -369,21 +399,12 @@ impl LaneSet for Masked {
         b: u16,
         f: F,
     ) {
-        let (dst, a, b) = (dst as usize, a as usize, b as usize);
-        for l in self.lanes() {
-            let x = regs[a][l];
-            let y = regs[b][l];
-            regs[dst][l] = f(x, y);
-        }
+        walk2(self, regs, dst, a, b, f);
     }
 
     #[inline(always)]
     fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
-        let (dst, a) = (dst as usize, a as usize);
-        for l in self.lanes() {
-            let x = regs[a][l];
-            regs[dst][l] = f(x);
-        }
+        walk1(self, regs, dst, a, f);
     }
 
     /// A per-lane chain: both halves back to back within each active lane
@@ -420,9 +441,9 @@ impl LaneSet for Masked {
 /// keep their values bit for bit. An inactive lane's operands are another
 /// lane subset's live state or stale, so only ops that cannot fault on
 /// any value run under it: the predicated if-arms of
-/// [`CfgInfo::if_arm`](crate::cfg::CfgInfo). `zip1`/`zip2` and every
-/// gather, scatter and division walk visit only the active lanes, as
-/// under [`Masked`]: the [`LaneSet`] defaults.
+/// [`CfgInfo::if_arm`](crate::cfg::CfgInfo). `zip1`/`zip2`, the libm
+/// passes and every gather, scatter and division walk visit only the
+/// active lanes, as under [`Masked`]: the [`LaneSet`] defaults.
 #[derive(Clone, Copy)]
 pub(super) struct Select(pub(super) ExecMask);
 
@@ -462,14 +483,12 @@ impl LaneSet for Select {
         b: u16,
         f: F,
     ) {
-        K::apply2(regs, LANES, dst, a, b, |l, d, x, y| {
-            self.pick(l, d, f(x, y))
-        });
+        K::apply2(regs, dst, a, b, |l, d, x, y| self.pick(l, d, f(x, y)));
     }
 
     #[inline(always)]
     fn map1<K: Codegen, T: Copy, F: Fn(T) -> T>(self, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
-        K::apply1(regs, LANES, dst, a, |l, d, x| self.pick(l, d, f(x)));
+        K::apply1(regs, dst, a, |l, d, x| self.pick(l, d, f(x)));
     }
 
     #[inline(always)]
@@ -498,6 +517,7 @@ pub(super) fn apply_f<K: Codegen, S: LaneSet>(
         binary: |f| s.map2::<K, _, _>(fregs, dst, a, b, f),
         unary: |f| s.map1::<K, _, _>(fregs, dst, a, |x| f(x, x)),
         math: |f| s.map1::<K, _, _>(fregs, dst, a, |x| f(x, x)),
+        libm: |f| s.libm1(fregs, dst, a, |x| f(x, x)),
         nullary: |_f| s.fill(&mut fregs[dst as usize], fimm)
     )
 }
@@ -513,6 +533,35 @@ fn apply_i<K: Codegen, S: LaneSet>(
     sub: u8,
 ) {
     with_isub!(sub, |f| s.map2::<K, _, _>(iregs, dst, a, b, f))
+}
+
+/// `dst[l] = f(a[l])` lane by lane over `s`. Per-lane read-then-write
+/// makes any operand aliasing trivially correct.
+#[inline(always)]
+fn walk1<S: LaneSet, T: Copy, F: Fn(T) -> T>(s: S, regs: &mut [Row<T>], dst: u16, a: u16, f: F) {
+    let (dst, a) = (dst as usize, a as usize);
+    for l in s.lanes() {
+        let x = regs[a][l];
+        regs[dst][l] = f(x);
+    }
+}
+
+/// `dst[l] = f(a[l], b[l])` lane by lane over `s` (see [`walk1`]).
+#[inline(always)]
+fn walk2<S: LaneSet, T: Copy, F: Fn(T, T) -> T>(
+    s: S,
+    regs: &mut [Row<T>],
+    dst: u16,
+    a: u16,
+    b: u16,
+    f: F,
+) {
+    let (dst, a, b) = (dst as usize, a as usize, b as usize);
+    for l in s.lanes() {
+        let x = regs[a][l];
+        let y = regs[b][l];
+        regs[dst][l] = f(x, y);
+    }
 }
 
 /// A fused compute pair `c = f1(a, b)`, `dst = f2(d, e)` with both halves
@@ -540,43 +589,75 @@ fn chain<S: LaneSet, T: Copy, F1: Fn(T, T) -> T, F2: Fn(T, T) -> T>(
 }
 
 /// [`Prefix`] `FOp2` whose first half is `ConstF`: when the second half
-/// reads the constant, the immediate folds into its loop (or both rows
-/// become fills) instead of round-tripping through its row; two passes
-/// otherwise.
+/// reads the constant, the immediate folds into its pass (or both rows
+/// become fills) instead of round-tripping through its row, and a
+/// division by it becomes a multiply when that is exact (see
+/// [`exact_recip`]); two passes otherwise.
 #[inline(always)]
-fn const_fop2<K: Codegen>(fregs: &mut [Row<f64>], n: usize, op: &DecOp) {
+fn const_fop2<K: Codegen>(s: Prefix, fregs: &mut [Row<f64>], op: &DecOp) {
     let (c, z, p, q, fi) = (op.c, op.dst, op.d, op.e, op.fimm);
-    fregs[c as usize][..n].fill(fi);
+    s.fill(&mut fregs[c as usize], fi);
     if z == c || (p != c && q != c) {
-        return apply_f::<K, _>(Prefix(n), fregs, z, p, q, op.sub2, fi);
+        return apply_f::<K, _>(s, fregs, z, p, q, op.sub2, fi);
     }
     // Past the early return the second half reads the constant.
+    if op.sub2 == F_DIV && p != c {
+        if let Some(r) = exact_recip(fi) {
+            return s.map1::<K, _, _>(fregs, z, p, |x| x * r);
+        }
+    }
+    let zr = z as usize;
     with_fsub!(
         op.sub2,
         fi,
         binary: |f| {
             if p != c {
-                K::apply1(fregs, n, z, p, |_, _, x| f(x, fi));
+                s.map1::<K, _, _>(fregs, z, p, |x| f(x, fi));
             } else if q != c {
-                K::apply1(fregs, n, z, q, |_, _, y| f(fi, y));
+                s.map1::<K, _, _>(fregs, z, q, |y| f(fi, y));
             } else {
-                fregs[z as usize][..n].fill(f(fi, fi));
+                s.fill(&mut fregs[zr], f(fi, fi));
             }
         },
         unary: |f| {
             if p != c {
-                K::apply1(fregs, n, z, p, |_, _, x| f(x, x));
+                s.map1::<K, _, _>(fregs, z, p, |x| f(x, x));
             } else {
-                fregs[z as usize][..n].fill(f(fi, fi));
+                s.fill(&mut fregs[zr], f(fi, fi));
             }
         },
         math: |f| {
             if p != c {
-                K::apply1(fregs, n, z, p, |_, _, x| f(x, x));
+                s.map1::<K, _, _>(fregs, z, p, |x| f(x, x));
             } else {
-                fregs[z as usize][..n].fill(f(fi, fi));
+                s.fill(&mut fregs[zr], f(fi, fi));
             }
         },
-        nullary: |f| fregs[z as usize][..n].fill(f(fi, fi))
+        libm: |f| {
+            if p != c {
+                s.libm1(fregs, z, p, |x| f(x, x));
+            } else {
+                s.fill(&mut fregs[zr], f(fi, fi));
+            }
+        },
+        nullary: |f| s.fill(&mut fregs[zr], f(fi, fi))
     )
+}
+
+/// `1 / c` when it is finite and exact, which holds exactly when `c` is
+/// `±2^k` with `-1023 <= k <= 1023` (below that the reciprocal
+/// overflows). Then `x * (1 / c)` and `x / c` both round the one real
+/// `x·2^-k` once, so they agree bit for bit on every `x`: zeros,
+/// subnormals, infinities and NaNs included.
+pub(super) fn exact_recip(c: f64) -> Option<f64> {
+    const MANT: u64 = (1 << 52) - 1;
+    let bits = c.to_bits() & !(1 << 63);
+    let (exp, mant) = (bits >> 52, bits & MANT);
+    let pow2 = if exp == 0 {
+        mant.is_power_of_two()
+    } else {
+        exp < 0x7ff && mant == 0
+    };
+    let r = 1.0 / c;
+    (pow2 && r.is_finite()).then_some(r)
 }

@@ -10,6 +10,10 @@
 //! its buffer takes the checked walk, which faults exactly as before. The
 //! walked lane sets never look: their active lanes are scattered.
 //!
+//! Every gather and scatter, its prescan and its shape test visit only
+//! the lane set's lanes, also under [`Prefix`], whose compute passes run
+//! full width: a lane past the live prefix holds a stale index.
+//!
 //! [`Prefix`]: super::lanes::Prefix
 
 use super::lanes::{apply_f, with_fsub, LaneSet};
@@ -120,7 +124,9 @@ pub(super) fn gather<S: LaneSet, E: Copy, T: Copy>(
         return Ok(());
     }
     if s.in_bounds(idx, v.len()) {
-        s.zip1(d, idx, |i| conv(v[i as usize]));
+        for l in s.lanes() {
+            d[l] = conv(v[idx[l] as usize]);
+        }
     } else {
         for l in s.lanes() {
             let i = idx[l];

@@ -58,6 +58,14 @@
 //! (every suite kernel; OpenCL gives racy kernels no ordering guarantees
 //! anyway): buffers, block counters, and per-item step counts are bit
 //! identical, which the workspace's differential test suite enforces.
+//! Which lanes a pass may write: under a partial mask, only the active
+//! ones. Under the full mask of a range's final, partial batch, the lanes
+//! past its live prefix hold no live state (stale values of the previous
+//! batch), so the compute passes that cannot fault run over all `LANES`
+//! lanes and overwrite them there, as the branch conditions read them
+//! ([`Prefix`]). Gathers, scatters, integer division, libm calls and
+//! every counter visit only live lanes, so a stale value never faults,
+//! stores or counts.
 //! Per-lane parity holds because reconvergence never changes *which*
 //! blocks a lane executes — only when they run relative to other lanes —
 //! so each lane's block-visit sequence, and therefore its block counts
@@ -570,18 +578,18 @@ impl LaneEngine {
             OpCode::CastII => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x, u)),
             OpCode::Sqrt => s.map1::<K, _, _>(fr, dst, a, f64::sqrt),
             OpCode::Rsqrt => s.map1::<K, _, _>(fr, dst, a, |x| 1.0 / x.sqrt()),
-            OpCode::Exp => s.map1::<K, _, _>(fr, dst, a, f64::exp),
-            OpCode::Log => s.map1::<K, _, _>(fr, dst, a, f64::ln),
-            OpCode::Sin => s.map1::<K, _, _>(fr, dst, a, f64::sin),
-            OpCode::Cos => s.map1::<K, _, _>(fr, dst, a, f64::cos),
-            OpCode::Tan => s.map1::<K, _, _>(fr, dst, a, f64::tan),
+            OpCode::Exp => s.libm1(fr, dst, a, f64::exp),
+            OpCode::Log => s.libm1(fr, dst, a, f64::ln),
+            OpCode::Sin => s.libm1(fr, dst, a, f64::sin),
+            OpCode::Cos => s.libm1(fr, dst, a, f64::cos),
+            OpCode::Tan => s.libm1(fr, dst, a, f64::tan),
             OpCode::Fabs => s.map1::<K, _, _>(fr, dst, a, f64::abs),
             OpCode::Floor => s.map1::<K, _, _>(fr, dst, a, f64::floor),
             OpCode::Ceil => s.map1::<K, _, _>(fr, dst, a, f64::ceil),
-            OpCode::Pow => s.map2::<K, _, _>(fr, dst, a, b, f64::powf),
+            OpCode::Pow => s.libm2(fr, dst, a, b, f64::powf),
             OpCode::Fmin => s.map2::<K, _, _>(fr, dst, a, b, f64::min),
             OpCode::Fmax => s.map2::<K, _, _>(fr, dst, a, b, f64::max),
-            OpCode::Fmod => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x % y),
+            OpCode::Fmod => s.libm2(fr, dst, a, b, |x, y| x % y),
             OpCode::IMin => s.map2::<K, _, _>(ir, dst, a, b, i64::min),
             OpCode::IMax => s.map2::<K, _, _>(ir, dst, a, b, i64::max),
             OpCode::IAbs => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_abs(), false)),

@@ -1,9 +1,10 @@
+use super::lanes::exact_recip;
 use super::mem::{index_shape, Shape};
 use super::*;
 use crate::bytecode::CmpOp;
 use crate::compile;
 use crate::ir::NdRange;
-use crate::opt::decode::{F_ADD, F_CONST, F_MUL, I_UNSIGNED};
+use crate::opt::decode::{F_ADD, F_CONST, F_DIV, F_MUL, I_UNSIGNED};
 use crate::vm::{ArgValue, LaunchBuffers};
 
 /// Everything a sequence of batches leaves behind; floats and buffer
@@ -438,25 +439,35 @@ fn snap(eng: &LaneEngine, bufs: &[BufferData], result: Result<(), VmError>) -> S
     }
 }
 
-/// Run `op` once on `s` from a fresh state, with `exec_dec` instantiated
-/// with `tier`'s body (compiled with the tier's features on a wide tier,
-/// as in `exec_batch_wide`).
-fn run_op<S: LaneSet>(tier: Tier, op: &DecOp, s: S, patched: bool) -> Snap {
-    let mut eng = engine(patched);
-    let mut bufs = buffers();
-    let mut mem = bufs.mem();
-    let r = crate::tier_dispatch!(
+/// Run `op` once on `s`, with `exec_dec` instantiated with `tier`'s body
+/// (compiled with the tier's features on a wide tier, as in
+/// `exec_batch_wide`).
+fn exec_on<S: LaneSet>(
+    tier: Tier,
+    eng: &mut LaneEngine,
+    op: &DecOp,
+    s: S,
+    mem: &mut Mem<'_>,
+) -> Result<(), VmError> {
+    crate::tier_dispatch!(
         tier,
         type K = PortableBody | WideBody,
         fn exec_wide<S: LaneSet>(
-            eng: &mut LaneEngine = &mut eng,
+            eng: &mut LaneEngine,
             op: &DecOp,
             s: S,
-            mem: &mut Mem<'_> = &mut mem,
+            mem: &mut Mem<'_>,
         ) -> Result<(), VmError> {
             eng.exec_dec::<K, S>(op, s, GSIZE, &[0, 1, 2], mem)
         }
-    );
+    )
+}
+
+/// Run `op` once on `s` from a fresh state on `tier` (see [`exec_on`]).
+fn run_op<S: LaneSet>(tier: Tier, op: &DecOp, s: S, patched: bool) -> Snap {
+    let mut eng = engine(patched);
+    let mut bufs = buffers();
+    let r = exec_on(tier, &mut eng, op, s, &mut bufs.mem());
     snap(&eng, &bufs, r)
 }
 
@@ -685,20 +696,77 @@ fn can_fault(code: OpCode) -> bool {
     )
 }
 
+/// The rows `op` writes, as `(float file, row)`: under `Prefix(n)`, the
+/// only rows whose lanes `n..` may change.
+fn dests(op: &DecOp) -> Vec<(bool, u16)> {
+    use OpCode::*;
+    match op.code {
+        StoreF | StoreI => vec![],
+        FOp2 | Load2F | LoadFOp => vec![(true, op.c), (true, op.dst)],
+        IOp2 => vec![(false, op.c), (false, op.dst)],
+        ConstF | MovF | FAdd | FSub | FMul | FDiv | NegF | CastIF | Sqrt | Rsqrt | Exp | Log
+        | Sin | Cos | Tan | Fabs | Floor | Ceil | Pow | Fmin | Fmax | Fmod | LoadF | FOpStore => {
+            vec![(true, op.dst)]
+        }
+        _ => vec![(false, op.dst)],
+    }
+}
+
+/// Assert that `Prefix(n)` left `p` where a lane set that touches only
+/// lanes `..n` left `other`: the same state at `n == LANES`. Below it the
+/// same result, buffers and lanes `..n`, and every row `op` does not
+/// write unchanged in every lane; only the destination rows' lanes `n..`
+/// are scratch, which `Prefix`'s full-width passes may overwrite.
+fn assert_prefix_agrees(p: &Snap, other: &Snap, op: &DecOp, n: usize, what: &str) {
+    if n == LANES {
+        return assert_eq!(p, other, "{what}");
+    }
+    assert_eq!(p.result, other.result, "result: {what}");
+    assert_eq!(p.bufs, other.bufs, "buffers: {what}");
+    fn rows<T: PartialEq + std::fmt::Debug>(
+        p: &[[T; LANES]],
+        other: &[[T; LANES]],
+        float: bool,
+        op: &DecOp,
+        n: usize,
+        what: &str,
+    ) {
+        assert_eq!(p.len(), other.len(), "{what}");
+        let scratch = dests(op);
+        for (r, (x, y)) in p.iter().zip(other).enumerate() {
+            let upto = if scratch.contains(&(float, r as u16)) {
+                n
+            } else {
+                LANES
+            };
+            assert_eq!(
+                x[..upto],
+                y[..upto],
+                "float {float} row {r}, lanes ..{upto}: {what}"
+            );
+        }
+    }
+    rows(&p.iregs, &other.iregs, false, op, n, what);
+    rows(&p.fregs, &other.fregs, true, op, n, what);
+}
+
 /// Check one op on one tier.
 fn check_lane_sets(tier: Tier, op: &DecOp) {
     let ctx = format!("{op:?} on {}", tier.name());
     let select = !can_fault(op.code);
     // Prefix(n), Masked(full(n)) and, for an op that cannot fault,
-    // Select(full(n)) leave identical state, faults included.
+    // Select(full(n)) leave the same state, faults included, but for
+    // the dead lanes past a partial prefix (see `assert_prefix_agrees`).
     let mut faults = false;
     for n in [LANES, 22] {
         let p = run_op(tier, op, Prefix(n), false);
         let m = run_op(tier, op, Masked(ExecMask::full(n)), false);
-        assert_eq!(p, m, "Prefix({n}) vs Masked(full({n})): {ctx}");
+        let what = format!("Prefix({n}) vs Masked(full({n})): {ctx}");
+        assert_prefix_agrees(&p, &m, op, n, &what);
         if select {
             let s = run_op(tier, op, Select(ExecMask::full(n)), false);
-            assert_eq!(p, s, "Prefix({n}) vs Select(full({n})): {ctx}");
+            let what = format!("Prefix({n}) vs Select(full({n})): {ctx}");
+            assert_prefix_agrees(&p, &s, op, n, &what);
         }
         faults |= p.result.is_err();
     }
@@ -822,15 +890,17 @@ fn shaped_cases() -> Vec<DecOp> {
 }
 
 /// [`check_lane_sets`], plus `Select`, whose gathers walk the active
-/// lanes as `Masked` does: it leaves `Prefix`'s state under a full
-/// mask and `Masked`'s under a partial one, faults included.
+/// lanes as `Masked` does: it leaves `Prefix`'s state under a full mask
+/// (up to `Prefix`'s dead lanes) and `Masked`'s under a partial one,
+/// faults included.
 fn check_shaped(tier: Tier, op: &DecOp) {
     check_lane_sets(tier, op);
     let ctx = format!("{op:?} on {}", tier.name());
     for n in [LANES, 22] {
         let p = run_op(tier, op, Prefix(n), false);
         let s = run_op(tier, op, Select(ExecMask::full(n)), false);
-        assert_eq!(p, s, "Prefix({n}) vs Select(full({n})): {ctx}");
+        let what = format!("Prefix({n}) vs Select(full({n})): {ctx}");
+        assert_prefix_agrees(&p, &s, op, n, &what);
     }
     for m in [SPARSE, SPARSE | HAZARD_BITS] {
         let s = run_op(tier, op, Select(ExecMask(m)), false);
@@ -984,6 +1054,89 @@ fn branch_masks_match_a_per_lane_reference_on_every_tier() {
         }
         for &x in &floats {
             check_masks(tier, &Row([x; LANES]), &fb);
+        }
+    }
+}
+
+/// `2^k` for `-1074 <= k <= 1023`, built from its bits.
+fn pow2(k: i32) -> f64 {
+    if k >= -1022 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else {
+        f64::from_bits(1 << (k + 1074))
+    }
+}
+
+#[test]
+fn constant_division_becomes_a_multiply_exactly_when_bit_identical() {
+    // Divisors, each with whether its reciprocal is finite and exact:
+    // every ±2^k (2^-1074 up to 2^-1024 have reciprocals that overflow),
+    // then values with no exact or no finite reciprocal.
+    let mut divisors: Vec<(f64, bool)> = (-1074..=1023)
+        .flat_map(|k| {
+            let c = pow2(k);
+            [(c, k >= -1023), (-c, k >= -1023)]
+        })
+        .collect();
+    for c in [
+        3.0,
+        0.1,
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ] {
+        divisors.push((c, false));
+    }
+    assert_eq!(exact_recip(pow2(-1074)), None);
+    assert_eq!(exact_recip(pow2(-1023)), Some(pow2(1023)));
+    // Inputs: the special values, then a dense sweep of bit patterns
+    // over every exponent, both signs and NaN payloads; 8 rows.
+    let specials = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits((1 << 52) - 1),
+        -f64::from_bits((1 << 52) - 1),
+        1.0,
+        -1.0,
+        f64::MAX,
+        -f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let inputs: Vec<f64> = specials
+        .into_iter()
+        .chain((0u64..).map(|i| f64::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))))
+        .take(8 * LANES)
+        .collect();
+    // `dst = x / c` as an `FOp2` whose first half loads the constant.
+    let op = fused(OpCode::FOp2, 1, 0, 0, 2, 0, 1, F_CONST, F_DIV);
+    for tier in Tier::supported() {
+        let mut eng = engine(false);
+        for &(c, exact) in &divisors {
+            assert_eq!(exact_recip(c).is_some(), exact, "fires on {c:e}");
+            let op = DecOp {
+                fimm: c,
+                ..op.clone()
+            };
+            for xs in inputs.chunks(LANES) {
+                eng.fregs[0] = Row(std::array::from_fn(|l| xs[l]));
+                let r = exec_on(tier, &mut eng, &op, Prefix(LANES), &mut buffers().mem());
+                assert_eq!(r, Ok(()));
+                for (l, &x) in xs.iter().enumerate() {
+                    let (got, want) = (eng.fregs[2][l], x / c);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{x:e} / {c:e} on {}: {got:e}, want {want:e}",
+                        tier.name()
+                    );
+                }
+            }
         }
     }
 }

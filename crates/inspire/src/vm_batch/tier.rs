@@ -244,26 +244,19 @@ pub(super) trait Codegen {
     #[inline(always)]
     fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         regs: &mut [Row<T>],
-        n: usize,
         dst: u16,
         a: u16,
         b: u16,
         g: G,
     ) {
-        apply2(regs, n, dst, a, b, g);
+        apply2(regs, dst, a, b, g);
     }
 
     /// [`apply1`] under this tier's inlining policy; always inlined by
     /// default, as on the wide tiers.
     #[inline(always)]
-    fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(
-        regs: &mut [Row<T>],
-        n: usize,
-        dst: u16,
-        a: u16,
-        g: G,
-    ) {
-        apply1(regs, n, dst, a, g);
+    fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(regs: &mut [Row<T>], dst: u16, a: u16, g: G) {
+        apply1(regs, dst, a, g);
     }
 }
 
@@ -276,24 +269,17 @@ impl Codegen for PortableBody {
     #[inline]
     fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         regs: &mut [Row<T>],
-        n: usize,
         dst: u16,
         a: u16,
         b: u16,
         g: G,
     ) {
-        apply2(regs, n, dst, a, b, g);
+        apply2(regs, dst, a, b, g);
     }
 
     #[inline]
-    fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(
-        regs: &mut [Row<T>],
-        n: usize,
-        dst: u16,
-        a: u16,
-        g: G,
-    ) {
-        apply1(regs, n, dst, a, g);
+    fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(regs: &mut [Row<T>], dst: u16, a: u16, g: G) {
+        apply1(regs, dst, a, g);
     }
 }
 
@@ -327,18 +313,18 @@ pub(super) fn out_of_line<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Apply `g` lane-wise over the first `n` lanes: `dst[l] = g(l, dst[l],
+/// Apply `g` lane-wise over all [`LANES`] lanes: `dst[l] = g(l, dst[l],
 /// a[l], b[l])`, where the old `dst[l]` lets a
 /// [`Select`](super::lanes::Select) pass keep an inactive lane's value.
 ///
 /// The common case (the compiler allocates a fresh temp for `dst`) borrows
-/// all three registers disjointly and runs a bounds-check-free loop the
-/// optimizer can vectorize; aliased operands fall back to copying, which
-/// is always correct because each lane only reads its own elements.
+/// all three registers disjointly and runs a bounds-check-free loop with
+/// a constant trip count, which the optimizer vectorizes with no tail;
+/// aliased operands fall back to in-place forms, which are always correct
+/// because each lane only reads its own elements.
 #[inline(always)]
 fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
     regs: &mut [Row<T>],
-    n: usize,
     dst: u16,
     a: u16,
     b: u16,
@@ -349,18 +335,18 @@ fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         let Ok([d, x, y]) = regs.get_disjoint_mut([dst, a, b]) else {
             unreachable!("disjoint registers");
         };
-        for (l, ((d, &x), &y)) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]).enumerate() {
+        for (l, ((d, &x), &y)) in d.iter_mut().zip(x.iter()).zip(y.iter()).enumerate() {
             *d = g(l, *d, x, y);
         }
     } else if a == b && dst != a {
         let Ok([d, x]) = regs.get_disjoint_mut([dst, a]) else {
             unreachable!("disjoint registers");
         };
-        for (l, (d, &x)) in d[..n].iter_mut().zip(&x[..n]).enumerate() {
+        for (l, (d, &x)) in d.iter_mut().zip(x.iter()).enumerate() {
             *d = g(l, *d, x, x);
         }
     } else if dst == a && dst == b {
-        for (l, v) in regs[dst][..n].iter_mut().enumerate() {
+        for (l, v) in regs[dst].iter_mut().enumerate() {
             *v = g(l, *v, *v, *v);
         }
     } else if dst == a {
@@ -369,33 +355,33 @@ fn apply2<T: Copy, G: Fn(usize, T, T, T) -> T>(
         let Ok([d, y]) = regs.get_disjoint_mut([dst, b]) else {
             unreachable!("disjoint registers");
         };
-        for (l, (d, &y)) in d[..n].iter_mut().zip(&y[..n]).enumerate() {
+        for (l, (d, &y)) in d.iter_mut().zip(y.iter()).enumerate() {
             *d = g(l, *d, *d, y);
         }
     } else {
         let Ok([d, x]) = regs.get_disjoint_mut([dst, a]) else {
             unreachable!("disjoint registers");
         };
-        for (l, (d, &x)) in d[..n].iter_mut().zip(&x[..n]).enumerate() {
+        for (l, (d, &x)) in d.iter_mut().zip(x.iter()).enumerate() {
             *d = g(l, *d, x, *d);
         }
     }
 }
 
-/// Apply `g` lane-wise over the first `n` lanes: `dst[l] = g(l, dst[l],
+/// Apply `g` lane-wise over all [`LANES`] lanes: `dst[l] = g(l, dst[l],
 /// a[l])` (see [`apply2`]).
 #[inline(always)]
-fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(regs: &mut [Row<T>], n: usize, dst: u16, a: u16, g: G) {
+fn apply1<T: Copy, G: Fn(usize, T, T) -> T>(regs: &mut [Row<T>], dst: u16, a: u16, g: G) {
     let (dst, a) = (dst as usize, a as usize);
     if dst != a {
         let Ok([d, x]) = regs.get_disjoint_mut([dst, a]) else {
             unreachable!("disjoint registers");
         };
-        for (l, (d, &x)) in d[..n].iter_mut().zip(&x[..n]).enumerate() {
+        for (l, (d, &x)) in d.iter_mut().zip(x.iter()).enumerate() {
             *d = g(l, *d, x);
         }
     } else {
-        for (l, v) in regs[dst][..n].iter_mut().enumerate() {
+        for (l, v) in regs[dst].iter_mut().enumerate() {
             *v = g(l, *v, *v);
         }
     }

@@ -963,6 +963,90 @@ fn stale_rows_of_a_partial_batch_never_join_a_branch() {
     }
 }
 
+/// Items `lo..` divide by `i - z` and read and write element `i - lo`.
+const STALE_LANES: &str =
+    "kernel void k(global const int* a, global int* o, int lo, int z, int r) {
+    int i = get_global_id(0);
+    if (i >= lo) {
+        int k = i - lo;
+        o[k] = a[k] + a[(k * 7) % r] + 1000 / (i - z);
+    }
+}";
+
+/// The `STALE_LANES` outputs of items `lo..lo + r`.
+fn stale_lanes_want(a: &[i32], lo: i32, z: i32) -> Vec<i32> {
+    let r = a.len() as i32;
+    (0..r)
+        .map(|k| a[k as usize] + a[(k * 7 % r) as usize] + 1000 / (lo + k - z))
+        .collect()
+}
+
+#[test]
+fn stale_lanes_of_a_partial_batch_never_fault() {
+    // Only the final batch's live lanes reach the division, gathers and
+    // scatter. Its lanes `r..` still hold the previous batch's ids
+    // `lo - 64 + r..lo`: in a full-width pass they would divide by zero
+    // (id `z`) and index before element 0.
+    for n in [197, 2 * LANES + 1] {
+        let r = n % LANES;
+        let (lo, z) = ((n - r) as i32, (n - LANES) as i32);
+        let a: Vec<i32> = (0..r as i32).map(|k| k * 5 - 3).collect();
+        let bufs = vec![BufferData::I32(a.clone()), BufferData::I32(vec![0; r])];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Int(lo),
+            ArgValue::Int(z),
+            ArgValue::Int(r as i32),
+        ];
+        let nd = NdRange::d1(n);
+        for opt in [OptLevel::None, OptLevel::Full] {
+            let k = compile_with_modes(STALE_LANES, opt, RegAlloc::On).unwrap();
+            let mut vm = Vm::new();
+            let mut scalar_bufs = bufs.clone();
+            let scalar = vm.run_range_scalar(&k.bytecode, &nd, 0..n, &args, &mut scalar_bufs);
+            let mut lane_bufs = bufs.clone();
+            let lanes = vm.run_range(&k.bytecode, &nd, 0..n, &args, &mut lane_bufs);
+            assert!(lanes.is_ok(), "n = {n}, {opt:?}: {lanes:?}");
+            assert_eq!(scalar, lanes, "n = {n}, {opt:?}: counters");
+            assert_eq!(scalar_bufs, lane_bufs, "n = {n}, {opt:?}: buffers");
+            let want = stale_lanes_want(&a, lo, z);
+            assert_eq!(lane_bufs[1], BufferData::I32(want), "n = {n}, {opt:?}");
+        }
+    }
+    // An item list in one partial batch: the lanes past it hold the
+    // engine's initial id 0, so `z = 0` divides by zero there and
+    // `0 - lo` indexes before element 0. The list is out of order, so
+    // the index rows are scattered, not unit-stride.
+    for m in [9, 37, LANES - 1] {
+        let lo = 100;
+        let a: Vec<i32> = (0..m as i32).map(|k| 2 - k * 3).collect();
+        let bufs = vec![BufferData::I32(a.clone()), BufferData::I32(vec![0; m])];
+        let args = [
+            ArgValue::Buffer(0),
+            ArgValue::Buffer(1),
+            ArgValue::Int(lo as i32),
+            ArgValue::Int(0),
+            ArgValue::Int(m as i32),
+        ];
+        let nd = NdRange::d1(lo + m);
+        let gids: Vec<[usize; 3]> = (0..m).map(|k| [lo + (k * 5) % m, 0, 0]).collect();
+        for opt in [OptLevel::None, OptLevel::Full] {
+            let k = compile_with_modes(STALE_LANES, opt, RegAlloc::On).unwrap();
+            let mut vm = Vm::new();
+            let mut scalar_bufs = bufs.clone();
+            let scalar = vm.run_items_scalar(&k.bytecode, &nd, &gids, &args, &mut scalar_bufs);
+            let mut lane_bufs = bufs.clone();
+            let lanes = vm.run_items(&k.bytecode, &nd, &gids, &args, &mut lane_bufs);
+            assert!(lanes.is_ok(), "m = {m}, {opt:?}: {lanes:?}");
+            assert_eq!(scalar, lanes, "m = {m}, {opt:?}: per-item counters");
+            assert_eq!(scalar_bufs, lane_bufs, "m = {m}, {opt:?}: buffers");
+            let want = stale_lanes_want(&a, lo as i32, 0);
+            assert_eq!(lane_bufs[1], BufferData::I32(want), "m = {m}, {opt:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Random structured CFGs
 // ---------------------------------------------------------------------
