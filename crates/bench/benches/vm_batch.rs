@@ -39,7 +39,7 @@
 //! A note on the register-allocation floor: both sides of that A/B walk
 //! the same pre-decoded, fused op array on the lane engine, so it
 //! isolates the register-file shrink alone (the lane engine's SoA rows
-//! scale as 64 × regs × 8 bytes). That shrink is a cache-footprint
+//! take 64 lanes × 4 bytes per I register and × 8 bytes per F register). That shrink is a cache-footprint
 //! effect that is small at these batch widths, so the CI floor only
 //! guards against allocation *regressing* execution (beyond the ~5%
 //! timing noise of a shared CI host), not a speedup target.
@@ -173,7 +173,8 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
     // trip of a uniform loop, the serve workloads' p99 key, whose floor
     // also guards the predicated if-arms; stencil2d: three predicable
     // boundary triangles, recorded without a floor) — plus nbody and
-    // kmeans, whose uniform index rows load as one broadcast per row,
+    // kmeans, whose uniform index rows load as one broadcast per row, and
+    // conv2d, half of whose ops are 32-bit integer index arithmetic, all
     // recorded without a floor. Sizes match the
     // training-shaped oracle batch below: the lane engine exists to speed
     // up the VM the training sweeps run on, and sweeps launch at exactly
@@ -189,6 +190,7 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("stencil2d", 64),
             ("nbody", 1 << 8),
             ("kmeans", 1 << 10),
+            ("conv2d", 48),
         ]
     } else {
         &[
@@ -200,6 +202,7 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("stencil2d", 128),
             ("nbody", 1 << 10),
             ("kmeans", 1 << 12),
+            ("conv2d", 64),
         ]
     };
     let reps = if quick { 3 } else { 5 };

@@ -6,11 +6,15 @@
 //! - [`uniform`] — gid/load taint plus control-dependence propagation
 //!   that classifies every branch as work-item-uniform or divergent,
 //!   feeding the partition predictor's static feature vector.
+//! - [`signedness`] — a forward fixpoint over the CFG that finds how each
+//!   integer operand extends past 32 bits, which the lane engine's
+//!   32-bit integer rows need at every op that reads past them.
 //!
-//! Both are direct walks over the basic blocks (`uniform` also reads the
-//! cached [`CfgInfo`](crate::cfg::CfgInfo) post-dominators); neither
-//! needs a dataflow solver.
+//! `verify` and `uniform` are direct walks over the basic blocks
+//! (`uniform` also reads the cached [`CfgInfo`](crate::cfg::CfgInfo)
+//! post-dominators); `signedness` iterates one small lattice per register.
 
+pub mod signedness;
 pub mod uniform;
 pub mod verify;
 

@@ -17,8 +17,13 @@
 //! `ops_cv` is exactly 0.
 //!
 //! Registers are treated flow-insensitively (a register is divergent if
-//! any reachable definition of it is) — sound, and precise enough after
-//! register allocation keeps disjoint live ranges apart.
+//! any reachable definition of it is). That is sound: a branch classified
+//! uniform is uniform on every launch. It is not precise under register
+//! allocation, which gives one physical register to disjoint live
+//! ranges: a uniform value sharing a register with a divergent one is
+//! classified divergent. With the allocator on, nbody's only branch and
+//! monte_carlo_pi's loop branch are classified divergent although both
+//! are uniform (they are uniform with `RegAlloc::Off`).
 
 use crate::bytecode::{Function, Instr, Terminator};
 use crate::cfg::{reg_def, reg_uses, term_uses, NO_POST_DOM};

@@ -165,7 +165,7 @@ pub fn verify_blocks(
 pub fn verify_function(pass: &str, f: &Function) -> Result<(), CompileError> {
     verify_blocks(pass, &f.name, &f.blocks, &f.params, f.n_iregs, f.n_fregs)?;
     let dec = &f.decoded;
-    let fresh = crate::opt::decode::decode(&f.blocks);
+    let fresh = crate::opt::decode::decode(&f.blocks, &f.params)?;
     if *dec != fresh {
         // Name the first differing op so the diagnostic is actionable.
         let detail = dec

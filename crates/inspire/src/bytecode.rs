@@ -1231,7 +1231,7 @@ impl<'a> Compiler<'a> {
                 }
             }
         }
-        let decoded = crate::opt::decode::decode(&blocks);
+        let decoded = crate::opt::decode::decode(&blocks, &params)?;
         // Re-run the CFG analyses on the final block list so SIMT
         // reconvergence (post-dominators) sees the optimized CFG.
         let cfg = crate::cfg::CfgInfo::build(&blocks, n_iregs, n_fregs);

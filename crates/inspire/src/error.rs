@@ -27,6 +27,10 @@ pub enum Phase {
     Sema,
     /// Bytecode generation.
     Codegen,
+    /// Pre-decoding for the lane engine: an integer op's operands have no
+    /// single signedness, or a constant does not fit in 32 bits (see
+    /// [`crate::analysis::signedness`]).
+    Decode,
     /// Post-pass IR verification (the static-analysis framework's typed
     /// checker rejected the output of an optimizer or backend stage).
     Verify,
@@ -63,6 +67,13 @@ impl CompileError {
             offset: None,
         }
     }
+    pub fn decode(message: impl Into<String>) -> Self {
+        Self {
+            phase: Phase::Decode,
+            message: message.into(),
+            offset: None,
+        }
+    }
     pub fn verify(message: impl Into<String>) -> Self {
         Self {
             phase: Phase::Verify,
@@ -86,6 +97,7 @@ impl fmt::Display for CompileError {
             Phase::Parse => "parse",
             Phase::Sema => "sema",
             Phase::Codegen => "codegen",
+            Phase::Decode => "decode",
             Phase::Verify => "verify",
             Phase::Other => "compile",
         };
@@ -121,6 +133,14 @@ pub enum VmError {
     ArgumentMismatch(String),
     /// A negative shift amount or shift wider than the operand.
     InvalidShift(i64),
+    /// A dimension of the NDRange holds 2^31 or more work-items: its
+    /// global ids would not fit the kernel language's 32-bit `int`.
+    NdRangeTooLarge {
+        /// The oversized dimension.
+        dim: usize,
+        /// Its global size.
+        size: usize,
+    },
     /// Requested work-items lie outside the launch's NDRange: a split
     /// range past the split extent, or an explicit work-item past the
     /// global size.
@@ -150,6 +170,10 @@ impl fmt::Display for VmError {
             }
             VmError::ArgumentMismatch(m) => write!(f, "argument mismatch: {m}"),
             VmError::InvalidShift(s) => write!(f, "invalid shift amount {s}"),
+            VmError::NdRangeTooLarge { dim, size } => write!(
+                f,
+                "NDRange dimension {dim} holds {size} work-items; at most 2^31 - 1 fit a 32-bit global id"
+            ),
             VmError::OutsideNdRange { dim, index, size } => write!(
                 f,
                 "work-item coordinate {index} in dimension {dim} is outside the NDRange size {size}"

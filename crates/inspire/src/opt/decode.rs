@@ -6,7 +6,14 @@
 //! once at compile time into one contiguous [`DecOp`] array — a fixed
 //! struct-of-fields format with a flat [`OpCode`] and the register
 //! numbers, immediates, and signedness pre-extracted — plus per-block
-//! `(start, end)` spans into that array. The lane engine then steps over
+//! `(start, end)` spans into that array.
+//!
+//! The lane engine holds each integer as its 32-bit pattern, so an op
+//! whose result depends on how a value extends to 64 bits needs its
+//! operand's signedness. Decoding reads it off the
+//! [signedness analysis](crate::analysis::signedness), once per function,
+//! into [`DecOp::unsigned`] (and, for a fused integer `BranchCmp`, into
+//! [`DecodedProgram::branch_unsigned`]). The lane engine then steps over
 //! one slice per block with a single one-level dispatch per op; the
 //! scalar reference engine keeps walking the enum blocks.
 //!
@@ -30,7 +37,8 @@
 //! only fuse with the fault check kept in its original position, and
 //! the faulting Div/Rem integer ops never fuse.
 
-use crate::bytecode::{Block, CmpOp, FBinOp, IBinOp, Instr, MathFn1, MathFn2};
+use crate::bytecode::{Block, CmpOp, FBinOp, FnParam, IBinOp, Instr, MathFn1, MathFn2};
+use crate::error::CompileError;
 
 /// Flat opcode of a decoded op. Signedness lives in [`DecOp::unsigned`],
 /// not in the opcode, so the table stays at one variant per `Instr`
@@ -123,9 +131,9 @@ pub(crate) enum OpCode {
 /// Micro-op codes for the compute halves of fused ops. The F table
 /// covers binops (0–3), mov (4), the unary math ops (5–14), negate (15)
 /// and a float constant (16, value in [`DecOp::fimm`]); the I table
-/// covers the non-faulting add/sub/mul (0–2) with the unsigned flag
-/// packed into bit 7. The encoder and the lane engine both use the
-/// names, never the numbers.
+/// covers the non-faulting add/sub/mul (0–2), which read and write only
+/// the low 32 bits and so have no signedness. The encoder and the lane
+/// engine both use the F names, never the numbers.
 pub(crate) const F_ADD: u8 = 0;
 pub(crate) const F_SUB: u8 = 1;
 pub(crate) const F_MUL: u8 = 2;
@@ -143,7 +151,6 @@ pub(crate) const F_FLOOR: u8 = 13;
 pub(crate) const F_CEIL: u8 = 14;
 pub(crate) const F_NEG: u8 = 15;
 pub(crate) const F_CONST: u8 = 16;
-pub(crate) const I_UNSIGNED: u8 = 0x80;
 
 /// One decoded op. Operand conventions:
 ///
@@ -153,6 +160,12 @@ pub(crate) const I_UNSIGNED: u8 = 0x80;
 /// - loads: `dst`, `a` = index register, `b` = buffer param
 /// - stores: `dst` = source register, `a` = index register, `b` = buffer
 /// - `GlobalId` / `GlobalSize`: `dst`, `a` = dimension
+///
+/// `unsigned` is the op's entry of the
+/// [signedness analysis](crate::analysis::signedness): its flag for division, remainder, shift right and `CastFI`, and its
+/// operands' kind for the compares, `CastIF`, `IMin`, `IMax`, `IAbs` and
+/// the buffer index of every load and store (both indices of a `Load2F`).
+/// `imm` is the 32-bit pattern of an integer immediate.
 ///
 /// Fused superinstructions use the extra fields; the first half always
 /// executes before the second, per lane:
@@ -174,7 +187,7 @@ pub(crate) struct DecOp {
     pub(crate) sub1: u8,
     pub(crate) sub2: u8,
     pub(crate) unsigned: bool,
-    pub(crate) imm: i64,
+    pub(crate) imm: i32,
     pub(crate) fimm: f64,
 }
 
@@ -205,6 +218,9 @@ pub(crate) struct DecodedProgram {
     pub(crate) ops: Vec<DecOp>,
     /// Per block: `[start, end)` into [`DecodedProgram::ops`].
     pub(crate) spans: Vec<(u32, u32)>,
+    /// Per block: whether an integer `BranchCmp` terminator compares its
+    /// operands as unsigned.
+    pub(crate) branch_unsigned: Vec<bool>,
 }
 
 impl DecodedProgram {
@@ -301,13 +317,21 @@ fn math2_code(f: MathFn2) -> OpCode {
     }
 }
 
-fn decode_instr(ins: &Instr) -> DecOp {
+/// Decode one instruction; `unsigned` is its entry of the signedness
+/// analysis.
+fn decode_instr(ins: &Instr, unsigned: bool) -> DecOp {
+    let mut o = decode_operands(ins);
+    o.unsigned = unsigned;
+    o
+}
+
+fn decode_operands(ins: &Instr) -> DecOp {
     use Instr::*;
     match *ins {
         ConstI { dst, v } => {
             let mut o = DecOp::new(OpCode::ConstI);
             o.dst = dst;
-            o.imm = v;
+            o.imm = v as i32;
             o
         }
         ConstF { dst, v } => {
@@ -328,32 +352,20 @@ fn decode_instr(ins: &Instr) -> DecOp {
             o.a = src;
             o
         }
-        IBin {
-            op,
-            dst,
-            a,
-            b,
-            unsigned,
-        } => {
+        IBin { op, dst, a, b, .. } => {
             let mut o = DecOp::new(ibin_code(op));
             o.dst = dst;
             o.a = a;
             o.b = b;
-            o.unsigned = unsigned;
             o
         }
         IBinImm {
-            op,
-            dst,
-            a,
-            imm,
-            unsigned,
+            op, dst, a, imm, ..
         } => {
             let mut o = DecOp::new(imm_code(op));
             o.dst = dst;
             o.a = a;
-            o.imm = imm;
-            o.unsigned = unsigned;
+            o.imm = imm as i32;
             o
         }
         FBin { op, dst, a, b } => {
@@ -377,11 +389,10 @@ fn decode_instr(ins: &Instr) -> DecOp {
             o.b = b;
             o
         }
-        NegI { dst, a, unsigned } => {
+        NegI { dst, a, .. } => {
             let mut o = DecOp::new(OpCode::NegI);
             o.dst = dst;
             o.a = a;
-            o.unsigned = unsigned;
             o
         }
         NegF { dst, a } => {
@@ -396,11 +407,10 @@ fn decode_instr(ins: &Instr) -> DecOp {
             o.a = a;
             o
         }
-        BitNotI { dst, a, unsigned } => {
+        BitNotI { dst, a, .. } => {
             let mut o = DecOp::new(OpCode::BitNotI);
             o.dst = dst;
             o.a = a;
-            o.unsigned = unsigned;
             o
         }
         CastIF { dst, a } => {
@@ -409,22 +419,16 @@ fn decode_instr(ins: &Instr) -> DecOp {
             o.a = a;
             o
         }
-        CastFI { dst, a, unsigned } => {
+        CastFI { dst, a, .. } => {
             let mut o = DecOp::new(OpCode::CastFI);
             o.dst = dst;
             o.a = a;
-            o.unsigned = unsigned;
             o
         }
-        CastII {
-            dst,
-            a,
-            to_unsigned,
-        } => {
+        CastII { dst, a, .. } => {
             let mut o = DecOp::new(OpCode::CastII);
             o.dst = dst;
             o.a = a;
-            o.unsigned = to_unsigned;
             o
         }
         Math1 { f, dst, a } => {
@@ -541,7 +545,7 @@ fn i_micro(op: &DecOp) -> Option<(u8, u16, u16)> {
         IMul => 2,
         _ => return None,
     };
-    Some((sub | if op.unsigned { I_UNSIGNED } else { 0 }, op.a, op.b))
+    Some((sub, op.a, op.b))
 }
 
 /// Try to fuse two adjacent decoded ops into one superinstruction.
@@ -579,8 +583,9 @@ fn try_fuse(x: &DecOp, y: &DecOp) -> Option<DecOp> {
         return Some(o);
     }
     // Two float loads: one bounds pass, one gather pass. Distinct
-    // destinations keep the single-pass loop free of aliasing cases.
-    if x.code == LoadF && y.code == LoadF && x.dst != y.dst {
+    // destinations keep the single-pass loop free of aliasing cases, and
+    // one signedness covers both indices.
+    if x.code == LoadF && y.code == LoadF && x.dst != y.dst && x.unsigned == y.unsigned {
         let mut o = DecOp::new(Load2F);
         o.c = x.dst;
         o.a = x.a;
@@ -588,6 +593,7 @@ fn try_fuse(x: &DecOp, y: &DecOp) -> Option<DecOp> {
         o.dst = y.dst;
         o.d = y.a;
         o.e = y.b;
+        o.unsigned = x.unsigned;
         return Some(o);
     }
     // Float load + F-file compute (a following constant gains nothing;
@@ -602,6 +608,7 @@ fn try_fuse(x: &DecOp, y: &DecOp) -> Option<DecOp> {
             o.d = d;
             o.e = e;
             o.sub2 = s2;
+            o.unsigned = x.unsigned;
             return Some(o);
         }
     }
@@ -616,6 +623,7 @@ fn try_fuse(x: &DecOp, y: &DecOp) -> Option<DecOp> {
             o.c = y.a;
             o.d = y.b;
             o.fimm = x.fimm;
+            o.unsigned = y.unsigned;
             return Some(o);
         }
     }
@@ -640,17 +648,27 @@ fn fuse_block(ops: Vec<DecOp>) -> Vec<DecOp> {
     out
 }
 
-/// Lower blocks into the flat decoded form.
-pub(crate) fn decode(blocks: &[Block]) -> DecodedProgram {
+/// Lower blocks into the flat decoded form, or fail where an integer op's
+/// operands have no single signedness (see
+/// [`crate::analysis::signedness`]).
+pub(crate) fn decode(blocks: &[Block], params: &[FnParam]) -> Result<DecodedProgram, CompileError> {
+    let exts = crate::analysis::signedness::analyze(blocks, params)?;
     let total = blocks.iter().map(|b| b.instrs.len()).sum();
     let mut ops = Vec::with_capacity(total);
     let mut spans = Vec::with_capacity(blocks.len());
-    for b in blocks {
+    for (b, block_exts) in blocks.iter().zip(&exts.instrs) {
         let start = ops.len() as u32;
-        ops.extend(fuse_block(b.instrs.iter().map(decode_instr).collect()));
+        let decoded = b.instrs.iter().zip(block_exts);
+        ops.extend(fuse_block(
+            decoded.map(|(i, &e)| decode_instr(i, e)).collect(),
+        ));
         spans.push((start, ops.len() as u32));
     }
-    DecodedProgram { ops, spans }
+    Ok(DecodedProgram {
+        ops,
+        spans,
+        branch_unsigned: exts.terms,
+    })
 }
 
 #[cfg(test)]
@@ -672,7 +690,7 @@ mod tests {
             crate::opt::RegAlloc::Off,
         )
         .unwrap();
-        let dec = decode(&f.blocks);
+        let dec = decode(&f.blocks, &f.params).unwrap();
         assert_eq!(dec.spans.len(), f.blocks.len());
         let mut next = 0u32;
         for (bi, &(s, e)) in dec.spans.iter().enumerate() {
@@ -710,7 +728,7 @@ mod tests {
                 src: 0,
             },
         ];
-        let fused = fuse_block(block.iter().map(decode_instr).collect());
+        let fused = fuse_block(block.iter().map(|i| decode_instr(i, false)).collect());
         assert_eq!(fused.len(), 2);
         assert_eq!(fused[0].code, OpCode::Load2F);
         assert_eq!((fused[0].c, fused[0].a, fused[0].b), (0, 2, 0));
@@ -751,7 +769,7 @@ mod tests {
                 unsigned: false,
             },
         ];
-        let fused = fuse_block(chain.iter().map(decode_instr).collect());
+        let fused = fuse_block(chain.iter().map(|i| decode_instr(i, false)).collect());
         // fmul+fadd fuse; the int mul cannot fuse with the faulting div.
         assert_eq!(fused.len(), 3);
         assert_eq!(fused[0].code, OpCode::FOp2);
@@ -767,7 +785,7 @@ mod tests {
             Instr::ConstF { dst: 0, v: 1.5 },
             Instr::ConstF { dst: 1, v: 2.5 },
         ];
-        let fused = fuse_block(two.iter().map(decode_instr).collect());
+        let fused = fuse_block(two.iter().map(|i| decode_instr(i, false)).collect());
         assert_eq!(fused.len(), 2);
 
         // const + fmul fuses with the constant on sub1.
@@ -780,7 +798,7 @@ mod tests {
                 b: 2,
             },
         ];
-        let fused = fuse_block(pair.iter().map(decode_instr).collect());
+        let fused = fuse_block(pair.iter().map(|i| decode_instr(i, false)).collect());
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].code, OpCode::FOp2);
         assert_eq!((fused[0].sub1, fused[0].sub2), (F_CONST, F_MUL));
@@ -794,7 +812,7 @@ mod tests {
             idx: 7,
             src: 9,
         };
-        let o = decode_instr(&ins);
+        let o = decode_instr(&ins, false);
         assert_eq!(o.code, OpCode::StoreF);
         assert_eq!((o.dst, o.a, o.b), (9, 7, 3));
 
@@ -803,7 +821,7 @@ mod tests {
             buf: 2,
             idx: 6,
         };
-        let o = decode_instr(&ins);
+        let o = decode_instr(&ins, false);
         assert_eq!(o.code, OpCode::LoadI);
         assert_eq!((o.dst, o.a, o.b), (4, 6, 2));
 
@@ -814,7 +832,7 @@ mod tests {
             imm: 5,
             unsigned: true,
         };
-        let o = decode_instr(&ins);
+        let o = decode_instr(&ins, true);
         assert_eq!(o.code, OpCode::ImmShr);
         assert!(o.unsigned);
         assert_eq!(o.imm, 5);

@@ -257,7 +257,7 @@ pub fn disasm(f: &Function) -> String {
 
 /// Disassemble a block list, annotating each label with its decoded-op
 /// span.
-fn disasm_blocks_spanned(blocks: &[Block], spans: &[(u32, u32)]) -> String {
+pub(crate) fn disasm_blocks_spanned(blocks: &[Block], spans: &[(u32, u32)]) -> String {
     let mut out = String::new();
     for (i, b) in blocks.iter().enumerate() {
         match spans.get(i) {

@@ -22,7 +22,9 @@
 //! handful of items; the differential test suite keeps the two engines
 //! bit-identical on buffers, counters, and sample statistics. Every entry
 //! rejects work-items outside the launch's NDRange with
-//! [`VmError::OutsideNdRange`] before executing anything.
+//! [`VmError::OutsideNdRange`], and an NDRange with 2^31 or more items in
+//! a dimension with [`VmError::NdRangeTooLarge`], before executing
+//! anything.
 //!
 //! Every entry runs against [`LaunchBuffers`]: the caller's own buffers,
 //! or a copy-on-write [`Scratch`] view for probes whose stores must not be
@@ -403,6 +405,19 @@ impl Vm {
         Ok(Self::buffer_map(f, args))
     }
 
+    /// Reject an NDRange with a dimension of 2^31 or more work-items: the
+    /// kernel language's `get_global_id` and `get_global_size` return a
+    /// 32-bit `int`, which could not hold its ids.
+    fn check_ndrange(nd: &NdRange) -> Result<(), VmError> {
+        match (0..3).find(|&d| nd.dim(d) > i32::MAX as usize) {
+            Some(dim) => Err(VmError::NdRangeTooLarge {
+                dim,
+                size: nd.dim(dim),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Reject a split range reaching past the NDRange's split extent.
     fn check_split_range(nd: &NdRange, split_range: &Range<usize>) -> Result<(), VmError> {
         if split_range.end > nd.split_extent() {
@@ -558,6 +573,7 @@ impl Vm {
         index: impl Fn(usize) -> usize,
         mut stats: Option<&mut OnlineStats>,
     ) -> Result<Counters, VmError> {
+        Self::check_ndrange(nd)?;
         Self::check_split_range(nd, split_range)?;
         let mut mem = bufs.mem();
         let bmap = self.start_launch(f, args, mem.layout())?;
@@ -588,6 +604,7 @@ impl Vm {
         index: impl Fn(usize) -> usize,
         mut stats: Option<&mut OnlineStats>,
     ) -> Result<Counters, VmError> {
+        Self::check_ndrange(nd)?;
         Self::check_split_range(nd, split_range)?;
         let mut mem = bufs.mem();
         let bmap = self.start_launch(f, args, mem.layout())?;
@@ -637,6 +654,7 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Vec<Counters>, VmError> {
+        Self::check_ndrange(nd)?;
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         Self::check_items(gids, gsize)?;
         let mut mem = bufs.mem();
@@ -668,6 +686,7 @@ impl Vm {
         args: &[ArgValue],
         bufs: &mut (impl LaunchBuffers + ?Sized),
     ) -> Result<Vec<Counters>, VmError> {
+        Self::check_ndrange(nd)?;
         let gsize = [nd.dim(0), nd.dim(1), nd.dim(2)];
         Self::check_items(gids, gsize)?;
         let mut mem = bufs.mem();
@@ -739,7 +758,7 @@ impl Vm {
 
     /// Execute one instruction for the current work-item.
     #[inline]
-    fn exec_instr(
+    pub(crate) fn exec_instr(
         &mut self,
         ins: &Instr,
         gid: [usize; 3],

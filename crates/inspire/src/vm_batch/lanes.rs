@@ -133,25 +133,22 @@ macro_rules! with_fsub {
 }
 pub(super) use with_fsub;
 
-/// `with_isub!(sub, |f| body)`: [`with_fsub!`] for the I-file micro-ops
-/// (the non-faulting binops, signedness in bit 7).
+/// `with_isub!(sub, |f| body)`: [`with_fsub!`] for the I-file micro-ops,
+/// the non-faulting binops. They read and write only the 32-bit pattern,
+/// so they have no signedness.
 macro_rules! with_isub {
     ($sub:expr, |$f:ident| $body:expr) => {{
-        use $crate::opt::decode::I_UNSIGNED;
-        use $crate::vm::wrap32;
-        let sub: u8 = $sub;
-        let u = sub & I_UNSIGNED != 0;
-        match sub & !I_UNSIGNED {
+        match $sub {
             0 => {
-                let $f = move |x: i64, y: i64| wrap32(x.wrapping_add(y), u);
+                let $f = |x: i32, y: i32| x.wrapping_add(y);
                 $body
             }
             1 => {
-                let $f = move |x: i64, y: i64| wrap32(x.wrapping_sub(y), u);
+                let $f = |x: i32, y: i32| x.wrapping_sub(y);
                 $body
             }
             _ => {
-                let $f = move |x: i64, y: i64| wrap32(x.wrapping_mul(y), u);
+                let $f = |x: i32, y: i32| x.wrapping_mul(y);
                 $body
             }
         }
@@ -242,23 +239,25 @@ pub(super) trait LaneSet: Copy {
         walk2(self, regs, dst, a, b, f);
     }
 
-    /// The in-bounds prescan: `true` lets a checked access skip its
-    /// faulting walk, and a fused memory pair run as one pass. By default
-    /// `false`, with no prescan: over scattered active lanes the checked
-    /// walk tests each index as it goes, where a separate scan would be a
-    /// second walk, and an inactive lane's index may be out of bounds
-    /// without the access faulting.
+    /// The in-bounds prescan of index row `idx`, unsigned when `u`:
+    /// `true` lets a checked access skip its faulting walk, and a fused
+    /// memory pair run as one pass. By default `false`, with no prescan:
+    /// over scattered active lanes the checked walk tests each index as
+    /// it goes, where a separate scan would be a second walk, and an
+    /// inactive lane's index may be out of bounds without the access
+    /// faulting.
     #[inline(always)]
-    fn in_bounds(self, _idx: &Row<i64>, _len: usize) -> bool {
+    fn in_bounds(self, _idx: &Row<i32>, _u: bool, _len: usize) -> bool {
         false
     }
 
-    /// The shape of index row `idx` over the set, which lets a gather
-    /// run as one row pass (see [`gather_row`](super::mem::gather_row)).
-    /// By default never looked at: a walk over scattered active lanes
-    /// gains nothing from a row pass.
+    /// The shape of index row `idx` (unsigned when `u`) over the set,
+    /// which lets a gather run as one row pass (see
+    /// [`gather_row`](super::mem::gather_row)). By default never looked
+    /// at: a walk over scattered active lanes gains nothing from a row
+    /// pass.
     #[inline(always)]
-    fn shape(self, _idx: &Row<i64>) -> Shape {
+    fn shape(self, _idx: &Row<i32>, _u: bool) -> Shape {
         Shape::Scattered
     }
 
@@ -273,7 +272,7 @@ pub(super) trait LaneSet: Copy {
     /// A fused `IOp2` under the set's pair policy; by default two row
     /// passes, one per half.
     #[inline(always)]
-    fn iop2<K: Codegen>(self, iregs: &mut [Row<i64>], op: &DecOp) {
+    fn iop2<K: Codegen>(self, iregs: &mut [Row<i32>], op: &DecOp) {
         apply_i::<K, _>(self, iregs, op.c, op.a, op.b, op.sub1);
         apply_i::<K, _>(self, iregs, op.dst, op.d, op.e, op.sub2);
     }
@@ -341,15 +340,15 @@ impl LaneSet for Prefix {
         d.fill(v);
     }
 
-    /// One vectorized min/max pass over the live index row.
+    /// One vectorized max pass over the live index row.
     #[inline(always)]
-    fn in_bounds(self, idx: &Row<i64>, len: usize) -> bool {
-        all_in_bounds(idx, self.0, len)
+    fn in_bounds(self, idx: &Row<i32>, u: bool, len: usize) -> bool {
+        all_in_bounds(idx, u, self.0, len)
     }
 
     #[inline(always)]
-    fn shape(self, idx: &Row<i64>) -> Shape {
-        index_shape(idx, self.0)
+    fn shape(self, idx: &Row<i32>, u: bool) -> Shape {
+        index_shape(idx, u, self.0)
     }
 
     /// Two mono passes (as `iop2`) — the unfused execution minus one
@@ -429,7 +428,7 @@ impl LaneSet for Masked {
 
     /// A per-lane chain; see [`Masked::fop2`].
     #[inline(always)]
-    fn iop2<K: Codegen>(self, iregs: &mut [Row<i64>], op: &DecOp) {
+    fn iop2<K: Codegen>(self, iregs: &mut [Row<i32>], op: &DecOp) {
         with_isub!(op.sub1, |f1| {
             with_isub!(op.sub2, |f2| chain(self, iregs, op, f1, f2))
         })
@@ -526,7 +525,7 @@ pub(super) fn apply_f<K: Codegen, S: LaneSet>(
 #[inline(always)]
 fn apply_i<K: Codegen, S: LaneSet>(
     s: S,
-    iregs: &mut [Row<i64>],
+    iregs: &mut [Row<i32>],
     dst: u16,
     a: u16,
     b: u16,

@@ -70,8 +70,8 @@ pub(super) struct Frame {
 /// tier picks the loop shape that vectorizes on it:
 ///
 /// - the wide tiers OR one bit per lane into the mask, which becomes
-///   64-bit compares plus a movemask per vector on AVX2, and compares
-///   straight into a mask register on AVX-512;
+///   compares plus a movemask per vector on AVX2, and compares straight
+///   into a mask register on AVX-512;
 /// - the portable tier builds the mask 8 lanes per byte, because SSE2
 ///   has no 64-bit compare and the one-bit loop measured slower there.
 #[inline(always)]
@@ -97,19 +97,22 @@ pub(super) fn pack_rows<K: Codegen, T: Copy, F: Fn(T, T) -> bool>(
 }
 
 /// [`pack_rows`] for a fused cmp+branch, with the comparison matched once
-/// rather than per lane.
+/// rather than per lane. Lane values compare as `key` maps them: the
+/// identity on float rows, and on integer rows the sign-bit flip of
+/// `order_bias` that orders unsigned patterns as signed ones.
 #[inline(always)]
-pub(super) fn cmp_rows<K: Codegen, T: Copy + PartialOrd>(
+pub(super) fn cmp_rows<K: Codegen, T: Copy, U: PartialOrd>(
     op: CmpOp,
     a: &[T; LANES],
     b: &[T; LANES],
+    key: impl Fn(T) -> U,
 ) -> u64 {
     match op {
-        CmpOp::Lt => pack_rows::<K, _, _>(a, b, |x, y| x < y),
-        CmpOp::Le => pack_rows::<K, _, _>(a, b, |x, y| x <= y),
-        CmpOp::Gt => pack_rows::<K, _, _>(a, b, |x, y| x > y),
-        CmpOp::Ge => pack_rows::<K, _, _>(a, b, |x, y| x >= y),
-        CmpOp::Eq => pack_rows::<K, _, _>(a, b, |x, y| x == y),
-        CmpOp::Ne => pack_rows::<K, _, _>(a, b, |x, y| x != y),
+        CmpOp::Lt => pack_rows::<K, _, _>(a, b, |x, y| key(x) < key(y)),
+        CmpOp::Le => pack_rows::<K, _, _>(a, b, |x, y| key(x) <= key(y)),
+        CmpOp::Gt => pack_rows::<K, _, _>(a, b, |x, y| key(x) > key(y)),
+        CmpOp::Ge => pack_rows::<K, _, _>(a, b, |x, y| key(x) >= key(y)),
+        CmpOp::Eq => pack_rows::<K, _, _>(a, b, |x, y| key(x) == key(y)),
+        CmpOp::Ne => pack_rows::<K, _, _>(a, b, |x, y| key(x) != key(y)),
     }
 }

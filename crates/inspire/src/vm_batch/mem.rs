@@ -14,6 +14,12 @@
 //! the lane set's lanes, also under [`Prefix`], whose compute passes run
 //! full width: a lane past the live prefix holds a stale index.
 //!
+//! An index row holds 32-bit patterns. The op's decoded signedness
+//! (`DecOp::unsigned`) says how each extends to the 64-bit index the
+//! scalar engine sees ([`widen`]), so a negative `int` index and a `uint`
+//! index of 2^31 or more fault with the same `OutOfBounds` payload on
+//! both engines.
+//!
 //! [`Prefix`]: super::lanes::Prefix
 
 use super::lanes::{apply_f, with_fsub, LaneSet};
@@ -23,17 +29,28 @@ use crate::error::VmError;
 use crate::opt::decode::DecOp;
 use crate::vm::{BufferData, Mem};
 
-/// Whether every lane index is a valid element index for a buffer of
-/// `len` elements — the [`Prefix`](super::lanes::Prefix) prescan.
+/// The index the 32-bit pattern `x` stands for: zero-extended when `u`,
+/// sign-extended otherwise, as the scalar engine holds it.
 #[inline(always)]
-pub(super) fn all_in_bounds(idx: &[i64; LANES], n: usize, len: usize) -> bool {
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    for &i in &idx[..n] {
-        lo = lo.min(i);
-        hi = hi.max(i);
+pub(super) fn widen(x: i32, u: bool) -> i64 {
+    if u {
+        i64::from(x as u32)
+    } else {
+        i64::from(x)
     }
-    lo >= 0 && (hi as u64) < len as u64
+}
+
+/// Whether each of the first `n` lane indices (unsigned when `u`) is a
+/// valid element index for a buffer of `len` elements — the
+/// [`Prefix`](super::lanes::Prefix) prescan. A signed index is in bounds
+/// exactly when its pattern, read as a `u32`, is below both `len` and
+/// 2^31 (a negative one reads as 2^31 or more), so one max pass decides
+/// either signedness.
+#[inline(always)]
+pub(super) fn all_in_bounds(idx: &[i32; LANES], u: bool, n: usize, len: usize) -> bool {
+    let limit: u64 = if u { 1 << 32 } else { 1 << 31 };
+    let hi = idx[..n].iter().fold(0u32, |m, &i| m.max(i as u32));
+    u64::from(hi) < (len as u64).min(limit)
 }
 
 /// The shape of an index row over a lane set (see [`LaneSet::shape`]).
@@ -47,23 +64,26 @@ pub(super) enum Shape {
     Scattered,
 }
 
-/// The shape of the first `n` lanes of `idx`. The first and last lanes
-/// screen out most rows in O(1); a candidate is confirmed by one
-/// branch-free pass over the row.
+/// The shape of the first `n` lanes of `idx` (unsigned when `u`). The
+/// first and last lanes screen out most rows in O(1); a candidate is
+/// confirmed by one branch-free pass over the row. The screen compares
+/// the widened indices, so a stride never wraps past the end of the
+/// signedness's range: every lane `l` then widens to `base + l`.
 #[inline(always)]
-pub(super) fn index_shape(idx: &[i64; LANES], n: usize) -> Shape {
+pub(super) fn index_shape(idx: &[i32; LANES], u: bool, n: usize) -> Shape {
     let (first, last) = (idx[0], idx[n - 1]);
+    let base = widen(first, u);
     if first == last {
         if idx[..n].iter().fold(0, |acc, &i| acc | (i ^ first)) == 0 {
-            return Shape::Uniform(first);
+            return Shape::Uniform(base);
         }
-    } else if last.wrapping_sub(first) == n as i64 - 1 {
+    } else if widen(last, u) - base == n as i64 - 1 {
         let off = idx[..n]
             .iter()
-            .zip(0i64..)
+            .zip(0i32..)
             .fold(0, |acc, (&i, l)| acc | (i.wrapping_sub(l) ^ first));
         if off == 0 {
-            return Shape::Stride(first, n);
+            return Shape::Stride(base, n);
         }
     }
     Shape::Scattered
@@ -78,11 +98,12 @@ pub(super) fn index_shape(idx: &[i64; LANES], n: usize) -> Shape {
 pub(super) fn gather_row<S: LaneSet, E: Copy, T: Copy>(
     s: S,
     d: &mut Row<T>,
-    idx: &Row<i64>,
+    idx: &Row<i32>,
+    u: bool,
     v: &[E],
     conv: impl Fn(E) -> T,
 ) -> bool {
-    match s.shape(idx) {
+    match s.shape(idx, u) {
         Shape::Uniform(i) => {
             let Some(&x) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
                 return false;
@@ -109,27 +130,28 @@ pub(super) fn gather_row<S: LaneSet, E: Copy, T: Copy>(
 /// `d[l] = conv(v[idx[l]])` over `s`, shared by every gather: one row
 /// pass for a uniform or unit-stride row in bounds ([`gather_row`]), the
 /// plain loop when the prescan finds every index in bounds, and otherwise
-/// a walk that faults at the first out-of-bounds lane. `buf` names the
-/// parameter in the fault.
+/// a walk that faults at the first out-of-bounds lane. `u` is the index
+/// row's signedness, and `buf` names the parameter in the fault.
 #[inline(always)]
 pub(super) fn gather<S: LaneSet, E: Copy, T: Copy>(
     s: S,
     d: &mut Row<T>,
-    idx: &Row<i64>,
+    idx: &Row<i32>,
+    u: bool,
     v: &[E],
     buf: u16,
     conv: impl Fn(E) -> T,
 ) -> Result<(), VmError> {
-    if gather_row(s, d, idx, v, &conv) {
+    if gather_row(s, d, idx, u, v, &conv) {
         return Ok(());
     }
-    if s.in_bounds(idx, v.len()) {
+    if s.in_bounds(idx, u, v.len()) {
         for l in s.lanes() {
-            d[l] = conv(v[idx[l] as usize]);
+            d[l] = conv(v[idx[l] as u32 as usize]);
         }
     } else {
         for l in s.lanes() {
-            let i = idx[l];
+            let i = widen(idx[l], u);
             let Some(&x) = usize::try_from(i).ok().and_then(|i| v.get(i)) else {
                 return Err(VmError::OutOfBounds {
                     buffer: buf as usize,
@@ -150,19 +172,20 @@ pub(super) fn gather<S: LaneSet, E: Copy, T: Copy>(
 pub(super) fn scatter<S: LaneSet, T: Copy, E>(
     s: S,
     v: &mut [E],
-    idx: &Row<i64>,
+    idx: &Row<i32>,
+    u: bool,
     src: &Row<T>,
     buf: u16,
     conv: impl Fn(T) -> E,
 ) -> Result<(), VmError> {
     let len = v.len();
-    if s.in_bounds(idx, len) {
+    if s.in_bounds(idx, u, len) {
         for l in s.lanes() {
-            v[idx[l] as usize] = conv(src[l]);
+            v[idx[l] as u32 as usize] = conv(src[l]);
         }
     } else {
         for l in s.lanes() {
-            let i = idx[l];
+            let i = widen(idx[l], u);
             let Some(slot) = usize::try_from(i).ok().and_then(|i| v.get_mut(i)) else {
                 return Err(VmError::OutOfBounds {
                     buffer: buf as usize,
@@ -187,7 +210,7 @@ pub(super) fn scatter<S: LaneSet, T: Copy, E>(
 fn load_fop_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
     s: S,
     fregs: &mut [Row<f64>],
-    idx: &Row<i64>,
+    idx: &Row<i32>,
     v: &[f32],
     op: &DecOp,
     f2: F,
@@ -195,7 +218,7 @@ fn load_fop_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
     let (x, z) = (op.c as usize, op.dst as usize);
     let (p, q) = (op.d as usize, op.e as usize);
     for l in s.lanes() {
-        let loaded = f64::from(v[idx[l] as usize]);
+        let loaded = f64::from(v[idx[l] as u32 as usize]);
         fregs[x][l] = loaded;
         let pv = fregs[p][l];
         let qv = fregs[q][l];
@@ -211,7 +234,7 @@ fn load_fop_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
 fn fop_store_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
     s: S,
     fregs: &mut [Row<f64>],
-    idx: &Row<i64>,
+    idx: &Row<i32>,
     v: &mut [f32],
     op: &DecOp,
     f1: F,
@@ -220,19 +243,21 @@ fn fop_store_pass<S: LaneSet, F: Fn(f64, f64) -> f64>(
     for l in s.lanes() {
         let t = f1(fregs[a][l], fregs[b][l]);
         fregs[z][l] = t;
-        v[idx[l] as usize] = t as f32;
+        v[idx[l] as u32 as usize] = t as f32;
     }
 }
 
 impl LaneEngine {
-    /// The `LoadF` kernel (`dst`, `idx` = index register, `buf` = buffer
-    /// param), shared with the unfused memory pairs.
+    /// The `LoadF` kernel (`dst`, `idx` = index register, unsigned when
+    /// `u`, `buf` = buffer param), shared with the unfused memory pairs.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn load_f<S: LaneSet>(
         &mut self,
         s: S,
         dst: u16,
         idx: u16,
+        u: bool,
         buf: u16,
         bmap: &[usize],
         bufs: &Mem<'_>,
@@ -241,18 +266,20 @@ impl LaneEngine {
             unreachable!("type-checked load");
         };
         let (d, idx) = (&mut self.fregs[dst as usize], &self.iregs[idx as usize]);
-        gather(s, d, idx, v, buf, f64::from)
+        gather(s, d, idx, u, v, buf, f64::from)
     }
 
     /// The `StoreF` kernel (`src` = source register, `idx` = index
-    /// register, `buf` = buffer param), shared with the unfused memory
-    /// pairs.
+    /// register, unsigned when `u`, `buf` = buffer param), shared with the
+    /// unfused memory pairs.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn store_f<S: LaneSet>(
         &self,
         s: S,
         src: u16,
         idx: u16,
+        u: bool,
         buf: u16,
         bmap: &[usize],
         bufs: &mut Mem<'_>,
@@ -261,7 +288,7 @@ impl LaneEngine {
             unreachable!("type-checked store");
         };
         let (idx, src) = (&self.iregs[idx as usize], &self.fregs[src as usize]);
-        scatter(s, v, idx, src, buf, |x| x as f32)
+        scatter(s, v, idx, u, src, buf, |x| x as f32)
     }
 
     /// `Load2F`: both gathers in one pass when the prescan finds both in
@@ -283,8 +310,10 @@ impl LaneEngine {
         let BufferData::F32(v2) = bufs.load(bmap[op.e as usize]) else {
             unreachable!("type-checked load");
         };
-        let scattered = s.shape(idx1) == Shape::Scattered && s.shape(idx2) == Shape::Scattered;
-        if scattered && s.in_bounds(idx1, v1.len()) && s.in_bounds(idx2, v2.len()) {
+        let u = op.unsigned;
+        let scattered =
+            s.shape(idx1, u) == Shape::Scattered && s.shape(idx2, u) == Shape::Scattered;
+        if scattered && s.in_bounds(idx1, u, v1.len()) && s.in_bounds(idx2, u, v2.len()) {
             let Ok([d1, d2]) = self
                 .fregs
                 .get_disjoint_mut([op.c as usize, op.dst as usize])
@@ -292,13 +321,13 @@ impl LaneEngine {
                 unreachable!("distinct fused load destinations");
             };
             for l in s.lanes() {
-                d1[l] = f64::from(v1[idx1[l] as usize]);
-                d2[l] = f64::from(v2[idx2[l] as usize]);
+                d1[l] = f64::from(v1[idx1[l] as u32 as usize]);
+                d2[l] = f64::from(v2[idx2[l] as u32 as usize]);
             }
             return Ok(());
         }
-        self.load_f(s, op.c, op.a, op.b, bmap, bufs)?;
-        self.load_f(s, op.dst, op.d, op.e, bmap, bufs)
+        self.load_f(s, op.c, op.a, u, op.b, bmap, bufs)?;
+        self.load_f(s, op.dst, op.d, u, op.e, bmap, bufs)
     }
 
     /// `LoadFOp`: one pass ([`load_fop_pass`]) when the prescan finds the
@@ -318,12 +347,12 @@ impl LaneEngine {
         };
         // A uniform or unit-stride load is one row pass, and the compute
         // half a second one: the unfused sequence, with nothing to fault.
-        let fr = &mut self.fregs;
-        if gather_row(s, &mut fr[op.c as usize], idx, v, f64::from) {
+        let (fr, u) = (&mut self.fregs, op.unsigned);
+        if gather_row(s, &mut fr[op.c as usize], idx, u, v, f64::from) {
             apply_f::<K, _>(s, fr, op.dst, op.d, op.e, op.sub2, op.fimm);
             return Ok(());
         }
-        if s.in_bounds(idx, v.len()) {
+        if s.in_bounds(idx, u, v.len()) {
             with_fsub!(
                 op.sub2,
                 op.fimm,
@@ -334,7 +363,7 @@ impl LaneEngine {
                 math: ()
             );
         }
-        self.load_f(s, op.c, op.a, op.b, bmap, bufs)?;
+        self.load_f(s, op.c, op.a, u, op.b, bmap, bufs)?;
         apply_f::<K, _>(s, &mut self.fregs, op.dst, op.d, op.e, op.sub2, op.fimm);
         Ok(())
     }
@@ -354,7 +383,7 @@ impl LaneEngine {
         let BufferData::F32(v) = bufs.store(bmap[op.d as usize]) else {
             unreachable!("type-checked store");
         };
-        if s.in_bounds(idx, v.len()) {
+        if s.in_bounds(idx, op.unsigned, v.len()) {
             let fr = &mut self.fregs;
             with_fsub!(
                 op.sub1,
@@ -367,6 +396,6 @@ impl LaneEngine {
             );
         }
         apply_f::<K, _>(s, &mut self.fregs, op.dst, op.a, op.b, op.sub1, op.fimm);
-        self.store_f(s, op.dst, op.c, op.d, bmap, bufs)
+        self.store_f(s, op.dst, op.c, op.unsigned, op.d, bmap, bufs)
     }
 }

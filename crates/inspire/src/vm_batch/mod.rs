@@ -10,6 +10,19 @@
 //! per register, so each instruction is decoded once and then applied
 //! across all active lanes in a tight loop.
 //!
+//! Integer rows hold 32-bit patterns, where the scalar engine holds each
+//! value sign- or zero-extended to `i64`. Every integer op whose result
+//! depends only on the low 32 bits of its operands (add, sub, mul, the
+//! bit ops, shifts left, negation, `int`/`uint` casts) is a plain
+//! wrapping `i32` op, 16 lanes per AVX-512 vector. The rest — ordered
+//! compares, min and max, abs, division, remainder, shifts right,
+//! conversions to float, and buffer indices — read the op's decoded
+//! signedness ([`DecOp::unsigned`], from
+//! [`crate::analysis::signedness`]): ordered compares, min and max flip
+//! the sign bit of unsigned operands and compare signed, and an index
+//! widens to the `i64` the scalar engine sees, so faults carry the same
+//! index.
+//!
 //! This module holds the batch driver and the op walk; [`tier`], [`mask`],
 //! [`lanes`] and [`mem`] the rest, split by concern.
 //!
@@ -92,14 +105,45 @@ use tier::WideBody;
 use tier::{inline_if, Codegen, PortableBody, Row};
 pub use tier::{lane_tier, Tier};
 
-use crate::bytecode::{Function, IBinOp, Terminator};
+use crate::bytecode::{Function, Terminator};
 use crate::cfg::{NO_ARM, NO_POST_DOM};
 use crate::error::VmError;
 use crate::opt::decode::{DecOp, OpCode};
-use crate::vm::{int_bin, wrap32, BufferData, Counters, Mem, Vm};
+use crate::vm::{BufferData, Counters, Mem, Vm};
 
 /// Work-items executed in lockstep per batch.
 pub const LANES: usize = 64;
+
+/// The sign-bit mask that, XORed into both operands, maps the unsigned
+/// order of 32-bit patterns onto the signed one when `u`:
+/// `(x ^ i32::MIN) < (y ^ i32::MIN)` exactly when `(x as u32) < (y as u32)`.
+/// Ordered compares, min and max then run one signed loop for either
+/// signedness.
+#[inline(always)]
+fn order_bias(u: bool) -> i32 {
+    if u {
+        i32::MIN
+    } else {
+        0
+    }
+}
+
+/// 32-bit division (`rem == false`) or remainder, unsigned when `u`. The
+/// scalar engine divides the extended values, which agrees: a `uint`
+/// quotient fits 32 bits, and `i32::MIN / -1` wraps to `i32::MIN` there
+/// too.
+#[inline(always)]
+fn div32(rem: bool, x: i32, y: i32, u: bool) -> Result<i32, VmError> {
+    if y == 0 {
+        return Err(VmError::DivisionByZero);
+    }
+    Ok(match (rem, u) {
+        (false, false) => x.wrapping_div(y),
+        (true, false) => x.wrapping_rem(y),
+        (false, true) => ((x as u32) / (y as u32)) as i32,
+        (true, true) => ((x as u32) % (y as u32)) as i32,
+    })
+}
 
 /// The fewest lanes that run a predicated if-arm (see the module docs).
 /// Below it the arm's full-width passes cost more than walking its few
@@ -134,9 +178,11 @@ impl CountSink<'_> {
 /// batches of a run; lane register state persists between batches exactly
 /// like the scalar engine's register file persists between items.
 pub(crate) struct LaneEngine {
-    iregs: Vec<Row<i64>>,
+    /// One row per I register, holding each lane's 32-bit pattern; the
+    /// decoded signedness of an op says how it extends where that matters.
+    iregs: Vec<Row<i32>>,
     fregs: Vec<Row<f64>>,
-    gid: [Row<i64>; 3],
+    gid: [Row<i32>; 3],
     /// Per-lane step counts. While a batch runs, lane `l`'s steps beyond
     /// the batch's shared full-mask count (see `exec_batch_body`); once
     /// it returns `Ok`, lane `l`'s total.
@@ -155,7 +201,7 @@ impl LaneEngine {
     /// engine's bound registers (kernel arguments; everything else zero)
     /// across all lanes.
     pub(crate) fn new(f: &Function, vm: &Vm) -> Self {
-        let iregs = vm.iregs.iter().map(|&v| Row([v; LANES])).collect();
+        let iregs = vm.iregs.iter().map(|&v| Row([v as i32; LANES])).collect();
         let fregs = vm.fregs.iter().map(|&v| Row([v; LANES])).collect();
         debug_assert_eq!(vm.iregs.len(), f.n_iregs as usize);
         debug_assert_eq!(vm.fregs.len(), f.n_fregs as usize);
@@ -220,7 +266,7 @@ impl LaneEngine {
         debug_assert!((1..=LANES).contains(&n));
         for d in 0..3 {
             for (l, g) in gids.iter().enumerate() {
-                self.gid[d][l] = g[d] as i64;
+                self.gid[d][l] = g[d] as i32;
             }
         }
         let full = ExecMask::full(n);
@@ -316,10 +362,12 @@ impl LaneEngine {
                     els,
                 } => {
                     // Fused cmp+branch: no boolean register is written.
+                    let (a, rb) = (a as usize, rb as usize);
                     let taken = if float {
-                        cmp_rows::<K, _>(op, &self.fregs[a as usize], &self.fregs[rb as usize])
+                        cmp_rows::<K, _, _>(op, &self.fregs[a], &self.fregs[rb], |x| x)
                     } else {
-                        cmp_rows::<K, _>(op, &self.iregs[a as usize], &self.iregs[rb as usize])
+                        let bias = order_bias(dec.branch_unsigned[block]);
+                        cmp_rows::<K, _, _>(op, &self.iregs[a], &self.iregs[rb], |x| x ^ bias)
                     };
                     (then, els, taken)
                 }
@@ -458,6 +506,7 @@ impl LaneEngine {
         bufs: &mut Mem<'_>,
     ) -> Result<(), VmError> {
         let u = op.unsigned;
+        let bias = order_bias(u);
         let (dst, a, b) = (op.dst, op.a, op.b);
         let (di, ai, bi) = (dst as usize, a as usize, b as usize);
         let ir = &mut self.iregs;
@@ -465,117 +514,114 @@ impl LaneEngine {
         match op.code {
             OpCode::ConstI => s.fill(&mut ir[di], op.imm),
             OpCode::ConstF => s.fill(&mut fr[di], op.fimm),
-            OpCode::MovI => s.map1::<K, _, _>(ir, dst, a, |x| x),
+            OpCode::MovI | OpCode::CastII => s.map1::<K, _, _>(ir, dst, a, |x| x),
             OpCode::MovF => s.map1::<K, _, _>(fr, dst, a, |x| x),
-            OpCode::IAdd => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x.wrapping_add(y), u)),
-            OpCode::ISub => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x.wrapping_sub(y), u)),
-            OpCode::IMul => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x.wrapping_mul(y), u)),
+            OpCode::IAdd => s.map2::<K, _, _>(ir, dst, a, b, i32::wrapping_add),
+            OpCode::ISub => s.map2::<K, _, _>(ir, dst, a, b, i32::wrapping_sub),
+            OpCode::IMul => s.map2::<K, _, _>(ir, dst, a, b, i32::wrapping_mul),
             OpCode::IDiv | OpCode::IRem => {
-                let o = if op.code == OpCode::IDiv {
-                    IBinOp::Div
-                } else {
-                    IBinOp::Rem
-                };
+                let rem = op.code == OpCode::IRem;
                 for l in s.lanes() {
                     let (x, y) = (ir[ai][l], ir[bi][l]);
-                    ir[di][l] = int_bin(o, x, y, u)?;
+                    ir[di][l] = div32(rem, x, y, u)?;
                 }
             }
-            OpCode::IAnd => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x & y, u)),
-            OpCode::IOr => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x | y, u)),
-            OpCode::IXor => s.map2::<K, _, _>(ir, dst, a, b, |x, y| wrap32(x ^ y, u)),
-            OpCode::IShl => s.map2::<K, _, _>(ir, dst, a, b, |x, y| {
-                wrap32(x.wrapping_shl((y & 31) as u32), u)
+            OpCode::IAnd => s.map2::<K, _, _>(ir, dst, a, b, |x, y| x & y),
+            OpCode::IOr => s.map2::<K, _, _>(ir, dst, a, b, |x, y| x | y),
+            OpCode::IXor => s.map2::<K, _, _>(ir, dst, a, b, |x, y| x ^ y),
+            // `wrapping_shl`/`wrapping_shr` take the amount modulo 32, as
+            // the kernel language defines shifts.
+            OpCode::IShl => s.map2::<K, _, _>(ir, dst, a, b, |x, y| x.wrapping_shl(y as u32)),
+            OpCode::IShr if u => s.map2::<K, _, _>(ir, dst, a, b, |x, y| {
+                (x as u32).wrapping_shr(y as u32) as i32
             }),
-            OpCode::IShr => s.map2::<K, _, _>(ir, dst, a, b, |x, y| {
-                let s = (y & 31) as u32;
-                let v = if u {
-                    ((x as u64) >> s) as i64
-                } else {
-                    (x as i32 >> s) as i64
-                };
-                wrap32(v, u)
-            }),
+            OpCode::IShr => s.map2::<K, _, _>(ir, dst, a, b, |x, y| x.wrapping_shr(y as u32)),
             OpCode::ImmAdd => {
                 let imm = op.imm;
-                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_add(imm), u));
+                s.map1::<K, _, _>(ir, dst, a, |x| x.wrapping_add(imm));
             }
             OpCode::ImmSub => {
                 let imm = op.imm;
-                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_sub(imm), u));
+                s.map1::<K, _, _>(ir, dst, a, |x| x.wrapping_sub(imm));
             }
             OpCode::ImmMul => {
                 let imm = op.imm;
-                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_mul(imm), u));
+                s.map1::<K, _, _>(ir, dst, a, |x| x.wrapping_mul(imm));
             }
             OpCode::ImmDiv | OpCode::ImmRem => {
-                let o = if op.code == OpCode::ImmDiv {
-                    IBinOp::Div
-                } else {
-                    IBinOp::Rem
-                };
+                let rem = op.code == OpCode::ImmRem;
                 for l in s.lanes() {
                     let x = ir[ai][l];
-                    ir[di][l] = int_bin(o, x, op.imm, u)?;
+                    ir[di][l] = div32(rem, x, op.imm, u)?;
                 }
             }
             OpCode::ImmAnd => {
                 let imm = op.imm;
-                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x & imm, u));
+                s.map1::<K, _, _>(ir, dst, a, |x| x & imm);
             }
             OpCode::ImmOr => {
                 let imm = op.imm;
-                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x | imm, u));
+                s.map1::<K, _, _>(ir, dst, a, |x| x | imm);
             }
             OpCode::ImmXor => {
                 let imm = op.imm;
-                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x ^ imm, u));
+                s.map1::<K, _, _>(ir, dst, a, |x| x ^ imm);
             }
             OpCode::ImmShl => {
-                let s2 = (op.imm & 31) as u32;
-                s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_shl(s2), u));
+                let s2 = op.imm as u32;
+                s.map1::<K, _, _>(ir, dst, a, |x| x.wrapping_shl(s2));
             }
             OpCode::ImmShr => {
-                let s2 = (op.imm & 31) as u32;
-                s.map1::<K, _, _>(ir, dst, a, |x| {
-                    let v = if u {
-                        ((x as u64) >> s2) as i64
-                    } else {
-                        (x as i32 >> s2) as i64
-                    };
-                    wrap32(v, u)
-                });
+                let s2 = op.imm as u32;
+                if u {
+                    s.map1::<K, _, _>(ir, dst, a, |x| (x as u32).wrapping_shr(s2) as i32);
+                } else {
+                    s.map1::<K, _, _>(ir, dst, a, |x| x.wrapping_shr(s2));
+                }
             }
             OpCode::FAdd => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x + y),
             OpCode::FSub => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x - y),
             OpCode::FMul => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x * y),
             OpCode::FDiv => s.map2::<K, _, _>(fr, dst, a, b, |x, y| x / y),
-            OpCode::ICmpLt => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x < y)),
-            OpCode::ICmpLe => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x <= y)),
-            OpCode::ICmpGt => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x > y)),
-            OpCode::ICmpGe => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x >= y)),
-            OpCode::ICmpEq => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x == y)),
-            OpCode::ICmpNe => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i64::from(x != y)),
-            OpCode::FCmpLt => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x < y)),
-            OpCode::FCmpLe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x <= y)),
-            OpCode::FCmpGt => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x > y)),
-            OpCode::FCmpGe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x >= y)),
-            OpCode::FCmpEq => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x == y)),
-            OpCode::FCmpNe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i64::from(x != y)),
-            OpCode::NegI => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(0i64.wrapping_sub(x), u)),
+            // Ordered compares, min and max flip the sign bit of unsigned
+            // operands (`bias`) and compare as signed.
+            OpCode::ICmpLt => {
+                s.map2::<K, _, _>(ir, dst, a, b, |x, y| i32::from((x ^ bias) < (y ^ bias)))
+            }
+            OpCode::ICmpLe => {
+                s.map2::<K, _, _>(ir, dst, a, b, |x, y| i32::from((x ^ bias) <= (y ^ bias)))
+            }
+            OpCode::ICmpGt => {
+                s.map2::<K, _, _>(ir, dst, a, b, |x, y| i32::from((x ^ bias) > (y ^ bias)))
+            }
+            OpCode::ICmpGe => {
+                s.map2::<K, _, _>(ir, dst, a, b, |x, y| i32::from((x ^ bias) >= (y ^ bias)))
+            }
+            OpCode::ICmpEq => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i32::from(x == y)),
+            OpCode::ICmpNe => s.map2::<K, _, _>(ir, dst, a, b, |x, y| i32::from(x != y)),
+            OpCode::FCmpLt => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i32::from(x < y)),
+            OpCode::FCmpLe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i32::from(x <= y)),
+            OpCode::FCmpGt => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i32::from(x > y)),
+            OpCode::FCmpGe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i32::from(x >= y)),
+            OpCode::FCmpEq => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i32::from(x == y)),
+            OpCode::FCmpNe => s.zip2(&mut ir[di], &fr[ai], &fr[bi], |x, y| i32::from(x != y)),
+            OpCode::NegI => s.map1::<K, _, _>(ir, dst, a, i32::wrapping_neg),
             OpCode::NegF => s.map1::<K, _, _>(fr, dst, a, |x| -x),
-            OpCode::NotI => s.map1::<K, _, _>(ir, dst, a, |x| i64::from(x == 0)),
-            OpCode::BitNotI => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(!x, u)),
-            OpCode::CastIF => s.zip1(&mut fr[di], &ir[ai], |x| x as f64),
+            OpCode::NotI => s.map1::<K, _, _>(ir, dst, a, |x| i32::from(x == 0)),
+            OpCode::BitNotI => s.map1::<K, _, _>(ir, dst, a, |x| !x),
+            // A `uint` is its biased `int` plus 2^31, exactly in `f64`.
+            OpCode::CastIF => {
+                let off = if u { 2_147_483_648.0 } else { 0.0 };
+                s.zip1(&mut fr[di], &ir[ai], |x| f64::from(x ^ bias) + off);
+            }
             OpCode::CastFI => {
                 let (d, x) = (&mut ir[di], &fr[ai]);
                 if u {
-                    s.zip1(d, x, |x| i64::from(x as u32));
+                    s.zip1(d, x, |x| x as u32 as i32);
                 } else {
-                    s.zip1(d, x, |x| i64::from(x as i32));
+                    s.zip1(d, x, |x| x as i32);
                 }
             }
-            OpCode::CastII => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x, u)),
             OpCode::Sqrt => s.map1::<K, _, _>(fr, dst, a, f64::sqrt),
             OpCode::Rsqrt => s.map1::<K, _, _>(fr, dst, a, |x| 1.0 / x.sqrt()),
             OpCode::Exp => s.libm1(fr, dst, a, f64::exp),
@@ -590,11 +636,20 @@ impl LaneEngine {
             OpCode::Fmin => s.map2::<K, _, _>(fr, dst, a, b, f64::min),
             OpCode::Fmax => s.map2::<K, _, _>(fr, dst, a, b, f64::max),
             OpCode::Fmod => s.libm2(fr, dst, a, b, |x, y| x % y),
-            OpCode::IMin => s.map2::<K, _, _>(ir, dst, a, b, i64::min),
-            OpCode::IMax => s.map2::<K, _, _>(ir, dst, a, b, i64::max),
-            OpCode::IAbs => s.map1::<K, _, _>(ir, dst, a, |x| wrap32(x.wrapping_abs(), false)),
+            OpCode::IMin => {
+                s.map2::<K, _, _>(ir, dst, a, b, |x, y| (x ^ bias).min(y ^ bias) ^ bias)
+            }
+            OpCode::IMax => {
+                s.map2::<K, _, _>(ir, dst, a, b, |x, y| (x ^ bias).max(y ^ bias) ^ bias)
+            }
+            // The absolute value of a `uint` is itself.
+            OpCode::IAbs if u => s.map1::<K, _, _>(ir, dst, a, |x| x),
+            OpCode::IAbs => s.map1::<K, _, _>(ir, dst, a, i32::wrapping_abs),
             OpCode::LoadF => {
-                inline_if!(K::WIDE || S::MASKED, self.load_f(s, dst, a, b, bmap, bufs))?;
+                inline_if!(
+                    K::WIDE || S::MASKED,
+                    self.load_f(s, dst, a, u, b, bmap, bufs)
+                )?;
             }
             OpCode::LoadI => {
                 // Index and destination share the I register file: borrow
@@ -611,24 +666,29 @@ impl LaneEngine {
                     (d, &*idx)
                 };
                 match bufs.load(bmap[bi]) {
-                    BufferData::I32(v) => gather(s, d, idx, v, b, i64::from)?,
-                    BufferData::U32(v) => gather(s, d, idx, v, b, i64::from)?,
+                    BufferData::I32(v) => gather(s, d, idx, u, v, b, |x| x)?,
+                    BufferData::U32(v) => gather(s, d, idx, u, v, b, |x| x as i32)?,
                     BufferData::F32(_) => unreachable!("type-checked load"),
                 }
             }
             OpCode::StoreF => {
-                inline_if!(K::WIDE || S::MASKED, self.store_f(s, dst, a, b, bmap, bufs))?;
+                inline_if!(
+                    K::WIDE || S::MASKED,
+                    self.store_f(s, dst, a, u, b, bmap, bufs)
+                )?;
             }
             OpCode::StoreI => {
                 let (idx, src) = (&self.iregs[ai], &self.iregs[di]);
                 match bufs.store(bmap[bi]) {
-                    BufferData::I32(v) => scatter(s, v, idx, src, b, |x| x as i32)?,
-                    BufferData::U32(v) => scatter(s, v, idx, src, b, |x| x as u32)?,
+                    BufferData::I32(v) => scatter(s, v, idx, u, src, b, |x| x)?,
+                    BufferData::U32(v) => scatter(s, v, idx, u, src, b, |x| x as u32)?,
                     BufferData::F32(_) => unreachable!("type-checked store"),
                 }
             }
             OpCode::GlobalId => s.zip1(&mut ir[di], &self.gid[ai], |g| g),
-            OpCode::GlobalSize => s.fill(&mut ir[di], gsize[ai] as i64),
+            // The run entries refuse an NDRange dimension of 2^31 or more
+            // items, so every global size and id fits an `i32`.
+            OpCode::GlobalSize => s.fill(&mut ir[di], gsize[ai] as i32),
             // Superinstructions. Compute pairs run under the lane set's
             // pair policy. Memory pairs make one pass when the prescan
             // finds every access in bounds, and otherwise run as the

@@ -1,10 +1,10 @@
 use super::lanes::exact_recip;
-use super::mem::{index_shape, Shape};
+use super::mem::{index_shape, widen, Shape};
 use super::*;
 use crate::bytecode::CmpOp;
 use crate::compile;
 use crate::ir::NdRange;
-use crate::opt::decode::{F_ADD, F_CONST, F_DIV, F_MUL, I_UNSIGNED};
+use crate::opt::decode::{F_ADD, F_CONST, F_DIV, F_MUL};
 use crate::vm::{ArgValue, LaunchBuffers};
 
 /// Everything a sequence of batches leaves behind; floats and buffer
@@ -12,7 +12,7 @@ use crate::vm::{ArgValue, LaunchBuffers};
 #[derive(Debug, PartialEq)]
 struct Trace {
     results: Vec<Result<(), VmError>>,
-    iregs: Vec<Vec<i64>>,
+    iregs: Vec<Vec<i32>>,
     fregs: Vec<Vec<u64>>,
     steps: Vec<Vec<u64>>,
     counts: Vec<Vec<Counters>>,
@@ -309,54 +309,59 @@ const SPARSE: u64 = 0x8A51_3C0F_F00D_B6E3 & !HAZARD_BITS;
 const HAZARD_BITS: u64 = 1 << 20 | 1 << 37 | 1 << 41 | 1 << 45 | 1 << 50;
 const GSIZE: [usize; 3] = [100, 3, 2];
 
-fn irow(r: usize, l: usize) -> i64 {
-    let li = l as i64;
+fn irow(r: usize, l: usize) -> i32 {
+    let li = l as i32;
     match r {
-        0 => ((l * 37 + 5) % 64) as i64,
-        1 => ((l * 13 + 11) % 64 + 16) as i64,
+        0 => ((l * 37 + 5) % 64) as i32,
+        1 => ((l * 13 + 11) % 64 + 16) as i32,
         2 => match l {
-            10 => i64::from(i32::MIN),
-            11 => i64::from(u32::MAX),
-            _ => ((l * 7919) % 201) as i64 - 100,
+            10 => i32::MIN,
+            11 => u32::MAX as i32,
+            12 => i32::MAX,
+            _ => ((l * 7919) % 201) as i32 - 100,
         },
         3 => match li % 7 - 3 {
             0 => 5,
             d => d,
         },
-        4 => (li << 33) | ((li * 12345) * if l.is_multiple_of(3) { -1 } else { 1 }),
+        // Large magnitudes of both signs, so that the unsigned and signed
+        // readings of a pattern differ.
+        4 => (li << 26) ^ ((li * 12345) * if l.is_multiple_of(3) { -1 } else { 1 }),
         5 => match l {
             20 | 41 => 0,
             _ => li + 1,
         },
+        // Out of bounds on the hazard lanes: past the end, negative as an
+        // `int` (2^32 - 3 as a `uint`), and 2^31 as a `uint`.
         6 => match l {
-            37 => LEN as i64 + 3,
+            37 => LEN as i32 + 3,
             45 => -3,
-            50 => LEN as i64 + 50,
+            50 => i32::MIN,
             _ => li,
         },
         7 => li,
-        8 => i64::from(!l.is_multiple_of(3)),
+        8 => i32::from(!l.is_multiple_of(3)),
         // Uniform, unit-stride, and shapes one lane off them, where
         // the first and last lanes fail (12, 14) or pass (13, 15) the
         // O(1) screen.
         10 => 17,
         11 => li + 9,
-        12 => 17 + i64::from(l == 63),
-        13 => 17 + 23 * i64::from(l == 30),
-        14 => li + 9 - 4 * i64::from(l == 63),
-        15 => li + 9 + i64::from(l == 30),
+        12 => 17 + i32::from(l == 63),
+        13 => 17 + 23 * i32::from(l == 30),
+        14 => li + 9 - 4 * i32::from(l == 63),
+        15 => li + 9 + i32::from(l == 30),
         // Out of bounds: a uniform row past the end, a unit-stride
         // row running off the end at lane 50 (in bounds over a
         // 22-lane prefix), one starting before element 0, and a
         // uniform row with one out-of-bounds lane.
-        16 => LEN as i64 + 5,
+        16 => LEN as i32 + 5,
         17 => li + 30,
         18 => li - 3,
         19 => match l {
-            37 => LEN as i64 + 3,
+            37 => LEN as i32 + 3,
             _ => 17,
         },
-        _ => li * -123_456_789,
+        _ => li.wrapping_mul(-123_456_789),
     }
 }
 
@@ -378,13 +383,13 @@ fn frow(r: usize, l: usize) -> f64 {
 
 /// A fresh engine; `patched` makes every hazard lane safe.
 fn engine(patched: bool) -> LaneEngine {
-    let mut iregs: Vec<Row<i64>> = (0..N_IREGS)
+    let mut iregs: Vec<Row<i32>> = (0..N_IREGS)
         .map(|r| Row(std::array::from_fn(|l| irow(r, l))))
         .collect();
     if patched {
         for l in HAZARDS {
             iregs[I_ZDIV as usize][l] = 1;
-            iregs[I_OOB as usize][l] = l as i64;
+            iregs[I_OOB as usize][l] = l as i32;
         }
     }
     LaneEngine {
@@ -392,7 +397,7 @@ fn engine(patched: bool) -> LaneEngine {
         fregs: (0..N_FREGS)
             .map(|r| Row(std::array::from_fn(|l| frow(r, l))))
             .collect(),
-        gid: std::array::from_fn(|d| Row(std::array::from_fn(|l| (l * (d + 2)) as i64))),
+        gid: std::array::from_fn(|d| Row(std::array::from_fn(|l| (l * (d + 2)) as i32))),
         steps: Row([0; LANES]),
         stack: Vec::new(),
         tier: Tier::Portable,
@@ -418,7 +423,7 @@ fn buffers() -> Vec<BufferData> {
 #[derive(Debug, PartialEq, Clone)]
 struct Snap {
     result: Result<(), VmError>,
-    iregs: Vec<[i64; LANES]>,
+    iregs: Vec<[i32; LANES]>,
     fregs: Vec<[u64; LANES]>,
     bufs: Vec<Vec<u32>>,
 }
@@ -578,20 +583,22 @@ fn cases(code: OpCode) -> Vec<DecOp> {
         }
         CastIF => vec![dec(code, 7, 4, 0), dec(code, 7, 2, 0)],
         CastFI => signs(vec![dec(code, 8, 3, 0), dec(code, 8, 2, 0)]),
-        LoadF => vec![dec(code, 7, I_IDX0, 0), dec(code, 7, I_OOB, 0)],
-        LoadI => vec![
+        // The index signedness decides only how an out-of-bounds index
+        // reads in the fault.
+        LoadF => signs(vec![dec(code, 7, I_IDX0, 0), dec(code, 7, I_OOB, 0)]),
+        LoadI => signs(vec![
             dec(code, 8, I_IDX0, 1),
             dec(code, 8, I_IDX1, 2),
             dec(code, I_IDX0, I_IDX0, 1),
             dec(code, 8, I_OOB, 1),
-        ],
-        StoreF => vec![dec(code, 2, I_IDX0, 0), dec(code, 3, I_OOB, 0)],
-        StoreI => vec![
+        ]),
+        StoreF => signs(vec![dec(code, 2, I_IDX0, 0), dec(code, 3, I_OOB, 0)]),
+        StoreI => signs(vec![
             dec(code, 2, I_IDX1, 1),
             dec(code, 4, I_IDX0, 2),
             dec(code, I_IDX0, I_IDX0, 2),
             dec(code, 2, I_OOB, 1),
-        ],
+        ]),
         GlobalId => (0..3).map(|dim| dec(code, 8, dim, 0)).collect(),
         GlobalSize => (0..3).map(|dim| dec(code, 8, dim, 0)).collect(),
         FOp2 => {
@@ -614,8 +621,8 @@ fn cases(code: OpCode) -> Vec<DecOp> {
         }
         IOp2 => {
             let mut v = vec![];
-            for s1 in [0, 1, 2, I_UNSIGNED, 1 | I_UNSIGNED, 2 | I_UNSIGNED] {
-                for s2 in [0, 1, 2, I_UNSIGNED | 2] {
+            for s1 in [0, 1, 2] {
+                for s2 in [0, 1, 2] {
                     for (c, a, b, d, p, q) in
                         [(8, 2, 4, 9, 8, 3), (8, 2, 4, 2, 8, 8), (8, 8, 2, 8, 3, 8)]
                     {
@@ -625,11 +632,11 @@ fn cases(code: OpCode) -> Vec<DecOp> {
             }
             v
         }
-        Load2F => vec![
+        Load2F => signs(vec![
             fused(code, 6, I_IDX0, 0, 7, I_IDX1, 0, 0, 0),
             fused(code, 6, I_OOB, 0, 7, I_IDX0, 0, 0, 0),
             fused(code, 6, I_IDX0, 0, 7, I_OOB, 0, 0, 0),
-        ],
+        ]),
         LoadFOp => {
             let mut v = vec![];
             for s2 in 0..F_CONST {
@@ -637,7 +644,7 @@ fn cases(code: OpCode) -> Vec<DecOp> {
                     v.push(fused(code, 6, idx, 0, d, p, q, 0, s2));
                 }
             }
-            v
+            signs(v)
         }
         FOpStore => {
             let mut v = vec![];
@@ -648,7 +655,7 @@ fn cases(code: OpCode) -> Vec<DecOp> {
                     v.push(o);
                 }
             }
-            v
+            signs(v)
         }
     }
 }
@@ -674,7 +681,10 @@ fn store_target(op: &DecOp, eng: &LaneEngine, l: usize) -> Option<(usize, usize)
     } else {
         return None;
     };
-    Some((buf as usize, eng.iregs[idx as usize][l] as usize))
+    Some((
+        buf as usize,
+        widen(eng.iregs[idx as usize][l], op.unsigned) as usize,
+    ))
 }
 
 /// Whether `code` can fault on some operand values: such an op never
@@ -852,8 +862,9 @@ fn lane_sets_agree_op_by_op() {
     // The faulting shapes: zero divisors (IDiv, IRem, ImmDiv and
     // ImmRem by zero, each signed and unsigned) and out-of-bounds
     // accesses (LoadF, LoadI, StoreF, StoreI, two Load2F halves, 16
-    // LoadFOp and 17 FOpStore sub-ops).
-    assert_eq!(faulting, 8 + 1 + 1 + 1 + 1 + 2 + 16 + 17);
+    // LoadFOp and 17 FOpStore sub-ops, each with a signed and an
+    // unsigned index).
+    assert_eq!(faulting, 8 + 2 * (1 + 1 + 1 + 1 + 2 + 16 + 17));
     // The gathers again on index rows with a row-pass shape, one lane
     // off one, or out of bounds on some lanes; `Select` too.
     for op in shaped_cases() {
@@ -884,7 +895,12 @@ fn shaped_cases() -> Vec<DecOp> {
             fused(LoadFOp, 6, r, 0, 7, 2, 7, 0, F_MUL),
             fused(LoadFOp, 6, r, 0, 7, 6, 6, 0, 7),
         ];
-        v.extend(ops);
+        v.extend(ops.into_iter().flat_map(|o| {
+            [false, true].map(|u| DecOp {
+                unsigned: u,
+                ..o.clone()
+            })
+        }));
     }
     v
 }
@@ -912,7 +928,7 @@ fn check_shaped(tier: Tier, op: &DecOp) {
 #[test]
 fn index_rows_classify_by_shape() {
     let row = |r: u16| Row(std::array::from_fn(|l| irow(r as usize, l)));
-    let shapes = |n| I_SHAPED.map(|r| index_shape(&row(r), n));
+    let shapes = |n| I_SHAPED.map(|r| index_shape(&row(r), false, n));
     use Shape::*;
     assert_eq!(
         shapes(LANES),
@@ -937,46 +953,66 @@ fn index_rows_classify_by_shape() {
             Stride(9, 22)
         ]
     );
-    assert_eq!(index_shape(&row(I_IDX0), LANES), Scattered);
-    assert_eq!(index_shape(&row(7), 1), Uniform(0));
+    assert_eq!(index_shape(&row(I_IDX0), false, LANES), Scattered);
+    assert_eq!(index_shape(&row(7), false, 1), Uniform(0));
+    // A stride is one only within its signedness's range: the patterns
+    // stepping across 2^31 run on as `uint`s and wrap as `int`s, and the
+    // ones stepping across zero the other way round.
+    let across = |first: i32| Row(std::array::from_fn(|l| first.wrapping_add(l as i32)));
+    let top = across(i32::MAX - 3);
+    assert_eq!(index_shape(&top, true, LANES), Stride(0x7fff_fffc, LANES));
+    assert_eq!(index_shape(&top, false, LANES), Scattered);
+    let zero = across(-3);
+    assert_eq!(index_shape(&zero, false, LANES), Stride(-3, LANES));
+    assert_eq!(index_shape(&zero, true, LANES), Scattered);
+    assert_eq!(index_shape(&zero, true, 3), Stride(0xffff_fffd, 3));
+    let neg = Row([-1; LANES]);
+    assert_eq!(index_shape(&neg, false, LANES), Uniform(-1));
+    assert_eq!(index_shape(&neg, true, LANES), Uniform(0xffff_ffff));
 }
 
-/// A branch mask on `tier`: the fused `BranchCmp` form (`Some(op)`)
-/// or the boolean `v != 0` form of `Branch` on `a` (`None`), compiled
-/// with the tier's features on a wide tier, as in `exec_batch_wide`.
-fn branch_mask<T: Copy + PartialOrd + Default>(
+/// A branch mask on `tier`: the fused `BranchCmp` form (`Some(op)`,
+/// comparing lane values as `key` maps them) or the boolean `v != 0`
+/// form of `Branch` on `a` (`None`), compiled with the tier's features on
+/// a wide tier, as in `exec_batch_wide`.
+fn branch_mask<T: Copy + PartialOrd + Default, U: PartialOrd>(
     tier: Tier,
     op: Option<CmpOp>,
     a: &Row<T>,
     b: &Row<T>,
+    key: fn(T) -> U,
 ) -> u64 {
     crate::tier_dispatch!(
         tier,
         type K = PortableBody | WideBody,
-        fn mask_wide<T: Copy + PartialOrd + Default>(
+        fn mask_wide<T: Copy + PartialOrd + Default, U: PartialOrd>(
             op: Option<CmpOp>,
             a: &Row<T>,
             b: &Row<T>,
+            key: fn(T) -> U,
         ) -> u64 {
             match op {
-                Some(op) => cmp_rows::<K, T>(op, a, b),
+                Some(op) => cmp_rows::<K, T, U>(op, a, b, key),
                 None => pack_rows::<K, _, _>(a, a, |v, _| v != T::default()),
             }
         }
     )
 }
 
-/// Check every mask form on `a`, `b` against a per-lane reference,
-/// over all lanes and with the rows past a 22-lane prefix stale.
-fn check_masks<T: Copy + PartialOrd + Default + std::fmt::Debug>(
-    tier: Tier,
-    a: &Row<T>,
-    b: &Row<T>,
-) {
+/// Check every mask form on `a`, `b` against a per-lane reference, over
+/// all lanes and with the rows past a 22-lane prefix stale. The engine
+/// compares lane values as `key` maps them, the reference as `reference`
+/// does.
+fn check_masks<T, U, R>(tier: Tier, a: &Row<T>, b: &Row<T>, key: fn(T) -> U, reference: fn(T) -> R)
+where
+    T: Copy + PartialOrd + Default + std::fmt::Debug,
+    U: PartialOrd,
+    R: PartialOrd,
+{
     use CmpOp::*;
     // The condition lane `l` evaluates on its own.
     let holds = |op: Option<CmpOp>, l: usize| {
-        let (x, y) = (a[l], b[l]);
+        let (x, y) = (reference(a[l]), reference(b[l]));
         match op {
             Some(Lt) => x < y,
             Some(Le) => x <= y,
@@ -984,7 +1020,7 @@ fn check_masks<T: Copy + PartialOrd + Default + std::fmt::Debug>(
             Some(Ge) => x >= y,
             Some(Eq) => x == y,
             Some(Ne) => x != y,
-            None => x != T::default(),
+            None => a[l] != T::default(),
         }
     };
     let live = ExecMask::full(22).0;
@@ -999,7 +1035,7 @@ fn check_masks<T: Copy + PartialOrd + Default + std::fmt::Debug>(
     ] {
         let reference =
             |lanes: usize| (0..lanes).fold(0u64, |m, l| m | u64::from(holds(op, l)) << l);
-        let got = branch_mask(tier, op, a, b);
+        let got = branch_mask(tier, op, a, b, key);
         let ctx = format!("{op:?} on {}: {:?} vs {:?}", tier.name(), a.0, b.0);
         assert_eq!(got, reference(LANES), "{ctx}");
         assert_eq!(got & live, reference(22), "22-lane prefix: {ctx}");
@@ -1010,15 +1046,15 @@ fn check_masks<T: Copy + PartialOrd + Default + std::fmt::Debug>(
 fn branch_masks_match_a_per_lane_reference_on_every_tier() {
     let tiers = Tier::supported();
     let ints = [
-        i64::MIN,
-        i64::MIN + 1,
+        i32::MIN,
+        i32::MIN + 1,
         -7,
         -1,
         0,
         1,
         7,
-        i64::MAX - 1,
-        i64::MAX,
+        i32::MAX - 1,
+        i32::MAX,
     ];
     let floats = [
         f64::NAN,
@@ -1034,7 +1070,7 @@ fn branch_masks_match_a_per_lane_reference_on_every_tier() {
     // Rows pairing every special value with every other somewhere,
     // and equal on some lanes; lanes 22 and up are the stale tail of
     // a partial batch, so they differ from the live lanes' pattern.
-    let pick = |vals: &[i64; 9], seed: usize, l: usize| {
+    let pick = |vals: &[i32; 9], seed: usize, l: usize| {
         let k = if l < 22 { l * seed } else { l * l + seed };
         vals[(k + l / 9) % 9]
     };
@@ -1042,18 +1078,27 @@ fn branch_masks_match_a_per_lane_reference_on_every_tier() {
     let ib = Row(std::array::from_fn(|l| pick(&ints, 4, l)));
     let fa = Row(std::array::from_fn(|l| floats[(l + l / 9) % 9]));
     let fb = Row(std::array::from_fn(|l| floats[(4 * l + l / 9 + 1) % 9]));
+    // Integer rows compare signed as they are, and unsigned with the sign
+    // bit flipped (`order_bias`), against `u32` compares.
+    let signed = |x: i32| x;
+    let unsigned = |x: i32| x ^ order_bias(true);
+    let as_u32 = |x: i32| x as u32;
+    let same = |x: f64| x;
     for &tier in &tiers {
-        check_masks(tier, &ia, &ib);
-        check_masks(tier, &ia, &ia);
-        check_masks(tier, &fa, &fb);
-        check_masks(tier, &fb, &fa);
-        check_masks(tier, &fa, &fa);
+        check_masks(tier, &ia, &ib, signed, signed);
+        check_masks(tier, &ia, &ib, unsigned, as_u32);
+        check_masks(tier, &ia, &ia, signed, signed);
+        check_masks(tier, &ia, &ia, unsigned, as_u32);
+        check_masks(tier, &fa, &fb, same, same);
+        check_masks(tier, &fb, &fa, same, same);
+        check_masks(tier, &fa, &fa, same, same);
         // Rows of one value each, so that every bit is set or clear.
         for &x in &ints {
-            check_masks(tier, &Row([x; LANES]), &ib);
+            check_masks(tier, &Row([x; LANES]), &ib, signed, signed);
+            check_masks(tier, &Row([x; LANES]), &ib, unsigned, as_u32);
         }
         for &x in &floats {
-            check_masks(tier, &Row([x; LANES]), &fb);
+            check_masks(tier, &Row([x; LANES]), &fb, same, same);
         }
     }
 }
@@ -1139,4 +1184,667 @@ fn constant_division_becomes_a_multiply_exactly_when_bit_identical() {
             }
         }
     }
+}
+
+// Random integer op sequences at the edges of 32 bits: the lane engine's
+// 32-bit rows against the scalar engine's extended `i64`s, op by op, on
+// every tier and every lane set.
+
+/// A seeded xorshift64* generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn coin(&mut self) -> bool {
+        self.next() & 1 != 0
+    }
+
+    fn pick<T: Copy>(&mut self, v: &[T]) -> T {
+        v[self.below(v.len())]
+    }
+}
+
+const EDGE_I: [i32; 20] = [
+    i32::MIN,
+    i32::MIN + 1,
+    -65_536,
+    -33,
+    -32,
+    -31,
+    -2,
+    -1,
+    0,
+    1,
+    2,
+    31,
+    32,
+    33,
+    63,
+    64,
+    65_535,
+    1 << 30,
+    i32::MAX - 1,
+    i32::MAX,
+];
+const EDGE_U: [u32; 16] = [
+    0,
+    1,
+    2,
+    31,
+    32,
+    33,
+    63,
+    64,
+    65_535,
+    0x7fff_ffff,
+    0x8000_0000,
+    0x8000_0001,
+    0xc000_0000,
+    0xffff_fffe,
+    0xffff_ffff,
+    1 << 20,
+];
+/// I registers of the generated kernels; i0 holds the global id.
+const P_IREGS: u16 = 12;
+const P_FREGS: u16 = 4;
+/// The buffers: 0 `int*` and 1 `uint*` of edge values, 2 `float*`, and
+/// 3 `int*` and 4 `uint*` to store to, each of `LANES` elements.
+const P_BMAP: [usize; 5] = [0, 1, 2, 3, 4];
+const P_GSIZE: [usize; 3] = [LANES, 1, 1];
+
+fn prop_params() -> Vec<crate::bytecode::FnParam> {
+    use crate::ir::{ParamKind, ScalarType};
+    [
+        ScalarType::Int,
+        ScalarType::UInt,
+        ScalarType::Float,
+        ScalarType::Int,
+        ScalarType::UInt,
+    ]
+    .map(|elem| crate::bytecode::FnParam {
+        kind: ParamKind::Buffer {
+            elem,
+            is_const: false,
+        },
+        reg: 0,
+    })
+    .to_vec()
+}
+
+fn prop_buffers(rng: &mut Rng) -> Vec<BufferData> {
+    let floats = [
+        0.0,
+        -0.5,
+        1.5,
+        -3.0e9,
+        3.0e9,
+        5.0e9,
+        -1.0e12,
+        f32::NAN,
+        f32::INFINITY,
+        2_147_483_520.0,
+        4_294_967_040.0,
+    ];
+    vec![
+        BufferData::I32((0..LANES).map(|_| rng.pick(&EDGE_I)).collect()),
+        BufferData::U32((0..LANES).map(|_| rng.pick(&EDGE_U)).collect()),
+        BufferData::F32((0..LANES).map(|_| rng.pick(&floats)).collect()),
+        BufferData::I32(vec![0; LANES]),
+        BufferData::U32(vec![0; LANES]),
+    ]
+}
+
+/// A generated op sequence and the signedness of each I register at its
+/// end: `None` for a value in `[0, 2^31)`, `Some(unsigned)` otherwise.
+struct Gen {
+    rng: Rng,
+    instrs: Vec<Instr>,
+    kinds: Vec<Option<bool>>,
+}
+
+use crate::bytecode::{IBinOp, Instr};
+
+impl Gen {
+    fn emit(&mut self, i: Instr, dst_kind: Option<(u16, Option<bool>)>) {
+        self.instrs.push(i);
+        if let Some((r, k)) = dst_kind {
+            self.kinds[r as usize] = k;
+        }
+    }
+
+    /// A register the generated code may overwrite (never i0).
+    fn dst(&mut self) -> u16 {
+        1 + self.rng.below(P_IREGS as usize - 1) as u16
+    }
+
+    fn any(&mut self) -> u16 {
+        self.rng.below(P_IREGS as usize) as u16
+    }
+
+    /// A register whose value reads the same as signedness `u`; i0's
+    /// global id always does.
+    fn of(&mut self, u: bool) -> u16 {
+        let fits: Vec<u16> = (0..P_IREGS)
+            .filter(|&r| self.kinds[r as usize].is_none_or(|k| k == u))
+            .collect();
+        self.rng.pick(&fits)
+    }
+
+    /// An edge constant of signedness `u`, as the scalar engine holds it.
+    fn imm(&mut self, u: bool) -> i64 {
+        if u {
+            i64::from(self.rng.pick(&EDGE_U))
+        } else {
+            i64::from(self.rng.pick(&EDGE_I))
+        }
+    }
+
+    /// An index register: the global id, an index masked into bounds, or
+    /// any register, which may hold a negative `int` or a `uint` of 2^31
+    /// and more.
+    fn index(&mut self) -> u16 {
+        match self.rng.below(5) {
+            0 | 1 => 0,
+            2 | 3 => {
+                let (t, a, u) = (self.dst(), self.any(), self.rng.coin());
+                self.emit(
+                    Instr::IBinImm {
+                        op: IBinOp::And,
+                        dst: t,
+                        a,
+                        imm: 63,
+                        unsigned: u,
+                    },
+                    Some((t, Some(u))),
+                );
+                t
+            }
+            _ => self.any(),
+        }
+    }
+
+    fn step(&mut self) {
+        use Instr::*;
+        let u = self.rng.coin();
+        let d = self.dst();
+        match self.rng.below(16) {
+            0 | 1 => {
+                let op = self.rng.pick(&[
+                    IBinOp::Add,
+                    IBinOp::Sub,
+                    IBinOp::Mul,
+                    IBinOp::And,
+                    IBinOp::Or,
+                    IBinOp::Xor,
+                    IBinOp::Shl,
+                    IBinOp::Shr,
+                ]);
+                // A logical shift reads its value past 32 bits.
+                let a = if op == IBinOp::Shr && u {
+                    self.of(true)
+                } else {
+                    self.any()
+                };
+                let b = self.any();
+                self.emit(
+                    IBin {
+                        op,
+                        dst: d,
+                        a,
+                        b,
+                        unsigned: u,
+                    },
+                    Some((d, Some(u))),
+                );
+            }
+            2 => {
+                let op = self.rng.pick(&[IBinOp::Div, IBinOp::Rem]);
+                let a = self.of(u);
+                let mut b = self.of(u);
+                if self.rng.coin() {
+                    // An odd divisor: no division by zero.
+                    let t = self.dst();
+                    self.emit(
+                        IBinImm {
+                            op: IBinOp::Or,
+                            dst: t,
+                            a: b,
+                            imm: 1,
+                            unsigned: u,
+                        },
+                        Some((t, Some(u))),
+                    );
+                    b = t;
+                }
+                let a = if self.kinds[a as usize].is_none_or(|k| k == u) {
+                    a
+                } else {
+                    b
+                };
+                self.emit(
+                    IBin {
+                        op,
+                        dst: d,
+                        a,
+                        b,
+                        unsigned: u,
+                    },
+                    Some((d, Some(u))),
+                );
+            }
+            3 => {
+                let op = self.rng.pick(&[
+                    IBinOp::Add,
+                    IBinOp::Mul,
+                    IBinOp::Div,
+                    IBinOp::Rem,
+                    IBinOp::Shl,
+                    IBinOp::Shr,
+                    IBinOp::Xor,
+                ]);
+                let careful = matches!(op, IBinOp::Div | IBinOp::Rem) || op == IBinOp::Shr && u;
+                let a = if careful { self.of(u) } else { self.any() };
+                let imm = if matches!(op, IBinOp::Div | IBinOp::Rem) || self.rng.coin() {
+                    self.imm(u)
+                } else {
+                    self.imm(!u)
+                };
+                self.emit(
+                    IBinImm {
+                        op,
+                        dst: d,
+                        a,
+                        imm,
+                        unsigned: u,
+                    },
+                    Some((d, Some(u))),
+                );
+            }
+            4 | 5 => {
+                let op = self.rng.pick(&[
+                    CmpOp::Lt,
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                ]);
+                let (a, b) = (self.of(u), self.of(u));
+                self.emit(CmpI { op, dst: d, a, b }, Some((d, None)));
+            }
+            6 => {
+                let a = self.any();
+                let i = match self.rng.below(3) {
+                    0 => NegI {
+                        dst: d,
+                        a,
+                        unsigned: u,
+                    },
+                    1 => BitNotI {
+                        dst: d,
+                        a,
+                        unsigned: u,
+                    },
+                    _ => NotI { dst: d, a },
+                };
+                let k = if matches!(i, NotI { .. }) {
+                    None
+                } else {
+                    Some(u)
+                };
+                self.emit(i, Some((d, k)));
+            }
+            7 => {
+                let a = self.any();
+                self.emit(
+                    CastII {
+                        dst: d,
+                        a,
+                        to_unsigned: u,
+                    },
+                    Some((d, Some(u))),
+                );
+            }
+            8 => {
+                let (a, b) = (self.of(u), self.of(u));
+                let k = self.kinds[a as usize].or(self.kinds[b as usize]);
+                let i = if self.rng.coin() {
+                    IMin { dst: d, a, b }
+                } else {
+                    IMax { dst: d, a, b }
+                };
+                self.emit(i, Some((d, k)));
+            }
+            9 => {
+                let a = self.any();
+                self.emit(IAbs { dst: d, a }, Some((d, Some(false))));
+            }
+            10 => {
+                // Through the F file and back, out of range on the way
+                // sometimes: `CastFI` saturates.
+                let f = self.rng.below(P_FREGS as usize) as u16;
+                let a = self.any();
+                self.emit(CastIF { dst: f, a }, None);
+                if self.rng.coin() {
+                    let g = (f + 1) % P_FREGS;
+                    let v = self.rng.pick(&[3.0, -1.0, 0.5, 1.0e10]);
+                    self.emit(ConstF { dst: g, v }, None);
+                    self.emit(
+                        crate::bytecode::Instr::FBin {
+                            op: crate::bytecode::FBinOp::Mul,
+                            dst: f,
+                            a: f,
+                            b: g,
+                        },
+                        None,
+                    );
+                }
+                self.emit(
+                    CastFI {
+                        dst: d,
+                        a: f,
+                        unsigned: u,
+                    },
+                    Some((d, Some(u))),
+                );
+            }
+            11 => {
+                let v = self.imm(u);
+                let k = if (0..1 << 31).contains(&v) {
+                    None
+                } else {
+                    Some(u)
+                };
+                self.emit(ConstI { dst: d, v }, Some((d, k)));
+            }
+            12 => {
+                let src = self.any();
+                let k = self.kinds[src as usize];
+                self.emit(MovI { dst: d, src }, Some((d, k)));
+            }
+            13 => {
+                let (idx, buf) = (self.index(), u16::from(u));
+                self.emit(LoadI { dst: d, buf, idx }, Some((d, Some(u))));
+            }
+            14 => {
+                let (idx, src) = (self.index(), self.any());
+                let buf = 3 + u16::from(u);
+                self.emit(StoreI { buf, idx, src }, None);
+            }
+            _ => {
+                let (idx, f) = (self.index(), self.rng.below(P_FREGS as usize) as u16);
+                if self.rng.coin() {
+                    self.emit(
+                        LoadF {
+                            dst: f,
+                            buf: 2,
+                            idx,
+                        },
+                        None,
+                    );
+                } else {
+                    self.emit(
+                        StoreF {
+                            buf: 2,
+                            idx,
+                            src: f,
+                        },
+                        None,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A random straight-line kernel: i0 = the global id, the other I
+/// registers loaded from the edge buffers, then `n` random ops.
+fn gen_kernel(seed: u64, n: usize) -> Vec<Instr> {
+    use Instr::*;
+    let mut g = Gen {
+        rng: Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
+        instrs: vec![],
+        kinds: vec![None; P_IREGS as usize],
+    };
+    g.emit(GlobalId { dst: 0, dim: 0 }, Some((0, None)));
+    for r in 1..P_IREGS {
+        let (imm, u) = (7 * i64::from(r), r % 2 == 1);
+        g.emit(
+            IBinImm {
+                op: IBinOp::Add,
+                dst: r,
+                a: 0,
+                imm,
+                unsigned: false,
+            },
+            None,
+        );
+        g.emit(
+            IBinImm {
+                op: IBinOp::And,
+                dst: r,
+                a: r,
+                imm: 63,
+                unsigned: false,
+            },
+            None,
+        );
+        g.emit(
+            LoadI {
+                dst: r,
+                buf: u16::from(u),
+                idx: r,
+            },
+            Some((r, Some(u))),
+        );
+    }
+    for _ in 0..n {
+        g.step();
+    }
+    g.instrs
+}
+
+/// What a lane set leaves behind: the first fault, the I rows' low 32
+/// bits, the F rows' bits and the buffers' bits.
+#[derive(Debug, PartialEq)]
+struct PropState {
+    result: Result<(), VmError>,
+    iregs: Vec<Vec<i32>>,
+    fregs: Vec<Vec<u64>>,
+    bufs: Vec<Vec<u32>>,
+}
+
+fn buf_bits(bufs: &[BufferData]) -> Vec<Vec<u32>> {
+    bufs.iter()
+        .map(|b| match b {
+            BufferData::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
+            BufferData::I32(v) => v.iter().map(|&x| x as u32).collect(),
+            BufferData::U32(v) => v.clone(),
+        })
+        .collect()
+}
+
+/// The scalar engine running `instrs` in lockstep over `lanes`: each
+/// instruction for every lane in ascending order, as the lane engine
+/// orders its faults, stopping at the first fault. Lanes outside the set
+/// keep their zeroed registers. Rows are cut to the first `upto` lanes.
+fn scalar_lockstep(
+    instrs: &[Instr],
+    lanes: &[usize],
+    bufs: &[BufferData],
+    upto: usize,
+) -> PropState {
+    let mut vms: Vec<Vm> = (0..LANES)
+        .map(|_| {
+            let mut vm = Vm::new();
+            vm.iregs = vec![0; P_IREGS as usize];
+            vm.fregs = vec![0.0; P_FREGS as usize];
+            vm
+        })
+        .collect();
+    let mut bufs = bufs.to_vec();
+    let result = {
+        let mut mem = bufs.mem();
+        let mut run = || {
+            for ins in instrs {
+                for &l in lanes {
+                    vms[l].exec_instr(ins, [l, 0, 0], P_GSIZE, &P_BMAP, &mut mem)?;
+                }
+            }
+            Ok(())
+        };
+        run()
+    };
+    for vm in &vms {
+        for &v in &vm.iregs {
+            assert!(
+                (-(1 << 31)..1 << 32).contains(&v),
+                "the scalar engine holds {v}, no 32-bit value"
+            );
+        }
+    }
+    PropState {
+        result,
+        iregs: (0..P_IREGS as usize)
+            .map(|r| vms[..upto].iter().map(|vm| vm.iregs[r] as i32).collect())
+            .collect(),
+        fregs: (0..P_FREGS as usize)
+            .map(|r| vms[..upto].iter().map(|vm| vm.fregs[r].to_bits()).collect())
+            .collect(),
+        bufs: buf_bits(&bufs),
+    }
+}
+
+/// The lane engine running the decoded `ops` over `s` on `tier`.
+fn lanes_run<S: LaneSet>(
+    tier: Tier,
+    ops: &[DecOp],
+    s: S,
+    bufs: &[BufferData],
+    upto: usize,
+) -> PropState {
+    let mut eng = LaneEngine {
+        iregs: vec![Row([0; LANES]); P_IREGS as usize],
+        fregs: vec![Row([0.0; LANES]); P_FREGS as usize],
+        gid: [
+            Row(std::array::from_fn(|l| l as i32)),
+            Row([0; LANES]),
+            Row([0; LANES]),
+        ],
+        steps: Row([0; LANES]),
+        stack: Vec::new(),
+        tier,
+        step_limit: u64::MAX,
+    };
+    let mut bufs = bufs.to_vec();
+    let result = {
+        let mut mem = bufs.mem();
+        crate::tier_dispatch!(
+            tier,
+            type K = PortableBody | WideBody,
+            fn run_wide<S: LaneSet>(
+                eng: &mut LaneEngine = &mut eng,
+                ops: &[DecOp],
+                s: S,
+                mem: &mut Mem<'_> = &mut mem,
+            ) -> Result<(), VmError> {
+                for op in ops {
+                    eng.exec_dec::<K, S>(op, s, P_GSIZE, &P_BMAP, mem)?;
+                }
+                Ok(())
+            }
+        )
+    };
+    PropState {
+        result,
+        iregs: eng.iregs.iter().map(|r| r[..upto].to_vec()).collect(),
+        fregs: eng
+            .fregs
+            .iter()
+            .map(|r| r[..upto].iter().map(|x| x.to_bits()).collect())
+            .collect(),
+        bufs: buf_bits(&bufs),
+    }
+}
+
+#[test]
+fn integer_ops_at_the_32_bit_edges_match_the_scalar_engine() {
+    let tiers = Tier::supported();
+    let params = prop_params();
+    // (completed, division by zero, negative index, `uint` index >= 2^31)
+    let mut seen = [0usize; 4];
+    let mut unsigned_ops = 0;
+    for seed in 0..300u64 {
+        let instrs = gen_kernel(seed, 28);
+        let mut block = crate::bytecode::Block {
+            instrs,
+            term: Terminator::Ret,
+            histo: crate::bytecode::OpHistogram {
+                classes: [0; crate::bytecode::N_OP_CLASSES],
+                buf_reads: vec![],
+                buf_writes: vec![],
+            },
+        };
+        block.recompute_histo(params.len());
+        let blocks = [block];
+        let kinds = crate::analysis::signedness::analyze(&blocks, &params)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        unsigned_ops += kinds.instrs[0].iter().filter(|&&u| u).count();
+        let dec = crate::opt::decode::decode(&blocks, &params).expect("decodes");
+        let ops = dec.block_ops(0);
+        let mut rng = Rng(seed ^ 0xD1B5_4A32_D192_ED03);
+        let bufs = prop_buffers(&mut rng);
+        let (m1, m2) = (rng.next(), rng.next() | 1);
+        let all: Vec<usize> = (0..LANES).collect();
+        let cases: [(&str, Vec<usize>, usize); 4] = [
+            ("Prefix(64)", all.clone(), LANES),
+            ("Prefix(37)", (0..37).collect(), 37),
+            ("Masked", ExecMask(m1).lanes().collect(), LANES),
+            ("Select", ExecMask(m2).lanes().collect(), LANES),
+        ];
+        for (name, lanes, upto) in &cases {
+            let want = scalar_lockstep(&blocks[0].instrs, lanes, &bufs, *upto);
+            if *name == "Prefix(64)" {
+                let k = match &want.result {
+                    Ok(()) => 0,
+                    Err(VmError::DivisionByZero) => 1,
+                    Err(VmError::OutOfBounds { index, .. }) if *index < 0 => 2,
+                    Err(VmError::OutOfBounds { index, .. }) if *index >= 1 << 31 => 3,
+                    Err(_) => 4,
+                };
+                if let Some(c) = seen.get_mut(k) {
+                    *c += 1;
+                }
+            }
+            for &tier in &tiers {
+                let got = match *name {
+                    "Prefix(64)" | "Prefix(37)" => {
+                        lanes_run(tier, ops, Prefix(*upto), &bufs, *upto)
+                    }
+                    "Masked" => lanes_run(tier, ops, Masked(ExecMask(m1)), &bufs, *upto),
+                    _ => lanes_run(tier, ops, Select(ExecMask(m2)), &bufs, *upto),
+                };
+                assert_eq!(
+                    got,
+                    want,
+                    "seed {seed}, {name} on {}:\n{}",
+                    tier.name(),
+                    crate::pretty::disasm_blocks_spanned(&blocks, &[])
+                );
+            }
+        }
+    }
+    // Every outcome occurs, and unsigned operands are common.
+    assert!(seen.iter().all(|&c| c > 0), "outcomes {seen:?}");
+    assert!(unsigned_ops > 1000, "{unsigned_ops} unsigned ops");
 }

@@ -6,11 +6,12 @@
 //!
 //! - **AVX-512** on x86-64 CPUs with AVX-512F, BW, VL and DQ (and AVX2):
 //!   the body is instantiated inside an entry compiled with those
-//!   features, so the row kernels run eight 64-bit lanes per vector and
-//!   branch masks compare straight into mask registers;
+//!   features, so the row kernels run 16 32-bit integer lanes or eight
+//!   64-bit float lanes per vector and branch masks compare straight
+//!   into mask registers;
 //! - **AVX2** on other x86-64 CPUs with AVX2: the same body inside a
-//!   `#[target_feature(enable = "avx2")]` entry, four 64-bit lanes per
-//!   vector;
+//!   `#[target_feature(enable = "avx2")]` entry, eight integer or four
+//!   float lanes per vector;
 //! - **portable** on every other CPU, built for the crate's compile
 //!   target (SSE2 on baseline x86-64).
 //!
@@ -34,7 +35,8 @@ use super::LANES;
 
 /// One register row: lane `l`'s value at index `l`, aligned to a 64-byte
 /// cache line. It derefs to `[T; LANES]`, so row kernels index it like
-/// the array it wraps.
+/// the array it wraps. An I-file row is a `Row<i32>` of 32-bit patterns
+/// (256 bytes, four cache lines), an F-file row a `Row<f64>` (512 bytes).
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 pub(crate) struct Row<T>(pub(super) [T; LANES]);

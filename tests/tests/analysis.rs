@@ -1,14 +1,15 @@
 //! Integration tests for the static analyses: the IR verifier over the
 //! whole benchmark suite, mutation coverage for each corruption class,
 //! the IR-level access ranges the runtime sizes transfers with, checked
-//! against execution, and the bounds checks both engines keep on every
-//! access.
+//! against execution, the bounds checks both engines keep on every
+//! access, and the signedness the lane engine decodes integer ops with.
 
 use std::ops::Range;
 
 use hetpart_inspire::access::{self, BufferRange, LaunchBounds};
+use hetpart_inspire::analysis::signedness;
 use hetpart_inspire::analysis::verify;
-use hetpart_inspire::bytecode::{Instr, Terminator};
+use hetpart_inspire::bytecode::{CmpOp, IBinOp, Instr, Terminator};
 use hetpart_inspire::vm::{ArgValue, BufferData, Vm};
 use hetpart_inspire::{compile_with_modes, CompiledKernel, NdRange, OptLevel, RegAlloc, VmError};
 
@@ -35,6 +36,85 @@ fn verifier_accepts_every_suite_kernel_at_every_mode() {
                 )
             });
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Signedness: one kind for every integer op of the suite
+// ---------------------------------------------------------------------
+
+#[test]
+fn every_suite_kernel_gets_one_signedness_at_every_mode() {
+    for bench in hetpart_suite::all() {
+        for (level, ra) in MODES {
+            let f = bench.compile_with_modes(level, ra).bytecode;
+            let s = signedness::analyze(&f.blocks, &f.params).unwrap_or_else(|e| {
+                panic!("{} at {level:?}/{ra:?}: {e}", bench.name);
+            });
+            assert_eq!(s.terms.len(), f.blocks.len());
+            for (b, block) in f.blocks.iter().enumerate() {
+                assert_eq!(s.instrs[b].len(), block.instrs.len());
+            }
+        }
+    }
+}
+
+#[test]
+fn monte_carlo_pi_converts_unsigned_and_loops_signed() {
+    let bench = hetpart_suite::by_name("monte_carlo_pi").expect("in the suite");
+    for (level, ra) in MODES {
+        let f = bench.compile_with_modes(level, ra).bytecode;
+        let s = signedness::analyze(&f.blocks, &f.params).expect("one kind each");
+        let ctx = format!("{level:?}/{ra:?}");
+        let (mut i2f, mut add_u, mut branch_lt) = (0, 0, 0);
+        for (b, block) in f.blocks.iter().enumerate() {
+            for (i, ins) in block.instrs.iter().enumerate() {
+                let unsigned = s.instrs[b][i];
+                match ins {
+                    // `(float)(s & 65535u)`: a `uint` converts as one.
+                    Instr::CastIF { .. } => {
+                        assert!(unsigned, "i2f at {ctx}");
+                        i2f += 1;
+                    }
+                    Instr::IBin {
+                        op: IBinOp::Add,
+                        unsigned: true,
+                        ..
+                    }
+                    | Instr::IBinImm {
+                        op: IBinOp::Add,
+                        unsigned: true,
+                        ..
+                    } => {
+                        assert!(unsigned, "add.u at {ctx}");
+                        add_u += 1;
+                    }
+                    _ => {}
+                }
+            }
+            // `j < samples` over `int`s, fused into the branch when
+            // optimized and a `cmp.lt` feeding it otherwise.
+            let lt = match block.term {
+                Terminator::BranchCmp {
+                    op: CmpOp::Lt,
+                    float: false,
+                    ..
+                } => Some(s.terms[b]),
+                _ => block.instrs.iter().zip(&s.instrs[b]).find_map(|(ins, &u)| {
+                    matches!(ins, Instr::CmpI { op: CmpOp::Lt, .. }).then_some(u)
+                }),
+            };
+            if let Some(unsigned) = lt {
+                assert!(!unsigned, "branch.lt at {ctx}");
+                branch_lt += 1;
+            }
+        }
+        assert_eq!(i2f, 2, "both coordinates convert at {ctx}");
+        assert!(
+            add_u >= 2,
+            "the seed and the hit count add unsigned at {ctx}"
+        );
+        assert_eq!(branch_lt, 1, "one loop branch at {ctx}");
     }
 }
 

@@ -1279,3 +1279,48 @@ proptest! {
         prop_assert_eq!(s.ops_cv.to_bits(), l.ops_cv.to_bits());
     }
 }
+
+#[test]
+fn an_ndrange_of_2_pow_31_items_is_refused_before_any_item_runs() {
+    // A launch's global ids are 32-bit `int`s: a dimension of 2^31 items
+    // has ids no kernel variable can hold. Only the range is that large;
+    // the buffer is not, and no item runs.
+    let k = compile(
+        "kernel void k(global int* o) {
+            o[get_global_id(0)] = get_global_id(0);
+        }",
+    )
+    .unwrap();
+    let f = &k.bytecode;
+    let args = [ArgValue::Buffer(0)];
+    let big = 1usize << 31;
+    let want = VmError::NdRangeTooLarge { dim: 0, size: big };
+    for nd in [NdRange::d1(big), NdRange::d2(big, 1)] {
+        let mut bufs = vec![BufferData::I32(vec![0; 4])];
+        let mut vm = Vm::new();
+        let items = [[0, 0, 0], [1, 0, 0]];
+        let results = [
+            vm.run_range_scalar(f, &nd, 0..1, &args, &mut bufs).err(),
+            vm.run_range_lanes(f, &nd, 0..1, &args, &mut bufs).err(),
+            vm.run_range(f, &nd, 0..1, &args, &mut bufs).err(),
+            vm.run_items_scalar(f, &nd, &items, &args, &mut bufs).err(),
+            vm.run_items(f, &nd, &items, &args, &mut bufs).err(),
+            vm.run_sampled_scalar(f, &nd, 0..1, &args, &mut bufs, 4)
+                .err(),
+            vm.run_sampled_lanes(f, &nd, 0..1, &args, &mut bufs, 4)
+                .err(),
+            vm.run_sampled(f, &nd, 0..1, &args, &mut bufs, 4).err(),
+        ];
+        for (entry, r) in results.into_iter().enumerate() {
+            assert_eq!(r.as_ref(), Some(&want), "entry {entry} on {nd:?}");
+        }
+        assert_eq!(bufs[0], BufferData::I32(vec![0; 4]), "no item ran");
+    }
+    // One item short of 2^31 is a valid range.
+    let mut bufs = vec![BufferData::I32(vec![0; 4])];
+    let nd = NdRange::d2(4, big - 1);
+    Vm::new()
+        .run_range(f, &nd, 0..1, &args, &mut bufs)
+        .expect("2^31 - 1 items fit");
+    assert_eq!(bufs[0], BufferData::I32(vec![0, 1, 2, 3]));
+}
