@@ -1,58 +1,50 @@
-//! `vm_batch`: the lane-batched VM and pruned-sweep performance baseline.
+//! `vm_batch`: the lane-batched VM and training-oracle performance
+//! baseline.
 //!
-//! Times three layers against their scalar/exhaustive baselines and
-//! writes the results to `reports/BENCH_vm.json` so future PRs have a
+//! Times two layers against their scalar baselines and writes the
+//! results to `reports/BENCH_vm.json` so future changes have a
 //! machine-readable perf trajectory:
 //!
 //! 1. **Kernel execution** — `run_range` on representative suite kernels
-//!    (uniform, compute-bound, divergent): the original scalar engine on
-//!    unoptimized bytecode vs today's lane engine on optimized bytecode,
-//!    plus A/B columns isolating each layer — optimized vs
-//!    unoptimized bytecode, and register allocation on vs off.
+//!    (uniform, compute-bound, divergent, and the widest register files):
+//!    the original scalar engine on unoptimized bytecode vs today's lane
+//!    engine on optimized bytecode, plus an A/B column isolating the
+//!    optimizer — optimized vs unoptimized bytecode on the lane engine.
 //! 2. **Training oracle** — one full oracle pass over a batch of
 //!    training launches: the PR-1 shape (scalar probe profiles over
 //!    unoptimized bytecode + the exhaustive partition space) vs today's
-//!    lane-batched profiles over optimized bytecode, full and pruned.
-//! 3. A sanity check that the pruned oracle's argmins match the full
-//!    sweep on the benchmarked batch (the regression suites prove this
+//!    lane-batched profiles over optimized bytecode. Before recording, the
+//!    bench checks that the lane oracle's argmins match a scalar-engine
+//!    oracle on the same bytecode (the regression suites prove this
 //!    exhaustively; the bench refuses to record numbers from a broken
 //!    comparison).
 //!
 //! The scalar baseline is timed in one round-robin (`interleaved_best`)
 //! with the lane engine, so a gated `speedup` compares runs from the
-//! same host phase rather than two phases timed apart; the three lane
+//! same host phase rather than two phases timed apart; the two lane
 //! configurations share a second round-robin.
 //!
-//! `target_met` in the JSON gates CI: the pruned oracle must hold its
-//! ≥ 3x speedup, the divergent kernels must stay batched end-to-end
+//! `target_met` in the JSON gates CI: the full training oracle must hold
+//! its ≥ 3x speedup, the divergent kernels must stay batched end-to-end
 //! (mandelbrot ≥ 3x, blackscholes ≥ 2.5x, monte_carlo_pi ≥ 9x over the
 //! scalar engine; monte_carlo_pi's floor also guards the predicated
 //! if-arms and the full-width row passes of its loop body, whose
 //! divisions by 65536.0 run as exact multiplies), and the bytecode
-//! optimizer must pay for itself — lane
-//! execution on optimized code at least as fast as on unoptimized code
-//! (geomean over the picks) with a ≥ 15% suite-wide static shrink.
-//! Register allocation has its own A/B column against `RegAlloc::Off`
-//! and must hold a geomean lane speedup within noise of break-even. Set
-//! `VM_BENCH_QUICK=1` for the reduced sizes CI uses.
-//!
-//! A note on the register-allocation floor: both sides of that A/B walk
-//! the same pre-decoded, fused op array on the lane engine, so it
-//! isolates the register-file shrink alone (the lane engine's SoA rows
-//! take 64 lanes × 4 bytes per I register and × 8 bytes per F register). That shrink is a cache-footprint
-//! effect that is small at these batch widths, so the CI floor only
-//! guards against allocation *regressing* execution (beyond the ~5%
-//! timing noise of a shared CI host), not a speedup target.
+//! optimizer must pay for itself — lane execution on optimized code at
+//! least as fast as on unoptimized code (geomean over the picks) with a
+//! ≥ 15% suite-wide static shrink. hotspot and srad, the suite's widest
+//! register files, are recorded without a floor. Set `VM_BENCH_QUICK=1`
+//! for the reduced sizes CI uses.
 
 use std::collections::HashMap;
 
 use hetpart_bench::{check_floors, geomean, interleaved_best, time_best, write_report};
 use hetpart_inspire::vm::Vm;
+use hetpart_inspire::{compile_with_modes, OptLevel};
 use hetpart_runtime::exec::{scalar_values, transfer_bytes};
 use hetpart_runtime::sweep::SWEEP_PROFILE_SAMPLES;
 use hetpart_runtime::{
-    sweep_many, sweep_many_mode, Executor, Launch, LaunchProfile, Partition, PartitionSweep,
-    SweepJob, SweepMode,
+    sweep_many, Executor, Launch, LaunchProfile, Partition, PartitionSweep, SweepJob,
 };
 use hetpart_suite::Instance;
 use serde::Serialize;
@@ -65,35 +57,22 @@ struct RunRangeRow {
     /// baseline (PR 1 had neither the lane engine nor the optimizer),
     /// so `speedup` records the cumulative system win.
     scalar_s: f64,
-    /// Lane engine on optimized, register-allocated bytecode, timed in
-    /// the scalar baseline's round-robin.
+    /// Lane engine on optimized bytecode, timed in the scalar baseline's
+    /// round-robin.
     paired_lanes_s: f64,
-    /// Lane engine on optimized, register-allocated bytecode, timed in
-    /// the lane configurations' round-robin.
+    /// Lane engine on optimized bytecode, timed in the lane
+    /// configurations' round-robin.
     lanes_s: f64,
     /// Lane engine on the **unoptimized** bytecode (`OptLevel::None`) —
     /// the same engine minus the optimizer pipeline, timed for A/B.
     unopt_lanes_s: f64,
-    /// Lane engine on optimized bytecode with register allocation off
-    /// (`RegAlloc::Off`): the same decoded walk over the wider
-    /// codegen-shaped register files — isolates what allocation buys.
-    noregalloc_lanes_s: f64,
     /// scalar_s / paired_lanes_s.
     speedup: f64,
     /// unopt_lanes_s / lanes_s: what the optimizer buys end-to-end.
     speedup_vs_unopt: f64,
-    /// noregalloc_lanes_s / lanes_s: what register allocation buys.
-    speedup_vs_noregalloc: f64,
     /// Static instruction count, unoptimized vs optimized.
     static_instrs_unopt: usize,
     static_instrs_opt: usize,
-    /// Register-file widths before (RegAlloc::Off) and after
-    /// (RegAlloc::On) linear-scan allocation — the lane engine's per-lane
-    /// SoA arrays scale directly with these.
-    regfile_i_before: u16,
-    regfile_i_after: u16,
-    regfile_f_before: u16,
-    regfile_f_after: u16,
 }
 
 #[derive(Serialize)]
@@ -102,12 +81,10 @@ struct OracleRow {
     partitions_per_job: usize,
     /// The PR-1 oracle: scalar probe profiles over **unoptimized**
     /// bytecode and the exhaustive partition space — the system as it
-    /// stood before the lane engine, the pruned sweep and the optimizer.
+    /// stood before the lane engine and the optimizer.
     scalar_engine_s: f64,
     lanes_full_s: f64,
-    lanes_pruned_s: f64,
     speedup_full: f64,
-    speedup_pruned: f64,
 }
 
 /// Perf floors that gate `target_met` (and therefore CI).
@@ -121,10 +98,6 @@ struct Targets {
     opt_geomean_speedup: f64,
     /// … and must shrink the suite's static code size by this fraction.
     opt_static_reduction: f64,
-    /// Register allocation must not cost more than measurement noise on
-    /// geomean over the picks (see the module doc for why this is a
-    /// break-even floor, not a speedup target).
-    regalloc_geomean_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -140,8 +113,6 @@ struct Report {
     oracle: OracleRow,
     /// Geomean of `speedup_vs_unopt` over the benchmarked kernels.
     opt_geomean_speedup: f64,
-    /// Geomean of `speedup_vs_noregalloc` over the benchmarked kernels.
-    regalloc_geomean_speedup: f64,
     /// Suite-wide geomean static shrink: 1 - geomean(opt/unopt instrs)
     /// over all suite kernels, not just the benchmarked picks.
     opt_static_reduction: f64,
@@ -154,12 +125,17 @@ fn bench_instance(name: &str, n: usize) -> (hetpart_inspire::CompiledKernel, Ins
     (bench.compile(), bench.instance(n))
 }
 
+/// A suite kernel compiled at `OptLevel::None`: the PR-1 baseline.
+fn unopt_kernel(name: &str) -> hetpart_inspire::CompiledKernel {
+    let bench = hetpart_suite::by_name(name).expect("suite kernel exists");
+    compile_with_modes(bench.source, OptLevel::None).expect("suite kernels compile")
+}
+
 /// Suite-wide static shrink: `1 - geomean(optimized/unoptimized)` over
 /// every kernel's static instruction count.
 fn static_reduction() -> f64 {
-    use hetpart_inspire::{OptLevel, RegAlloc};
     1.0 - geomean(hetpart_suite::all().iter().map(|b| {
-        let unopt = b.compile_with_modes(OptLevel::None, RegAlloc::On);
+        let unopt = unopt_kernel(b.name);
         let opt = b.compile();
         opt.bytecode.num_instrs() as f64 / unopt.bytecode.num_instrs() as f64
     }))
@@ -173,9 +149,10 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
     // trip of a uniform loop, the serve workloads' p99 key, whose floor
     // also guards the predicated if-arms; stencil2d: three predicable
     // boundary triangles, recorded without a floor) — plus nbody and
-    // kmeans, whose uniform index rows load as one broadcast per row, and
-    // conv2d, half of whose ops are 32-bit integer index arithmetic, all
-    // recorded without a floor. Sizes match the
+    // kmeans, whose uniform index rows load as one broadcast per row,
+    // conv2d, half of whose ops are 32-bit integer index arithmetic, and
+    // hotspot and srad, the suite's widest register files (45 and 39
+    // rows), all recorded without a floor. Sizes match the
     // training-shaped oracle batch below: the lane engine exists to speed
     // up the VM the training sweeps run on, and sweeps launch at exactly
     // this scale — a DRAM-bound size would measure memory bandwidth
@@ -191,6 +168,8 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("nbody", 1 << 8),
             ("kmeans", 1 << 10),
             ("conv2d", 48),
+            ("hotspot", 64),
+            ("srad", 64),
         ]
     } else {
         &[
@@ -203,23 +182,15 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             ("nbody", 1 << 10),
             ("kmeans", 1 << 12),
             ("conv2d", 64),
+            ("hotspot", 128),
+            ("srad", 128),
         ]
     };
     let reps = if quick { 3 } else { 5 };
     let mut rows = Vec::new();
     for &(name, n) in picks {
         let (kernel, inst) = bench_instance(name, n);
-        let bench = hetpart_suite::by_name(name).expect("suite kernel exists");
-        let unopt = bench.compile_with_modes(
-            hetpart_inspire::OptLevel::None,
-            hetpart_inspire::RegAlloc::On,
-        );
-        // Same optimizer pipeline, register allocation off: the same
-        // decoded walk over the pre-allocation register files.
-        let noalloc = bench.compile_with_modes(
-            hetpart_inspire::OptLevel::Full,
-            hetpart_inspire::RegAlloc::Off,
-        );
+        let unopt = unopt_kernel(name);
         let extent = inst.nd.split_extent();
         let mut vm = Vm::new();
         let mut bufs = inst.bufs.clone();
@@ -239,11 +210,11 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             }
             .unwrap();
         });
-        // The three lane configurations get a round-robin of their own:
+        // The two lane configurations get a round-robin of their own:
         // rounds stretched by the scalar run span host phases, and their
         // minima then come from different phases.
-        let configs = [&kernel, &unopt, &noalloc];
-        let [lanes_s, unopt_lanes_s, noregalloc_lanes_s] = interleaved_best(5 * reps, |config| {
+        let configs = [&kernel, &unopt];
+        let [lanes_s, unopt_lanes_s] = interleaved_best(5 * reps, |config| {
             vm.run_range_lanes(
                 &configs[config].bytecode,
                 &inst.nd,
@@ -260,16 +231,10 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
             paired_lanes_s,
             lanes_s,
             unopt_lanes_s,
-            noregalloc_lanes_s,
             speedup: scalar_s / paired_lanes_s,
             speedup_vs_unopt: unopt_lanes_s / lanes_s,
-            speedup_vs_noregalloc: noregalloc_lanes_s / lanes_s,
             static_instrs_unopt: unopt.bytecode.num_instrs(),
             static_instrs_opt: kernel.bytecode.num_instrs(),
-            regfile_i_before: noalloc.bytecode.n_iregs,
-            regfile_i_after: kernel.bytecode.n_iregs,
-            regfile_f_before: noalloc.bytecode.n_fregs,
-            regfile_f_after: kernel.bytecode.n_fregs,
         });
     }
     rows
@@ -280,7 +245,7 @@ fn run_range_rows(quick: bool) -> Vec<RunRangeRow> {
 /// [`sweep_many`]: parallel per-job contexts (scalar probe profile +
 /// transfer cache), then one flat parallel pass over (job × partition)
 /// pairs. Keeping the parallelism identical means the recorded speedups
-/// isolate the lane engine and the pruning, not core count.
+/// isolate the lane engine and the optimizer, not core count.
 fn scalar_engine_oracle(ex: &Executor, jobs: &[SweepJob<'_>]) -> Vec<PartitionSweep> {
     use rayon::prelude::*;
     type Ctx = (
@@ -406,13 +371,7 @@ fn oracle_row(quick: bool) -> OracleRow {
         .iter()
         .map(|&(name, n)| {
             let bench = hetpart_suite::by_name(name).expect("suite kernel exists");
-            (
-                bench.compile_with_modes(
-                    hetpart_inspire::OptLevel::None,
-                    hetpart_inspire::RegAlloc::On,
-                ),
-                bench.instance(n),
-            )
+            (unopt_kernel(name), bench.instance(n))
         })
         .collect();
     let launches_unopt: Vec<Launch> = compiled_unopt
@@ -436,22 +395,16 @@ fn oracle_row(quick: bool) -> OracleRow {
     let lanes_full_s = time_best(reps, || {
         sweep_many(&ex, &jobs).unwrap();
     });
-    let lanes_pruned_s = time_best(reps, || {
-        sweep_many_mode(&ex, &jobs, SweepMode::Pruned).unwrap();
-    });
 
-    // Refuse to record numbers from a broken comparison: all three
-    // oracles must agree on every argmin. The parity check runs the
-    // scalar-engine oracle on the *same* (optimized) bytecode as the
-    // lane oracles so it isolates engine/pruning drift — the unoptimized
-    // set above is only the timing baseline.
+    // Refuse to record numbers from a broken comparison: both oracles
+    // must agree on every argmin. The parity check runs the scalar-engine
+    // oracle on the *same* (optimized) bytecode as the lane oracle so it
+    // isolates engine drift — the unoptimized set above is only the
+    // timing baseline.
     let reference = scalar_engine_oracle(&ex, &jobs);
     let full = sweep_many(&ex, &jobs).unwrap();
-    let pruned = sweep_many_mode(&ex, &jobs, SweepMode::Pruned).unwrap();
-    for ((r, f), p) in reference.iter().zip(&full).zip(&pruned) {
+    for (r, f) in reference.iter().zip(&full) {
         assert_eq!(r.best().partition, f.best().partition, "oracle drift");
-        assert_eq!(f.best().partition, p.best().partition, "pruning drift");
-        assert_eq!(f.best().time.to_bits(), p.best().time.to_bits());
     }
 
     OracleRow {
@@ -459,15 +412,13 @@ fn oracle_row(quick: bool) -> OracleRow {
         partitions_per_job: Partition::enumerate(ex.machine.num_devices(), 1).len(),
         scalar_engine_s,
         lanes_full_s,
-        lanes_pruned_s,
         speedup_full: scalar_engine_s / lanes_full_s,
-        speedup_pruned: scalar_engine_s / lanes_pruned_s,
     }
 }
 
 fn main() {
     let quick = std::env::var_os("VM_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty());
-    println!("vm_batch — lane-batched VM + pruned sweep vs scalar baselines\n");
+    println!("vm_batch — lane-batched VM + training oracle vs scalar baselines\n");
     if quick {
         println!("(VM_BENCH_QUICK=1: reduced sizes for the CI gate)\n");
     }
@@ -476,35 +427,21 @@ fn main() {
 
     let run_range = run_range_rows(quick);
     println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>9} {:>11} {:>11}",
-        "kernel",
-        "items",
-        "scalar",
-        "opt-off",
-        "ra-off",
-        "lanes",
-        "speedup",
-        "vs opt-off",
-        "vs ra-off",
-        "instrs",
-        "regs i+f"
+        "{:<14} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9} {:>11}",
+        "kernel", "items", "scalar", "opt-off", "lanes", "speedup", "vs opt-off", "instrs"
     );
     for r in &run_range {
         println!(
-            "{:<14} {:>10} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>8.2}x {:>8.2}x {:>8.2}x {:>5} -> {:>3} {:>4} -> {:>3}",
+            "{:<14} {:>10} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>8.2}x {:>8.2}x {:>5} -> {:>3}",
             r.kernel,
             r.items,
             r.scalar_s * 1e3,
             r.unopt_lanes_s * 1e3,
-            r.noregalloc_lanes_s * 1e3,
             r.lanes_s * 1e3,
             r.speedup,
             r.speedup_vs_unopt,
-            r.speedup_vs_noregalloc,
             r.static_instrs_unopt,
             r.static_instrs_opt,
-            r.regfile_i_before + r.regfile_f_before,
-            r.regfile_i_after + r.regfile_f_after,
         );
     }
 
@@ -514,25 +451,18 @@ fn main() {
         oracle.jobs, oracle.partitions_per_job
     );
     println!(
-        "  scalar engine  {:>10.3}ms\n  lanes, full    {:>10.3}ms  ({:.2}x)\n  lanes, pruned  {:>10.3}ms  ({:.2}x)",
+        "  scalar engine  {:>10.3}ms\n  lanes          {:>10.3}ms  ({:.2}x)",
         oracle.scalar_engine_s * 1e3,
         oracle.lanes_full_s * 1e3,
         oracle.speedup_full,
-        oracle.lanes_pruned_s * 1e3,
-        oracle.speedup_pruned,
     );
 
     let opt_geomean_speedup = geomean(run_range.iter().map(|r| r.speedup_vs_unopt));
     let opt_static_reduction = static_reduction();
-    let regalloc_geomean_speedup = geomean(run_range.iter().map(|r| r.speedup_vs_noregalloc));
     println!(
         "\noptimizer A/B: geomean lane speedup {opt_geomean_speedup:.2}x, \
          suite static shrink {:.1}%",
         opt_static_reduction * 100.0
-    );
-    println!(
-        "register allocation A/B: geomean lane speedup {regalloc_geomean_speedup:.2}x \
-         (allocated vs unallocated register files, same decoded walk)"
     );
 
     let targets = Targets {
@@ -542,7 +472,6 @@ fn main() {
         monte_carlo_pi_speedup: 9.0,
         opt_geomean_speedup: 1.0,
         opt_static_reduction: 0.15,
-        regalloc_geomean_speedup: 0.95,
     };
     let kernel_speedup = |name: &str| {
         run_range
@@ -553,7 +482,7 @@ fn main() {
     let target_met = check_floors(&[
         (
             "oracle_speedup",
-            oracle.speedup_pruned,
+            oracle.speedup_full,
             targets.oracle_speedup,
         ),
         (
@@ -581,11 +510,6 @@ fn main() {
             opt_static_reduction,
             targets.opt_static_reduction,
         ),
-        (
-            "regalloc_geomean_speedup",
-            regalloc_geomean_speedup,
-            targets.regalloc_geomean_speedup,
-        ),
     ]);
     println!("\ntarget_met: {target_met}");
     let report = Report {
@@ -596,7 +520,6 @@ fn main() {
         run_range,
         oracle,
         opt_geomean_speedup,
-        regalloc_geomean_speedup,
         opt_static_reduction,
         targets,
         target_met,

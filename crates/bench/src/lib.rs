@@ -1,8 +1,8 @@
 //! # hetpart-bench
 //!
 //! The timing harness shared by the two perf recorders under `benches/`:
-//! `vm_batch` (lane VM and pruned training sweep against their scalar and
-//! exhaustive baselines) and `serve` (the deployment service against the
+//! `vm_batch` (lane VM and training sweep against their scalar baselines)
+//! and `serve` (the deployment service against the
 //! synchronous `run_auto` path). Each recorder times its columns with
 //! these helpers, gates `target_met` on named floors, and writes
 //! `reports/BENCH_*.json`.

@@ -13,11 +13,9 @@ pub struct HarnessConfig {
     pub machines: Vec<Machine>,
     /// Partition-space granularity in tenths (1 = the paper's 10% steps).
     pub step_tenths: u8,
-    /// How the training oracle covers the partition space. `Full` prices
-    /// everything (required when the records must price arbitrary
-    /// partitions, e.g. for the evaluation harness); `Pruned` uses the
-    /// oracle-exact branch-and-bound sweep and stores only the priced
-    /// subset (argmin + baselines guaranteed).
+    /// One-value sweep mode: the training oracle always prices the whole
+    /// partition space. Kept because the benchmark package passes it; the
+    /// coordinated `benchmark/` edit deletes it.
     pub sweep_mode: SweepMode,
     /// Work-items sampled per chunk when estimating dynamic behaviour.
     pub sample_items: usize,
@@ -28,12 +26,9 @@ pub struct HarnessConfig {
     /// the bytecode (and therefore simulated times and oracle labels), so
     /// it participates in [`HarnessConfig::oracle_fingerprint`].
     pub opt_level: OptLevel,
-    /// Linear-scan register allocation after the optimizer (pre-decoding
-    /// for the lane engine runs in every mode and is not toggled here).
-    /// Renaming registers keeps the dynamic behaviour bit-identical, but
-    /// it rewrites the
-    /// bytecode (and the kernel fingerprints the prediction cache keys
-    /// on), so it participates in [`HarnessConfig::oracle_fingerprint`].
+    /// One-value register-allocation mode: kernels keep their codegen
+    /// register files. Kept because the benchmark package passes it; the
+    /// coordinated `benchmark/` edit deletes it.
     pub regalloc: RegAlloc,
     /// The prediction model.
     pub model: ModelConfig,
@@ -52,7 +47,7 @@ impl HarnessConfig {
             sample_items: 128,
             sizes_per_benchmark: usize::MAX,
             opt_level: OptLevel::Full,
-            regalloc: RegAlloc::On,
+            regalloc: RegAlloc::Off,
             model: ModelConfig::Mlp(MlpConfig::default()),
             seed: 0xC0FFEE,
         }
@@ -68,7 +63,7 @@ impl HarnessConfig {
             sample_items: 48,
             sizes_per_benchmark: 3,
             opt_level: OptLevel::Full,
-            regalloc: RegAlloc::On,
+            regalloc: RegAlloc::Off,
             model: ModelConfig::Mlp(MlpConfig {
                 hidden: vec![16],
                 epochs: 120,
@@ -92,12 +87,10 @@ impl HarnessConfig {
     /// through it every simulated time and oracle label.
     pub fn oracle_fingerprint(&self) -> String {
         format!(
-            "step_tenths={};sample_items={};sweep_mode={:?};opt={};ra={}",
+            "step_tenths={};sample_items={};opt={}",
             self.step_tenths,
             self.sample_items,
-            self.sweep_mode,
-            self.opt_level.tag(),
-            self.regalloc.tag()
+            self.opt_level.tag()
         )
     }
 }

@@ -52,14 +52,12 @@ pub struct CrossMachineMatrix {
 /// and price its predictions against every machine's oracle sweeps.
 ///
 /// `machines` and `dbs` must align index-by-index (each database collected
-/// on its machine); the databases must be collected with
-/// [`hetpart_runtime::SweepMode::Full`] so arbitrary predicted partitions
-/// can be priced.
+/// on its machine); every sweep must price the whole partition space so
+/// arbitrary predicted partitions can be priced.
 ///
 /// # Panics
 /// Panics if a database's machine identity does not match its machine, or
-/// if a predicted partition is missing from an eval sweep (a `Pruned`
-/// collection).
+/// if a predicted partition is missing from an eval sweep.
 pub fn cross_machine_matrix(
     machines: &[Machine],
     dbs: &[TrainingDb],
@@ -132,7 +130,7 @@ fn evaluate_cell(
         let predicted_time = r.sweep.time_of(&predicted).unwrap_or_else(|| {
             panic!(
                 "partition {predicted} was not priced in the `{}` sweep for {} (n = {}) — \
-                 cross-machine evaluation needs databases collected with SweepMode::Full",
+                 cross-machine evaluation needs sweeps that price the whole partition space",
                 eval_machine.name, r.program, r.size
             )
         });

@@ -126,7 +126,7 @@ pub fn lopo_outcomes(
             let predicted_time = r.sweep.time_of(&predicted).unwrap_or_else(|| {
                 panic!(
                     "partition {predicted} was not priced in the sweep for {} (n = {}) — \
-                     evaluation needs a database collected with SweepMode::Full, not Pruned",
+                     evaluation needs sweeps that price the whole partition space",
                     r.program, r.size
                 )
             });

@@ -6,8 +6,7 @@ use std::fmt;
 use hetpart_inspire::{CompiledKernel, VmError};
 use hetpart_oclsim::Machine;
 use hetpart_runtime::{
-    runtime_features, sweep_many_mode, sweep_partitions_mode, Executor, Launch, RuntimeFeatures,
-    SweepJob,
+    runtime_features, sweep_many, sweep_partitions, Executor, Launch, RuntimeFeatures, SweepJob,
 };
 use hetpart_suite::{Benchmark, Instance};
 use rayon::prelude::*;
@@ -92,27 +91,18 @@ impl From<DbError> for TrainError {
 /// gigabytes. 32 jobs keep a few times the worker-thread count in
 /// flight — enough that both sweep phases stay saturated (a batch spans
 /// 32 × |space| pricing units) — while capping live buffers.
-///
-/// [`sweep_many`]: hetpart_runtime::sweep_many
 const SWEEP_BATCH_JOBS: usize = 32;
 
 /// Collect the full training database for one machine.
 ///
 /// The suite trains as **batched sweeps**: every benchmark is compiled
 /// exactly once (shared across all of its problem sizes), then
-/// (benchmark, size) pairs stream through [`sweep_many_mode`] in groups
+/// (benchmark, size) pairs stream through [`sweep_many`] in groups
 /// of `SWEEP_BATCH_JOBS` — instances and runtime features prepared in
 /// parallel, every (launch × partitioning) pair of the group priced in
 /// one flat rayon pass with per-launch access-analysis caches. No
 /// buffers are mutated, and batch boundaries cannot affect results
 /// (batched sweeps are bit-identical to sequential ones).
-///
-/// With `cfg.sweep_mode == SweepMode::Pruned` the oracle runs the
-/// branch-and-bound sweep instead: each record's `best()` (the training
-/// label) and the default-strategy baselines are bit-identical to the
-/// full sweep, but the stored sweeps contain only the priced subset of
-/// the partition space — use `Full` when downstream consumers (e.g. the
-/// evaluation harness) must price arbitrary partitions.
 ///
 /// The returned database is canonical ([`TrainingDb::canonicalize`]):
 /// records sorted by (program, size), `program_idx` ranked by program
@@ -294,17 +284,13 @@ fn collect_into(
                 step_tenths: cfg.step_tenths,
             })
             .collect();
-        let sweeps = sweep_many_mode(&executor, &jobs, cfg.sweep_mode).map_err(|batch_err| {
+        let sweeps = sweep_many(&executor, &jobs).map_err(|batch_err| {
             // Localize which launch of the batch failed so the error names
             // the benchmark and size instead of a 32-job group.
             for (job, &(program_idx, size)) in jobs.iter().zip(group) {
-                if let Err(source) = sweep_partitions_mode(
-                    &executor,
-                    job.launch,
-                    job.bufs,
-                    job.step_tenths,
-                    cfg.sweep_mode,
-                ) {
+                if let Err(source) =
+                    sweep_partitions(&executor, job.launch, job.bufs, job.step_tenths)
+                {
                     return TrainError::Sweep {
                         benchmark: benchmarks[program_idx].name.to_string(),
                         size,
@@ -404,49 +390,6 @@ mod tests {
         benches.reverse();
         let reversed = collect_training_db(&machines::mc1(), &benches, &tiny_cfg()).unwrap();
         assert_eq!(forward, reversed);
-    }
-
-    #[test]
-    fn pruned_training_oracle_is_label_exact() {
-        // The paper's labels are the oracle argmins; the branch-and-bound
-        // oracle must reproduce every one of them bit for bit, along with
-        // the default-strategy baselines.
-        let benches: Vec<_> = hetpart_suite::all().into_iter().take(4).collect();
-        let full_cfg = HarnessConfig {
-            step_tenths: 1,
-            ..tiny_cfg()
-        };
-        let pruned_cfg = HarnessConfig {
-            sweep_mode: hetpart_runtime::SweepMode::Pruned,
-            ..full_cfg.clone()
-        };
-        let machine = machines::mc2();
-        let full = collect_training_db(&machine, &benches, &full_cfg).unwrap();
-        let pruned = collect_training_db(&machine, &benches, &pruned_cfg).unwrap();
-        assert_eq!(full.records.len(), pruned.records.len());
-        for (f, p) in full.records.iter().zip(&pruned.records) {
-            assert_eq!((f.program_idx, f.size), (p.program_idx, p.size));
-            assert_eq!(
-                f.best().partition,
-                p.best().partition,
-                "{} n={}: label must survive pruning",
-                f.program,
-                f.size
-            );
-            assert_eq!(f.best().time.to_bits(), p.best().time.to_bits());
-            assert_eq!(
-                f.sweep.cpu_only_time().to_bits(),
-                p.sweep.cpu_only_time().to_bits()
-            );
-            assert_eq!(
-                f.sweep.gpu_only_time().to_bits(),
-                p.sweep.gpu_only_time().to_bits()
-            );
-            assert!(p.sweep.entries.len() <= f.sweep.entries.len());
-            // Features are oracle-independent.
-            assert_eq!(f.runtime_features, p.runtime_features);
-        }
-        assert_eq!(full.label_space(), pruned.label_space());
     }
 
     #[test]

@@ -18,12 +18,7 @@
 //!
 //! Registers are treated flow-insensitively (a register is divergent if
 //! any reachable definition of it is). That is sound: a branch classified
-//! uniform is uniform on every launch. It is not precise under register
-//! allocation, which gives one physical register to disjoint live
-//! ranges: a uniform value sharing a register with a divergent one is
-//! classified divergent. With the allocator on, nbody's only branch and
-//! monte_carlo_pi's loop branch are classified divergent although both
-//! are uniform (they are uniform with `RegAlloc::Off`).
+//! uniform is uniform on every launch.
 
 use crate::bytecode::{Function, Instr, Terminator};
 use crate::cfg::{reg_def, reg_uses, term_uses, NO_POST_DOM};
@@ -189,13 +184,13 @@ pub fn analyze(f: &Function) -> UniformityFacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::{OptLevel, RegAlloc};
+    use crate::opt::OptLevel;
 
     fn compiled(src: &str, level: OptLevel) -> Function {
         let tokens = crate::lexer::lex(src).expect("lex");
         let program = crate::parser::parse(&tokens).expect("parse");
         let ir = crate::sema::analyze(&program.kernels[0]).expect("sema");
-        crate::bytecode::compile_with_modes(&ir, level, RegAlloc::On).expect("bytecode")
+        crate::bytecode::compile_with_modes(&ir, level).expect("bytecode")
     }
 
     #[test]

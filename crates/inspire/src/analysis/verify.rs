@@ -15,7 +15,7 @@
 //!   element class (F-ops on float buffers, I-ops on int/uint buffers),
 //!   `GlobalId`/`GlobalSize` dims are `< 3`
 //! - **register-file bounds**: every register read or written (including
-//!   by terminators) fits the function's allocated register files
+//!   by terminators) fits the function's register files
 //! - **histogram-vs-body consistency**: each block's cached
 //!   [`OpHistogram`](crate::bytecode::OpHistogram) matches a recount of its instruction list — the
 //!   dynamic statistics the partition predictor trains on depend on it
@@ -31,10 +31,9 @@ fn err(pass: &str, func: &str, detail: String) -> CompileError {
     CompileError::verify(format!("[{pass}] {func}: {detail}"))
 }
 
-/// Structural verification of a block list mid-pipeline, before register
-/// allocation fixes the register-file sizes. `n_iregs`/`n_fregs` bound
-/// the register checks; pass `u16::MAX` when the files are not yet
-/// allocated.
+/// Structural verification of a block list mid-pipeline, before the
+/// register-file sizes are fixed. `n_iregs`/`n_fregs` bound the register
+/// checks; pass `u16::MAX` when the sizes are not yet known.
 pub fn verify_blocks(
     pass: &str,
     func: &str,
@@ -160,7 +159,7 @@ pub fn verify_blocks(
 }
 
 /// Full verification of a finished [`Function`]: structural checks
-/// against the allocated register files, plus agreement between the
+/// against the function's register files, plus agreement between the
 /// cached pre-decoded program and a fresh re-decode of the enum blocks.
 pub fn verify_function(pass: &str, f: &Function) -> Result<(), CompileError> {
     verify_blocks(pass, &f.name, &f.blocks, &f.params, f.n_iregs, f.n_fregs)?;
@@ -192,13 +191,13 @@ pub fn verify_function(pass: &str, f: &Function) -> Result<(), CompileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::{OptLevel, RegAlloc};
+    use crate::opt::OptLevel;
 
     fn compiled(src: &str) -> Function {
         let tokens = crate::lexer::lex(src).expect("lex");
         let program = crate::parser::parse(&tokens).expect("parse");
         let ir = crate::sema::analyze(&program.kernels[0]).expect("sema");
-        crate::bytecode::compile_with_modes(&ir, OptLevel::Full, RegAlloc::On).expect("bytecode")
+        crate::bytecode::compile_with_modes(&ir, OptLevel::Full).expect("bytecode")
     }
 
     const K: &str = "kernel void k(global float* o, global const float* a, int n) {\n\

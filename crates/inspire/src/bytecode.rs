@@ -411,8 +411,8 @@ pub struct Function {
     pub cfg: crate::cfg::CfgInfo,
     /// Pre-decoded direct-threaded form of `blocks` (flat op array with
     /// pre-resolved registers, immediates, fused superinstructions, and
-    /// per-block spans), built once at the end of compilation for every
-    /// opt level and register-allocation mode. The lane engine walks it;
+    /// per-block spans), built once at the end of compilation at every
+    /// opt level. The lane engine walks it;
     /// the scalar engine walks the enum `blocks`. Always semantically
     /// identical to `blocks`.
     pub(crate) decoded: crate::opt::decode::DecodedProgram,
@@ -426,26 +426,22 @@ impl Function {
 }
 
 /// Compile a type-checked kernel to bytecode at an explicit optimization
-/// level and register-allocation mode. Liveness-driven register
-/// allocation runs only when the optimizer is enabled *and* `regalloc` is
-/// [`RegAlloc::On`]; at [`OptLevel::None`] the naive codegen output is
-/// left untouched — the reference the differential suite compares
-/// optimized execution against. Every mode ends by pre-decoding the final
-/// blocks for the lane engine.
+/// level. At [`OptLevel::None`] the naive codegen output is left
+/// untouched — the reference the differential suite compares optimized
+/// execution against. Every level ends by pre-decoding the final blocks
+/// for the lane engine.
 ///
-/// [`RegAlloc::On`]: crate::opt::RegAlloc::On
 /// [`OptLevel::None`]: crate::opt::OptLevel::None
 pub fn compile_with_modes(
     k: &Kernel,
     level: crate::opt::OptLevel,
-    regalloc: crate::opt::RegAlloc,
 ) -> Result<Function, CompileError> {
     let mut c = Compiler::new(k)?;
     for s in &k.body {
         c.stmt(s)?;
     }
     c.terminate(Terminator::Ret);
-    c.finish(k, level, regalloc)
+    c.finish(k, level)
 }
 
 const MAX_REGS: u32 = u16::MAX as u32;
@@ -1185,14 +1181,9 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn finish(
-        self,
-        k: &Kernel,
-        level: crate::opt::OptLevel,
-        regalloc: crate::opt::RegAlloc,
-    ) -> Result<Function, CompileError> {
+    fn finish(self, k: &Kernel, level: crate::opt::OptLevel) -> Result<Function, CompileError> {
         let n_params = k.params.len();
-        let mut params = self.params;
+        let params = self.params;
         let mut blocks = self
             .blocks
             .into_iter()
@@ -1221,15 +1212,6 @@ impl<'a> Compiler<'a> {
             let (ni, nf) = crate::opt::reg_span(&blocks, &params);
             n_iregs = ni.min(n_iregs);
             n_fregs = nf.min(n_fregs);
-            if regalloc.enabled() {
-                let (ni, nf) =
-                    crate::opt::regalloc::allocate(&mut blocks, &mut params, n_iregs, n_fregs);
-                n_iregs = ni;
-                n_fregs = nf;
-                for b in &mut blocks {
-                    b.recompute_histo(n_params);
-                }
-            }
         }
         let decoded = crate::opt::decode::decode(&blocks, &params)?;
         // Re-run the CFG analyses on the final block list so SIMT
@@ -1244,8 +1226,8 @@ impl<'a> Compiler<'a> {
             cfg,
             decoded,
         };
-        // Final gate over the whole backend: codegen output, allocated
-        // register files, and decode-table agreement.
+        // Final gate over the whole backend: codegen output, register
+        // files, and decode-table agreement.
         if cfg!(debug_assertions) {
             crate::analysis::verify::verify_function("backend", &f)?;
         }
@@ -1268,7 +1250,6 @@ mod tests {
         compile_with_modes(
             &analyze(&prog.kernels[0]).unwrap(),
             crate::opt::OptLevel::None,
-            crate::opt::RegAlloc::On,
         )
         .unwrap()
     }

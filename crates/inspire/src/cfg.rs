@@ -15,7 +15,7 @@
 //!   instead of splitting the batch, and
 //! - per-block **live-in register sets** (registers read before written on
 //!   some path from the block), which the optimizer's dead-code
-//!   elimination, copy propagation and register allocation consume.
+//!   elimination and copy propagation consume.
 //!
 //! All analyses are straight textbook implementations: post-dominators via
 //! the Cooper–Harvey–Kennedy iterative dominator algorithm run on the
@@ -485,13 +485,13 @@ fn liveness(
 mod tests {
     use super::*;
     use crate::bytecode::Function;
-    use crate::opt::{OptLevel, RegAlloc};
+    use crate::opt::OptLevel;
 
     /// These tests assert analyses over the naive codegen CFG shapes
     /// (diamond arms, join blocks), which the optimizer collapses — so
     /// compile with the pipeline off.
     fn compile_fn(src: &str) -> Function {
-        crate::compile_with_modes(src, OptLevel::None, RegAlloc::On)
+        crate::compile_with_modes(src, OptLevel::None)
             .unwrap()
             .bytecode
     }

@@ -116,20 +116,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Compile kernel source text containing exactly one `kernel` function.
 ///
 /// Returns a [`CompileError`] describing the first problem found, with a
-/// byte offset into `src`. Compiles at the default modes,
-/// [`OptLevel::Full`] and [`RegAlloc::On`].
+/// byte offset into `src`. Compiles at the default [`OptLevel::Full`].
 pub fn compile(src: &str) -> Result<CompiledKernel, CompileError> {
-    compile_with_modes(src, OptLevel::Full, RegAlloc::On)
+    compile_with_modes(src, OptLevel::Full)
 }
 
-/// [`compile`] at an explicit optimization level and register-allocation
-/// mode.
-pub fn compile_with_modes(
-    src: &str,
-    level: OptLevel,
-    regalloc: RegAlloc,
-) -> Result<CompiledKernel, CompileError> {
-    let kernels = compile_all_with_modes(src, level, regalloc)?;
+/// [`compile`] at an explicit optimization level.
+pub fn compile_with_modes(src: &str, level: OptLevel) -> Result<CompiledKernel, CompileError> {
+    let kernels = compile_all_with_modes(src, level)?;
     let n = kernels.len();
     match kernels.into_iter().next() {
         Some(k) if n == 1 => Ok(k),
@@ -141,15 +135,13 @@ pub fn compile_with_modes(
 
 /// Compile kernel source text containing one or more `kernel` functions.
 pub fn compile_all(src: &str) -> Result<Vec<CompiledKernel>, CompileError> {
-    compile_all_with_modes(src, OptLevel::Full, RegAlloc::On)
+    compile_all_with_modes(src, OptLevel::Full)
 }
 
-/// [`compile_all`] at an explicit optimization level and register-allocation
-/// mode.
+/// [`compile_all`] at an explicit optimization level.
 pub fn compile_all_with_modes(
     src: &str,
     level: OptLevel,
-    regalloc: RegAlloc,
 ) -> Result<Vec<CompiledKernel>, CompileError> {
     let tokens = lexer::lex(src)?;
     let program = parser::parse(&tokens)?;
@@ -160,7 +152,7 @@ pub fn compile_all_with_modes(
             let ir = sema::analyze(&k)?;
             let mut static_features = features::extract(&ir);
             let access = access::analyze(&ir);
-            let bytecode = bytecode::compile_with_modes(&ir, level, regalloc)?;
+            let bytecode = bytecode::compile_with_modes(&ir, level)?;
             // The uniformity analysis runs on the optimized bytecode, so
             // its branch classification lands here rather than in
             // `features::extract`.
@@ -242,35 +234,15 @@ mod tests {
             if (i >= n) { return; o[i] = 3.0; o[i] = 4.0; }
             o[i] = 1.0;
         }";
-        let a = compile_with_modes(clean, OptLevel::Full, RegAlloc::On).unwrap();
-        let b = compile_with_modes(with_dead, OptLevel::Full, RegAlloc::On).unwrap();
+        let a = compile_with_modes(clean, OptLevel::Full).unwrap();
+        let b = compile_with_modes(with_dead, OptLevel::Full).unwrap();
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.bytecode.blocks, b.bytecode.blocks);
         // Unoptimized, the dead statements inflate the code and split the
         // fingerprints — the regression this guards against.
-        let an = compile_with_modes(clean, OptLevel::None, RegAlloc::On).unwrap();
-        let bn = compile_with_modes(with_dead, OptLevel::None, RegAlloc::On).unwrap();
+        let an = compile_with_modes(clean, OptLevel::None).unwrap();
+        let bn = compile_with_modes(with_dead, OptLevel::None).unwrap();
         assert_ne!(an.fingerprint, bn.fingerprint);
-    }
-
-    #[test]
-    fn regalloc_mode_changes_the_fingerprint() {
-        // Register allocation rewrites the blocks, so the fingerprint —
-        // FNV over params + blocks — distinguishes the two modes whenever
-        // the allocation is not the identity (this kernel has a
-        // collapsible temp chain, so it is not).
-        let src = "kernel void k(global const float* a, global float* o, int n) {
-            int i = get_global_id(0);
-            float x = a[i % n];
-            float y = x * 2.0;
-            float z = y + 1.0;
-            if (i < n) { o[i] = z; }
-        }";
-        let on = compile_with_modes(src, OptLevel::Full, RegAlloc::On).unwrap();
-        let off = compile_with_modes(src, OptLevel::Full, RegAlloc::Off).unwrap();
-        assert_ne!(on.fingerprint, off.fingerprint);
-        assert!(on.bytecode.n_fregs <= off.bytecode.n_fregs);
-        assert_eq!(on.bytecode.num_instrs(), off.bytecode.num_instrs());
     }
 
     #[test]
@@ -279,8 +251,8 @@ mod tests {
             int i = get_global_id(0);
             if (i < n) { o[i] = 2.0 * 3.0; }
         }";
-        let full = compile_with_modes(src, OptLevel::Full, RegAlloc::On).unwrap();
-        let none = compile_with_modes(src, OptLevel::None, RegAlloc::On).unwrap();
+        let full = compile_with_modes(src, OptLevel::Full).unwrap();
+        let none = compile_with_modes(src, OptLevel::None).unwrap();
         assert_ne!(full.fingerprint, none.fingerprint);
         assert!(full.bytecode.num_instrs() < none.bytecode.num_instrs());
     }

@@ -687,7 +687,6 @@ mod tests {
         let f = crate::bytecode::compile_with_modes(
             &crate::sema::analyze(&prog.kernels[0]).unwrap(),
             crate::opt::OptLevel::Full,
-            crate::opt::RegAlloc::Off,
         )
         .unwrap();
         let dec = decode(&f.blocks, &f.params).unwrap();

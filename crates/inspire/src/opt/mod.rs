@@ -33,13 +33,13 @@
 //! cost features consume can never drift from the instructions executed.
 //! Compiling at [`OptLevel::None`] skips the pipeline entirely.
 //!
-//! After the pass pipeline, liveness-driven linear-scan register
-//! allocation (`regalloc`) shrinks both register files to their true
-//! maximum live width; [`RegAlloc::Off`] disables it independently of
-//! the pass pipeline. Whatever the opt level and allocation mode, the
-//! final blocks are then pre-decoded (`decode`) into the flat
-//! direct-threaded op array the lane engine executes; the scalar
-//! reference engine keeps matching on the instruction enum.
+//! Whatever the opt level, the final blocks are then pre-decoded
+//! (`decode`) into the flat direct-threaded op array the lane engine
+//! executes; the scalar reference engine keeps matching on the
+//! instruction enum. No pass reallocates registers: every variable keeps
+//! its codegen register, which keeps the flow-insensitive uniformity
+//! analysis ([`crate::analysis::uniform`]) from merging the live ranges
+//! of unrelated values.
 
 use crate::bytecode::{Block, FnParam, Instr, Terminator};
 use crate::cfg::{reg_def, reg_uses, term_uses};
@@ -51,10 +51,7 @@ mod copy_prop;
 mod dce;
 pub(crate) mod decode;
 mod fuse;
-pub(crate) mod regalloc;
 mod simplify_cfg;
-
-pub use regalloc::RegAlloc;
 
 /// How hard the compiler optimizes. Threaded through
 /// `HarnessConfig` and folded into the oracle fingerprint, because the
@@ -82,6 +79,17 @@ impl OptLevel {
             OptLevel::Full => "full",
         }
     }
+}
+
+/// The register-allocation mode, kept only as a one-value type: the
+/// allocator is gone, so codegen register files are always kept.
+/// `HarnessConfig::regalloc` and the second parameter of the suite's
+/// `Benchmark::compile_with_modes` still carry it because the benchmark
+/// package passes them; the coordinated `benchmark/` edit deletes it.
+#[derive(Debug, Clone, Copy)]
+pub enum RegAlloc {
+    /// Keep codegen-shaped register files.
+    Off,
 }
 
 /// Shared context passed to every pass.
@@ -128,8 +136,8 @@ pub(crate) fn optimize(
             b.recompute_histo(n_params);
         }
         if cfg!(debug_assertions) {
-            // Register files are not allocated yet, so only structural
-            // checks apply (u16::MAX bounds).
+            // Register-file sizes are fixed only after the pipeline, so
+            // only structural checks apply (u16::MAX bounds).
             crate::analysis::verify::verify_blocks(
                 pname,
                 name,
@@ -271,15 +279,11 @@ mod tests {
     use crate::compile_with_modes;
 
     fn opt(src: &str) -> Function {
-        compile_with_modes(src, OptLevel::Full, RegAlloc::On)
-            .unwrap()
-            .bytecode
+        compile_with_modes(src, OptLevel::Full).unwrap().bytecode
     }
 
     fn noopt(src: &str) -> Function {
-        compile_with_modes(src, OptLevel::None, RegAlloc::On)
-            .unwrap()
-            .bytecode
+        compile_with_modes(src, OptLevel::None).unwrap().bytecode
     }
 
     #[test]

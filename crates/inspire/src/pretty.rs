@@ -239,9 +239,8 @@ impl<'a> Printer<'a> {
 /// Disassemble compiled bytecode: a header line with the register-file
 /// sizes, then every block with one instruction per line.
 ///
-/// Register numbers are the final (allocated) ones: after register
-/// allocation runs, the blocks hold the renamed registers, so the listing
-/// shows the allocation. Each block label is annotated with its span —
+/// Register numbers are the ones the optimized blocks use. Each block
+/// label is annotated with its span —
 /// the op offsets of the flat pre-decoded array the lane engine executes
 /// (and the decoded jump target of every edge into that block).
 pub fn disasm(f: &Function) -> String {
@@ -487,22 +486,18 @@ mod tests {
 
     #[test]
     fn disasm_annotates_decoded_op_offsets() {
-        use crate::{compile_with_modes, OptLevel, RegAlloc};
+        use crate::{compile_with_modes, OptLevel};
         let src = "kernel void sp(global const float* a, global float* o, int n) {
             int i = get_global_id(0);
             if (i < n) { o[i] = a[i] + 1.0; }
         }";
-        // Every function is pre-decoded, so in every compile mode each
+        // Every function is pre-decoded, so at every opt level each
         // block label carries its span into the decoded op array; block 0
         // always starts at op 0.
-        for (level, ra) in [
-            (OptLevel::Full, RegAlloc::On),
-            (OptLevel::Full, RegAlloc::Off),
-            (OptLevel::None, RegAlloc::On),
-        ] {
-            let k = compile_with_modes(src, level, ra).unwrap();
+        for level in [OptLevel::Full, OptLevel::None] {
+            let k = compile_with_modes(src, level).unwrap();
             let text = disasm(&k.bytecode);
-            assert!(text.contains("bb0:  ; ops[0.."), "{level:?}/{ra:?}: {text}");
+            assert!(text.contains("bb0:  ; ops[0.."), "{level:?}: {text}");
         }
     }
 }

@@ -241,10 +241,9 @@ impl Executor {
     }
 
     /// Price one device's chunk of a launch from a pre-collected profile
-    /// and known transfer sizes. This is the atomic pricing unit that both
-    /// the full sweep ([`Executor::price_with_profile`]) and the pruned
-    /// branch-and-bound sweep ([`crate::sweep::sweep_many_mode`]) compose,
-    /// which is what keeps their per-device times bit-identical.
+    /// and known transfer sizes: the atomic pricing unit that
+    /// [`Executor::price_with_profile`] composes over a partition's
+    /// chunks.
     pub fn price_chunk(
         &self,
         launch: &Launch,

@@ -57,6 +57,5 @@ pub use features::{runtime_features, RuntimeFeatures, RUNTIME_FEATURE_DIM, RUNTI
 pub use partition::{Partition, TENTHS};
 pub use profile::LaunchProfile;
 pub use sweep::{
-    sweep_many, sweep_many_mode, sweep_partitions, sweep_partitions_mode, PartitionSweep,
-    SweepEntry, SweepJob, SweepMode,
+    sweep_many, sweep_many_mode, sweep_partitions, PartitionSweep, SweepEntry, SweepJob, SweepMode,
 };

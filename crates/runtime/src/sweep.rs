@@ -20,39 +20,24 @@ use std::collections::HashMap;
 
 use hetpart_inspire::vm::BufferData;
 use hetpart_inspire::VmError;
-use hetpart_oclsim::DeviceId;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::exec::{scalar_values, transfer_bytes, Executor, Launch};
-use crate::partition::{Partition, TENTHS};
+use crate::partition::Partition;
 use crate::profile::LaunchProfile;
 
 /// Samples collected per launch profile during a sweep.
 pub const SWEEP_PROFILE_SAMPLES: usize = 256;
 
-/// How a sweep covers the partition space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// How a sweep covers the partition space, kept only as a one-value
+/// type: every sweep prices the whole space. `HarnessConfig::sweep_mode`
+/// and [`sweep_many_mode`] still carry it because the benchmark package
+/// passes them; the coordinated `benchmark/` edit deletes it.
+#[derive(Debug, Clone, Copy)]
 pub enum SweepMode {
-    /// Price every partitioning — the paper's exhaustive oracle, and the
-    /// only mode whose sweeps can price *arbitrary* partitions afterwards.
-    #[default]
+    /// Price every partitioning — the paper's exhaustive oracle.
     Full,
-    /// Branch-and-bound: enumerate partitions depth-first over per-device
-    /// shares and skip every completion of a partial assignment whose
-    /// lower bound (the max over already-priced device chunks, which can
-    /// only grow as more devices are priced) already exceeds the
-    /// incumbent best time. Per-device chunk times are additionally
-    /// memoized across partitions sharing the same chunk boundaries.
-    ///
-    /// Oracle-exact: the argmin partition and its time are bit-identical
-    /// to [`SweepMode::Full`] (ties are never pruned, so the tie-breaking
-    /// of [`PartitionSweep::best`] is preserved). The returned sweep
-    /// contains only the entries that were actually priced — always
-    /// including the argmin and the CPU-only/GPU-only baselines — so it
-    /// is suitable for oracle labels and default-strategy comparisons,
-    /// not for pricing arbitrary partitions.
-    Pruned,
 }
 
 /// One measured partitioning.
@@ -74,13 +59,13 @@ impl PartitionSweep {
     ///
     /// Time ties are broken on the partition itself (lexicographically
     /// smallest shares win), **not** on entry order: the oracle label of a
-    /// sweep must not change when entries are reordered, merged from
-    /// shards, or thinned by pruning. Entry-order tie-breaking silently
-    /// flipped training labels whenever two partitions priced identically
-    /// and a merge or prune changed which came first.
+    /// sweep must not change when entries are reordered or merged from
+    /// shards. Entry-order tie-breaking silently flipped training labels
+    /// whenever two partitions priced identically and a merge changed
+    /// which came first.
     ///
     /// # Panics
-    /// Panics if the sweep is empty. Every sweep [`sweep_many_mode`]
+    /// Panics if the sweep is empty. Every sweep [`sweep_many`]
     /// builds holds at least the CPU-only and GPU-only baselines; a
     /// hand-built one must too.
     pub fn best(&self) -> &SweepEntry {
@@ -209,228 +194,14 @@ impl PricingCtx {
     }
 }
 
-/// [`sweep_many`] with an explicit [`SweepMode`].
-///
-/// `Full` prices the whole space; `Pruned` runs the branch-and-bound
-/// search per job (jobs still sweep in parallel) and returns subset
-/// sweeps whose argmin is oracle-exact.
+/// [`sweep_many`]; `mode` has one value. A forwarder kept for the
+/// benchmark package, deleted by the coordinated `benchmark/` edit.
 pub fn sweep_many_mode(
     executor: &Executor,
     jobs: &[SweepJob<'_>],
-    mode: SweepMode,
+    _mode: SweepMode,
 ) -> Result<Vec<PartitionSweep>, VmError> {
-    match mode {
-        SweepMode::Full => sweep_many(executor, jobs),
-        SweepMode::Pruned => jobs
-            .par_iter()
-            .map(|job| BranchAndBound::sweep(executor, job))
-            .collect::<Vec<Result<_, _>>>()
-            .into_iter()
-            .collect(),
-    }
-}
-
-/// Branch-and-bound state for one pruned sweep job.
-///
-/// The DFS mirrors [`Partition::enumerate`]'s recursion exactly, so the
-/// priced entries come out in enumeration (lexicographic-by-shares)
-/// order, and subtrees are pruned only on a *strictly* greater lower
-/// bound, so every partition tied with the optimum is fully priced.
-/// [`PartitionSweep::best`] resolves time ties to the lexicographically
-/// smallest partition; since the pruned entries contain every
-/// minimal-time partition, that tie winner is the same partition the
-/// full sweep selects, bit for bit. Do not weaken the never-prune-ties
-/// property: dropping a tied minimum could remove the tie winner.
-struct BranchAndBound<'a> {
-    executor: &'a Executor,
-    launch: &'a Launch<'a>,
-    bufs: &'a [BufferData],
-    profile: LaunchProfile,
-    scalars: Vec<Option<i64>>,
-    devs: Vec<DeviceId>,
-    extent: usize,
-    step: u8,
-    /// Lazy access-analysis cache, keyed by chunk boundaries.
-    transfers: HashMap<(usize, usize), (u64, u64)>,
-    /// Memoized per-device chunk times, keyed by (device, start, end).
-    chunk_times: HashMap<(usize, usize, usize), f64>,
-    /// Priced partitions in enumeration order.
-    entries: Vec<SweepEntry>,
-    shares: Vec<u8>,
-    incumbent: f64,
-}
-
-impl<'a> BranchAndBound<'a> {
-    fn sweep(executor: &'a Executor, job: &'a SweepJob<'a>) -> Result<PartitionSweep, VmError> {
-        // Same granularity contract as `Partition::enumerate`: an invalid
-        // step must fail as loudly here as it does in a full sweep.
-        assert!(
-            (1..=TENTHS).contains(&job.step_tenths) && TENTHS.is_multiple_of(job.step_tenths),
-            "step must divide 10"
-        );
-        let launch = job.launch;
-        let num_devices = executor.machine.num_devices();
-        let profile = LaunchProfile::collect(
-            launch.kernel,
-            &launch.nd,
-            &launch.args,
-            job.bufs,
-            SWEEP_PROFILE_SAMPLES.max(executor.sample_items),
-        )?;
-        let mut bnb = Self {
-            executor,
-            launch,
-            bufs: job.bufs,
-            profile,
-            scalars: scalar_values(launch.kernel, &launch.args),
-            devs: executor.machine.device_ids().collect(),
-            extent: launch.nd.split_extent(),
-            step: job.step_tenths,
-            transfers: HashMap::new(),
-            chunk_times: HashMap::new(),
-            entries: Vec::new(),
-            shares: vec![0; num_devices],
-            incumbent: f64::INFINITY,
-        };
-
-        // Seed the incumbent with the default strategies. They are cheap
-        // (single-device), usually competitive, and guaranteeing their
-        // presence keeps `cpu_only_time`/`gpu_only_time` usable on pruned
-        // sweeps.
-        let mut seeds = vec![Partition::cpu_only(num_devices)];
-        if num_devices > 1 {
-            seeds.push(Partition::gpu_only(num_devices));
-        }
-        let seed_entries: Vec<SweepEntry> = seeds
-            .into_iter()
-            .map(|partition| {
-                let time = bnb.partition_time(&partition);
-                SweepEntry { partition, time }
-            })
-            .collect();
-        for e in &seed_entries {
-            bnb.incumbent = bnb.incumbent.min(e.time);
-        }
-
-        bnb.dfs(0, TENTHS, 0, 0, 0.0, 0);
-
-        // Splice the seeds into their enumeration-order slots if pruning
-        // skipped them (their times are memoized, so a re-priced seed is
-        // bitwise identical to its entry here).
-        let mut entries = bnb.entries;
-        for seed in seed_entries {
-            match entries.binary_search_by(|e| e.partition.shares().cmp(seed.partition.shares())) {
-                Ok(_) => {}
-                Err(pos) => entries.insert(pos, seed),
-            }
-        }
-        Ok(PartitionSweep { entries })
-    }
-
-    /// Chunk boundary at cumulative share `cum`, identical to
-    /// [`Partition::chunks`]'s rounding.
-    fn boundary(&self, cum: u32) -> usize {
-        (self.extent as u64 * u64::from(cum) / u64::from(TENTHS)) as usize
-    }
-
-    /// Memoized simulated time of `chunk` on device index `dev`.
-    fn chunk_time(&mut self, dev: usize, start: usize, end: usize) -> f64 {
-        if let Some(&t) = self.chunk_times.get(&(dev, start, end)) {
-            return t;
-        }
-        let transfer = match self.transfers.get(&(start, end)) {
-            Some(&t) => t,
-            None => {
-                let t = transfer_bytes(
-                    self.launch.kernel,
-                    &self.launch.nd,
-                    start..end,
-                    &self.scalars,
-                    &self.launch.args,
-                    self.bufs,
-                );
-                self.transfers.insert((start, end), t);
-                t
-            }
-        };
-        let run = self.executor.price_chunk(
-            self.launch,
-            self.devs[dev],
-            start..end,
-            &self.profile,
-            transfer,
-        );
-        let t = run.time.total;
-        self.chunk_times.insert((dev, start, end), t);
-        t
-    }
-
-    /// Price a full partition by composing memoized chunk times exactly
-    /// like [`Executor::price_with_profile`]: max over non-empty chunks in
-    /// device order, plus the multi-device coordination overhead.
-    fn partition_time(&mut self, partition: &Partition) -> f64 {
-        let chunks = partition.chunks(self.extent);
-        let mut slowest = 0.0f64;
-        let mut active = 0usize;
-        for (dev, chunk) in chunks.iter().enumerate() {
-            if chunk.is_empty() {
-                continue;
-            }
-            slowest = slowest.max(self.chunk_time(dev, chunk.start, chunk.end));
-            active += 1;
-        }
-        slowest + self.executor.coordination_overhead(active)
-    }
-
-    /// Assign device `idx`'s share and recurse, pruning subtrees whose
-    /// lower bound exceeds the incumbent. `cur_max`/`active` describe the
-    /// devices priced so far; remaining devices can only raise the max and
-    /// the active count, so `cur_max` (plus coordination once two devices
-    /// are active) is a sound lower bound for every completion.
-    fn dfs(&mut self, idx: usize, left: u8, cum: u32, start: usize, cur_max: f64, active: usize) {
-        let last = self.shares.len() - 1;
-        let assign = |bnb: &mut Self, s: u8| -> Option<(f64, usize, usize)> {
-            bnb.shares[idx] = s;
-            let end = bnb.boundary(cum + u32::from(s));
-            let (new_max, new_active) = if end > start {
-                (cur_max.max(bnb.chunk_time(idx, start, end)), active + 1)
-            } else {
-                (cur_max, active)
-            };
-            let bound = new_max + bnb.executor.coordination_overhead(new_active);
-            if bound > bnb.incumbent {
-                return None;
-            }
-            Some((new_max, new_active, end))
-        };
-        if idx == last {
-            // The final share is forced; finalize the leaf if it survives
-            // the bound.
-            if let Some((time_base, new_active, _)) = assign(self, left) {
-                let time = time_base + self.executor.coordination_overhead(new_active);
-                let partition = Partition::from_tenths(self.shares.clone());
-                if time <= self.incumbent {
-                    self.incumbent = time;
-                }
-                self.entries.push(SweepEntry { partition, time });
-            }
-            return;
-        }
-        let mut s = 0u8;
-        while s <= left {
-            if let Some((new_max, new_active, end)) = assign(self, s) {
-                self.dfs(
-                    idx + 1,
-                    left - s,
-                    cum + u32::from(s),
-                    end,
-                    new_max,
-                    new_active,
-                );
-            }
-            s += self.step;
-        }
-    }
+    sweep_many(executor, jobs)
 }
 
 /// Sweep a whole batch of launches — the production shape of the training
@@ -513,28 +284,16 @@ pub fn sweep_partitions(
     bufs: &[BufferData],
     step_tenths: u8,
 ) -> Result<PartitionSweep, VmError> {
-    sweep_partitions_mode(executor, launch, bufs, step_tenths, SweepMode::Full)
-}
-
-/// [`sweep_partitions`] with an explicit [`SweepMode`].
-pub fn sweep_partitions_mode(
-    executor: &Executor,
-    launch: &Launch,
-    bufs: &[BufferData],
-    step_tenths: u8,
-    mode: SweepMode,
-) -> Result<PartitionSweep, VmError> {
-    let mut sweeps = sweep_many_mode(
+    let mut sweeps = sweep_many(
         executor,
         &[SweepJob {
             launch,
             bufs,
             step_tenths,
         }],
-        mode,
     )?;
     let Some(sweep) = sweeps.pop() else {
-        unreachable!("`sweep_many_mode` returns one sweep per job");
+        unreachable!("`sweep_many` returns one sweep per job");
     };
     Ok(sweep)
 }
@@ -587,8 +346,8 @@ mod tests {
     #[test]
     fn best_breaks_time_ties_on_the_partition_not_entry_order() {
         // Regression: `best()` used to keep the first of equal minima in
-        // entry order, so merging or pruning a sweep (both reorder or thin
-        // the entries) could flip the oracle label between tied partitions.
+        // entry order, so merging a sweep (which reorders the entries)
+        // could flip the oracle label between tied partitions.
         let tied = |shares: Vec<u8>| SweepEntry {
             partition: Partition::from_tenths(shares),
             time: 1.0,
@@ -631,12 +390,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "step must divide 10")]
-    fn pruned_sweep_rejects_invalid_step_like_full() {
+    fn sweep_rejects_invalid_step() {
         let k = compile(STREAM).unwrap();
         let (bufs, args) = setup(64);
         let ex = Executor::new(machines::mc1());
         let launch = Launch::new(&k, NdRange::d1(64), args);
-        let _ = sweep_partitions_mode(&ex, &launch, &bufs, 3, SweepMode::Pruned);
+        let _ = sweep_partitions(&ex, &launch, &bufs, 3);
     }
 
     #[test]
@@ -814,125 +573,6 @@ mod tests {
         let b = sweep_many(&ex, &jobs).unwrap();
         assert_eq!(a, b);
         assert_eq!(a[0], a[1], "identical jobs in one batch must agree");
-    }
-
-    #[test]
-    fn pruned_sweep_is_oracle_exact() {
-        // The branch-and-bound sweep must return exactly the same argmin
-        // partition with a bit-identical time as the full sweep, for every
-        // kernel shape, machine, problem size, and granularity.
-        for (src, sizes) in [(STREAM, [128usize, 2048]), (HEAVY, [256, 1 << 14])] {
-            let k = compile(src).unwrap();
-            for m in [machines::mc1(), machines::mc2()] {
-                for n in sizes {
-                    for step in [1u8, 2, 5] {
-                        let ex = Executor::new(m.clone());
-                        let (bufs, args) = setup(n);
-                        let launch = Launch::new(&k, NdRange::d1(n), args);
-                        let full = sweep_partitions(&ex, &launch, &bufs, step).unwrap();
-                        let pruned =
-                            sweep_partitions_mode(&ex, &launch, &bufs, step, SweepMode::Pruned)
-                                .unwrap();
-                        assert_eq!(
-                            pruned.best().partition,
-                            full.best().partition,
-                            "{} n={n} step={step}: pruned argmin must match",
-                            ex.machine.name
-                        );
-                        assert_eq!(
-                            pruned.best().time.to_bits(),
-                            full.best().time.to_bits(),
-                            "{} n={n} step={step}: pruned best time must be bit-identical",
-                            ex.machine.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_sweep_entries_are_a_priced_subset() {
-        let k = compile(HEAVY).unwrap();
-        let (bufs, args) = setup(4096);
-        let ex = Executor::new(machines::mc2());
-        let launch = Launch::new(&k, NdRange::d1(4096), args);
-        let full = sweep_partitions(&ex, &launch, &bufs, 1).unwrap();
-        let pruned = sweep_partitions_mode(&ex, &launch, &bufs, 1, SweepMode::Pruned).unwrap();
-        assert!(pruned.entries.len() <= full.entries.len());
-        // Every pruned entry is bit-identical to the full sweep's entry
-        // for the same partition, and the subset follows enumeration order.
-        let mut last_idx = None;
-        let space = Partition::enumerate(3, 1);
-        for e in &pruned.entries {
-            let t = full.time_of(&e.partition).expect("priced in full space");
-            assert_eq!(e.time.to_bits(), t.to_bits(), "{}", e.partition);
-            let idx = e.partition.class_index(&space).unwrap();
-            assert!(last_idx.is_none_or(|p| p < idx), "enumeration order");
-            last_idx = Some(idx);
-        }
-        // The baselines survive pruning so default-strategy comparisons
-        // still work on pruned sweeps.
-        assert_eq!(
-            pruned.cpu_only_time().to_bits(),
-            full.cpu_only_time().to_bits()
-        );
-        assert_eq!(
-            pruned.gpu_only_time().to_bits(),
-            full.gpu_only_time().to_bits()
-        );
-    }
-
-    #[test]
-    fn pruned_sweep_actually_prunes() {
-        // Not a correctness property, but the whole point: on a realistic
-        // launch the bound must cut a substantial part of the 66-partition
-        // space.
-        let k = compile(HEAVY).unwrap();
-        let (bufs, args) = setup(1 << 14);
-        let ex = Executor::new(machines::mc2());
-        let launch = Launch::new(&k, NdRange::d1(1 << 14), args);
-        let pruned = sweep_partitions_mode(&ex, &launch, &bufs, 1, SweepMode::Pruned).unwrap();
-        assert!(
-            pruned.entries.len() < 50,
-            "expected real pruning of the 66-entry space, priced {}",
-            pruned.entries.len()
-        );
-    }
-
-    #[test]
-    fn pruned_sweep_many_matches_per_launch_pruned_sweeps() {
-        let stream = compile(STREAM).unwrap();
-        let heavy = compile(HEAVY).unwrap();
-        let (bufs_a, args_a) = setup(512);
-        let (bufs_b, args_b) = setup(8192);
-        let ex = Executor::new(machines::mc1());
-        let launch_a = Launch::new(&stream, NdRange::d1(512), args_a);
-        let launch_b = Launch::new(&heavy, NdRange::d1(8192), args_b);
-        let jobs = [
-            SweepJob {
-                launch: &launch_a,
-                bufs: &bufs_a,
-                step_tenths: 1,
-            },
-            SweepJob {
-                launch: &launch_b,
-                bufs: &bufs_b,
-                step_tenths: 2,
-            },
-        ];
-        let batched = sweep_many_mode(&ex, &jobs, SweepMode::Pruned).unwrap();
-        for (job, sweep) in jobs.iter().zip(&batched) {
-            let solo = sweep_partitions_mode(
-                &ex,
-                job.launch,
-                job.bufs,
-                job.step_tenths,
-                SweepMode::Pruned,
-            )
-            .unwrap();
-            assert_eq!(sweep, &solo);
-        }
     }
 
     #[test]

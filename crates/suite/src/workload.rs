@@ -57,9 +57,10 @@ impl Benchmark {
             .unwrap_or_else(|e| panic!("benchmark `{}` failed to compile: {e}", self.name))
     }
 
-    /// Compile the kernel source at an explicit optimization level and
-    /// register-allocation mode. Pre-decoding for the lane engine runs in
-    /// every mode; no argument toggles it.
+    /// Compile the kernel source at an explicit optimization level. The
+    /// second parameter has one value and no effect; the benchmark
+    /// package passes it, and the coordinated `benchmark/` edit deletes
+    /// it.
     ///
     /// # Panics
     /// Panics if the bundled source does not compile — that is a bug in
@@ -67,9 +68,9 @@ impl Benchmark {
     pub fn compile_with_modes(
         &self,
         level: hetpart_inspire::OptLevel,
-        regalloc: hetpart_inspire::RegAlloc,
+        _regalloc: hetpart_inspire::RegAlloc,
     ) -> CompiledKernel {
-        hetpart_inspire::compile_with_modes(self.source, level, regalloc)
+        hetpart_inspire::compile_with_modes(self.source, level)
             .unwrap_or_else(|e| panic!("benchmark `{}` failed to compile: {e}", self.name))
     }
 

@@ -2,7 +2,8 @@
 //! whole benchmark suite, mutation coverage for each corruption class,
 //! the IR-level access ranges the runtime sizes transfers with, checked
 //! against execution, the bounds checks both engines keep on every
-//! access, and the signedness the lane engine decodes integer ops with.
+//! access, the signedness the lane engine decodes integer ops with, and
+//! the branch uniformity facts the predictor's static features carry.
 
 use std::ops::Range;
 
@@ -11,14 +12,13 @@ use hetpart_inspire::analysis::signedness;
 use hetpart_inspire::analysis::verify;
 use hetpart_inspire::bytecode::{CmpOp, IBinOp, Instr, Terminator};
 use hetpart_inspire::vm::{ArgValue, BufferData, Vm};
-use hetpart_inspire::{compile_with_modes, CompiledKernel, NdRange, OptLevel, RegAlloc, VmError};
+use hetpart_inspire::{compile_with_modes, CompiledKernel, NdRange, OptLevel, VmError};
 
-const MODES: [(OptLevel, RegAlloc); 4] = [
-    (OptLevel::None, RegAlloc::Off),
-    (OptLevel::None, RegAlloc::On),
-    (OptLevel::Full, RegAlloc::Off),
-    (OptLevel::Full, RegAlloc::On),
-];
+const LEVELS: [OptLevel; 2] = [OptLevel::None, OptLevel::Full];
+
+fn compile_suite(bench: &hetpart_suite::Benchmark, level: OptLevel) -> CompiledKernel {
+    compile_with_modes(bench.source, level).expect("suite kernels compile")
+}
 
 // ---------------------------------------------------------------------
 // Verifier: the whole suite at every compilation mode
@@ -27,14 +27,10 @@ const MODES: [(OptLevel, RegAlloc); 4] = [
 #[test]
 fn verifier_accepts_every_suite_kernel_at_every_mode() {
     for bench in hetpart_suite::all() {
-        for (level, ra) in MODES {
-            let k = bench.compile_with_modes(level, ra);
-            verify::verify_function("suite", &k.bytecode).unwrap_or_else(|e| {
-                panic!(
-                    "{} at {level:?}/{ra:?} failed verification: {e}",
-                    bench.name
-                )
-            });
+        for level in LEVELS {
+            let k = compile_suite(&bench, level);
+            verify::verify_function("suite", &k.bytecode)
+                .unwrap_or_else(|e| panic!("{} at {level:?} failed verification: {e}", bench.name));
         }
     }
 }
@@ -46,10 +42,10 @@ fn verifier_accepts_every_suite_kernel_at_every_mode() {
 #[test]
 fn every_suite_kernel_gets_one_signedness_at_every_mode() {
     for bench in hetpart_suite::all() {
-        for (level, ra) in MODES {
-            let f = bench.compile_with_modes(level, ra).bytecode;
+        for level in LEVELS {
+            let f = compile_suite(&bench, level).bytecode;
             let s = signedness::analyze(&f.blocks, &f.params).unwrap_or_else(|e| {
-                panic!("{} at {level:?}/{ra:?}: {e}", bench.name);
+                panic!("{} at {level:?}: {e}", bench.name);
             });
             assert_eq!(s.terms.len(), f.blocks.len());
             for (b, block) in f.blocks.iter().enumerate() {
@@ -62,10 +58,10 @@ fn every_suite_kernel_gets_one_signedness_at_every_mode() {
 #[test]
 fn monte_carlo_pi_converts_unsigned_and_loops_signed() {
     let bench = hetpart_suite::by_name("monte_carlo_pi").expect("in the suite");
-    for (level, ra) in MODES {
-        let f = bench.compile_with_modes(level, ra).bytecode;
+    for level in LEVELS {
+        let f = compile_suite(&bench, level).bytecode;
         let s = signedness::analyze(&f.blocks, &f.params).expect("one kind each");
-        let ctx = format!("{level:?}/{ra:?}");
+        let ctx = format!("{level:?}");
         let (mut i2f, mut add_u, mut branch_lt) = (0, 0, 0);
         for (b, block) in f.blocks.iter().enumerate() {
             for (i, ins) in block.instrs.iter().enumerate() {
@@ -119,11 +115,45 @@ fn monte_carlo_pi_converts_unsigned_and_loops_signed() {
 }
 
 // ---------------------------------------------------------------------
+// Uniformity: the branch facts of the static feature vector
+// ---------------------------------------------------------------------
+
+/// `(uniform, divergent)` branch counts of a suite kernel at the default
+/// opt level.
+fn branch_facts(name: &str) -> (u32, u32) {
+    let k = hetpart_suite::by_name(name)
+        .expect("in the suite")
+        .compile();
+    let f = &k.static_features;
+    (f.uniform_branches, f.divergent_branches)
+}
+
+#[test]
+fn nbody_and_monte_carlo_pi_loops_are_uniform() {
+    // nbody's only branch is `j < n` over launch-uniform values.
+    assert_eq!(branch_facts("nbody"), (1, 0));
+    // monte_carlo_pi: the `j < samples` loop branch is uniform; the hit
+    // test and the item guard depend on the work-item.
+    assert_eq!(branch_facts("monte_carlo_pi"), (1, 2));
+}
+
+#[test]
+fn nbody_divergence_is_exactly_zero_by_the_static_shortcut() {
+    let bench = hetpart_suite::by_name("nbody").expect("in the suite");
+    let k = bench.compile();
+    assert_eq!(k.static_features.divergent_branches, 0);
+    let inst = bench.instance(bench.smallest_size());
+    let rt = hetpart_runtime::runtime_features(&k, &inst.nd, &inst.args, &inst.bufs, 48)
+        .expect("nbody runs");
+    assert_eq!(rt.divergence.to_bits(), 0.0f64.to_bits());
+}
+
+// ---------------------------------------------------------------------
 // Mutation coverage: each corruption class must be rejected
 // ---------------------------------------------------------------------
 
 fn compiled(src: &str) -> CompiledKernel {
-    compile_with_modes(src, OptLevel::Full, RegAlloc::On).expect("compiles")
+    compile_with_modes(src, OptLevel::Full).expect("compiles")
 }
 
 const GUARDED: &str = "kernel void k(global const float* a, global float* o, int n) {

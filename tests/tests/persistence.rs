@@ -142,7 +142,7 @@ fn quick_mlp_predictor_matches_the_golden_hash() {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     });
     assert_eq!(
-        hash, 0xf7d8_a650_c76d_af44,
+        hash, 0xe2cb_bcdb_1f5b_baae,
         "fitted pipeline drifted: {hash:#018x}"
     );
 }

@@ -13,7 +13,7 @@
 
 use hetpart_inspire::vm::{ArgValue, BufferData, Counters, Vm, LANES};
 use hetpart_inspire::VmError;
-use hetpart_inspire::{compile, compile_with_modes, CompiledKernel, NdRange, OptLevel, RegAlloc};
+use hetpart_inspire::{compile, compile_with_modes, CompiledKernel, NdRange, OptLevel};
 use proptest::prelude::*;
 
 /// Run the scalar engine and the lane engine over the same range and
@@ -89,15 +89,13 @@ fn assert_sampled_parity(
     assert_eq!(s.ops_cv.to_bits(), l.ops_cv.to_bits(), "cv");
 }
 
-/// Four-way differential: the **unoptimized** scalar execution is the
-/// semantic reference; the optimized bytecode — with and without register
-/// allocation, on the scalar engine (enum walk) and on the lane engine
-/// (decoded walk) — must produce identical buffers and identical fault
-/// behavior. Step counts shrink under optimization, so counters are not
-/// compared against the reference; but between the two allocation
-/// variants they must be **bit-identical** (register allocation only
-/// renames registers — it may not change which blocks execute, how often,
-/// or what they cost).
+/// Three-way differential: the **unoptimized** (`OptLevel::None`) scalar
+/// execution is the semantic reference; the `OptLevel::Full` bytecode, on
+/// the scalar engine (enum walk) and on the lane engine (decoded walk),
+/// must produce identical buffers and identical fault behavior. Step
+/// counts shrink under optimization, so counters are not compared
+/// against the reference; between the two engines they must be
+/// **bit-identical**.
 fn assert_opt_parity(
     src: &str,
     nd: &NdRange,
@@ -105,90 +103,41 @@ fn assert_opt_parity(
     args: &[ArgValue],
     bufs: &[BufferData],
 ) {
-    let reference = compile_with_modes(src, OptLevel::None, RegAlloc::On).unwrap();
-    let noalloc = compile_with_modes(src, OptLevel::Full, RegAlloc::Off).unwrap();
-    let optimized = compile_with_modes(src, OptLevel::Full, RegAlloc::On).unwrap();
+    let reference = compile_with_modes(src, OptLevel::None).unwrap();
+    let optimized = compile_with_modes(src, OptLevel::Full).unwrap();
     assert!(
-        noalloc.bytecode.num_instrs() <= reference.bytecode.num_instrs(),
+        optimized.bytecode.num_instrs() <= reference.bytecode.num_instrs(),
         "the optimizer must never grow the code"
     );
-    assert_eq!(
-        optimized.bytecode.num_instrs(),
-        noalloc.bytecode.num_instrs(),
-        "register allocation must only rename, never add or drop code"
-    );
-    assert!(
-        optimized.bytecode.n_iregs <= noalloc.bytecode.n_iregs
-            && optimized.bytecode.n_fregs <= noalloc.bytecode.n_fregs,
-        "register allocation must never widen a register file"
-    );
-    // Renaming registers must leave every per-block static histogram (and
-    // with it the dynamic-op accounting it feeds) untouched.
-    for (bi, (a, b)) in noalloc
-        .bytecode
-        .blocks
-        .iter()
-        .zip(&optimized.bytecode.blocks)
-        .enumerate()
-    {
-        assert_eq!(a.histo, b.histo, "bb{bi}: histogram drifted under regalloc");
-    }
     let mut vm = Vm::new();
     let mut ref_bufs = bufs.to_vec();
     let ref_out = vm.run_range_scalar(&reference.bytecode, nd, range.clone(), args, &mut ref_bufs);
 
-    // Scalar engine, both allocation variants; counters must agree
-    // between the variants (same blocks, same costs — only register
-    // names differ).
-    let mut variant_counters = Vec::new();
-    for (what, k) in [("noalloc", &noalloc), ("regalloc", &optimized)] {
+    let mut engine_counters = Vec::new();
+    for lanes in [false, true] {
+        let what = if lanes { "lane" } else { "scalar" };
         let mut opt_bufs = bufs.to_vec();
-        let opt_out = vm.run_range_scalar(&k.bytecode, nd, range.clone(), args, &mut opt_bufs);
+        let opt_out = if lanes {
+            vm.run_range_lanes(&optimized.bytecode, nd, range.clone(), args, &mut opt_bufs)
+        } else {
+            vm.run_range_scalar(&optimized.bytecode, nd, range.clone(), args, &mut opt_bufs)
+        };
         assert_eq!(
             ref_out.is_ok(),
             opt_out.is_ok(),
-            "{what}: optimized scalar fault behavior drifted: {ref_out:?} vs {opt_out:?}"
+            "optimized {what} fault behavior drifted: {ref_out:?} vs {opt_out:?}"
         );
         if let (Err(a), Err(b)) = (&ref_out, &opt_out) {
-            assert_eq!(a, b, "{what}: optimized scalar fault kind drifted");
+            assert_eq!(a, b, "optimized {what} fault kind drifted");
         }
         if ref_out.is_ok() {
-            assert_eq!(
-                ref_bufs, opt_bufs,
-                "{what}: optimized scalar buffers drifted"
-            );
+            assert_eq!(ref_bufs, opt_bufs, "optimized {what} buffers drifted");
         }
-        variant_counters.push(opt_out.ok());
+        engine_counters.push(opt_out.ok());
     }
     assert_eq!(
-        variant_counters[0], variant_counters[1],
-        "regalloc changed block counters on the scalar engine"
-    );
-
-    // Lane engine, both allocation variants.
-    let mut variant_counters = Vec::new();
-    for (what, k) in [("noalloc", &noalloc), ("regalloc", &optimized)] {
-        let mut lane_bufs = bufs.to_vec();
-        let lane_out = vm.run_range_lanes(&k.bytecode, nd, range.clone(), args, &mut lane_bufs);
-        assert_eq!(
-            ref_out.is_ok(),
-            lane_out.is_ok(),
-            "{what}: optimized lane fault behavior drifted"
-        );
-        if let (Err(a), Err(b)) = (&ref_out, &lane_out) {
-            assert_eq!(a, b, "{what}: optimized lane fault kind drifted");
-        }
-        if ref_out.is_ok() {
-            assert_eq!(
-                ref_bufs, lane_bufs,
-                "{what}: optimized lane buffers drifted"
-            );
-        }
-        variant_counters.push(lane_out.ok());
-    }
-    assert_eq!(
-        variant_counters[0], variant_counters[1],
-        "regalloc changed block counters on the lane engine"
+        engine_counters[0], engine_counters[1],
+        "optimized block counters differ between the engines"
     );
 }
 
@@ -247,13 +196,8 @@ fn every_suite_kernel_agrees_across_engines_at_every_compile_mode() {
     for bench in hetpart_suite::all() {
         let inst = bench.instance(bench.smallest_size());
         let extent = inst.nd.split_extent();
-        for (level, ra) in [
-            (OptLevel::None, RegAlloc::Off),
-            (OptLevel::None, RegAlloc::On),
-            (OptLevel::Full, RegAlloc::Off),
-            (OptLevel::Full, RegAlloc::On),
-        ] {
-            let k = bench.compile_with_modes(level, ra);
+        for level in [OptLevel::None, OptLevel::Full] {
+            let k = compile_with_modes(bench.source, level).unwrap();
             let mut vm = Vm::new();
             let mut scalar_bufs = inst.bufs.clone();
             let scalar = vm.run_range_scalar(
@@ -266,7 +210,7 @@ fn every_suite_kernel_agrees_across_engines_at_every_compile_mode() {
             let mut lane_bufs = inst.bufs.clone();
             let lanes =
                 vm.run_range_lanes(&k.bytecode, &inst.nd, 0..extent, &inst.args, &mut lane_bufs);
-            let ctx = format!("{} at {level:?}/{ra:?}", bench.name);
+            let ctx = format!("{} at {level:?}", bench.name);
             assert_eq!(scalar, lanes, "{ctx}: outcome or counters differ");
             assert_eq!(scalar_bufs, lane_bufs, "{ctx}: buffers differ");
         }
@@ -283,7 +227,7 @@ fn every_suite_kernel_matches_the_unoptimized_reference() {
         let extent = inst.nd.split_extent();
         assert_opt_parity(bench.source, &inst.nd, 0..extent, &inst.args, &inst.bufs);
 
-        let optimized = bench.compile_with_modes(OptLevel::Full, RegAlloc::On);
+        let optimized = bench.compile();
         let mut bufs = inst.bufs.clone();
         let mut vm = Vm::new();
         vm.run_range(
@@ -298,41 +242,6 @@ fn every_suite_kernel_matches_the_unoptimized_reference() {
             .check_outputs(&inst, &bufs)
             .unwrap_or_else(|e| panic!("optimized bytecode fails verification: {e}"));
     }
-}
-
-#[test]
-fn regalloc_shrinks_register_files_on_every_suite_kernel() {
-    // The point of the liveness-driven allocator is a denser register
-    // file (the lane engine's SoA arrays scale as 64 × regs × 8 bytes):
-    // neither file may ever grow on any suite kernel, and the mean width
-    // across the suite must strictly shrink. (A per-kernel strict check
-    // would be wrong: reduction_sum is already at its live minimum.)
-    let mut total_before = 0u32;
-    let mut total_after = 0u32;
-    for bench in hetpart_suite::all() {
-        let off = bench.compile_with_modes(OptLevel::Full, RegAlloc::Off);
-        let on = bench.compile_with_modes(OptLevel::Full, RegAlloc::On);
-        assert!(
-            on.bytecode.n_iregs <= off.bytecode.n_iregs,
-            "{}: I file grew ({} -> {})",
-            bench.name,
-            off.bytecode.n_iregs,
-            on.bytecode.n_iregs
-        );
-        assert!(
-            on.bytecode.n_fregs <= off.bytecode.n_fregs,
-            "{}: F file grew ({} -> {})",
-            bench.name,
-            off.bytecode.n_fregs,
-            on.bytecode.n_fregs
-        );
-        total_before += u32::from(off.bytecode.n_iregs + off.bytecode.n_fregs);
-        total_after += u32::from(on.bytecode.n_iregs + on.bytecode.n_fregs);
-    }
-    assert!(
-        total_after < total_before,
-        "no suite-wide register-file reduction ({total_before} -> {total_after})"
-    );
 }
 
 #[test]
@@ -932,7 +841,7 @@ fn step_limit_crossed_in_full_mask_and_masked_blocks() {
         let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
         let bufs = vec![BufferData::I32(vec![0; n])];
         for opt in [OptLevel::None, OptLevel::Full] {
-            let k = compile_with_modes(src, opt, RegAlloc::On).unwrap();
+            let k = compile_with_modes(src, opt).unwrap();
             assert_step_limit_boundary(what, &k, &NdRange::d1(n), &args, &bufs);
         }
     }
@@ -953,7 +862,7 @@ fn stale_rows_of_a_partial_batch_never_join_a_branch() {
     let args = vec![ArgValue::Buffer(0), ArgValue::Int(n as i32)];
     let bufs = vec![BufferData::I32(vec![0; n])];
     for opt in [OptLevel::None, OptLevel::Full] {
-        let k = compile_with_modes(src, opt, RegAlloc::On).unwrap();
+        let k = compile_with_modes(src, opt).unwrap();
         let (out, _) = assert_kernel_parity(&k, &NdRange::d1(n), 0..n, &args, &bufs);
         let want: Vec<i32> = (0..n as i32)
             .map(|i| if i < 64 { i * 2 } else { i + 1000 })
@@ -1001,7 +910,7 @@ fn stale_lanes_of_a_partial_batch_never_fault() {
         ];
         let nd = NdRange::d1(n);
         for opt in [OptLevel::None, OptLevel::Full] {
-            let k = compile_with_modes(STALE_LANES, opt, RegAlloc::On).unwrap();
+            let k = compile_with_modes(STALE_LANES, opt).unwrap();
             let mut vm = Vm::new();
             let mut scalar_bufs = bufs.clone();
             let scalar = vm.run_range_scalar(&k.bytecode, &nd, 0..n, &args, &mut scalar_bufs);
@@ -1032,7 +941,7 @@ fn stale_lanes_of_a_partial_batch_never_fault() {
         let nd = NdRange::d1(lo + m);
         let gids: Vec<[usize; 3]> = (0..m).map(|k| [lo + (k * 5) % m, 0, 0]).collect();
         for opt in [OptLevel::None, OptLevel::Full] {
-            let k = compile_with_modes(STALE_LANES, opt, RegAlloc::On).unwrap();
+            let k = compile_with_modes(STALE_LANES, opt).unwrap();
             let mut vm = Vm::new();
             let mut scalar_bufs = bufs.clone();
             let scalar = vm.run_items_scalar(&k.bytecode, &nd, &gids, &args, &mut scalar_bufs);
@@ -1191,12 +1100,9 @@ proptest! {
         // exercises the static checks — and run bit-identically on the
         // enum-walking scalar engine and the decoded-walking lane engine.
         for level in [OptLevel::None, OptLevel::Full] {
-            for ra in [RegAlloc::Off, RegAlloc::On] {
-                let k = compile_with_modes(&src, level, ra).unwrap();
-                hetpart_inspire::analysis::verify::verify_function("proptest", &k.bytecode)
-                    .unwrap();
-                assert_kernel_parity(&k, &nd, 0..n, &args, &bufs);
-            }
+            let k = compile_with_modes(&src, level).unwrap();
+            hetpart_inspire::analysis::verify::verify_function("proptest", &k.bytecode).unwrap();
+            assert_kernel_parity(&k, &nd, 0..n, &args, &bufs);
         }
         assert_range_parity(&src, &nd, 0..n, &args, &bufs);
         // A misaligned sub-range exercises partial tail batches.
